@@ -14,7 +14,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/eigen"
 	"repro/internal/fem"
 	"repro/internal/femachine"
 	"repro/internal/mesh"
@@ -56,7 +55,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			iv, err := eigen.EstimateInterval(sp, 0.02, 1)
+			iv, err := core.IntervalFor(sp, core.Config{})
 			if err != nil {
 				log.Fatal(err)
 			}

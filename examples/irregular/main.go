@@ -11,7 +11,7 @@ import (
 	"log"
 
 	"repro/internal/cg"
-	"repro/internal/eigen"
+	"repro/internal/core"
 	"repro/internal/fem"
 	"repro/internal/femachine"
 	"repro/internal/mesh"
@@ -38,7 +38,7 @@ func solveShape(name string, d mesh.Domain) {
 		if m > 0 {
 			a := poly.Ones(m)
 			if param {
-				iv, err := eigen.EstimateInterval(mc, 0.02, 1)
+				iv, err := core.IntervalFor(mc, core.Config{})
 				if err != nil {
 					log.Fatal(err)
 				}

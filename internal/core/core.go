@@ -99,7 +99,7 @@ type Config struct {
 	// notes multicolor SSOR with few colors wants ω = 1 (Adams 1983).
 	Omega float64
 	// Interval optionally pins [λ₁, λₙ] for parametrized coefficients;
-	// when nil it is estimated by the power method on P⁻¹K.
+	// when nil it is estimated from a short PCG run (eigen.EstimateInterval).
 	Interval *eigen.Interval
 	// Tol is the paper's ‖u^{k+1}−u^k‖_∞ test (default 1e-6 when both
 	// tolerances are unset).
@@ -195,20 +195,32 @@ func BuildSplitting(sys System, cfg Config) (splitting.Splitting, error) {
 	}
 }
 
+// intervalPad widens the estimated spectral interval outward by 2% on both
+// ends, covering the gap between the extreme Ritz values and the extreme
+// eigenvalues of P⁻¹K.
+const intervalPad = 0.02
+
+// IntervalSeed returns the seed the spectral estimate runs with: Seed, or
+// 1 when unset.
+func (c Config) IntervalSeed() int64 {
+	if c.Seed == 0 {
+		return 1
+	}
+	return c.Seed
+}
+
 // IntervalFor returns the spectral interval the configuration's
-// parametrized coefficients run on: the pinned cfg.Interval when set, a
-// power-method estimate on the splitting otherwise. It is the expensive
-// half of coefficient construction, split out so instrumented callers can
-// time spectral estimation as its own stage.
+// parametrized coefficients run on: the pinned cfg.Interval when set, an
+// estimate from a short PCG run on the splitting otherwise. It is the
+// expensive half of coefficient construction, split out so instrumented
+// callers can time spectral estimation as its own stage. Every caller that
+// needs an interval goes through here, so the pad and seed are defined
+// once.
 func IntervalFor(sp splitting.Splitting, cfg Config) (eigen.Interval, error) {
 	if cfg.Interval != nil {
 		return *cfg.Interval, nil
 	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	return eigen.EstimateInterval(sp, 0.02, seed)
+	return eigen.EstimateInterval(sp, intervalPad, cfg.IntervalSeed())
 }
 
 // BuildCoefficients computes the α for the configured criterion, estimating

@@ -4,78 +4,20 @@
 // the condition number κ(M_m⁻¹K) whose decrease with m is the paper's §2.1
 // claim.
 //
-// Two estimators are provided: a deterministic-seeded power method on
-// arbitrary symmetric-similar operators, and Sturm-sequence bisection on
-// the Lanczos tridiagonal matrix recovered from CG coefficients (the
-// standard "condition estimate for free" from a CG run).
+// Both come from one source: the Lanczos tridiagonal matrix recovered from
+// a PCG run's coefficients, whose extreme eigenvalues (found by
+// Sturm-sequence bisection) are the "condition estimate for free" of a CG
+// run. PCG is Lanczos in the preconditioner's inner product, in which the
+// preconditioned operator is self-adjoint, so these Ritz values lie inside
+// its spectrum.
 package eigen
 
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"repro/internal/cg"
-	"repro/internal/vec"
 )
-
-// Op applies a linear operator: dst = A·x. dst and x never alias.
-type Op func(dst, x []float64)
-
-// PowerMethod estimates the dominant eigenvalue (largest |λ|) of an
-// operator whose eigenvalues are real (symmetric or similar-to-symmetric,
-// which covers P⁻¹K and G = I − P⁻¹K). It returns the Rayleigh-quotient
-// estimate and the iterations used. The start vector is seeded
-// deterministically.
-func PowerMethod(apply Op, n, maxIter int, tol float64, seed int64) (float64, int) {
-	if maxIter <= 0 {
-		maxIter = 200
-	}
-	if tol <= 0 {
-		tol = 1e-10
-	}
-	rng := rand.New(rand.NewSource(seed))
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	y := make([]float64, n)
-	lambda := 0.0
-	for it := 1; it <= maxIter; it++ {
-		norm := vec.Norm2(x)
-		if norm == 0 {
-			return 0, it
-		}
-		vec.Scale(1/norm, x)
-		apply(y, x)
-		next := vec.Dot(x, y) // Rayleigh quotient
-		copy(x, y)
-		if math.Abs(next-lambda) <= tol*(1+math.Abs(next)) {
-			return next, it
-		}
-		lambda = next
-	}
-	return lambda, maxIter
-}
-
-// ExtremeBySpectralFold estimates both the largest and smallest eigenvalues
-// of an SPD-similar operator: λmax by the power method directly, λmin by
-// the power method on (λmax·I − A) (spectral fold). Both estimates are
-// Rayleigh quotients, hence slightly interior; callers widening to a safe
-// interval should pad.
-func ExtremeBySpectralFold(apply Op, n int, seed int64) (lambdaMin, lambdaMax float64) {
-	lambdaMax, _ = PowerMethod(apply, n, 3000, 1e-14, seed)
-	shift := lambdaMax * (1 + 1e-8)
-	folded := func(dst, x []float64) {
-		apply(dst, x)
-		for i := range dst {
-			dst[i] = shift*x[i] - dst[i]
-		}
-	}
-	mu, _ := PowerMethod(folded, n, 6000, 1e-14, seed+1)
-	lambdaMin = shift - mu
-	return lambdaMin, lambdaMax
-}
 
 // SturmCount returns the number of eigenvalues of the symmetric tridiagonal
 // matrix (diag, offdiag) that are strictly less than x.

@@ -11,54 +11,14 @@ import (
 	"repro/internal/model"
 	"repro/internal/poly"
 	"repro/internal/precond"
-	"repro/internal/sparse"
 	"repro/internal/splitting"
 )
-
-func csrOp(k *sparse.CSR) Op {
-	return func(dst, x []float64) { k.MulVecTo(dst, x) }
-}
 
 // lap1DEigs returns the exact extreme eigenvalues of Laplacian1D(n).
 func lap1DEigs(n int) (lo, hi float64) {
 	lo = 2 - 2*math.Cos(math.Pi/float64(n+1))
 	hi = 2 - 2*math.Cos(float64(n)*math.Pi/float64(n+1))
 	return
-}
-
-func TestPowerMethodLaplacian(t *testing.T) {
-	n := 30
-	k := model.Laplacian1D(n)
-	_, wantHi := lap1DEigs(n)
-	got, _ := PowerMethod(csrOp(k), n, 5000, 1e-13, 1)
-	if math.Abs(got-wantHi) > 1e-6 {
-		t.Fatalf("λmax = %v, want %v", got, wantHi)
-	}
-}
-
-func TestPowerMethodZeroOperator(t *testing.T) {
-	zero := func(dst, x []float64) {
-		for i := range dst {
-			dst[i] = 0
-		}
-	}
-	got, _ := PowerMethod(zero, 5, 50, 1e-10, 2)
-	if got != 0 {
-		t.Fatalf("zero operator λ = %v", got)
-	}
-}
-
-func TestExtremeBySpectralFold(t *testing.T) {
-	n := 25
-	k := model.Laplacian1D(n)
-	wantLo, wantHi := lap1DEigs(n)
-	lo, hi := ExtremeBySpectralFold(csrOp(k), n, 3)
-	if math.Abs(hi-wantHi) > 1e-4 {
-		t.Fatalf("λmax = %v, want %v", hi, wantHi)
-	}
-	if math.Abs(lo-wantLo) > 1e-4 {
-		t.Fatalf("λmin = %v, want %v", lo, wantLo)
-	}
 }
 
 func TestSturmCountKnown(t *testing.T) {

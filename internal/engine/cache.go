@@ -73,7 +73,7 @@ type cacheEntry struct {
 	// alts holds per-step-count preconditioner pools for tuned plans whose
 	// M differs from the request's: the splitting and pinned spectral
 	// interval are shared with the main pool, so an alternate-M rebuild
-	// never re-runs the power method.
+	// never re-runs the spectral estimate.
 	altMu sync.Mutex
 	alts  map[int]*altPrecond
 
@@ -171,7 +171,7 @@ func (e *cacheEntry) getDecomp(p int) (*decomp.Decomposition, error) {
 
 // checkout takes a preconditioner from the pool, rebuilding one when the
 // pool is empty (or the GC emptied it). Rebuilds reuse the pinned spectral
-// interval, so they never re-run the power method. A rebuild failure —
+// interval, so they never re-run the spectral estimate. A rebuild failure —
 // which should be impossible after a successful first build — surfaces its
 // real cause to the caller rather than an untyped nil.
 func (e *cacheEntry) checkout() (precond.Preconditioner, error) {

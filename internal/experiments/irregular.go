@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/cg"
+	"repro/internal/core"
 	"repro/internal/eigen"
 	"repro/internal/fem"
 	"repro/internal/mesh"
@@ -59,7 +60,7 @@ func IrregularStudy(size int, specs []MSpec) (IrregularResult, error) {
 			}
 		}
 		if needIv {
-			iv, err = eigen.EstimateInterval(mc, 0.02, 1)
+			iv, err = core.IntervalFor(mc, core.Config{})
 			if err != nil {
 				return IrregularResult{}, fmt.Errorf("%s interval: %w", sh.name, err)
 			}

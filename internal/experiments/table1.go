@@ -46,7 +46,7 @@ func Table1(rows, cols, maxM int) (Table1Result, error) {
 	if err != nil {
 		return Table1Result{}, err
 	}
-	iv, err := eigen.EstimateInterval(sp, 0.02, 1)
+	iv, err := core.IntervalFor(sp, core.Config{})
 	if err != nil {
 		return Table1Result{}, err
 	}

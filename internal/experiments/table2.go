@@ -20,7 +20,7 @@ func plateInterval(rows, cols int) (eigen.Interval, error) {
 	if err != nil {
 		return eigen.Interval{}, err
 	}
-	return eigen.EstimateInterval(sp, 0.02, 1)
+	return core.IntervalFor(sp, core.Config{})
 }
 
 // MSpec is one preconditioner row of Table 2: a step count and whether the

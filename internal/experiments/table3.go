@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/eigen"
 	"repro/internal/fem"
 	"repro/internal/femachine"
 	"repro/internal/mesh"
@@ -56,7 +55,7 @@ func Table3(rows, cols int, procs []int, specs []MSpec, tol float64, tm femachin
 	if err != nil {
 		return Table3Result{}, err
 	}
-	iv, err := eigen.EstimateInterval(sp, 0.02, 1)
+	iv, err := core.IntervalFor(sp, core.Config{})
 	if err != nil {
 		return Table3Result{}, err
 	}

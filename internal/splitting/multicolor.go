@@ -100,6 +100,9 @@ func (s *SixColorSSOR) Name() string {
 	return fmt.Sprintf("ssor-multicolor(ω=%g)", s.omega)
 }
 
+// Matrix returns K.
+func (s *SixColorSSOR) Matrix() *sparse.CSR { return s.K }
+
 // numGroups returns the number of color groups.
 func (s *SixColorSSOR) numGroups() int { return len(s.Start) - 1 }
 

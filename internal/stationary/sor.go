@@ -65,6 +65,9 @@ func (s *SOR) Name() string {
 	return fmt.Sprintf("%s(ω=%g)", kind, s.omega)
 }
 
+// Matrix returns K.
+func (s *SOR) Matrix() *sparse.CSR { return s.K }
+
 // Step performs one forward SOR sweep: x ← G_ω·x + ω·(D−ωL)⁻¹·(α·f).
 // With a multicolor ordering this is exactly one color-by-color sweep.
 func (s *SOR) Step(x, f []float64, alpha float64) {

@@ -41,7 +41,7 @@ func SimulatePlate(model Model, rows, cols, m int, param bool, tol float64) (Run
 
 // SimulatePlateWithInterval is SimulatePlate with a precomputed spectral
 // interval for the parametrized coefficients, letting sweeps over m (Table
-// 2's columns) amortize the power-method estimation.
+// 2's columns) amortize the spectral estimate.
 func SimulatePlateWithInterval(model Model, rows, cols, m int, param bool, tol float64, iv *eigen.Interval) (Run, error) {
 	sys, _, err := core.PlateSystem(rows, cols, fem.Options{})
 	if err != nil {

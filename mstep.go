@@ -127,18 +127,14 @@ func (p *Problem) probeRef() *plan.Probe {
 }
 
 // intervalFor returns the problem's memoized spectral interval for the
-// splitting cfg selects, estimating it (power method on P⁻¹K, the same
-// estimator the engine runs) on first use.
+// splitting cfg selects, estimating it on first use through
+// core.IntervalFor, the estimator the engine runs.
 func (p *Problem) intervalFor(cfg core.Config) (eigen.Interval, error) {
 	omega := cfg.Omega
 	if omega == 0 {
 		omega = 1
 	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	key := intervalMemoKey{splitting: cfg.Splitting, omega: omega, seed: seed}
+	key := intervalMemoKey{splitting: cfg.Splitting, omega: omega, seed: cfg.IntervalSeed()}
 	p.ivMu.Lock()
 	defer p.ivMu.Unlock()
 	if iv, ok := p.ivMemo[key]; ok {
@@ -148,7 +144,7 @@ func (p *Problem) intervalFor(cfg core.Config) (eigen.Interval, error) {
 	if err != nil {
 		return eigen.Interval{}, err
 	}
-	iv, err := eigen.EstimateInterval(sp, 0.02, seed)
+	iv, err := core.IntervalFor(sp, cfg)
 	if err != nil {
 		return eigen.Interval{}, err
 	}

@@ -231,7 +231,7 @@ func (r Request) engineRequest() (engine.Request, error) {
 	if cfg.Interval == nil && cfg.M >= 1 && cfg.Coeffs != Unparametrized {
 		// Pin the problem's memoized spectral interval (estimating it on
 		// first use): repeated solves — and engine cache misses — never
-		// re-run the power method. Estimation failures are left for the
+		// re-run the spectral estimate. Estimation failures are left for the
 		// engine's preconditioner build to report with full context.
 		if iv, err := p.intervalFor(cfg); err == nil {
 			cfg.Interval = &iv

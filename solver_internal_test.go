@@ -10,7 +10,7 @@ import (
 // probe is computed once (stable pointer), and the spectral interval is
 // estimated once per (splitting, ω, seed) and replayed bit-identically —
 // including into the engine request, where it arrives pre-pinned so cache
-// misses skip the power method.
+// misses skip the spectral estimate.
 func TestProblemSetupMemoization(t *testing.T) {
 	p, err := NewPlateProblem(10, 10)
 	if err != nil {
