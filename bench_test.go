@@ -401,7 +401,7 @@ func BenchmarkBatchedSolve(b *testing.B) {
 			b.ReportMetric(float64(s)*float64(b.N)/b.Elapsed().Seconds(), "rhs/s")
 		})
 		b.Run(fmt.Sprintf("block/s=%d", s), func(b *testing.B) {
-			bws := cg.NewBlockWorkspace(n, s)
+			bws := cg.NewWorkspace(n)
 			u := vec.NewMulti(n, s)
 			var spmms int
 			for i := 0; i < b.N; i++ {
@@ -448,7 +448,7 @@ func BenchmarkTiledBlockSolve(b *testing.B) {
 	}
 	pl := plan.Planner{}.Plan(plan.Inputs{K: sys.K, Policy: plan.BackendCSR, RHS: s, M: cfg.M})
 	b.Run("untiled/s=32", func(b *testing.B) {
-		bws := cg.NewBlockWorkspace(n, s)
+		bws := cg.NewWorkspace(n)
 		u := vec.NewMulti(n, s)
 		for i := 0; i < b.N; i++ {
 			if _, err := cg.SolveBlockInto(u, sys.K, f, pc, opt, bws); err != nil {
@@ -459,7 +459,7 @@ func BenchmarkTiledBlockSolve(b *testing.B) {
 	})
 	b.Run(fmt.Sprintf("planner-tiled/s=32/tiles=%d", len(pl.Tiles)), func(b *testing.B) {
 		width := len(pl.Tiles[0])
-		bws := cg.NewBlockWorkspace(n, width)
+		bws := cg.NewWorkspace(n)
 		u := vec.NewMulti(n, width)
 		for i := 0; i < b.N; i++ {
 			for _, tileCols := range pl.Tiles {

@@ -28,12 +28,17 @@
 //	})
 //	fmt.Println(res.Stats.Iterations, "iterations")
 //
-// The solver's fused inner loops (SpMM, block dot/axpy, the multicolor
-// sweep) dispatch through internal/kernel: CPU feature detection selects
-// an accelerated implementation set at startup, wide batch tiles run on a
-// row-interleaved panel layout, and REPRO_KERNEL=portable (or
-// Config.Kernel) forces the portable reference set — bit-identical
-// results either way, so the knob only changes speed.
+// Every single-matrix solve, one right-hand side or a batch, runs one
+// PCG recurrence (internal/cg) over one of two layouts of its working
+// block: column-contiguous vectors, or row-interleaved panels for wide
+// batch tiles whose preconditioner can sweep them (plain CG, or the
+// multicolor SSOR at ω = 1). A column's iterates are the same bits in
+// either layout and at any batch width. The fused inner loops (SpMM, block
+// dot/axpy, the multicolor sweep) dispatch through internal/kernel: CPU
+// feature detection selects an accelerated implementation set at startup,
+// and REPRO_KERNEL=portable (or Config.Kernel) forces the portable
+// reference set — bit-identical results either way, so the knob only
+// changes speed.
 //
 // Beyond one-shot solves, the Solver interface is a session that
 // amortizes setup across requests and streams per-case results: NewLocal

@@ -8,60 +8,6 @@ import (
 	"repro/internal/model"
 )
 
-func TestOnIterationObservesEveryStep(t *testing.T) {
-	k := model.Laplacian1D(30)
-	f := make([]float64, 30)
-	f[10] = 1
-	var calls int
-	var lastUdiff float64
-	_, st, err := Solve(k, f, nil, Options{
-		Tol: 1e-10,
-		OnIteration: func(iter int, udiff, relres float64) bool {
-			calls++
-			if iter != calls {
-				t.Fatalf("iteration numbering: got %d at call %d", iter, calls)
-			}
-			lastUdiff = udiff
-			return true
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The callback is skipped on the converging iteration (the solve has
-	// already returned), so calls == Iterations − 1.
-	if calls != st.Iterations-1 {
-		t.Fatalf("callback calls %d, iterations %d", calls, st.Iterations)
-	}
-	if lastUdiff <= 0 {
-		t.Fatal("udiff not reported")
-	}
-}
-
-func TestOnIterationEarlyStop(t *testing.T) {
-	k := model.Poisson2D(12, 12)
-	f := make([]float64, 144)
-	f[70] = 1
-	u, st, err := Solve(k, f, nil, Options{
-		Tol: 1e-14,
-		OnIteration: func(iter int, udiff, relres float64) bool {
-			return iter < 5
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.Stopped || st.Converged {
-		t.Fatalf("expected stopped-not-converged, got %+v", st)
-	}
-	if st.Iterations != 5 {
-		t.Fatalf("stopped after %d iterations, want 5", st.Iterations)
-	}
-	if u == nil {
-		t.Fatal("partial iterate not returned")
-	}
-}
-
 func TestVerifyResidualMatchesRecurrence(t *testing.T) {
 	k := model.Poisson2D(15, 15)
 	f := model.RandomVec(rand.New(rand.NewSource(9)), 225)

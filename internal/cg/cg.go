@@ -1,13 +1,20 @@
 // Package cg implements the preconditioned conjugate gradient method,
 // Algorithm 1 of the paper, for sparse symmetric positive definite systems.
-// The default stopping test is the paper's ‖u^{k+1} − u^k‖_∞ < ε; a
-// relative-residual test is available as an alternative or supplement.
+// The recurrence is written once, as a block solve: s right-hand sides
+// sharing one matrix and one preconditioner advance in lockstep, and a
+// scalar solve is its one-column case. The working block lives in one of
+// two layouts, column-contiguous vectors or row-interleaved panels; every
+// kernel preserves per-column arithmetic order, so a column's iterates are
+// the same bits in either layout and at any batch width. The default
+// stopping test is the paper's ‖u^{k+1} − u^k‖_∞ < ε; a relative-residual
+// test is available as an alternative or supplement.
 package cg
 
 import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 
 	"repro/internal/precond"
 	"repro/internal/sparse"
@@ -26,7 +33,8 @@ var ErrBreakdownPrecond = errors.New("cg: breakdown — preconditioner not posit
 // stopping test fired.
 var ErrMaxIterations = errors.New("cg: maximum iterations reached without convergence")
 
-// Options configure a solve.
+// Options configure a solve. Every option applies to every column of a
+// block solve, and so to scalar solves as its one-column case.
 type Options struct {
 	// Tol is ε in the paper's test ‖u^{k+1}−u^k‖_∞ < ε. Set ≤ 0 to disable.
 	Tol float64
@@ -35,17 +43,13 @@ type Options struct {
 	RelResidualTol float64
 	// MaxIter bounds the iteration count (default 10·n).
 	MaxIter int
-	// X0 is the initial guess (default zero).
-	X0 []float64
-	// History records the per-iteration ‖u diff‖_∞ and ‖r‖₂ when true.
+	// History records each column's per-iteration ‖u diff‖_∞ and ‖r‖₂/‖f‖₂
+	// when true.
 	History bool
-	// OnIteration, when non-nil, is invoked after every iteration with the
-	// 1-based iteration number, ‖u^{k+1}−u^k‖_∞ and ‖r‖₂/‖f‖₂. Returning
-	// false stops the solve (reported as not converged, no error).
-	OnIteration func(iter int, udiff, relres float64) bool
-	// VerifyResidual recomputes the true residual ‖f − K·u‖₂/‖f‖₂ at exit
-	// and stores it in Stats.TrueRelRes (one extra matrix–vector product);
-	// it guards against recurrence drift on long runs.
+	// VerifyResidual recomputes each column's true residual
+	// ‖f − K·u‖₂/‖f‖₂ as the column finishes and stores it in
+	// Stats.TrueRelRes (one extra matrix–vector product per column); it
+	// guards against recurrence drift on long runs.
 	VerifyResidual bool
 	// Workers caps the goroutine fan-out of the SpMV/dot/axpy kernels.
 	// ≤ 1 keeps every kernel serial (the default). The solver service sets
@@ -58,35 +62,34 @@ type Options struct {
 	// how the solver service propagates a disconnected client into a
 	// long-running solve instead of leaking it.
 	Ctx context.Context
-	// OnColumnDone, when non-nil, is invoked by block solves the moment a
-	// column leaves the active set — converged, broken down, canceled, or
-	// out of iterations — with the column's original right-hand-side index
-	// and its final statistics. It fires from the solving goroutine while
-	// the remaining columns keep iterating, so early-converging columns
-	// surface before the block finishes; the column's slice of the iterate
-	// block is final and safe to read inside the callback. Every column
-	// fires exactly once per solve. Scalar solves ignore it.
+	// OnColumnDone, when non-nil, is invoked the moment a column leaves the
+	// active set — converged, broken down, canceled, or out of iterations —
+	// with the column's right-hand-side index and its final statistics. It
+	// fires from the solving goroutine while the remaining columns keep
+	// iterating, so early-converging columns surface before the block
+	// finishes; the column's slice of the iterate block is final and safe
+	// to read inside the callback. Every column fires exactly once per
+	// solve.
 	OnColumnDone func(col int, stats ColumnStats)
-	// Observer, when non-nil, receives one convergence sample per iteration
-	// — per active column for block solves — from the solve hot loop. It is
-	// the telemetry tap convergence curves are captured through; unlike
-	// OnIteration it cannot stop the solve, and implementations must not
+	// Observer, when non-nil, receives one convergence sample per active
+	// column per iteration from the solve hot loop. It is the telemetry tap
+	// convergence curves are captured through; implementations must not
 	// allocate or block (the steady-state solve path stays allocation-free
 	// with an Observer attached — see the AllocsPerRun guards).
 	Observer Observer
-	// Interleave requests the row-interleaved panel layout for block
-	// solves: the block is converted once at entry, iterated on with the
-	// fused interleaved kernels, and converted back as columns finish. It
-	// is honored only when both the operator and the preconditioner can
-	// serve interleaved panels (sparse.InterleavedOperator and
-	// precond.InterleavedApplier); otherwise the column-contiguous path
+	// Interleave requests the row-interleaved panel layout: the right-hand
+	// sides are interleaved once at entry, iterated on with the fused panel
+	// kernels, and each column's iterate is de-interleaved once, as it
+	// finishes. It is honored only when both the operator and the
+	// preconditioner can serve panels (sparse.InterleavedOperator and
+	// precond.CanApplyInterleaved); otherwise the column-contiguous layout
 	// runs and BlockStats.Interleaved reports false. Column iterates are
-	// bit-identical either way. Scalar solves ignore it.
+	// bit-identical either way.
 	Interleave bool
-	// Kernel selects the kernel set for the interleaved block path: "" or
-	// "auto" for the startup-selected set, "portable" for the reference
-	// set (kernel.Select). The column-contiguous path always uses the
-	// startup-selected set.
+	// Kernel selects the kernel set of the panel layout: "" or "auto" for
+	// the startup-selected set, "portable" for the reference set
+	// (kernel.Select). The column-contiguous layout always runs the
+	// startup-selected set; the sets are bit-identical.
 	Kernel string
 }
 
@@ -100,7 +103,7 @@ type Observer interface {
 	ObserveIteration(col, iter int, udiff, relres float64)
 }
 
-// Stats reports what a solve did.
+// Stats reports what a solve did for one right-hand side.
 type Stats struct {
 	Iterations    int
 	Converged     bool
@@ -108,7 +111,9 @@ type Stats struct {
 	FinalRelRes   float64 // last ‖r‖₂/‖f‖₂
 	InnerProducts int     // number of (·,·) evaluations, the paper's bottleneck metric
 	PrecondApps   int
-	MatVecs       int
+	// MatVecs counts products with K: one per iteration (the start u⁰ = 0
+	// needs none), plus one for VerifyResidual.
+	MatVecs int
 
 	// CGAlphas and CGBetas are the recurrence coefficients; the Lanczos
 	// tridiagonal matrix assembled from them drives the eigenvalue
@@ -122,8 +127,17 @@ type Stats struct {
 	// TrueRelRes is the recomputed ‖f − K·u‖₂/‖f‖₂ when
 	// Options.VerifyResidual is set (−1 otherwise).
 	TrueRelRes float64
-	// Stopped reports that Options.OnIteration requested an early stop.
-	Stopped bool
+}
+
+// detached returns a copy of st that shares no recording with the solve
+// that produced it, so a later solve on the same workspace cannot rewrite
+// it.
+func (st Stats) detached() Stats {
+	st.CGAlphas = slices.Clone(st.CGAlphas)
+	st.CGBetas = slices.Clone(st.CGBetas)
+	st.UDiffHistory = slices.Clone(st.UDiffHistory)
+	st.ResidualHistory = slices.Clone(st.ResidualHistory)
+	return st
 }
 
 // Solve runs preconditioned CG on K·u = f with preconditioner M. K is any

@@ -176,24 +176,6 @@ func TestZeroRHSConvergesImmediately(t *testing.T) {
 	}
 }
 
-func TestInitialGuessRespected(t *testing.T) {
-	k := model.Laplacian1D(12)
-	want := model.RandomVec(rand.New(rand.NewSource(3)), 12)
-	f := k.MulVec(want)
-	u, st, err := Solve(k, f, nil, Options{RelResidualTol: 1e-12, X0: want})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Iterations != 0 {
-		t.Fatalf("exact initial guess still took %d iterations", st.Iterations)
-	}
-	for i := range want {
-		if u[i] != want[i] {
-			t.Fatal("initial guess modified")
-		}
-	}
-}
-
 func TestMaxIterationsError(t *testing.T) {
 	k := model.Poisson2D(10, 10)
 	f := make([]float64, 100)
@@ -235,9 +217,6 @@ func TestOptionValidation(t *testing.T) {
 	}
 	if _, _, err := Solve(k, f[:2], nil, Options{Tol: 1e-8}); err == nil {
 		t.Fatal("wrong rhs length accepted")
-	}
-	if _, _, err := Solve(k, f, nil, Options{Tol: 1e-8, X0: f[:1]}); err == nil {
-		t.Fatal("wrong x0 length accepted")
 	}
 	rect := sparse.NewCOO(2, 3)
 	rect.Add(0, 0, 1)

@@ -120,7 +120,7 @@ func TestSolveBlockObserver(t *testing.T) {
 	k, f, p := blockFixture(t, 4)
 	var o countObserver
 	opt := Options{Tol: 1e-9, MaxIter: 5000, Observer: &o}
-	ws := NewBlockWorkspace(k.Rows, 4)
+	ws := NewWorkspace(k.Rows)
 	u := vec.NewMulti(k.Rows, 4)
 	st, err := SolveBlockInto(u, k, f, p, opt, ws)
 	if err != nil {

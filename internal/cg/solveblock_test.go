@@ -33,46 +33,6 @@ func blockFixture(t *testing.T, s int) (*sparse.CSR, *vec.Multi, precond.Precond
 	return k, f, p
 }
 
-// TestSolveBlockMatchesSolveInto: every column of a block solve must agree
-// with an independent scalar solve of the same column within 1e-10 (they
-// are in fact designed to match exactly; the tolerance is the acceptance
-// criterion's bound).
-func TestSolveBlockMatchesSolveInto(t *testing.T) {
-	const s = 6
-	k, f, p := blockFixture(t, s)
-	opt := Options{Tol: 1e-9, MaxIter: 5000}
-
-	u, st, err := SolveBlock(k, f, p, opt)
-	if err != nil {
-		t.Fatalf("block solve: %v", err)
-	}
-	if !st.Converged || st.RHS != s {
-		t.Fatalf("block stats: converged=%v rhs=%d", st.Converged, st.RHS)
-	}
-	for j := 0; j < s; j++ {
-		want := make([]float64, k.Rows)
-		wst, err := SolveInto(want, k, f.Col(j), p, opt, nil)
-		if err != nil {
-			t.Fatalf("scalar solve col %d: %v", j, err)
-		}
-		var maxd float64
-		for i := range want {
-			if d := math.Abs(u.Col(j)[i] - want[i]); d > maxd {
-				maxd = d
-			}
-		}
-		if maxd > 1e-10 {
-			t.Fatalf("col %d differs from SolveInto by %g (> 1e-10)", j, maxd)
-		}
-		if st.Cols[j].Iterations != wst.Iterations {
-			t.Fatalf("col %d iterations %d != scalar %d", j, st.Cols[j].Iterations, wst.Iterations)
-		}
-		if !st.Cols[j].Converged {
-			t.Fatalf("col %d not converged", j)
-		}
-	}
-}
-
 // TestSolveBlockOneSpMMPerIteration: the acceptance criterion — Stats
 // counts exactly one SpMM per outer iteration, regardless of batch width.
 func TestSolveBlockOneSpMMPerIteration(t *testing.T) {
@@ -212,9 +172,6 @@ func TestSolveBlockInputValidation(t *testing.T) {
 	if _, err := SolveBlockInto(u, k, f, nil, Options{}, nil); err == nil {
 		t.Fatal("no stopping test accepted")
 	}
-	if _, err := SolveBlockInto(u, k, f, nil, Options{Tol: 1e-8, X0: make([]float64, 4)}, nil); err == nil {
-		t.Fatal("X0 accepted by block solve")
-	}
 	if _, err := SolveBlockInto(u, k, vec.NewMulti(4, 0), nil, Options{Tol: 1e-8}, nil); err == nil {
 		t.Fatal("empty batch accepted")
 	}
@@ -226,7 +183,7 @@ func TestSolveBlockInputValidation(t *testing.T) {
 func TestSolveBlockWorkspaceReuseAndParallel(t *testing.T) {
 	k, f, p := blockFixture(t, 4)
 	opt := Options{Tol: 1e-9, MaxIter: 5000}
-	ws := NewBlockWorkspace(0, 0)
+	ws := NewWorkspace(0)
 
 	u1 := vec.NewMulti(k.Rows, 4)
 	if _, err := SolveBlockInto(u1, k, f, p, opt, ws); err != nil {
@@ -271,7 +228,7 @@ func TestSolveBlockWorkspaceReuseAndParallel(t *testing.T) {
 func TestSolveBlockSteadyStateAllocFree(t *testing.T) {
 	k, f, p := blockFixture(t, 4)
 	opt := Options{Tol: 1e-9, MaxIter: 5000}
-	ws := NewBlockWorkspace(k.Rows, 4)
+	ws := NewWorkspace(k.Rows)
 	u := vec.NewMulti(k.Rows, 4)
 	if _, err := SolveBlockInto(u, k, f, p, opt, ws); err != nil {
 		t.Fatal(err)
@@ -283,5 +240,41 @@ func TestSolveBlockSteadyStateAllocFree(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("steady-state block solve allocated %.1f times per run", allocs)
+	}
+}
+
+// TestSolveBlockMixedRetirement: columns that retire early — one breaking
+// down, one converging exactly — are swapped out from under a column that
+// keeps iterating, which must still reproduce its solo solve bit for bit.
+// K = diag(1, 2, −1, 3): e₁ converges exactly in one step (r = 0, so
+// (r̂, r) = 0 while ‖Δu‖∞ = 1 is above Tol), e₃ breaks down on (p, Kp) < 0,
+// and the third column never touches the negative direction.
+func TestSolveBlockMixedRetirement(t *testing.T) {
+	c := sparse.NewCOO(4, 4)
+	for i, d := range []float64{1, 2, -1, 3} {
+		c.Add(i, i, d)
+	}
+	k := c.ToCSR()
+	f := vec.MultiFromCols([][]float64{{1, 0, 0, 0}, {0, 0, 1, 0}, {1, 1, 0, 1}})
+	opt := Options{Tol: 1e-12, MaxIter: 50}
+	want := make([]float64, 4)
+	wantSt, err := SolveInto(want, k, f.Col(2), nil, opt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, interleave := range []bool{false, true} {
+		opt.Interleave = interleave
+		u := vec.NewMulti(4, 3)
+		st, err := SolveBlockInto(u, k, f, nil, opt, nil)
+		if !errors.Is(err, ErrBreakdownMatrix) || !errors.Is(st.ColErrs[1], ErrBreakdownMatrix) {
+			t.Fatalf("interleave=%v: want a breakdown in column 1, got %v", interleave, err)
+		}
+		if st.ColErrs[0] != nil || st.Cols[0].Iterations != 1 || u.Col(0)[0] != 1 {
+			t.Fatalf("interleave=%v: exact column: %+v, err %v, u %v", interleave, st.Cols[0], st.ColErrs[0], u.Col(0))
+		}
+		if st.ColErrs[2] != nil || st.Cols[2].Iterations != wantSt.Iterations ||
+			!bitsEqual(u.Col(2), want) || !bitsEqual(st.Cols[2].CGAlphas, wantSt.CGAlphas) {
+			t.Fatalf("interleave=%v: surviving column drifted from its solo solve: %+v vs %+v", interleave, st.Cols[2], wantSt)
+		}
 	}
 }

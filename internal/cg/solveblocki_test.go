@@ -53,11 +53,11 @@ func runBoth(t *testing.T, k sparse.Operator, f *vec.Multi, p precond.Preconditi
 	optCol.Interleave = false
 	optInt.Interleave = true
 	var err error
-	stCol, err = SolveBlockInto(ucol, k, f, p, optCol, NewBlockWorkspace(n, f.S))
+	stCol, err = SolveBlockInto(ucol, k, f, p, optCol, NewWorkspace(n))
 	if err != nil {
 		t.Fatalf("column path: %v", err)
 	}
-	stInt, err = SolveBlockInto(uint, k, f, p, optInt, NewBlockWorkspace(n, f.S))
+	stInt, err = SolveBlockInto(uint, k, f, p, optInt, NewWorkspace(n))
 	if err != nil {
 		t.Fatalf("interleaved path: %v", err)
 	}
@@ -137,11 +137,11 @@ func TestInterleavedDeflationParity(t *testing.T) {
 			t.Errorf("col %d: bad iterate slice", col)
 		}
 	}
-	stCol, err := SolveBlockInto(ucol, k, f, p, optCol, NewBlockWorkspace(n, f.S))
+	stCol, err := SolveBlockInto(ucol, k, f, p, optCol, NewWorkspace(n))
 	if err != nil {
 		t.Fatal(err)
 	}
-	stInt, err := SolveBlockInto(uint, k, f, p, optInt, NewBlockWorkspace(n, f.S))
+	stInt, err := SolveBlockInto(uint, k, f, p, optInt, NewWorkspace(n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,10 +173,10 @@ func TestInterleavedMaxIterParity(t *testing.T) {
 	n, _ := k.Dims()
 	opt := Options{Tol: 1e-14, MaxIter: 3}
 	ucol := vec.NewMulti(n, f.S)
-	_, errCol := SolveBlockInto(ucol, k, f, p, opt, NewBlockWorkspace(n, f.S))
+	_, errCol := SolveBlockInto(ucol, k, f, p, opt, NewWorkspace(n))
 	opt.Interleave = true
 	uint := vec.NewMulti(n, f.S)
-	stInt, errInt := SolveBlockInto(uint, k, f, p, opt, NewBlockWorkspace(n, f.S))
+	stInt, errInt := SolveBlockInto(uint, k, f, p, opt, NewWorkspace(n))
 	if !errors.Is(errCol, ErrMaxIterations) || !errors.Is(errInt, ErrMaxIterations) {
 		t.Fatalf("errors: %v vs %v", errCol, errInt)
 	}
@@ -203,7 +203,7 @@ func TestInterleavedBreakdownParity(t *testing.T) {
 	}
 	opt := Options{Tol: 1e-10, MaxIter: 50, Interleave: true}
 	u := vec.NewMulti(2, 4)
-	st, err := SolveBlockInto(u, k, f, precond.Identity{}, opt, NewBlockWorkspace(2, 4))
+	st, err := SolveBlockInto(u, k, f, precond.Identity{}, opt, NewWorkspace(2))
 	if !st.Interleaved {
 		t.Fatal("interleaved path did not engage")
 	}
@@ -222,7 +222,7 @@ func TestInterleavedFallback(t *testing.T) {
 	}
 	n := k.Rows
 	u := vec.NewMulti(n, f.S)
-	st, err := SolveBlockInto(u, k, f, p, Options{Tol: 1e-8, MaxIter: 5000, Interleave: true}, NewBlockWorkspace(n, f.S))
+	st, err := SolveBlockInto(u, k, f, p, Options{Tol: 1e-8, MaxIter: 5000, Interleave: true}, NewWorkspace(n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,13 +241,13 @@ func TestInterleavedKernelPortable(t *testing.T) {
 	n, _ := k.Dims()
 	opt := Options{Tol: 1e-9, MaxIter: 5000, Interleave: true}
 	uAuto := vec.NewMulti(n, f.S)
-	stAuto, err := SolveBlockInto(uAuto, k, f, p, opt, NewBlockWorkspace(n, f.S))
+	stAuto, err := SolveBlockInto(uAuto, k, f, p, opt, NewWorkspace(n))
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt.Kernel = "portable"
 	uPort := vec.NewMulti(n, f.S)
-	stPort, err := SolveBlockInto(uPort, k, f, p, opt, NewBlockWorkspace(n, f.S))
+	stPort, err := SolveBlockInto(uPort, k, f, p, opt, NewWorkspace(n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestInterleavedSteadyStateAllocFree(t *testing.T) {
 	k, f, p := interleavedFixture(t, 8, 2)
 	n, _ := k.Dims()
 	u := vec.NewMulti(n, f.S)
-	ws := NewBlockWorkspace(n, f.S)
+	ws := NewWorkspace(n)
 	opt := Options{Tol: 1e-9, MaxIter: 5000, Interleave: true}
 	if _, err := SolveBlockInto(u, k, f, p, opt, ws); err != nil {
 		t.Fatal(err)

@@ -7,7 +7,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/cg"
@@ -19,7 +18,6 @@ import (
 	"repro/internal/precond"
 	"repro/internal/sparse"
 	"repro/internal/splitting"
-	"repro/internal/vec"
 )
 
 // SplittingKind selects the stationary method generating the
@@ -126,8 +124,9 @@ type Config struct {
 	// rejected. Column iterates are bit-identical across kernel sets.
 	Kernel string
 	// TileBudgetBytes bounds the multivector working set of one batch tile
-	// in SolveBatch: wide batches are split by the planner into cache-sized
-	// column tiles executed sequentially (0 = plan.DefaultBudgetBytes).
+	// in engine batch solves: wide batches are split by the planner into
+	// cache-sized column tiles executed sequentially (0 =
+	// plan.DefaultBudgetBytes).
 	TileBudgetBytes int
 	// Subdomains pins the processor count of a decomposed solve (0 = the
 	// planner picks from the worker budget and mesh shape). Only
@@ -136,9 +135,9 @@ type Config struct {
 	// Tuning is the self-tuning planner's feedback policy: "" or "adapt"
 	// lets warm engine sessions re-plan from measured throughput,
 	// "observe" records evidence without adapting, "off" pins the static
-	// plan bit-for-bit. Any other value is rejected. The one-shot Solve /
-	// SolveBatch paths have no observation store, so the knob only gates
-	// validation there; the engine is where it takes effect. Deliberately
+	// plan bit-for-bit. Any other value is rejected. The one-shot Solve
+	// path has no observation store, so the knob only gates validation
+	// there; the engine is where it takes effect. Deliberately
 	// excluded from the engine's problem cache key — it is an execution
 	// policy, not part of the prepared problem.
 	Tuning string
@@ -162,9 +161,6 @@ type Result struct {
 	// Kernel is the kernel set the solve's fused loops ran through
 	// ("portable", "avx2", "neon") — the resolved form of Config.Kernel.
 	Kernel string
-	// Interleaved reports that a batch solve ran its tiles on the
-	// row-interleaved panel layout (always false for scalar solves).
-	Interleaved bool
 }
 
 // BuildSplitting constructs the configured splitting for a system.
@@ -348,90 +344,6 @@ func Solve(sys System, cfg Config) (Result, error) {
 	})
 	res := Result{U: u, Stats: st, Precond: p.Name(), Alphas: a, Interval: iv, Backend: backend.String(), Kernel: pl.Kernel}
 	return res, err
-}
-
-// SolveBatch runs the configured m-step PCG on s right-hand sides sharing
-// one matrix: the splitting, coefficients and spectral-interval estimate
-// are built once, and each iteration of the block solve performs a single
-// matrix–multivector product and a single block preconditioner sweep for
-// the whole batch (see cg.SolveBlockInto). Result j corresponds to fs[j]
-// and matches a scalar Solve on (sys, fs[j]) to machine precision.
-//
-// The returned error is nil only when every column converged; partial
-// results are still returned alongside a joined per-column error.
-func SolveBatch(sys System, fs [][]float64, cfg Config) ([]Result, error) {
-	if sys.K == nil {
-		return nil, fmt.Errorf("core: malformed system (K nil)")
-	}
-	if len(fs) == 0 {
-		return nil, fmt.Errorf("core: batch solve needs at least one right-hand side")
-	}
-	n := sys.K.Rows
-	for j, f := range fs {
-		if len(f) != n {
-			return nil, fmt.Errorf("core: rhs %d length %d != n %d", j, len(f), n)
-		}
-	}
-	if !kernel.ValidName(cfg.Kernel) {
-		return nil, fmt.Errorf("core: unknown kernel policy %q (want auto or portable)", cfg.Kernel)
-	}
-	if _, err := plan.ParseTuning(cfg.Tuning); err != nil {
-		return nil, err
-	}
-	p, a, iv, err := BuildPreconditioner(sys, cfg)
-	if err != nil {
-		return nil, err
-	}
-	pl := cfg.planner().Plan(plan.Inputs{
-		K: sys.K, Policy: cfg.Backend, RHS: len(fs), M: cfg.M, Workers: cfg.Workers, Kernel: cfg.Kernel,
-	})
-	op, backend, err := operatorFor(sys.K, pl.Backend)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Tol <= 0 && cfg.RelResidualTol <= 0 {
-		cfg.Tol = 1e-6
-	}
-	opt := cg.Options{
-		Tol:            cfg.Tol,
-		RelResidualTol: cfg.RelResidualTol,
-		MaxIter:        cfg.MaxIter,
-		Workers:        pl.Workers,
-		Interleave:     pl.Interleave,
-		Kernel:         cfg.Kernel,
-	}
-	// Execute the plan's column tiles sequentially, reusing one workspace:
-	// each tile's multivector working set stays inside the planner's cache
-	// budget, and per-column arithmetic is tile-invariant (the fused block
-	// kernels preserve per-column order), so results match the untiled
-	// solve exactly.
-	out := make([]Result, len(fs))
-	var errs []error
-	bws := cg.NewBlockWorkspace(n, len(pl.Tiles[0]))
-	for _, tileCols := range pl.Tiles {
-		cols := make([][]float64, len(tileCols))
-		for i, c := range tileCols {
-			cols[i] = fs[c]
-		}
-		u := vec.NewMulti(n, len(tileCols))
-		bst, berr := cg.SolveBlockInto(u, op, vec.MultiFromCols(cols), p, opt, bws)
-		if berr != nil {
-			errs = append(errs, berr)
-		}
-		for i, c := range tileCols {
-			out[c] = Result{
-				U:           vec.Clone(u.Col(i)),
-				Stats:       bst.Cols[i],
-				Precond:     p.Name(),
-				Alphas:      a,
-				Interval:    iv,
-				Backend:     backend.String(),
-				Kernel:      bst.Kernel,
-				Interleaved: bst.Interleaved,
-			}
-		}
-	}
-	return out, errors.Join(errs...)
 }
 
 // PlateSystem builds the paper's plane-stress test problem in the 6-color

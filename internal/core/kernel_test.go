@@ -7,18 +7,7 @@ import (
 	"repro/internal/kernel"
 )
 
-func batchRHS(sys System, s int) [][]float64 {
-	fs := make([][]float64, s)
-	for j := range fs {
-		fs[j] = make([]float64, len(sys.F))
-		for i, v := range sys.F {
-			fs[j][i] = float64(j+1) * v
-		}
-	}
-	return fs
-}
-
-// TestSolveRejectsUnknownKernel: both entry points validate the kernel
+// TestSolveRejectsUnknownKernel: the entry point validates the kernel
 // policy before doing any work.
 func TestSolveRejectsUnknownKernel(t *testing.T) {
 	sys, _ := plateSystem(t, 6, 6)
@@ -26,69 +15,20 @@ func TestSolveRejectsUnknownKernel(t *testing.T) {
 	if _, err := Solve(sys, cfg); err == nil || !strings.Contains(err.Error(), "kernel policy") {
 		t.Fatalf("Solve: want kernel-policy error, got %v", err)
 	}
-	if _, err := SolveBatch(sys, batchRHS(sys, 2), cfg); err == nil || !strings.Contains(err.Error(), "kernel policy") {
-		t.Fatalf("SolveBatch: want kernel-policy error, got %v", err)
-	}
 }
 
-// TestSolveBatchReportsInterleaved: a wide batch over the multicolor SSOR
-// preconditioner runs the row-interleaved panel layout and says so, while a
-// scalar solve stays columnar and reports the startup kernel set.
-func TestSolveBatchReportsInterleaved(t *testing.T) {
+// TestSolveReportsKernel: a scalar solve runs the column layout, whose
+// loops dispatch through the startup kernel set, and reports that set
+// whatever the policy asks for.
+func TestSolveReportsKernel(t *testing.T) {
 	sys, _ := plateSystem(t, 8, 8)
-	cfg := Config{M: 2, Splitting: SSORMulticolor, Tol: 1e-8, MaxIter: 10000}
-	out, err := SolveBatch(sys, batchRHS(sys, 8), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j, r := range out {
-		if !r.Interleaved {
-			t.Fatalf("rhs %d: wide batch did not interleave", j)
+	for _, policy := range []string{"", "portable"} {
+		res, err := Solve(sys, Config{M: 2, Splitting: SSORMulticolor, Tol: 1e-8, MaxIter: 10000, Kernel: policy})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if r.Kernel != kernel.Active().Name {
-			t.Fatalf("rhs %d: kernel %q, want %q", j, r.Kernel, kernel.Active().Name)
-		}
-	}
-	res, err := Solve(sys, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Interleaved {
-		t.Fatal("scalar solve claims the interleaved layout")
-	}
-	if res.Kernel != kernel.Active().Name {
-		t.Fatalf("scalar solve kernel %q, want %q", res.Kernel, kernel.Active().Name)
-	}
-}
-
-// TestSolveBatchPortableMatchesAuto: forcing the portable kernel set changes
-// nothing observable — iterates bit-identical, iteration counts equal — and
-// the results carry the set's name.
-func TestSolveBatchPortableMatchesAuto(t *testing.T) {
-	sys, _ := plateSystem(t, 8, 8)
-	fs := batchRHS(sys, 8)
-	cfg := Config{M: 2, Splitting: SSORMulticolor, Tol: 1e-10, MaxIter: 20000}
-	auto, err := SolveBatch(sys, fs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Kernel = "portable"
-	port, err := SolveBatch(sys, fs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := range auto {
-		if port[j].Kernel != "portable" {
-			t.Fatalf("rhs %d: portable solve reports kernel %q", j, port[j].Kernel)
-		}
-		if auto[j].Stats.Iterations != port[j].Stats.Iterations {
-			t.Fatalf("rhs %d: iterations differ across kernel sets: %d vs %d",
-				j, auto[j].Stats.Iterations, port[j].Stats.Iterations)
-		}
-		for i := range auto[j].U {
-			if auto[j].U[i] != port[j].U[i] {
-				t.Fatalf("rhs %d: iterates differ at %d across kernel sets", j, i)
-			}
+		if res.Kernel != kernel.Active().Name {
+			t.Fatalf("policy %q: scalar solve kernel %q, want %q", policy, res.Kernel, kernel.Active().Name)
 		}
 	}
 }

@@ -327,20 +327,22 @@ func (s *Engine) PlanRequest(req Request) (PlanInfo, error) {
 }
 
 // planInputs assembles the planner's inputs for one solve: the structure
-// probe plus — for plate-backed problems whose configuration the
-// decomposed path can honor — the mesh facts that enable the decomposed
-// backend. PlanRequest and runJob share it, so an offline plan always
-// matches the plan the solve runs.
+// probe, whether the preconditioner has the fused multicolor sweep, and —
+// for plate-backed problems whose preconditioner the decomposed path can
+// run — the mesh facts that enable the decomposed backend. PlanRequest and
+// runJob share it, so an offline plan always matches the plan the solve
+// runs.
 func (s *Engine) planInputs(cfg core.Config, probe *plan.Probe, plate *fem.Plate, rhs int) plan.Inputs {
 	in := plan.Inputs{
-		Probe:   probe,
-		Policy:  cfg.Backend,
-		RHS:     rhs,
-		M:       cfg.M,
-		Workers: s.workersFor(cfg),
-		Kernel:  cfg.Kernel,
+		Probe:      probe,
+		Policy:     cfg.Backend,
+		RHS:        rhs,
+		M:          cfg.M,
+		Workers:    s.workersFor(cfg),
+		Kernel:     cfg.Kernel,
+		PanelSweep: cfg.Splitting == core.SSORMulticolor && (cfg.Omega == 0 || cfg.Omega == 1),
 	}
-	if plate != nil && decompCompatible(cfg) {
+	if plate != nil && in.FusedSweep(cfg.M) {
 		in.Decomp = &plan.DecompInputs{
 			Rows:      plate.Grid.Rows,
 			FreeNodes: len(plate.Free),
@@ -349,19 +351,6 @@ func (s *Engine) planInputs(cfg core.Config, probe *plan.Probe, plate *fem.Plate
 		}
 	}
 	return in
-}
-
-// decompCompatible reports whether the decomposed path can run cfg's
-// preconditioner: the per-subdomain sweep implements the 6-color
-// multicolor SSOR splitting at the paper's ω = 1 (plain CG when M = 0), so
-// other splittings and relaxation parameters stay on the single-matrix
-// backends. A forced "decomposed" policy bypasses this gate and fails
-// downstream with a descriptive error.
-func decompCompatible(cfg core.Config) bool {
-	if cfg.M == 0 {
-		return true
-	}
-	return cfg.Splitting == core.SSORMulticolor && (cfg.Omega == 0 || cfg.Omega == 1)
 }
 
 // plannerFor returns the planner a resolved config runs under: the engine's
@@ -605,14 +594,12 @@ func (s *Engine) Close() {
 	s.wg.Wait()
 }
 
-// worker owns one reusable scalar CG workspace and one block workspace and
-// processes jobs until the queue closes: the steady-state solve path
-// allocates only the per-job solution vector(s). id names the worker in job
-// traces and logs.
+// worker owns one reusable CG workspace and processes jobs until the queue
+// closes: the steady-state solve path allocates only the per-job solution
+// vector(s). id names the worker in job traces and logs.
 func (s *Engine) worker(id int) {
 	defer s.wg.Done()
 	ws := cg.NewWorkspace(0)
-	bws := cg.NewBlockWorkspace(0, 0)
 	for job := range s.queue {
 		job.queueSpan.End()
 		s.hQueueWait.Observe(time.Since(job.enqueuedAt).Seconds())
@@ -625,7 +612,7 @@ func (s *Engine) worker(id int) {
 			s.transition(job, JobFailed, nil, fmt.Errorf("engine: job canceled while queued: %w", cerr))
 			continue
 		}
-		s.runJob(job, ws, bws, id)
+		s.runJob(job, ws, id)
 	}
 }
 
@@ -650,9 +637,18 @@ func (s *Engine) transition(job *Job, state JobState, result *JobResult, err err
 		}
 	}
 	s.mu.Unlock()
+	// Every job passes through JobRunning before its terminal state; the
+	// running gauge drops before the job is published as finished, so a
+	// caller woken by completion never reads the job as still running.
+	if state == JobRunning {
+		s.cmu.Lock()
+		s.running++
+		s.cmu.Unlock()
+	}
 	if state == JobDone || state == JobFailed {
 		lat := now.Sub(job.enqueuedAt).Seconds()
 		s.cmu.Lock()
+		s.running--
 		if state == JobDone {
 			s.jobsDone++
 		} else {
@@ -690,9 +686,7 @@ func (s *Engine) transition(job *Job, state JobState, result *JobResult, err err
 // the moment its column retires. A batched request runs as one job against
 // one cache entry and one preconditioner checkout; every block traversal
 // is shared across the tile's columns.
-func (s *Engine) runJob(job *Job, ws *cg.Workspace, bws *cg.BlockWorkspace, workerID int) {
-	s.addRunning(1)
-	defer s.addRunning(-1)
+func (s *Engine) runJob(job *Job, ws *cg.Workspace, workerID int) {
 	s.transition(job, JobRunning, nil, nil)
 	s.logger.Debug("job started", "job", job.id, "worker", workerID)
 
@@ -851,7 +845,7 @@ func (s *Engine) runJob(job *Job, ws *cg.Workspace, bws *cg.BlockWorkspace, work
 			s.transition(job, JobFailed, nil, errors.New("engine: decomposed backend needs a plate-backed problem (general systems carry no mesh to partition)"))
 			return
 		}
-		if !decompCompatible(cfg) {
+		if !in.FusedSweep(cfg.M) {
 			s.transition(job, JobFailed, nil, errors.New("engine: decomposed backend implements the multicolor SSOR sweep at ω = 1; pick splitting ssor-multicolor (or m = 0) or a single-matrix backend"))
 			return
 		}
@@ -912,13 +906,10 @@ func (s *Engine) runJob(job *Job, ws *cg.Workspace, bws *cg.BlockWorkspace, work
 	job.initCases(len(fs))
 	var res *JobResult
 	execStart := time.Now()
-	switch {
-	case dec != nil:
+	if dec != nil {
 		res, err = s.runDecomposed(job, dec, plate, fs, cfg, alphas, opts, workerID)
-	case len(fs) > 1:
-		res, err = s.runTiles(job, op, plate, pc, fs, pl, opts, bws, workerID)
-	default:
-		res, err = s.runScalar(job, op, plate, pc, fs[0], opts, ws, workerID)
+	} else {
+		res, err = s.runTiles(job, op, plate, pc, fs, pl, opts, ws, workerID)
 	}
 	execSeconds := time.Since(execStart).Seconds()
 	emitEnd := phase("emit")
@@ -969,13 +960,6 @@ func (s *Engine) runJob(job *Job, ws *cg.Workspace, bws *cg.BlockWorkspace, work
 	s.transition(job, JobDone, res, nil)
 }
 
-// addRunning adjusts the running-jobs gauge.
-func (s *Engine) addRunning(d int64) {
-	s.cmu.Lock()
-	s.running += d
-	s.cmu.Unlock()
-}
-
 // countSolve attributes one job to the matvec backend it resolved to.
 func (s *Engine) countSolve(b plan.Backend) {
 	s.cmu.Lock()
@@ -996,51 +980,6 @@ func (s *Engine) countTile(iters int) {
 	s.tilesExecuted++
 	s.totalIters += int64(iters)
 	s.cmu.Unlock()
-}
-
-// runScalar is the single-RHS solve path (a one-column plan: one tile, one
-// case event). op is the backend-resolved form of the system matrix.
-func (s *Engine) runScalar(job *Job, op sparse.Operator, plate *fem.Plate, pc precond.Preconditioner, f []float64, opts cg.Options, ws *cg.Workspace, workerID int) (*JobResult, error) {
-	n, _ := op.Dims()
-	u := make([]float64, n)
-	opts.Observer = job.conv
-	sp := job.trace.Start("solve").SetWorker(workerID)
-	st, err := cg.SolveInto(u, op, f, pc, opts, ws)
-	sp.SetIterations(st.Iterations).SetAttr("converged", st.Converged).End()
-	s.countTile(st.Iterations)
-	s.hCaseIters.Observe(float64(st.Iterations))
-
-	res := &JobResult{
-		Converged:     st.Converged,
-		Iterations:    st.Iterations,
-		MatVecs:       st.MatVecs,
-		PrecondApps:   st.PrecondApps,
-		InnerProducts: st.InnerProducts,
-		FinalUDiff:    st.FinalUDiff,
-		FinalRelRes:   st.FinalRelRes,
-		RHS:           1,
-		CGStats:       &st,
-	}
-	if !job.req.OmitSolution {
-		res.U = u
-		res.Nodes, res.NodeU, res.NodeV = plateDisplacements(plate, u)
-	}
-	cr := CaseResult{
-		Converged:   st.Converged,
-		Iterations:  st.Iterations,
-		FinalUDiff:  st.FinalUDiff,
-		FinalRelRes: st.FinalRelRes,
-		U:           res.U,
-		Nodes:       res.Nodes,
-		NodeU:       res.NodeU,
-		NodeV:       res.NodeV,
-		CGStats:     &st,
-	}
-	if err != nil {
-		cr.Error = err.Error()
-	}
-	job.caseFinished(0, cr)
-	return res, err
 }
 
 // runDecomposed is the domain-decomposed execute path: every case runs as
@@ -1151,14 +1090,18 @@ func recordSubSpans(tr *obs.Trace, ci int, start time.Time, subs []decomp.SubSta
 	}
 }
 
-// runTiles is the batched solve path: the plan's column tiles execute as
-// sequential block solves sharing one workspace, and every column
-// retirement — converged, broken down, or canceled — emits that case's
-// result immediately via the deflation hook, so early-converging load
-// cases are visible to stream subscribers while the slowest column is
-// still iterating. op is the backend-resolved form of the system matrix.
-func (s *Engine) runTiles(job *Job, op sparse.Operator, plate *fem.Plate, pc precond.Preconditioner, fs [][]float64, pl plan.Plan, opts cg.Options, bws *cg.BlockWorkspace, workerID int) (*JobResult, error) {
+// runTiles is the single-matrix execute path: the plan's column tiles run
+// as sequential block solves sharing the worker's workspace, and every
+// column retirement — converged, broken down, or canceled — emits that
+// case's result immediately via the deflation hook, so early-converging
+// load cases are visible to stream subscribers while the slowest column is
+// still iterating. op is the backend-resolved form of the system matrix. A
+// one-column job runs the same way and reports like a scalar solve: its
+// case at the top level instead of a cases array, a "solve" span instead
+// of a tile span, and the column's own error.
+func (s *Engine) runTiles(job *Job, op sparse.Operator, plate *fem.Plate, pc precond.Preconditioner, fs [][]float64, pl plan.Plan, opts cg.Options, ws *cg.Workspace, workerID int) (*JobResult, error) {
 	n, _ := op.Dims()
+	scalar := len(fs) == 1
 	res := &JobResult{RHS: len(fs), Converged: true}
 	var errs []error
 	var canceled error
@@ -1186,29 +1129,36 @@ func (s *Engine) runTiles(job *Job, op sparse.Operator, plate *fem.Plate, pc pre
 		topts.Observer = tileObserver{log: job.conv, cases: tileCols}
 		topts.OnColumnDone = func(col int, cs cg.ColumnStats) {
 			s.hCaseIters.Observe(float64(cs.Stats.Iterations))
-			colStats := cs.Stats
 			cr := CaseResult{
 				Converged:   cs.Stats.Converged,
 				Iterations:  cs.Stats.Iterations,
 				FinalUDiff:  cs.Stats.FinalUDiff,
 				FinalRelRes: cs.Stats.FinalRelRes,
-				CGStats:     &colStats,
+				CGStats:     &cs.Stats,
 			}
 			if cs.Err != nil {
 				cr.Error = cs.Err.Error()
 			}
 			if !job.req.OmitSolution {
-				cr.U = append([]float64(nil), u.Col(col)...)
+				// A retired column is never written again; the capped slice
+				// keeps an append from reaching the next column.
+				cr.U = u.Data[col*n : (col+1)*n : (col+1)*n]
 				cr.Nodes, cr.NodeU, cr.NodeV = plateDisplacements(plate, cr.U)
 			}
 			job.caseFinished(tileCols[col], cr)
 		}
-		sp := job.trace.Start("tile").SetWorker(workerID).
-			SetAttr("tile", ti).
-			SetAttr("case_first", tileCols[0]).
-			SetAttr("case_last", tileCols[len(tileCols)-1])
-		st, err := cg.SolveBlockInto(u, op, vec.MultiFromCols(cols), pc, topts, bws)
-		sp.SetAttr("kernel", st.Kernel).SetAttr("interleaved", st.Interleaved)
+		span := "tile"
+		if scalar {
+			span = "solve"
+		}
+		sp := job.trace.Start(span).SetWorker(workerID)
+		if !scalar {
+			sp.SetAttr("tile", ti).
+				SetAttr("case_first", tileCols[0]).
+				SetAttr("case_last", tileCols[len(tileCols)-1])
+		}
+		st, err := cg.SolveBlockInto(u, op, vec.MultiFromCols(cols), pc, topts, ws)
+		sp.SetAttr("kernel", st.Kernel).SetAttr("interleaved", st.Interleaved).SetAttr("converged", st.Converged)
 		sp.SetIterations(st.Iterations).End()
 		s.countTile(st.Iterations)
 		res.Iterations += st.Iterations
@@ -1218,17 +1168,27 @@ func (s *Engine) runTiles(job *Job, op sparse.Operator, plate *fem.Plate, pc pre
 		if !st.Converged {
 			res.Converged = false
 		}
-		if err != nil {
+		switch {
+		case err == nil:
+		case scalar:
+			errs = append(errs, st.ColErrs[0])
+		default:
 			errs = append(errs, fmt.Errorf("tile %d (cases %d–%d): %w", ti, tileCols[0], tileCols[len(tileCols)-1], err))
 		}
 	}
 	if canceled != nil {
 		errs = append(errs, canceled)
 	}
-	res.Cases = job.snapshotCases()
-	for i := range res.Cases {
-		res.FinalUDiff = max(res.FinalUDiff, res.Cases[i].FinalUDiff)
-		res.FinalRelRes = max(res.FinalRelRes, res.Cases[i].FinalRelRes)
+	cases := job.snapshotCases()
+	for i := range cases {
+		res.FinalUDiff = max(res.FinalUDiff, cases[i].FinalUDiff)
+		res.FinalRelRes = max(res.FinalRelRes, cases[i].FinalRelRes)
+	}
+	if scalar {
+		c := cases[0]
+		res.U, res.Nodes, res.NodeU, res.NodeV, res.CGStats = c.U, c.Nodes, c.NodeU, c.NodeV, c.CGStats
+	} else {
+		res.Cases = cases
 	}
 	return res, errors.Join(errs...)
 }

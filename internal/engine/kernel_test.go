@@ -2,6 +2,8 @@ package engine
 
 import (
 	"context"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -58,5 +60,67 @@ func TestEnginePlanReportsKernel(t *testing.T) {
 	st := s.Stats()
 	if st.CacheMisses != 1 || st.CacheHits < 1 {
 		t.Fatalf("kernel policy split the cache: hits=%d misses=%d", st.CacheHits, st.CacheMisses)
+	}
+}
+
+// TestPlanLayoutMatchesExecution: the plan claims the interleaved panel
+// layout exactly when the preconditioner can sweep panels — plain CG, or
+// multicolor SSOR at ω = 1 — and the batch is wide enough. For every
+// splitting and batch width the offline plan equals the executed plan, and
+// the layout the solve span reports equals the plan's.
+func TestPlanLayoutMatchesExecution(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	for _, sc := range []struct {
+		splitting string
+		omega     float64
+		m         int
+		panels    bool
+	}{
+		{"ssor-multicolor", 0, 2, true},
+		{"ssor-multicolor", 1.5, 2, false},
+		{"ssor-natural", 0, 2, false},
+		{"jacobi", 0, 1, false},
+		{"jacobi", 0, 0, true},
+	} {
+		for _, rhs := range []int{1, 3, 4, 8} {
+			name := fmt.Sprintf("%s ω=%g m=%d s=%d", sc.splitting, sc.omega, sc.m, rhs)
+			tr := make([]float64, rhs)
+			for i := range tr {
+				tr[i] = float64(i + 1)
+			}
+			req := Request{
+				Plate:  &PlateSpec{Rows: 8, Cols: 8, Tractions: tr},
+				Solver: SolverSpec{M: sc.m, Splitting: sc.splitting, Omega: sc.omega, RelResidualTol: 1e-9, Tuning: "off"},
+			}
+			offline, err := s.PlanRequest(req)
+			if err != nil {
+				t.Fatalf("%s: plan: %v", name, err)
+			}
+			v, err := s.Solve(context.Background(), req)
+			if err != nil {
+				t.Fatalf("%s: solve: %v", name, err)
+			}
+			if !reflect.DeepEqual(*v.Result.Plan, offline) {
+				t.Fatalf("%s: executed plan %+v != offline %+v", name, *v.Result.Plan, offline)
+			}
+			if want := sc.panels && rhs >= 4; offline.Interleave != want {
+				t.Fatalf("%s: plan interleave = %v, want %v", name, offline.Interleave, want)
+			}
+			ti, _ := s.Trace(v.ID)
+			spans := 0
+			for _, sp := range ti.Spans {
+				if sp.Name != "tile" && sp.Name != "solve" {
+					continue
+				}
+				spans++
+				if sp.Attrs["interleaved"] != offline.Interleave {
+					t.Fatalf("%s: %s span interleaved = %v, plan says %v", name, sp.Name, sp.Attrs["interleaved"], offline.Interleave)
+				}
+			}
+			if spans != len(offline.Tiles) {
+				t.Fatalf("%s: %d solve spans for %d tiles", name, spans, len(offline.Tiles))
+			}
+		}
 	}
 }

@@ -250,12 +250,22 @@ type Inputs struct {
 	// startup-selected set, "portable" to force the reference set
 	// (kernel.Select resolves it).
 	Kernel string
+	// PanelSweep reports that the preconditioner's splitting is the
+	// multicolor SSOR at ω = 1, whose m-step sweep the fused kernels run on
+	// row-interleaved panels and on decomposed subdomains (see FusedSweep).
+	PanelSweep bool
 	// Decomp, when non-nil, describes the mesh behind the problem and
 	// enables the decomposed backend (Auto considers it; forcing
 	// BackendDecomposed without it plans a single subdomain and fails
 	// downstream where the mesh is truly required).
 	Decomp *DecompInputs
 }
+
+// FusedSweep reports whether an m-step preconditioner over the inputs'
+// splitting is one the fused multicolor kernels implement: plain CG
+// (m = 0, no sweep at all) or a PanelSweep splitting. Only these run on
+// row-interleaved panels or on the decomposed backend.
+func (in Inputs) FusedSweep(m int) bool { return m == 0 || in.PanelSweep }
 
 // Plan is the resolved execution decision for one solve: which storage the
 // matvec path runs on, how the batch is split into column tiles, the kernel
@@ -278,7 +288,7 @@ type Plan struct {
 	Subdomains int
 	// Interleave reports that the tiles run on the row-interleaved panel
 	// layout (every tile is at least WideBlockThreshold columns wide and
-	// the backend serves interleaved panels).
+	// the preconditioner sweeps panels; both backends serve them).
 	Interleave bool
 	// Kernel names the kernel set the solve's fused loops run through
 	// ("portable", "avx2", "neon") — the resolved form of Inputs.Kernel.
@@ -426,31 +436,25 @@ func (pl Planner) Plan(in Inputs) Plan {
 	}
 
 	tiles := tile(s, width)
-	wide := pl.WideBlockThreshold
-	if wide == 0 {
-		wide = DefaultWideBlockThreshold
-	}
-	// Balanced tiling keeps widths within one of each other, so the last
-	// tile is the narrowest; interleave only when every tile clears the
-	// threshold (s = 1 scalar solves never do).
-	interleave := wide > 0 && len(tiles[len(tiles)-1]) >= wide
-
-	// Only the interleaved panel path threads a per-solve kernel policy;
-	// every other path dispatches through the process-wide startup set
-	// (kernel.Active), so the plan records the set that will actually run.
-	kernelName := kernel.Active().Name
-	if interleave {
-		kernelName = kernel.Select(in.Kernel).Name
-	}
-
+	interleave := pl.interleaves(in, tiles, in.M)
 	return Plan{
 		Backend:    backend,
 		Tiles:      tiles,
 		Workers:    workers,
 		M:          in.M,
 		Interleave: interleave,
-		Kernel:     kernelName,
+		Kernel:     kernelFor(interleave, in.Kernel),
 	}
+}
+
+// interleaves decides the layout of tiles run with an m-step
+// preconditioner: panels only when the preconditioner can sweep them and
+// every tile clears the threshold. Balanced tiling keeps widths within one
+// of each other, so the last tile is the narrowest (s = 1 scalar solves
+// never clear it).
+func (pl Planner) interleaves(in Inputs, tiles [][]int, m int) bool {
+	wide := pl.wideThreshold()
+	return in.FusedSweep(m) && wide > 0 && len(tiles[len(tiles)-1]) >= wide
 }
 
 // decompWins is Auto's rule for preferring the decomposed backend: the

@@ -7,8 +7,10 @@ import (
 )
 
 // TestPlanInterleave pins the wide-block layout decision: interleave exactly
-// when every tile clears the threshold (balanced tiling makes the last tile
-// the narrowest), s = 1 never interleaves, negative threshold disables.
+// when the preconditioner sweeps panels (plain CG, or a PanelSweep
+// splitting) and every tile clears the threshold (balanced tiling makes the
+// last tile the narrowest); s = 1 never interleaves, negative threshold
+// disables.
 func TestPlanInterleave(t *testing.T) {
 	const rows, width = 1000, 16
 	probe := &Probe{Rows: rows, Cols: rows, NNZ: 5 * rows, MaxRowNNZ: 5, NumDiags: 5, Fill: 1}
@@ -16,20 +18,24 @@ func TestPlanInterleave(t *testing.T) {
 		name      string
 		threshold int
 		s         int
+		m         int
+		sweep     bool
 		want      bool
 	}{
-		{"scalar solve stays columnar", 0, 1, false},
-		{"narrow block under default threshold", 0, 3, false},
-		{"at default threshold", 0, 4, true},
-		{"full tile", 0, 16, true},
-		{"split 9+8 keeps both wide", 0, 17, true},
-		{"custom threshold excludes", 10, 9, false},
-		{"custom threshold includes", 10, 16, true},
-		{"negative threshold disables", -1, 32, false},
+		{"scalar solve stays columnar", 0, 1, 0, false, false},
+		{"narrow block under default threshold", 0, 3, 0, false, false},
+		{"at default threshold", 0, 4, 0, false, true},
+		{"full tile", 0, 16, 0, false, true},
+		{"split 9+8 keeps both wide", 0, 17, 0, false, true},
+		{"custom threshold excludes", 10, 9, 0, false, false},
+		{"custom threshold includes", 10, 16, 0, false, true},
+		{"negative threshold disables", -1, 32, 0, false, false},
+		{"m-step without panel sweep stays columnar", 0, 8, 2, false, false},
+		{"m-step with panel sweep", 0, 8, 2, true, true},
 	} {
 		pl := pinned(rows, width)
 		pl.WideBlockThreshold = tc.threshold
-		p := pl.Plan(Inputs{Probe: probe, RHS: tc.s})
+		p := pl.Plan(Inputs{Probe: probe, RHS: tc.s, M: tc.m, PanelSweep: tc.sweep})
 		if p.Interleave != tc.want {
 			t.Errorf("%s (threshold=%d s=%d): Interleave=%v want %v",
 				tc.name, tc.threshold, tc.s, p.Interleave, tc.want)

@@ -407,8 +407,8 @@ func (t *Tuner) candidates(pl Planner, in Inputs, base Plan, anchorSig Signature
 		out = append(out, Candidate{Plan: p, Signature: sig})
 	}
 	expand := func(from Plan) {
-		add(pl.withM(from, from.M+1))
-		add(pl.withM(from, from.M-1))
+		add(pl.withM(in, from, from.M+1))
+		add(pl.withM(in, from, from.M-1))
 		add(pl.retiled(in, from, 2*tileWidth(from)))
 		add(pl.retiled(in, from, tileWidth(from)/2))
 		add(pl.withWorkers(in, from, from.Workers*2))
@@ -450,8 +450,10 @@ func (pl Planner) wideThreshold() int {
 	return pl.WideBlockThreshold
 }
 
-// kernelFor resolves the kernel set a candidate runs through, mirroring
-// Plan: only the interleaved panel path threads the per-solve policy.
+// kernelFor resolves the kernel set a plan runs through: only the
+// interleaved panel path threads the per-solve policy; every other path
+// dispatches through the process-wide startup set (kernel.Active), so the
+// plan records the set that will actually run.
 func kernelFor(interleave bool, policy string) string {
 	if interleave {
 		return kernel.Select(policy).Name
@@ -459,13 +461,18 @@ func kernelFor(interleave bool, policy string) string {
 	return kernel.Active().Name
 }
 
-// withM proposes base with m preconditioner steps (invalid m: no plan).
-func (pl Planner) withM(base Plan, m int) (Plan, bool) {
+// withM proposes base with m preconditioner steps (invalid m: no plan),
+// leaving the panel layout when the m-step preconditioner cannot sweep it.
+func (pl Planner) withM(in Inputs, base Plan, m int) (Plan, bool) {
 	if m < 0 || m == base.M {
 		return Plan{}, false
 	}
 	out := base
 	out.M = m
+	if out.Interleave && !in.FusedSweep(m) {
+		out.Interleave = false
+		out.Kernel = kernelFor(false, in.Kernel)
+	}
 	return out, true
 }
 
@@ -478,8 +485,7 @@ func (pl Planner) retiled(in Inputs, base Plan, width int) (Plan, bool) {
 	}
 	out := base
 	out.Tiles = tile(s, width)
-	wide := pl.wideThreshold()
-	out.Interleave = wide > 0 && len(out.Tiles[len(out.Tiles)-1]) >= wide
+	out.Interleave = pl.interleaves(in, out.Tiles, out.M)
 	out.Kernel = kernelFor(out.Interleave, in.Kernel)
 	if tileWidth(out) == tileWidth(base) && out.Interleave == base.Interleave {
 		return Plan{}, false
@@ -507,14 +513,15 @@ func (pl Planner) withWorkers(in Inputs, base Plan, w int) (Plan, bool) {
 }
 
 // withInterleave proposes base with the panel layout toggled. Turning it
-// on needs every tile at least two columns wide (a one-column panel is the
-// scalar path) and the planner's threshold not negative (negative disables
-// interleaving entirely, a pin the tuner honors).
+// on needs a preconditioner that sweeps panels, every tile at least two
+// columns wide (a one-column panel is the scalar path) and the planner's
+// threshold not negative (negative disables interleaving entirely, a pin
+// the tuner honors).
 func (pl Planner) withInterleave(in Inputs, base Plan, on bool) (Plan, bool) {
 	if on == base.Interleave || len(base.Tiles) == 0 {
 		return Plan{}, false
 	}
-	if on && (pl.wideThreshold() <= 0 || len(base.Tiles[len(base.Tiles)-1]) < 2) {
+	if on && (!in.FusedSweep(base.M) || pl.wideThreshold() <= 0 || len(base.Tiles[len(base.Tiles)-1]) < 2) {
 		return Plan{}, false
 	}
 	out := base
@@ -535,7 +542,7 @@ func (pl Planner) fromSignature(in Inputs, base Plan, sig Signature) (Plan, bool
 	out := base
 	if sig.M != out.M {
 		var ok bool
-		if out, ok = pl.withM(out, sig.M); !ok {
+		if out, ok = pl.withM(in, out, sig.M); !ok {
 			return Plan{}, false
 		}
 	}

@@ -243,3 +243,29 @@ func TestObserveBounds(t *testing.T) {
 		t.Fatal("newest problem evicted")
 	}
 }
+
+// TestTunerCandidatesNeedPanelSweep: no candidate claims the panel layout
+// for an m-step preconditioner that cannot sweep panels — not the
+// interleave toggle, not a retiled plan, not a step-count change away from
+// plain CG.
+func TestTunerCandidatesNeedPanelSweep(t *testing.T) {
+	probe := &Probe{Rows: 1000, Cols: 1000, NNZ: 5000, NumDiags: 5, MaxRowNNZ: 5, Fill: 1}
+	pl := pinned(1000, 8)
+	for _, m := range []int{0, 2} {
+		in := Inputs{Probe: probe, RHS: 16, M: m, Workers: 2}
+		base := pl.Plan(in)
+		tu := &Tuner{}
+		for i := 0; i < DefaultMinObservations; i++ {
+			tu.Observe("k", base.Signature(), Observation{RHSPerSec: 100})
+		}
+		_, d := tu.Decide("k", pl, in, base, nil, false)
+		if len(d.Candidates) < 2 {
+			t.Fatalf("m=%d: no candidates past the gate", m)
+		}
+		for _, c := range d.Candidates {
+			if c.Signature.Interleave && c.Signature.M > 0 {
+				t.Fatalf("m=%d: candidate %+v interleaves a preconditioner without a panel sweep", m, c.Signature)
+			}
+		}
+	}
+}

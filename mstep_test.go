@@ -3,6 +3,7 @@ package repro_test
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"repro"
@@ -279,5 +280,92 @@ func TestPublicService(t *testing.T) {
 
 	if st := svc.Stats(); st.CacheHits < 1 || st.JobsDone != 2 {
 		t.Fatalf("service stats: %+v", st)
+	}
+}
+
+// TestOneRHSResultOwnsItsCoefficients: a finished one-RHS result keeps its
+// recurrence coefficients. The next job on the same worker reuses the
+// worker's workspace; it must not rewrite the first result's α, or
+// EstimateCondition on the first result would read the second problem.
+func TestOneRHSResultOwnsItsCoefficients(t *testing.T) {
+	l := repro.NewLocal(repro.LocalConfig{Workers: 1, WorkerBudget: 1})
+	defer l.Close()
+	solve := func(n int) repro.JobResult {
+		t.Helper()
+		res, err := l.Solve(context.Background(), repro.Request{
+			Plate:  &repro.PlateSpec{Rows: n, Cols: n},
+			Solver: repro.SolverSpec{M: 2},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.CGStats == nil || len(res.CGStats.CGAlphas) == 0 {
+			t.Fatalf("%d² plate: no recurrence coefficients", n)
+		}
+		return res
+	}
+	first := solve(10)
+	alphas := slices.Clone(first.CGStats.CGAlphas)
+	_, _, kappa, err := repro.EstimateCondition(repro.Result{Stats: *first.CGStats})
+	if err != nil {
+		t.Fatal(err)
+	}
+	solve(14)
+	if !slices.Equal(first.CGStats.CGAlphas, alphas) {
+		t.Fatal("a later solve on the worker rewrote the first result's α")
+	}
+	if _, _, again, err := repro.EstimateCondition(repro.Result{Stats: *first.CGStats}); err != nil || again != kappa {
+		t.Fatalf("κ of the first result moved from %v to %v (err %v)", kappa, again, err)
+	}
+}
+
+// TestBatchConditionMatchesSolve: every column of a batch records its
+// recurrence coefficients, so the condition estimate of a batch result is
+// the estimate of the same right-hand side solved alone, bit for bit — on
+// the column layout (s = 2) and on panels (s = 8).
+func TestBatchConditionMatchesSolve(t *testing.T) {
+	p, err := repro.NewPlateProblem(12, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := repro.Config{M: 2}
+	single, err := repro.Solve(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, want, err := repro.EstimateCondition(single)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := p.F()
+	for _, s := range []int{2, 8} {
+		fs := make([][]float64, s)
+		fs[0] = base
+		for j := 1; j < s; j++ {
+			fs[j] = make([]float64, len(base))
+			for i, v := range base {
+				fs[j][i] = v * (1 + 0.1*float64(j*i%7))
+			}
+		}
+		results, err := repro.SolveBatch(p, fs, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, res := range results {
+			_, _, kappa, err := repro.EstimateCondition(res)
+			if err != nil {
+				t.Fatalf("s=%d rhs %d: %v", s, j, err)
+			}
+			if j == 0 && kappa != want {
+				t.Fatalf("s=%d: batch κ %v != Solve κ %v", s, kappa, want)
+			}
+			alone, err := repro.SolveBatch(p, fs[j:j+1], cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, k1, _ := repro.EstimateCondition(alone[0]); kappa != k1 {
+				t.Fatalf("s=%d rhs %d: batch κ %v != one-column κ %v", s, j, kappa, k1)
+			}
+		}
 	}
 }
