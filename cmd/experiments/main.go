@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	experiments [table1|table2|table3|ineq|cond|overhead|irregular|baseline|scaling|figures|all] [-quick]
+//	experiments [table1|table2|table3|ineq|cond|overhead|irregular|baseline|scaling|omega|machines|figures|all] [-quick]
 //
 // -quick shrinks Table 2's problem sizes for fast runs; the full sweep uses
 // the paper's a = 20, 41, 62, 80 unit-square plates.
@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"strings"
 
 	"repro/internal/experiments"
 	"repro/internal/femachine"
@@ -30,36 +31,33 @@ func main() {
 		what = flag.Arg(0)
 	}
 
-	run := map[string]func(bool) error{
-		"table1":    table1,
-		"table2":    table2,
-		"table3":    table3,
-		"ineq":      ineq,
-		"cond":      cond,
-		"overhead":  overhead,
-		"figures":   figures,
-		"irregular": irregular,
-		"baseline":  baseline,
-		"scaling":   scaling,
-		"omega":     omega,
-		"machines":  machines,
+	runs := []struct {
+		name string
+		fn   func(bool) error
+	}{
+		{"table1", table1}, {"table2", table2}, {"table3", table3},
+		{"ineq", ineq}, {"cond", cond}, {"overhead", overhead},
+		{"irregular", irregular}, {"baseline", baseline}, {"scaling", scaling},
+		{"omega", omega}, {"machines", machines}, {"figures", figures},
 	}
-	if what == "all" {
-		for _, name := range []string{"table1", "table2", "table3", "ineq", "cond", "overhead", "irregular", "baseline", "scaling", "omega", "machines", "figures"} {
-			if err := run[name](*quick); err != nil {
-				log.Fatalf("%s: %v", name, err)
+	var names []string
+	for _, r := range runs {
+		if what == "all" {
+			if err := r.fn(*quick); err != nil {
+				log.Fatalf("%s: %v", r.name, err)
 			}
 			fmt.Println()
+		} else if r.name == what {
+			if err := r.fn(*quick); err != nil {
+				log.Fatal(err)
+			}
+			return
 		}
-		return
+		names = append(names, r.name)
 	}
-	fn, ok := run[what]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q; want table1|table2|table3|ineq|cond|overhead|irregular|baseline|scaling|figures|all\n", what)
+	if what != "all" {
+		fmt.Fprintf(os.Stderr, "unknown experiment %q; want %s|all\n", what, strings.Join(names, "|"))
 		os.Exit(2)
-	}
-	if err := fn(*quick); err != nil {
-		log.Fatal(err)
 	}
 }
 

@@ -10,13 +10,15 @@
 // with everything needed to regenerate the paper's evaluation: the
 // plane-stress finite element assembly, least-squares and Chebyshev
 // polynomial coefficients, spectral interval estimation, a CYBER 203/205
-// vector machine cost simulator (Table 2) and a concurrent Finite Element
-// Machine simulator (Table 3). The machine also runs for real: the
-// "decomposed" backend partitions a plate into subdomains, each owned by a
-// dedicated goroutine processor exchanging true border values and
-// combining inner products up a reduction tree — auto-selected for plates
-// too large for one cache-resident matrix, or pinned via
-// Config.Subdomains / the solver spec's "subdomains" field.
+// vector machine cost simulator (Table 2) and a Finite Element Machine
+// simulator (Table 3). The machine also runs for real: the "decomposed"
+// backend partitions a plate into subdomains, each owned by a dedicated
+// goroutine processor exchanging true border values and combining inner
+// products up a reduction tree — auto-selected for plates too large for
+// one cache-resident matrix, or pinned via Config.Subdomains / the solver
+// spec's "subdomains" field. The simulator is a clock over that same
+// decomposed solver: it charges each processor's reported flops, messages
+// and reductions to the machine's time model.
 //
 // Quick start:
 //

@@ -187,6 +187,139 @@ func TestDecompositionSharedAcrossConcurrentSolves(t *testing.T) {
 	}
 }
 
+// TestRelResidualOnlyWhenAsked pins the reduction rule: with only Tol set
+// the solve forms no residual norm (FinalRelRes −1, three reductions per
+// iteration — the Finite Element Machine's count); with OnIteration set
+// it reports ‖r‖/‖f‖ every iteration at the cost of a fourth.
+func TestRelResidualOnlyWhenAsked(t *testing.T) {
+	plate := makePlate(t, 8, 8)
+	d, err := decomp.New(decomp.PlateProblem(plate), 3, mesh.RowStrips)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := decomp.Options{M: 2, Alphas: poly.Ones(2).Coeffs, Tol: 1e-6}
+	u, st, err := d.Solve(nil, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.FinalRelRes != -1 {
+		t.Fatalf("Tol-only solve reports FinalRelRes %g, want -1", st.FinalRelRes)
+	}
+	for _, ss := range st.Subs {
+		if ss.Reductions != 3*st.Iterations {
+			t.Fatalf("rank %d: %d reductions over %d iterations, want 3 each", ss.Rank, ss.Reductions, st.Iterations)
+		}
+	}
+
+	var last float64
+	calls := 0
+	opt.OnIteration = func(iter int, udiff, relres float64) {
+		calls++
+		last = relres
+	}
+	u2, st2, err := d.Solve(nil, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st2.Iterations != st.Iterations || calls != st2.Iterations {
+		t.Fatalf("%d iterations and %d callbacks, want %d of each", st2.Iterations, calls, st.Iterations)
+	}
+	for i := range u {
+		if u2[i] != u[i] {
+			t.Fatalf("tracking the residual changed u[%d]: %g vs %g", i, u2[i], u[i])
+		}
+	}
+	if st2.FinalRelRes != last {
+		t.Fatalf("FinalRelRes %g, last callback %g", st2.FinalRelRes, last)
+	}
+	r := plate.KColored.MulVec(u)
+	f := plate.ColoredRHS()
+	var rr, ff float64
+	for i := range r {
+		rr += (f[i] - r[i]) * (f[i] - r[i])
+		ff += f[i] * f[i]
+	}
+	if trueRel := math.Sqrt(rr / ff); math.Abs(st2.FinalRelRes-trueRel) > 1e-9 {
+		t.Fatalf("FinalRelRes %g, true relative residual %g", st2.FinalRelRes, trueRel)
+	}
+	for _, ss := range st2.Subs {
+		if ss.Reductions != 4*st2.Iterations+1 {
+			t.Fatalf("rank %d: %d reductions over %d iterations, want 4 each plus ‖f‖", ss.Rank, ss.Reductions, st2.Iterations)
+		}
+	}
+}
+
+// countingObserver tallies one rank's reported work.
+type countingObserver struct {
+	flops, posts, haloPosts, drains, sums, flags int
+	inFlight                                     bool
+	nested                                       bool
+}
+
+func (o *countingObserver) Flops(n int) { o.flops += n }
+func (o *countingObserver) Post(colors []int, halo bool) {
+	o.nested = o.nested || o.inFlight
+	o.inFlight = true
+	o.posts++
+	if halo {
+		o.haloPosts++
+	}
+}
+func (o *countingObserver) Drain() { o.inFlight = false; o.drains++ }
+func (o *countingObserver) Reduce(flag bool) {
+	o.nested = o.nested || o.inFlight
+	if flag {
+		o.flags++
+	} else {
+		o.sums++
+	}
+}
+
+// TestObserverSeesEveryRank: each rank's observer sees paired posts and
+// drains with no reduction while an exchange is in flight, one halo post
+// and one flag reduction per iteration, and the solve's answer is the
+// unobserved one bit for bit.
+func TestObserverSeesEveryRank(t *testing.T) {
+	plate := makePlate(t, 10, 10)
+	d, err := decomp.New(decomp.PlateProblem(plate), 4, mesh.RowStrips)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := decomp.Options{M: 2, Alphas: poly.Ones(2).Coeffs, Tol: 1e-6}
+	ref, _, err := d.Solve(nil, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs := make([]*countingObserver, d.P)
+	opt.Observe = func(rank int) decomp.Observer {
+		obs[rank] = &countingObserver{}
+		return obs[rank]
+	}
+	u, st, err := d.Solve(nil, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range ref {
+		if u[i] != ref[i] {
+			t.Fatalf("observed solve differs at %d: %g vs %g", i, u[i], ref[i])
+		}
+	}
+	for rank, o := range obs {
+		if o == nil {
+			t.Fatalf("rank %d never observed", rank)
+		}
+		if o.posts != o.drains || o.inFlight || o.nested {
+			t.Fatalf("rank %d: %d posts, %d drains, nested %v", rank, o.posts, o.drains, o.nested)
+		}
+		if o.haloPosts != st.Iterations || o.flags != st.Iterations {
+			t.Fatalf("rank %d: %d halo posts and %d flags over %d iterations", rank, o.haloPosts, o.flags, st.Iterations)
+		}
+		if o.sums+o.flags != st.Subs[rank].Reductions || o.flops <= 0 {
+			t.Fatalf("rank %d: %+v against %d reductions", rank, *o, st.Subs[rank].Reductions)
+		}
+	}
+}
+
 func TestSolveOptionValidation(t *testing.T) {
 	plate := makePlate(t, 6, 6)
 	d, err := decomp.New(decomp.PlateProblem(plate), 2, mesh.RowStrips)

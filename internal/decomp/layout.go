@@ -9,9 +9,8 @@ import (
 // Subdomain is one processor's static slice of the global colored system:
 // its owned nodes, the halo it reads, its rows of K in a flat segmented
 // layout, and the per-neighbor send/receive schedules. A Subdomain is
-// immutable after New — solver run state (vectors, link buffers) lives with
-// whichever solver wraps it, so one cached Decomposition can serve
-// concurrent solves.
+// immutable after New — run state (vectors, link buffers) lives with each
+// Solve's workers, so one cached Decomposition can serve concurrent solves.
 type Subdomain struct {
 	Rank int
 
@@ -74,8 +73,8 @@ func (sd *Subdomain) RowSeg(flat int) []int32 {
 
 // Decomposition is the full per-processor layout of one colored problem
 // over one mesh partition. It is immutable after New and safe to share:
-// both the femachine simulator and the real decomposed solver build their
-// run state around the same Decomposition.
+// one cached Decomposition serves concurrent Solve calls, from the engine's
+// decomposed backend or under the Finite Element Machine's clocks.
 type Decomposition struct {
 	Prob Problem
 	Part *mesh.Partition

@@ -13,8 +13,8 @@ const LinkDepth = 4
 
 // Links is the static channel fabric: one buffered channel per directed
 // neighbor pair, mirroring the machine's dedicated local links. The
-// element type is generic so the simulator can ship clock-stamped
-// messages while the real solver ships bare value slices.
+// element type is generic: the solver ships value slices, and the Finite
+// Element Machine's clocks ship arrival stamps on a fabric of their own.
 type Links[T any] struct {
 	ch map[[2]int]chan T
 }

@@ -1,18 +1,16 @@
-// Package decomp is the domain-decomposition layer extracted from the
-// Finite Element Machine simulator: the per-processor data layout (owned
-// nodes, border/halo sets, neighbor links over mesh.Partition), a generic
-// buffered link fabric, a deterministic tree all-reduce, and a real —
-// unsimulated — parallel m-step PCG solver whose halo exchange moves
+// Package decomp is the domain-decomposition layer: the per-processor data
+// layout (owned nodes, border/halo sets, neighbor links over
+// mesh.Partition), a generic buffered link fabric, a deterministic tree
+// all-reduce, and a parallel m-step PCG solver whose halo exchange moves
 // actual residual and search-direction border values between subdomain
 // goroutines.
 //
-// The package serves two consumers. internal/femachine wraps the same
-// Decomposition in its simulated-clock processors (the TimeModel stays an
-// observer of the identical layout), and internal/engine runs
-// Decomposition.Solve directly as the planner's "decomposed" backend for
-// systems too large for one cache-resident matrix. Extracting the layout
-// once guarantees the simulation and the execution path can never drift:
-// they partition, exchange and reduce over the very same structures.
+// Decomposition.Solve serves two consumers. internal/engine runs it as the
+// planner's "decomposed" backend for systems too large for one
+// cache-resident matrix, and internal/femachine runs it with an Observer
+// per rank that charges the reported work to the Finite Element Machine's
+// clocks. One solver for both means the simulation and the execution path
+// cannot drift: they partition, exchange, reduce and iterate identically.
 package decomp
 
 import (
@@ -26,7 +24,7 @@ import (
 // Problem is the decomposition's view of a problem: a multicolor-ordered
 // SPD system plus the node-level facts needed to distribute it. Both the
 // paper's rectangular plate and the §5 irregular-region extension adapt to
-// it (femachine.ColoredProblem is an alias of this type).
+// it.
 type Problem struct {
 	Grid       mesh.Grid
 	KColored   *sparse.CSR

@@ -34,8 +34,33 @@ type Options struct {
 	// Ctx, when set, is polled each iteration; cancellation propagates to
 	// every rank through the reduction's flag lane.
 	Ctx context.Context
-	// OnIteration, when set, fires on rank 0 once per CG iteration.
+	// OnIteration, when set, fires on rank 0 once per CG iteration. The
+	// relative residual is formed only when OnIteration or RelResidualTol
+	// asks for it; otherwise Stats.FinalRelRes is −1 and each iteration
+	// does three reductions, not four.
 	OnIteration func(iter int, udiff, relres float64)
+	// Observe, when set, is called on each rank's goroutine before the
+	// rank's first step and returns the Observer told of that rank's work.
+	// The engine leaves it nil; the Finite Element Machine simulator sets
+	// it to price the run on its clocks.
+	Observe func(rank int) Observer
+}
+
+// Observer receives one rank's work in the order the solve performs it.
+// It sees no values and cannot change the arithmetic. Local work is
+// counted in the machine's unit: two per multiply-add or matrix entry,
+// one per vector element copied.
+type Observer interface {
+	// Flops reports local work.
+	Flops(n int)
+	// Post reports a border exchange sent to every neighbor: the values
+	// of the listed node colors, from the p-vector halo (halo) or from a
+	// preconditioner sweep.
+	Post(colors []int, halo bool)
+	// Drain reports that the outstanding exchange's replies arrived.
+	Drain()
+	// Reduce reports one all-reduce: the ‖Δu‖∞ flag (flag) or a sum.
+	Reduce(flag bool)
 }
 
 // SubStats is one subdomain's measured wall-time breakdown.
@@ -53,7 +78,7 @@ type Stats struct {
 	Iterations    int
 	Converged     bool
 	FinalUDiff    float64
-	FinalRelRes   float64
+	FinalRelRes   float64 // −1 unless RelResidualTol or OnIteration asked for it
 	MatVecs       int
 	PrecondApps   int
 	InnerProducts int
@@ -143,6 +168,7 @@ type worker struct {
 	red   *treeReducer
 	opt   Options
 	kern  *kernel.Impl // dispatch table for the local dot/gather kernels
+	obs   Observer     // nil unless opt.Observe is set
 
 	u, r, kp   []float64 // own dofs
 	rhat, pvec []float64 // own + halo dofs
@@ -202,8 +228,13 @@ func newWorker(d *Decomposition, sd *Subdomain, links *Links[[]float64], red *tr
 // post packs the border values of the given node colors from v and sends
 // one record per neighbor; the matching drain scatters the replies into
 // v's halo. Send-all-then-recv-all over buffered links cannot deadlock.
-func (w *worker) post(v []float64, colors []int) {
+// halo marks the p-vector exchange of the matrix-vector product, as
+// opposed to a sweep's.
+func (w *worker) post(v []float64, colors []int, halo bool) {
 	if len(w.sd.Neighbors) > 0 {
+		if w.obs != nil {
+			w.obs.Post(colors, halo)
+		}
 		t0 := time.Now()
 		for ni, q := range w.sd.Neighbors {
 			idx := w.sendIdx[ni]
@@ -249,6 +280,9 @@ func (w *worker) drain() {
 		}
 	}
 	w.stats.HaloSeconds += time.Since(t0).Seconds()
+	if w.obs != nil {
+		w.obs.Drain()
+	}
 }
 
 // reduce is a timed all-reduce.
@@ -257,12 +291,23 @@ func (w *worker) reduce(v [2]float64, op reduceOp) [2]float64 {
 	out := w.red.allReduce(w.sd.Rank, v, op)
 	w.stats.ReduceSeconds += time.Since(t0).Seconds()
 	w.stats.Reductions++
+	if w.obs != nil {
+		w.obs.Reduce(op == opMax)
+	}
 	return out
+}
+
+// work reports n units of local work to the observer, if any.
+func (w *worker) work(n int) {
+	if w.obs != nil {
+		w.obs.Flops(n)
+	}
 }
 
 // dot is the worker's local inner product, routed through the kernel
 // dispatch table (same accumulation order as the portable loop).
 func (w *worker) dot(a, b []float64) float64 {
+	w.work(2 * len(a))
 	return w.kern.Dot(a, b)
 }
 
@@ -278,13 +323,16 @@ func (w *worker) rowSum(lo, hi int32, x []float64) float64 {
 func (w *worker) kpNodes(nodes []int) {
 	ng := w.sd.NumGroups
 	stride := ng + 1
+	var entries int32
 	for _, li := range nodes {
 		for comp := 0; comp < 2; comp++ {
 			flat := 2*li + comp
 			seg := w.sd.Seg[flat*stride:]
 			w.kp[flat] = w.rowSum(seg[0], seg[ng], w.pvec)
+			entries += seg[ng] - seg[0]
 		}
 	}
+	w.work(2 * int(entries))
 }
 
 // solveGroup runs one color-group solve of Algorithm 3 over the listed
@@ -297,22 +345,25 @@ func (w *worker) solveGroup(nodes []int, g int, alpha float64, forward, cache, s
 	comp := g % 2
 	ng := w.sd.NumGroups
 	stride := ng + 1
+	flops := 0
 	for _, li := range nodes {
 		flat := 2*li + comp
 		seg := w.sd.Seg[flat*stride:]
-		var x float64
-		if forward {
-			x = -w.rowSum(seg[0], seg[g], w.rhat)
-		} else {
-			x = -w.rowSum(seg[g+1], seg[ng], w.rhat)
+		lo, hi := seg[0], seg[g]
+		if !forward {
+			lo, hi = seg[g+1], seg[ng]
 		}
+		x := -w.rowSum(lo, hi, w.rhat)
+		flops += 2 * int(hi-lo)
 		if solve {
 			w.rhat[flat] = (x + w.ycache[flat] + alpha*w.r[flat]) / w.sd.Diag[flat]
+			flops += 4
 		}
 		if cache {
 			w.ycache[flat] = x
 		}
 	}
+	w.work(flops)
 }
 
 // msweep applies the m-step multicolor SSOR preconditioner (Algorithm 3)
@@ -348,7 +399,7 @@ func (w *worker) msweep() {
 			w.drain()
 			w.solveGroup(sd.ColorBorder[c], 2*c, alpha, true, true, true)
 			w.solveGroup(sd.ColorBorder[c], 2*c+1, alpha, true, 2*c+1 < lastGroup, true)
-			w.post(w.rhat, w.d.colorSets[c])
+			w.post(w.rhat, w.d.colorSets[c], false)
 		}
 		// Backward half-sweep: skip the last group (identical re-solve);
 		// color 0's u-solve is dead until the final step and its pair
@@ -363,7 +414,7 @@ func (w *worker) msweep() {
 				w.solveGroup(sd.ColorBorder[c], 2*c+1, alpha, false, true, true)
 			}
 			w.solveGroup(sd.ColorBorder[c], 2*c, alpha, false, true, true)
-			w.post(w.rhat, w.d.colorSets[c])
+			w.post(w.rhat, w.d.colorSets[c], false)
 		}
 		if lastGroup != 1 {
 			// Group 1 must complete before group 0 reads it (group 0's
@@ -387,6 +438,7 @@ func (w *worker) msweep() {
 func (w *worker) applyPrecond() {
 	if w.opt.M == 0 {
 		copy(w.rhat[:2*w.sd.NOwn], w.r)
+		w.work(len(w.r))
 		return
 	}
 	w.msweep()
@@ -399,19 +451,27 @@ func (w *worker) applyPrecond() {
 func (w *worker) run() error {
 	opt := w.opt
 	n := 2 * w.sd.NOwn
+	if opt.Observe != nil {
+		w.obs = opt.Observe(w.sd.Rank)
+	}
 
 	// r⁰ = f with u⁰ = 0 (no initial product, matching cg.SolveInto).
 	copy(w.r, w.f)
+	w.work(n)
 
-	sf := w.dot(w.f, w.f)
-	normF := math.Sqrt(w.reduce([2]float64{sf, 0}, opSum)[0])
-	if normF == 0 {
-		normF = 1
+	trackRes := opt.RelResidualTol > 0 || opt.OnIteration != nil
+	normF := 1.0
+	w.finalRelRes = -1
+	if trackRes {
+		if nf := math.Sqrt(w.reduce([2]float64{w.dot(w.f, w.f), 0}, opSum)[0]); nf != 0 {
+			normF = nf
+		}
+		w.innerProducts++
 	}
-	w.innerProducts++
 
 	w.applyPrecond()
 	copy(w.pvec[:n], w.rhat[:n])
+	w.work(n)
 	rho := w.reduce([2]float64{w.dot(w.rhat[:n], w.r), 0}, opSum)[0]
 	w.innerProducts++
 	if rho == 0 {
@@ -425,7 +485,7 @@ func (w *worker) run() error {
 
 		// K·p with overlap: interior rows while border values are in
 		// flight, border rows after the drain.
-		w.post(w.pvec, w.d.AllColors)
+		w.post(w.pvec, w.d.AllColors, true)
 		w.kpNodes(w.sd.Interior)
 		w.drain()
 		w.kpNodes(w.sd.Border)
@@ -447,6 +507,7 @@ func (w *worker) run() error {
 				pmax = a
 			}
 		}
+		w.work(3 * n)
 		w.iterations = iter + 1
 
 		// ‖Δu‖_∞ and the cancellation flag share one max-reduce — the real
@@ -469,10 +530,13 @@ func (w *worker) run() error {
 		for i := 0; i < n; i++ {
 			w.r[i] -= alpha * w.kp[i]
 		}
-		sr := w.dot(w.r, w.r)
-		relres := math.Sqrt(w.reduce([2]float64{sr, 0}, opSum)[0]) / normF
-		w.innerProducts++
-		w.finalRelRes = relres
+		w.work(2 * n)
+		relres := -1.0
+		if trackRes {
+			relres = math.Sqrt(w.reduce([2]float64{w.dot(w.r, w.r), 0}, opSum)[0]) / normF
+			w.innerProducts++
+			w.finalRelRes = relres
+		}
 
 		if w.sd.Rank == 0 && opt.OnIteration != nil {
 			opt.OnIteration(iter+1, udiff, relres)
@@ -500,6 +564,7 @@ func (w *worker) run() error {
 		for i := 0; i < n; i++ {
 			w.pvec[i] = w.rhat[i] + beta*w.pvec[i]
 		}
+		w.work(2 * n)
 		w.accountSweep(it0, h0, r0)
 	}
 	return ErrMaxIterations

@@ -19,6 +19,7 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/plan"
 	"repro/internal/sparse"
+	"repro/internal/vec"
 )
 
 // Prebuilt is an already-assembled problem handed to the engine zero-copy:
@@ -191,6 +192,9 @@ func (req *Request) Validate() error {
 	if sd := req.Solver.Subdomains; sd < 0 || sd > maxSubdomains {
 		return fmt.Errorf("engine: subdomain count %d outside [0, %d]", sd, maxSubdomains)
 	}
+	if err := req.checkFinite(); err != nil {
+		return err
+	}
 	if pb := req.Prebuilt; pb != nil {
 		// Prebuilt problems come from in-process callers, not the network:
 		// only structural integrity is checked here (no resource caps), and
@@ -305,6 +309,52 @@ func (req *Request) Validate() error {
 	}
 	if _, err := plan.ParseTuning(strings.ToLower(req.Solver.Tuning)); err != nil {
 		return err
+	}
+	return nil
+}
+
+// checkFinite rejects NaN and ±Inf in the request's floating-point
+// inputs, naming the field: a non-finite value would otherwise run the
+// solve to its iteration cap before failing. Prebuilt matrices are
+// checked once, when the caller assembles them.
+func (req *Request) checkFinite() error {
+	type field struct {
+		name string
+		x    []float64
+	}
+	sv := req.Solver
+	fields := []field{
+		{"solver.tol", []float64{sv.Tol}},
+		{"solver.rel_residual_tol", []float64{sv.RelResidualTol}},
+		{"solver.omega", []float64{sv.Omega}},
+	}
+	if p := req.Plate; p != nil {
+		fields = append(fields,
+			field{"plate.e", []float64{p.E}}, field{"plate.nu", []float64{p.Nu}},
+			field{"plate.t", []float64{p.T}}, field{"plate.traction", []float64{p.Traction}},
+			field{"plate.tractions", p.Tractions})
+	}
+	if sy := req.System; sy != nil {
+		fields = append(fields, field{"system.v", sy.V}, field{"system.f", sy.F})
+		for k, f := range sy.Fs {
+			fields = append(fields, field{fmt.Sprintf("system.fs[%d]", k), f})
+		}
+	}
+	if pb := req.Prebuilt; pb != nil {
+		fields = append(fields, field{"prebuilt rhs", pb.Sys.F})
+		for k, f := range pb.Fs {
+			fields = append(fields, field{fmt.Sprintf("prebuilt rhs %d", k), f})
+		}
+		if c := pb.Config; c != nil {
+			fields = append(fields, field{"config tol", []float64{c.Tol}},
+				field{"config rel_residual_tol", []float64{c.RelResidualTol}},
+				field{"config omega", []float64{c.Omega}})
+		}
+	}
+	for _, f := range fields {
+		if !vec.AllFinite(f.x) {
+			return fmt.Errorf("engine: %s holds a non-finite value", f.name)
+		}
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -183,28 +184,44 @@ func TestConditionStudyM2Bound(t *testing.T) {
 }
 
 func TestOverheadStudyObservation3(t *testing.T) {
-	res, err := OverheadStudy(6, 6, []int{1, 2, 5}, 1e-6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Find the P=2, m=3 row: preconditioner comm must dominate reductions.
-	found := false
-	for _, r := range res.Table {
-		if r.P == 2 && r.Spec.M == 3 {
-			found = true
-			if r.PrecondCommTime <= r.ReduceWaitTime {
-				t.Fatalf("precond comm %g not above reduce wait %g", r.PrecondCommTime, r.ReduceWaitTime)
+	for _, procs := range [][]int{{1, 2, 5}, {1, 2}} {
+		res, err := OverheadStudy(6, 6, procs, 1e-6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Find the P=2, m=3 row: preconditioner comm must dominate reductions.
+		found := false
+		for _, r := range res.Table {
+			if r.P == 2 && r.Spec.M == 3 {
+				found = true
+				if r.PrecondCommTime <= r.ReduceWaitTime {
+					t.Fatalf("precond comm %g not above reduce wait %g", r.PrecondCommTime, r.ReduceWaitTime)
+				}
 			}
 		}
-	}
-	if !found {
-		t.Fatal("P=2 m=3 row missing")
-	}
-	if res.TreeTime >= res.RingTime {
-		t.Fatalf("sum/max circuit (%g) not faster than ring (%g)", res.TreeTime, res.RingTime)
-	}
-	if !strings.Contains(res.Render(), "overhead") {
-		t.Fatal("render missing title")
+		if !found {
+			t.Fatal("P=2 m=3 row missing")
+		}
+		// The ablation runs CG at the largest P and says so.
+		pmax := procs[len(procs)-1]
+		if res.AblationP != pmax {
+			t.Fatalf("procs %v: ablation at P=%d, want %d", procs, res.AblationP, pmax)
+		}
+		for _, r := range res.Table {
+			if r.P == pmax && r.Spec.M == 0 && r.SimTime != res.TreeTime {
+				t.Fatalf("procs %v: tree time %g, P=%d CG wall time %g", procs, res.TreeTime, pmax, r.SimTime)
+			}
+		}
+		if res.TreeTime >= res.RingTime {
+			t.Fatalf("sum/max circuit (%g) not faster than ring (%g)", res.TreeTime, res.RingTime)
+		}
+		out := res.Render()
+		if !strings.Contains(out, "overhead") {
+			t.Fatal("render missing title")
+		}
+		if want := fmt.Sprintf("ablation (P=%d, CG)", pmax); !strings.Contains(out, want) {
+			t.Fatalf("procs %v: render lacks %q:\n%s", procs, want, out)
+		}
 	}
 }
 

@@ -27,7 +27,8 @@ type OverheadRow struct {
 type OverheadResult struct {
 	Rows, Cols int
 	Table      []OverheadRow
-	TreeTime   float64 // P=5 CG with the sum/max circuit
+	AblationP  int     // processor count of the ablation: the largest run
+	TreeTime   float64 // CG at AblationP with the sum/max circuit
 	RingTime   float64 // same with the O(P) software reduction
 }
 
@@ -81,7 +82,7 @@ func OverheadStudy(rows, cols int, procs []int, tol float64) (OverheadResult, er
 	if err != nil {
 		return OverheadResult{}, err
 	}
-	out.TreeTime, out.RingTime = tree.SimTime, ring.SimTime
+	out.AblationP, out.TreeTime, out.RingTime = p, tree.SimTime, ring.SimTime
 	return out, nil
 }
 
@@ -96,7 +97,7 @@ func (o OverheadResult) Render() string {
 			r.Spec.Label(), r.P, r.SimTime, r.ComputeTime, r.PrecondCommTime, r.HaloCommTime, r.ReduceWaitTime)
 	}
 	fmt.Fprintf(&b, "sum/max circuit ablation (P=%d, CG): tree %.4fs vs software ring %.4fs (×%.2f)\n",
-		5, o.TreeTime, o.RingTime, o.RingTime/o.TreeTime)
+		o.AblationP, o.TreeTime, o.RingTime, o.RingTime/o.TreeTime)
 	b.WriteString("observation (3): with preconditioning the border exchanges dominate the\n")
 	b.WriteString("overhead, not the inner-product reductions.\n")
 	return b.String()

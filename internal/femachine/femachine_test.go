@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cg"
 	"repro/internal/core"
+	"repro/internal/decomp"
 	"repro/internal/fem"
 	"repro/internal/mesh"
 	"repro/internal/poly"
@@ -79,6 +80,71 @@ func TestSingleProcessorMatchesSerialExactly(t *testing.T) {
 		for i := range serialU {
 			if d := math.Abs(res.U[i] - serialU[i]); d > 5e-7 {
 				t.Fatalf("m=%d: solution deviates at %d by %g", m, i, d)
+			}
+		}
+	}
+}
+
+// TestMachineRunsDecomposedSolver: the machine's processors run
+// decomp.Solve and its clocks only observe, so the answer and iteration
+// count are bit for bit those of a decomposed solve with only Tol set.
+func TestMachineRunsDecomposedSolver(t *testing.T) {
+	for _, sz := range []struct{ rows, cols int }{{6, 6}, {8, 8}, {13, 9}} {
+		plate, err := fem.NewPlate(sz.rows, sz.cols, fem.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys := core.System{K: plate.KColored, F: plate.ColoredRHS(), GroupStart: plate.Ordering.GroupStart[:]}
+		sp, err := core.BuildSplitting(sys, core.Config{Splitting: core.SSORMulticolor})
+		if err != nil {
+			t.Fatal(err)
+		}
+		iv, err := core.IntervalFor(sp, core.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ls, err := poly.LeastSquares(3, iv.Lo, iv.Hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pc := range []struct {
+			m      int
+			alphas []float64
+		}{{0, nil}, {2, poly.Ones(2).Coeffs}, {3, ls.Coeffs}} {
+			for _, p := range []int{1, 2, 5} {
+				strat := mesh.RowStrips
+				if p > sz.rows/2 {
+					strat = mesh.ColStrips
+				}
+				mach, err := New(plate, Config{
+					P: p, Strategy: strat, M: pc.m, Alphas: pc.alphas,
+					Tol: 1e-6, Time: DefaultTimeModel(),
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := mach.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				dec, err := decomp.New(decomp.PlateProblem(plate), p, strat)
+				if err != nil {
+					t.Fatal(err)
+				}
+				u, st, err := dec.Solve(nil, decomp.Options{M: pc.m, Alphas: pc.alphas, Tol: 1e-6})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Iterations != st.Iterations {
+					t.Fatalf("%d×%d m=%d P=%d: machine %d iterations, decomp %d",
+						sz.rows, sz.cols, pc.m, p, res.Iterations, st.Iterations)
+				}
+				for i := range u {
+					if res.U[i] != u[i] {
+						t.Fatalf("%d×%d m=%d P=%d: u[%d] = %g on the machine, %g in decomp",
+							sz.rows, sz.cols, pc.m, p, i, res.U[i], u[i])
+					}
+				}
 			}
 		}
 	}

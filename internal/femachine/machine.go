@@ -2,7 +2,6 @@ package femachine
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/decomp"
 	"repro/internal/fem"
@@ -43,21 +42,18 @@ type Result struct {
 }
 
 // Machine is a configured Finite Element Machine ready to solve one
-// multicolor-ordered problem. Its per-processor layout (rows, borders,
-// halos, neighbor links) is the shared decomp.Decomposition — the same
-// structure the real decomposed backend executes — with the simulated
-// TimeModel clock layered on as an observer.
+// multicolor-ordered problem. Its processors run decomp.Solve over the
+// shared decomp.Decomposition — the same solver the engine's decomposed
+// backend executes — and the TimeModel clocks price that run as its
+// observer.
 type Machine struct {
-	cfg   Config
-	dec   *decomp.Decomposition
-	procs []*proc
-	links *decomp.Links[message]
-	red   *reducer
+	cfg Config
+	dec *decomp.Decomposition
 }
 
 // New builds the machine for the paper's plate problem.
 func New(plate *fem.Plate, cfg Config) (*Machine, error) {
-	return NewMachine(PlateProblem(plate), cfg)
+	return NewMachine(decomp.PlateProblem(plate), cfg)
 }
 
 // NewDomainMachine builds the machine for an irregular-region problem —
@@ -73,16 +69,12 @@ func NewDomainMachine(p *fem.DomainProblem, constrained mesh.Constraint, cfg Con
 // NewMachine builds the machine for any multicolor-ordered problem: it
 // partitions the free nodes, extracts each processor's rows of the colored
 // system, and wires the neighbor links.
-func NewMachine(prob ColoredProblem, cfg Config) (*Machine, error) {
+func NewMachine(prob decomp.Problem, cfg Config) (*Machine, error) {
 	if err := cfg.Time.Validate(); err != nil {
 		return nil, err
 	}
 	if cfg.Tol <= 0 {
 		return nil, fmt.Errorf("femachine: Tol must be positive")
-	}
-	n := prob.KColored.Rows
-	if cfg.MaxIter <= 0 {
-		cfg.MaxIter = 10 * n
 	}
 	if cfg.M < 0 || (cfg.M > 0 && len(cfg.Alphas) != cfg.M) {
 		return nil, fmt.Errorf("femachine: need len(Alphas) == M, got %d vs %d", len(cfg.Alphas), cfg.M)
@@ -91,107 +83,40 @@ func NewMachine(prob ColoredProblem, cfg Config) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &Machine{
-		cfg: cfg, dec: dec,
-		red: newReducer(cfg.P, cfg.Time),
-		// Link buffers are provisioned for the exchange schedule's
-		// in-flight bound, with payload rings sized per neighbor from the
-		// partition's actual border width (Subdomain.MaxSendWords) — see
-		// newProc — so large borders cannot deadlock an exchange.
-		links: decomp.NewLinks[message](dec, decomp.LinkDepth),
-	}
-	for p := 0; p < cfg.P; p++ {
-		m.procs = append(m.procs, newProc(m, dec.Subs[p]))
-	}
-	return m, nil
+	return &Machine{cfg: cfg, dec: dec}, nil
 }
 
-// Run executes the machine: one goroutine per processor. It gathers the
-// distributed solution back into the global multicolor ordering.
+// Run executes the machine: decomp.Solve runs one goroutine per
+// processor, and each processor's clock charges the work it reports. The
+// solution comes back in the global multicolor ordering.
 func (m *Machine) Run() (Result, error) {
-	var wg sync.WaitGroup
-	errs := make([]error, m.cfg.P)
-	for p := 0; p < m.cfg.P; p++ {
-		wg.Add(1)
-		go func(lp *proc) {
-			defer wg.Done()
-			errs[lp.sub.Rank] = lp.solve()
-		}(m.procs[p])
+	stamps := decomp.NewLinks[float64](m.dec, decomp.LinkDepth)
+	red := newReducer(m.cfg.P, m.cfg.Time)
+	clocks := make([]*clock, m.cfg.P)
+	for p, sub := range m.dec.Subs {
+		clocks[p] = &clock{sub: sub, tm: m.cfg.Time, stamps: stamps, red: red}
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return Result{}, err
-		}
+	u, st, err := m.dec.Solve(nil, decomp.Options{
+		M: m.cfg.M, Alphas: m.cfg.Alphas, Tol: m.cfg.Tol, MaxIter: m.cfg.MaxIter,
+		Observe: func(rank int) decomp.Observer {
+			c := clocks[rank]
+			c.zeroStart(m.dec.AllColors)
+			return c
+		},
+	})
+	if err != nil {
+		return Result{}, err
 	}
-	res := Result{U: make([]float64, m.dec.Prob.KColored.Rows)}
-	for _, lp := range m.procs {
-		for i, gidx := range lp.sub.ColoredIdx {
-			res.U[gidx] = lp.u[i]
-		}
-		if lp.clock > res.SimTime {
-			res.SimTime = lp.clock
-		}
-		res.ComputeTime += lp.computeTime
-		res.PrecondCommTime += lp.precondCommTime
-		res.HaloCommTime += lp.haloCommTime
-		res.ReduceWaitTime += lp.reduceWaitTime
-		res.PrecondExchanges += lp.precondExchanges
-		res.HaloExchanges += lp.haloExchanges
-		res.Reductions += lp.reductions
+	res := Result{U: u, Iterations: st.Iterations, Converged: st.Converged}
+	for _, c := range clocks {
+		res.SimTime = max(res.SimTime, c.now)
+		res.ComputeTime += c.computeTime
+		res.PrecondCommTime += c.precondCommTime
+		res.HaloCommTime += c.haloCommTime
+		res.ReduceWaitTime += c.reduceWaitTime
+		res.PrecondExchanges += c.precondExchanges
+		res.HaloExchanges += c.haloExchanges
+		res.Reductions += c.reductions
 	}
-	res.Iterations = m.procs[0].iterations
-	res.Converged = m.procs[0].converged
 	return res, nil
-}
-
-// proc is one simulated processor: a shared immutable subdomain layout
-// plus this run's vectors, clock and counters.
-type proc struct {
-	m   *Machine
-	sub *decomp.Subdomain
-
-	// run state
-	u, r, kp   []float64 // own dofs
-	rhat, pvec []float64 // own + halo dofs
-	ycache     []float64 // Conrad–Wallach cache, own dofs
-
-	// Double-buffered send payloads per neighbor, sized from the
-	// partition's border width: the receiver copies a message out before
-	// its sender can cycle back to the same slot, so two slots suffice
-	// and exchanges never allocate.
-	sendBufs [][2][]float64
-	sendIdx  []int
-
-	clock      float64
-	iterations int
-	converged  bool
-
-	computeTime      float64
-	precondCommTime  float64
-	haloCommTime     float64
-	reduceWaitTime   float64
-	precondExchanges int
-	haloExchanges    int
-	reductions       int
-}
-
-func newProc(m *Machine, sub *decomp.Subdomain) *proc {
-	nd := 2 * sub.NOwn
-	lp := &proc{
-		m: m, sub: sub,
-		u: make([]float64, nd), r: make([]float64, nd), kp: make([]float64, nd),
-		rhat: make([]float64, 2*sub.NAll), pvec: make([]float64, 2*sub.NAll),
-		ycache:   make([]float64, nd),
-		sendBufs: make([][2][]float64, len(sub.Neighbors)),
-		sendIdx:  make([]int, len(sub.Neighbors)),
-	}
-	for ni, q := range sub.Neighbors {
-		words := sub.MaxSendWords[q]
-		lp.sendBufs[ni] = [2][]float64{
-			make([]float64, 0, words),
-			make([]float64, 0, words),
-		}
-	}
-	return lp
 }

@@ -6,30 +6,12 @@ import (
 	"repro/internal/mesh"
 )
 
-// ColoredProblem is the machine's view of a problem: a multicolor-ordered
-// SPD system plus the node-level facts needed to distribute it. It is the
-// same type the real decomposed solver consumes (decomp.Problem) — the
-// simulator and the execution path can never drift apart structurally.
-type ColoredProblem = decomp.Problem
-
-// PlateProblem adapts the paper's rectangular plate.
-func PlateProblem(plate *fem.Plate) ColoredProblem {
-	return decomp.PlateProblem(plate)
-}
-
 // DomainColoredProblem adapts an irregular-region problem. The partition
 // treats inactive nodes as constrained; the greedy coloring drives the
 // color pairs exchanged during the sweeps.
-func DomainColoredProblem(p *fem.DomainProblem, constrained mesh.Constraint) (ColoredProblem, error) {
+func DomainColoredProblem(p *fem.DomainProblem, constrained mesh.Constraint) (decomp.Problem, error) {
 	if constrained == nil {
 		constrained = mesh.LeftEdgeClamped
-	}
-	colorOf := make(map[int]int, len(p.Free))
-	for k, id := range p.Free {
-		// Recover each free node's color from the ordering: its u-unknown
-		// lives in group 2·color.
-		_ = k
-		colorOf[id] = -1
 	}
 	inv := p.Ordering.Perm.Inverse()
 	groupOf := func(coloredIdx int) int {
@@ -40,6 +22,9 @@ func DomainColoredProblem(p *fem.DomainProblem, constrained mesh.Constraint) (Co
 		}
 		return -1
 	}
+	// Recover each free node's color from the ordering: its u-unknown
+	// lives in group 2·color.
+	colorOf := make(map[int]int, len(p.Free))
 	for k, id := range p.Free {
 		colorOf[id] = groupOf(inv[2*k]) / 2
 	}
@@ -48,7 +33,7 @@ func DomainColoredProblem(p *fem.DomainProblem, constrained mesh.Constraint) (Co
 	for _, id := range p.Domain.ActiveNodes() {
 		active[id] = true
 	}
-	cp := ColoredProblem{
+	cp := decomp.Problem{
 		Grid:       g,
 		KColored:   p.KColored,
 		RHS:        p.ColoredRHS(),

@@ -4,12 +4,19 @@
 // reductions in O(log₂P) time, and a signal flag network for convergence
 // tests.
 //
-// The simulation is genuinely parallel: each processor is a goroutine, the
-// local links are Go channels, and every message carries a simulated
-// timestamp. Each processor maintains a local simulated clock charged per
-// floating-point operation and per message; a receive advances the clock to
-// max(local, arrival). The machine's reported time is the maximum final
-// clock — exactly how speedup was measured on the real hardware.
+// The simulator is a clock over decomp.Solve, the same distributed m-step
+// PCG the engine's decomposed backend runs: one goroutine per processor,
+// border values on Go channels, inner products up a binomial tree. Each
+// rank reports its local flops, border exchanges and reductions to an
+// observer, and each processor's clock charges them to the TimeModel. A
+// message's arrival stamp travels on its own link beside the values, and a
+// drain advances the clock to max(local, arrival); a reduction
+// synchronizes every clock at the latest arrival plus the circuit's
+// latency. Work done while an exchange is in flight is charged after it
+// lands, because the machine did not overlap messages with computation,
+// and the clock also charges the zero-start product r⁰ = f − K·0 that
+// decomp skips. The machine's reported time is the maximum final clock —
+// exactly how speedup was measured on the real hardware.
 package femachine
 
 import "fmt"

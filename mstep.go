@@ -14,6 +14,7 @@ import (
 	"repro/internal/plan"
 	"repro/internal/service"
 	"repro/internal/sparse"
+	"repro/internal/vec"
 	"repro/internal/vectorsim"
 )
 
@@ -198,6 +199,9 @@ func (b *MatrixBuilder) Problem(f []float64) (*Problem, error) {
 	k := b.coo.ToCSR()
 	if len(f) != b.n {
 		return nil, fmt.Errorf("repro: rhs length %d != n %d", len(f), b.n)
+	}
+	if !vec.AllFinite(k.Val) {
+		return nil, fmt.Errorf("repro: matrix holds a non-finite value")
 	}
 	if !k.IsSymmetric(1e-12) {
 		return nil, fmt.Errorf("repro: matrix is not symmetric")
