@@ -522,49 +522,107 @@ func BenchmarkSpMM(b *testing.B) {
 // BenchmarkKernelSpMM is the layout ablation behind the interleaved panel
 // path: the same 8-column SpMM over the cached 100×100 plate matrix, run
 // column-contiguous (MulMatTo) and row-interleaved (MulMatITo) under both
-// kernel sets. In the interleaved layout one gathered row index feeds all
-// eight columns from one cache line; the interleaved/accelerated variant is
-// the one the planner schedules for wide tiles.
+// kernel sets, in CSR and DIA storage. In the interleaved layout one
+// gathered row index feeds all eight columns from one cache line; the
+// interleaved/accelerated CSR variant is the one the planner schedules for
+// wide tiles. The poisson112/ rows repeat the ablation on the 112×112
+// 5-point stencil (fill ≈ 1, where DIA's SpMV wins): even there CSR wins
+// on panels, which is why Auto plans CSR for every interleaved tile.
 func BenchmarkKernelSpMM(b *testing.B) {
 	sys, _, err := core.PlateSystem(100, 100, fem.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	k := sys.K
-	n := k.Rows
-	const s = 8
-	x := vec.NewMulti(n, s)
-	for i := range x.Data {
-		x.Data[i] = float64(i%13) - 6
+	for _, tc := range []struct {
+		prefix string
+		k      *sparse.CSR
+	}{{"", sys.K}, {"poisson112/", model.Poisson2D(112, 112)}} {
+		k := tc.k
+		n := k.Rows
+		const s = 8
+		x := vec.NewMulti(n, s)
+		for i := range x.Data {
+			x.Data[i] = float64(i%13) - 6
+		}
+		dst := vec.NewMulti(n, s)
+		ix := x.Interleaved()
+		idst := vec.NewIMulti(n, s)
+		dia := sparse.MustDIAFromCSR(k)
+		for _, set := range []struct {
+			name string
+			impl *kernel.Impl
+		}{{"portable", kernel.Portable()}, {"active", kernel.Active()}} {
+			// MulMatTo dispatches through the global active set; pin it so
+			// every row of the ablation is honest.
+			columnSkip := set.name == "portable" && kernel.Active().Name != "portable"
+			b.Run(tc.prefix+"csr/column/s=8/"+set.name, func(b *testing.B) {
+				if columnSkip {
+					b.Skip("column path always runs the startup-selected set")
+				}
+				for i := 0; i < b.N; i++ {
+					k.MulMatTo(dst, x)
+				}
+				b.ReportMetric(float64(k.NNZ())*s*float64(b.N)/b.Elapsed().Seconds()/1e9, "Gflop-pairs/s")
+			})
+			b.Run(tc.prefix+"dia/column/s=8/"+set.name, func(b *testing.B) {
+				if columnSkip {
+					b.Skip("column path always runs the startup-selected set")
+				}
+				for i := 0; i < b.N; i++ {
+					dia.MulMatTo(dst, x)
+				}
+			})
+			b.Run(tc.prefix+"csr/interleaved/s=8/"+set.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					k.MulMatITo(idst, ix, set.impl)
+				}
+				b.ReportMetric(float64(k.NNZ())*s*float64(b.N)/b.Elapsed().Seconds()/1e9, "Gflop-pairs/s")
+			})
+			b.Run(tc.prefix+"dia/interleaved/s=8/"+set.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					dia.MulMatITo(idst, ix, set.impl)
+				}
+			})
+		}
 	}
-	dst := vec.NewMulti(n, s)
-	ix := x.Interleaved()
-	idst := vec.NewIMulti(n, s)
-	dia := sparse.MustDIAFromCSR(k)
+}
+
+// BenchmarkKernelSweep times the m-step preconditioner sweep, the largest
+// phase of a warm plate batch iteration: m = 3 Conrad–Wallach multicolor
+// SSOR steps on the 100×100 plate at s = 8, run on row-interleaved panels
+// (ApplyMStepInterleaved → SweepCSRI) under both kernel sets and on
+// column-contiguous blocks (ApplyMStepBlock → kernel.SweepCSRCols).
+func BenchmarkKernelSweep(b *testing.B) {
+	sys, _, err := core.PlateSystem(100, 100, fem.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	mc, err := splitting.NewSixColorSSOR(sys.K, sys.GroupStart)
+	if err != nil {
+		b.Fatal(err)
+	}
+	n := sys.K.Rows
+	const s = 8
+	alphas := poly.Ones(3).Coeffs
+	r := vec.NewMulti(n, s)
+	for i := range r.Data {
+		r.Data[i] = float64(i%13) - 6
+	}
+	rhat := vec.NewMulti(n, s)
+	ir := r.Interleaved()
+	irhat := vec.NewIMulti(n, s)
+	b.Run("column/s=8", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			mc.ApplyMStepBlock(rhat, r, alphas)
+		}
+	})
 	for _, set := range []struct {
 		name string
 		impl *kernel.Impl
 	}{{"portable", kernel.Portable()}, {"active", kernel.Active()}} {
-		b.Run("csr/column/s=8/"+set.name, func(b *testing.B) {
-			// MulMatTo dispatches through the global active set; pin it so
-			// both rows of the ablation are honest.
-			if set.name == "portable" && kernel.Active().Name != "portable" {
-				b.Skip("column path always runs the startup-selected set")
-			}
+		b.Run("interleaved/s=8/"+set.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				k.MulMatTo(dst, x)
-			}
-			b.ReportMetric(float64(k.NNZ())*s*float64(b.N)/b.Elapsed().Seconds()/1e9, "Gflop-pairs/s")
-		})
-		b.Run("csr/interleaved/s=8/"+set.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				k.MulMatITo(idst, ix, set.impl)
-			}
-			b.ReportMetric(float64(k.NNZ())*s*float64(b.N)/b.Elapsed().Seconds()/1e9, "Gflop-pairs/s")
-		})
-		b.Run("dia/interleaved/s=8/"+set.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				dia.MulMatITo(idst, ix, set.impl)
+				mc.ApplyMStepInterleaved(irhat, ir, alphas, set.impl)
 			}
 		})
 	}

@@ -69,7 +69,8 @@ func main() {
 
 	// Requests pick their matvec storage: "dia" forces the paper's
 	// diagonal (CYBER-style) layout, "csr" row storage, and the default
-	// "auto" probes the matrix — on the banded plate it selects DIA. The
+	// "auto" probes the matrix — it keeps the plate, whose diagonals are
+	// only a quarter filled, on CSR and picks DIA for dense stencils. The
 	// cache entry keeps the DIA conversion next to the CSR, so repeated
 	// backend-opted solves never re-convert.
 	diaReq := req

@@ -35,9 +35,11 @@ func ParseBackend(name string) (Backend, error) { return plan.ParseBackend(name)
 
 // ChooseBackend resolves a backend policy against a concrete matrix: CSR
 // and DIA pass through, and Auto probes the structure (see plan.Probe) and
-// picks DIA exactly when diagonal storage is in the banded regime it wins
-// in. Callers that re-resolve the same matrix should keep a plan.Probe
-// instead of rescanning.
+// picks DIA exactly when diagonal storage is in the regime it wins in: a
+// few diagonals, each more than half filled (dense stencils; the colored
+// plate stays on CSR). This is the column-layout choice; the planner runs
+// interleaved batch tiles on CSR. Callers that re-resolve the same matrix
+// should keep a plan.Probe instead of rescanning.
 func ChooseBackend(k *sparse.CSR, policy Backend) Backend {
 	if policy != BackendAuto {
 		return policy

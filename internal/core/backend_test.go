@@ -73,9 +73,11 @@ func randScattered(rng *rand.Rand, n int) *sparse.CSR {
 }
 
 func TestChooseBackendAuto(t *testing.T) {
+	// The colored plate's ~47 diagonals are about a quarter filled: DIA
+	// would stream more matrix bytes than CSR, so Auto keeps row storage.
 	sys, _ := plateSystem(t, 12, 12)
-	if got := ChooseBackend(sys.K, BackendAuto); got != BackendDIA {
-		t.Fatalf("Auto on banded multicolor plate chose %s, want dia", got)
+	if got := ChooseBackend(sys.K, BackendAuto); got != BackendCSR {
+		t.Fatalf("Auto on banded multicolor plate chose %s, want csr", got)
 	}
 	if got := ChooseBackend(model.Poisson2D(30, 30), BackendAuto); got != BackendDIA {
 		t.Fatalf("Auto on 5-point Poisson stencil chose %s, want dia", got)
@@ -176,8 +178,18 @@ func TestSolveReportsAutoBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if res.Backend != "csr" {
+		t.Fatalf("auto-resolved backend = %q, want csr on the banded plate", res.Backend)
+	}
+	k := model.Poisson2D(12, 12)
+	f := make([]float64, k.Rows)
+	f[0] = 1
+	res, err = Solve(System{K: k, F: f}, Config{M: 1, Splitting: JacobiSplitting, Tol: 1e-8, MaxIter: 10000})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Backend != "dia" {
-		t.Fatalf("auto-resolved backend = %q, want dia on the banded plate", res.Backend)
+		t.Fatalf("auto-resolved backend = %q, want dia on the 5-point stencil", res.Backend)
 	}
 }
 

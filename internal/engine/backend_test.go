@@ -42,8 +42,8 @@ func TestEngineBackendSelectionEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if auto.Result.Backend != "dia" {
-		t.Fatalf("auto on the banded plate resolved to %q, want dia", auto.Result.Backend)
+	if auto.Result.Backend != "csr" {
+		t.Fatalf("auto on the banded plate resolved to %q, want csr", auto.Result.Backend)
 	}
 
 	// Both backends solved the same problem: solutions agree to rounding.
@@ -54,8 +54,8 @@ func TestEngineBackendSelectionEndToEnd(t *testing.T) {
 	}
 
 	st := s.Stats()
-	if st.SolvesDIA != 2 || st.SolvesCSR != 1 {
-		t.Fatalf("per-backend counts csr=%d dia=%d, want 1/2", st.SolvesCSR, st.SolvesDIA)
+	if st.SolvesDIA != 1 || st.SolvesCSR != 2 {
+		t.Fatalf("per-backend counts csr=%d dia=%d, want 2/1", st.SolvesCSR, st.SolvesDIA)
 	}
 }
 

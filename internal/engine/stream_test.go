@@ -130,5 +130,5 @@ func ExampleEngine_PlanRequest() {
 		panic(err)
 	}
 	fmt.Println(info.Backend, len(info.Tiles), info.Workers, info.M)
-	// Output: dia 2 1 3
+	// Output: csr 2 1 3
 }

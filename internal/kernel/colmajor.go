@@ -88,18 +88,14 @@ func SweepCSRCols(a *SweepArgs, rhat, r, y []float64, n, s int) {
 			lo, hi := a.Start[c], a.Start[c+1]
 			cache := c < ng-1
 			for i := lo; i < hi; i++ {
-				rowStart, rowEnd := a.RowPtr[i], a.RowPtr[i+1]
+				rowStart, dp := a.RowPtr[i], a.DiagPos[i]
 				di := a.Diag[i]
 				for c0 := 0; c0 < s; c0 += colTile {
 					cw := tileSpan(s, c0)
 					var sums [colTile]float64
-					for p := rowStart; p < rowEnd; p++ {
-						j := a.ColIdx[p]
-						if j >= lo {
-							break // columns sorted; rest are within-group or upper
-						}
+					for p := rowStart; p < dp; p++ {
 						v := a.Val[p]
-						base := c0*n + j
+						base := c0*n + a.ColIdx[p]
 						for t := 0; t < cw; t++ {
 							sums[t] -= v * rhat[base]
 							base += n
@@ -125,18 +121,14 @@ func SweepCSRCols(a *SweepArgs, rhat, r, y []float64, n, s int) {
 			lo, hi := a.Start[c], a.Start[c+1]
 			solve := c > 0 || step == m
 			for i := lo; i < hi; i++ {
-				rowStart, rowEnd := a.RowPtr[i], a.RowPtr[i+1]
+				dp, rowEnd := a.DiagPos[i], a.RowPtr[i+1]
 				di := a.Diag[i]
 				for c0 := 0; c0 < s; c0 += colTile {
 					cw := tileSpan(s, c0)
 					var sums [colTile]float64
-					for p := rowEnd - 1; p >= rowStart; p-- {
-						j := a.ColIdx[p]
-						if j < hi {
-							break
-						}
+					for p := rowEnd - 1; p > dp; p-- {
 						v := a.Val[p]
-						base := c0*n + j
+						base := c0*n + a.ColIdx[p]
 						for t := 0; t < cw; t++ {
 							sums[t] -= v * rhat[base]
 							base += n

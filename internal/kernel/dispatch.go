@@ -9,15 +9,24 @@ const EnvVar = "REPRO_KERNEL"
 
 // SweepArgs bundles the matrix-side inputs of the Conrad–Wallach m-step
 // multicolor SSOR sweep: the CSR pattern/values, the color-group boundaries
-// (group c spans rows [Start[c], Start[c+1])), the main diagonal, and the
-// m-step coefficients applied in reverse order (alphas[m-step]).
+// (group c spans rows [Start[c], Start[c+1])), the main diagonal, the
+// diagonal's entry positions, and the m-step coefficients applied in
+// reverse order (alphas[m-step]).
 type SweepArgs struct {
 	RowPtr []int
 	ColIdx []int
 	Val    []float64
 	Start  []int
 	Diag   []float64
-	Alphas []float64
+	// DiagPos[i] is the index into ColIdx/Val of row i's diagonal entry.
+	// In a multicolor ordering the diagonal is a row's only entry inside
+	// its color group, so it splits the sorted row exactly: the forward
+	// half-sweep's lower block sum runs over [RowPtr[i], DiagPos[i]) and
+	// the backward half-sweep's upper block sum over (DiagPos[i],
+	// RowPtr[i+1]). The splitting computes it once, when it verifies the
+	// decoupling; callers never set it.
+	DiagPos []int
+	Alphas  []float64
 }
 
 // Impl is one complete kernel set. Every entry is allocation-free in steady

@@ -21,7 +21,10 @@
 // Every kernel has a portable pure-Go reference implementation and an
 // accelerated variant (column-direction unrolled loops with s = 8
 // specializations — SIMD-shaped code the compiler turns into vector
-// instructions under GOAMD64=v3, and a NEON-friendly form on arm64). One
+// instructions under GOAMD64=v3, and a NEON-friendly form on arm64). The
+// specializations cover the panel dots and updates, the CSR SpMM and the
+// m-step sweep; the sweep runs its register-blocked body on every full
+// 8-column tile of a wider panel too. One
 // implementation set is selected at package init by CPU feature detection:
 // amd64 with AVX2+FMA (and OS-enabled YMM state) selects the "avx2" set,
 // arm64 the "neon" set (NEON is baseline there), everything else the

@@ -351,6 +351,22 @@ func TestSpMMDIAIAgreement(t *testing.T) {
 	}
 }
 
+// diagPositions returns each row's diagonal entry position — the
+// SweepArgs.DiagPos the splitting computes (randCSR always stores the
+// diagonal).
+func diagPositions(rowptr, colidx []int) []int {
+	n := len(rowptr) - 1
+	pos := make([]int, n)
+	for i := 0; i < n; i++ {
+		for k := rowptr[i]; k < rowptr[i+1]; k++ {
+			if colidx[k] == i {
+				pos[i] = k
+			}
+		}
+	}
+	return pos
+}
+
 // sweepStarts partitions [0, n) into ng contiguous groups.
 func sweepStarts(n, ng int) []int {
 	if ng > n {
@@ -378,7 +394,7 @@ func TestSweepCSRIAgreement(t *testing.T) {
 		for _, m := range []int{1, 3} {
 			alphas := randSlice(rng, m)
 			args := &SweepArgs{RowPtr: rowptr, ColIdx: colidx, Val: val,
-				Start: sweepStarts(n, 6), Diag: diag, Alphas: alphas}
+				Start: sweepStarts(n, 6), Diag: diag, DiagPos: diagPositions(rowptr, colidx), Alphas: alphas}
 			for _, s := range testS {
 				for _, st := range []int{s, s + 3} {
 					rcols := randSlice(rng, n*s)
@@ -424,7 +440,7 @@ func TestDispatchAllocFree(t *testing.T) {
 		diag[i] = 4
 	}
 	args := &SweepArgs{RowPtr: rowptr, ColIdx: colidx, Val: val,
-		Start: sweepStarts(n, 6), Diag: diag, Alphas: []float64{1, 1}}
+		Start: sweepStarts(n, 6), Diag: diag, DiagPos: diagPositions(rowptr, colidx), Alphas: []float64{1, 1}}
 	idx := make([]int32, n)
 	for k := range idx {
 		idx[k] = int32(k)
@@ -512,6 +528,50 @@ func FuzzSpMMCSRI(f *testing.F) {
 				for j := 0; j < s; j++ {
 					if got, want := dst[i*st+j], ref[j*n+i]; !ulpEqual(got, want, 0) {
 						t.Fatalf("%s n=%d s=%d st=%d (%d,%d): got %v want %v", name, n, s, st, i, j, got, want)
+					}
+				}
+			}
+		}
+	})
+}
+
+// FuzzSweepCSRI cross-checks the interleaved m-step sweeps of every set
+// against the column-major SweepCSRCols on random CSR patterns with a stored
+// diagonal, random color groups and panel strides up to two wider than the
+// live width.
+func FuzzSweepCSRI(f *testing.F) {
+	f.Add(int64(1), 8, 8, 3, 3)
+	f.Add(int64(2), 1, 1, 0, 1)
+	f.Add(int64(3), 65, 16, 5, 2)
+	f.Add(int64(4), 9, 3, 2, 3)
+	f.Add(int64(5), 40, 24, 4, 1)
+	f.Add(int64(6), 33, 9, 6, 2)
+	f.Fuzz(func(t *testing.T, seed int64, n, s, fill, m int) {
+		if n < 1 || n > 128 || s < 1 || s > 24 || fill < 0 || fill > 16 || m < 1 || m > 4 {
+			t.Skip()
+		}
+		rng := rand.New(rand.NewSource(seed))
+		rowptr, colidx, val := randCSR(rng, n, fill)
+		pos := diagPositions(rowptr, colidx)
+		diag := make([]float64, n)
+		for i, p := range pos {
+			diag[i] = val[p]
+		}
+		args := &SweepArgs{RowPtr: rowptr, ColIdx: colidx, Val: val,
+			Start: sweepStarts(n, 1+rng.Intn(8)), Diag: diag, DiagPos: pos, Alphas: randSlice(rng, m)}
+		st := s + rng.Intn(3)
+		rcols := randSlice(rng, n*s)
+		r := make([]float64, n*st)
+		portableInterleave(r, st, rcols, n, s)
+		ref := make([]float64, n*s)
+		SweepCSRCols(args, ref, rcols, make([]float64, n*s), n, s)
+		for name, im := range sets() {
+			rhat := make([]float64, n*st)
+			im.SweepCSRI(args, rhat, r, make([]float64, n*st), st, n, s)
+			for i := 0; i < n; i++ {
+				for j := 0; j < s; j++ {
+					if got, want := rhat[i*st+j], ref[j*n+i]; got != want {
+						t.Fatalf("%s n=%d s=%d st=%d m=%d (%d,%d): got %v want %v", name, n, s, st, m, i, j, got, want)
 					}
 				}
 			}

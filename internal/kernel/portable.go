@@ -166,9 +166,11 @@ func portableSpMMDIAI(offsets []int, diags [][]float64, n int, x []float64, xs i
 // (Algorithm 2): forward color sweeps cache the lower block sums in y for
 // the backward half-sweep and vice versa, the backward sweep skips the last
 // color (identical re-solve), and the backward color-1 solve is elided on
-// steps 1..m−1. Per-column arithmetic order matches the column-contiguous
-// SweepCSRCols exactly; only the memory layout differs — the s per-column
-// block sums of one gathered row read from adjacent elements.
+// steps 1..m−1. Each block sum scans one side of the row's diagonal entry
+// (SweepArgs.DiagPos). Per-column arithmetic order matches the
+// column-contiguous SweepCSRCols exactly; only the memory layout differs —
+// the s per-column block sums of one gathered row read from adjacent
+// elements.
 func portableSweepCSRI(a *SweepArgs, rhat, r, y []float64, st, n, s int) {
 	m := len(a.Alphas)
 	ng := len(a.Start) - 1
@@ -183,19 +185,15 @@ func portableSweepCSRI(a *SweepArgs, rhat, r, y []float64, st, n, s int) {
 			lo, hi := a.Start[c], a.Start[c+1]
 			cache := c < ng-1
 			for i := lo; i < hi; i++ {
-				rs, re := a.RowPtr[i], a.RowPtr[i+1]
+				rs, dp := a.RowPtr[i], a.DiagPos[i]
 				di := a.Diag[i]
 				rr := r[i*st : i*st+s]
 				rh := rhat[i*st : i*st+s]
 				yy := y[i*st : i*st+s]
 				for j := range rh {
 					var sum float64
-					for k := rs; k < re; k++ {
-						ci := colidxBelow(a.ColIdx, k, lo)
-						if ci < 0 {
-							break
-						}
-						sum -= a.Val[k] * rhat[ci*st+j]
+					for k := rs; k < dp; k++ {
+						sum -= a.Val[k] * rhat[a.ColIdx[k]*st+j]
 					}
 					rh[j] = (sum + yy[j] + alpha*rr[j]) / di
 					if cache {
@@ -210,19 +208,15 @@ func portableSweepCSRI(a *SweepArgs, rhat, r, y []float64, st, n, s int) {
 			lo, hi := a.Start[c], a.Start[c+1]
 			solve := c > 0 || step == m
 			for i := lo; i < hi; i++ {
-				rs, re := a.RowPtr[i], a.RowPtr[i+1]
+				dp, re := a.DiagPos[i], a.RowPtr[i+1]
 				di := a.Diag[i]
 				rr := r[i*st : i*st+s]
 				rh := rhat[i*st : i*st+s]
 				yy := y[i*st : i*st+s]
 				for j := range rh {
 					var sum float64
-					for k := re - 1; k >= rs; k-- {
-						ci := colidxAtLeast(a.ColIdx, k, hi)
-						if ci < 0 {
-							break
-						}
-						sum -= a.Val[k] * rhat[ci*st+j]
+					for k := re - 1; k > dp; k-- {
+						sum -= a.Val[k] * rhat[a.ColIdx[k]*st+j]
 					}
 					if solve {
 						rh[j] = (sum + yy[j] + alpha*rr[j]) / di
@@ -232,26 +226,6 @@ func portableSweepCSRI(a *SweepArgs, rhat, r, y []float64, st, n, s int) {
 			}
 		}
 	}
-}
-
-// colidxBelow returns ColIdx[k] when it is < bound (a lower-triangle entry
-// for this color group), −1 otherwise — columns are sorted ascending, so a
-// −1 ends the forward scan.
-func colidxBelow(colidx []int, k, bound int) int {
-	if c := colidx[k]; c < bound {
-		return c
-	}
-	return -1
-}
-
-// colidxAtLeast returns ColIdx[k] when it is ≥ bound (an upper-triangle
-// entry), −1 otherwise — the backward scan walks entries descending, so a
-// −1 ends it.
-func colidxAtLeast(colidx []int, k, bound int) int {
-	if c := colidx[k]; c >= bound {
-		return c
-	}
-	return -1
 }
 
 // zeroRow zeroes the paired live-row views of the sweep's output and cache

@@ -8,7 +8,8 @@ package kernel
 // is bit-identical to its portable counterpart. The wide-block hot path is
 // s == 8 (the planner's default tile width): those specializations hold the
 // eight per-column accumulators in scalars and read each panel row as one
-// bounds-check-free 64-byte slice.
+// bounds-check-free 64-byte slice. The sweep runs that body on every full
+// 8-column tile, so 16–32-wide panels take it too.
 
 var unrolledImpl = Impl{
 	Name:         "unrolled",
@@ -256,42 +257,77 @@ func unrolledSpMMDIAI(offsets []int, diags [][]float64, n int, x []float64, xs i
 	portableSpMMDIAI(offsets, diags, n, x, xs, dst, ds, lo, hi, s)
 }
 
-// unrolledSweepCSRI scans each row's entry list once per column tile with the
-// tile's block sums in independent accumulators — for s ≤ 8 (every planner
-// tile) that is a single scan feeding all columns from one gathered cache
-// line per nonzero. Per-(step, color, row, k) order per column matches the
-// portable sweep exactly.
+// unrolledSweepCSRI is the sweep with unrolledSpMMCSRI's register-blocked
+// body: every full 8-column tile (so s = 8, the planner's default width, and
+// each tile of a 16–32-wide panel) holds its eight per-column block sums in
+// scalars and reads each gathered panel row as one bounds-check-free 64-byte
+// slice. A remainder tile narrower than eight runs the generic loop over a
+// stack array. Each block sum scans one side of the row's diagonal entry
+// (SweepArgs.DiagPos); per-(step, color, row, k) order per column matches
+// the portable sweep exactly.
 func unrolledSweepCSRI(a *SweepArgs, rhat, r, y []float64, st, n, s int) {
 	m := len(a.Alphas)
 	ng := len(a.Start) - 1
+	full := s - s%colTile // columns covered by full 8-wide tiles
 	for i := 0; i < n; i++ {
 		zeroRow(rhat[i*st:i*st+s], y[i*st:i*st+s])
 	}
 	for step := 1; step <= m; step++ {
 		alpha := a.Alphas[m-step]
+		// Forward half-sweep: lower block sums, entries ascending.
 		for c := 0; c < ng; c++ {
 			lo, hi := a.Start[c], a.Start[c+1]
 			cache := c < ng-1
 			for i := lo; i < hi; i++ {
-				rs, re := a.RowPtr[i], a.RowPtr[i+1]
+				rs, dp := a.RowPtr[i], a.DiagPos[i]
+				vals := a.Val[rs:dp]
+				cols := a.ColIdx[rs:dp]
+				cols = cols[:len(vals)]
 				di := a.Diag[i]
-				for c0 := 0; c0 < s; c0 += colTile {
-					cw := tileSpan(s, c0)
+				for c0 := 0; c0 < full; c0 += colTile {
+					var d0, d1, d2, d3, d4, d5, d6, d7 float64
+					for k, v := range vals {
+						b := cols[k]*st + c0
+						x := rhat[b : b+8 : b+8]
+						d0 -= v * x[0]
+						d1 -= v * x[1]
+						d2 -= v * x[2]
+						d3 -= v * x[3]
+						d4 -= v * x[4]
+						d5 -= v * x[5]
+						d6 -= v * x[6]
+						d7 -= v * x[7]
+					}
+					b := i*st + c0
+					rr := r[b : b+8 : b+8]
+					rh := rhat[b : b+8 : b+8]
+					yy := y[b : b+8 : b+8]
+					rh[0] = (d0 + yy[0] + alpha*rr[0]) / di
+					rh[1] = (d1 + yy[1] + alpha*rr[1]) / di
+					rh[2] = (d2 + yy[2] + alpha*rr[2]) / di
+					rh[3] = (d3 + yy[3] + alpha*rr[3]) / di
+					rh[4] = (d4 + yy[4] + alpha*rr[4]) / di
+					rh[5] = (d5 + yy[5] + alpha*rr[5]) / di
+					rh[6] = (d6 + yy[6] + alpha*rr[6]) / di
+					rh[7] = (d7 + yy[7] + alpha*rr[7]) / di
+					if cache {
+						yy[0], yy[1], yy[2], yy[3] = d0, d1, d2, d3
+						yy[4], yy[5], yy[6], yy[7] = d4, d5, d6, d7
+					}
+				}
+				if full < s {
+					cw := s - full
 					var sums [colTile]float64
-					for k := rs; k < re; k++ {
-						ci := colidxBelow(a.ColIdx, k, lo)
-						if ci < 0 {
-							break
-						}
-						v := a.Val[k]
-						rr := rhat[ci*st+c0 : ci*st+c0+cw]
-						for t, rv := range rr {
+					for k, v := range vals {
+						b := cols[k]*st + full
+						for t, rv := range rhat[b : b+cw] {
 							sums[t] -= v * rv
 						}
 					}
-					rr := r[i*st+c0 : i*st+c0+cw]
-					rh := rhat[i*st+c0 : i*st+c0+cw]
-					yy := y[i*st+c0 : i*st+c0+cw]
+					b := i*st + full
+					rr := r[b : b+cw]
+					rh := rhat[b : b+cw]
+					yy := y[b : b+cw]
 					for t := range rh {
 						sum := sums[t]
 						rh[t] = (sum + yy[t] + alpha*rr[t]) / di
@@ -302,29 +338,62 @@ func unrolledSweepCSRI(a *SweepArgs, rhat, r, y []float64, st, n, s int) {
 				}
 			}
 		}
+		// Backward half-sweep: upper block sums, entries descending.
 		for c := ng - 2; c >= 0; c-- {
 			lo, hi := a.Start[c], a.Start[c+1]
 			solve := c > 0 || step == m
 			for i := lo; i < hi; i++ {
-				rs, re := a.RowPtr[i], a.RowPtr[i+1]
+				dp, re := a.DiagPos[i], a.RowPtr[i+1]
+				vals := a.Val[dp+1 : re]
+				cols := a.ColIdx[dp+1 : re]
+				cols = cols[:len(vals)]
 				di := a.Diag[i]
-				for c0 := 0; c0 < s; c0 += colTile {
-					cw := tileSpan(s, c0)
+				for c0 := 0; c0 < full; c0 += colTile {
+					var d0, d1, d2, d3, d4, d5, d6, d7 float64
+					for k := len(vals) - 1; k >= 0; k-- {
+						v := vals[k]
+						b := cols[k]*st + c0
+						x := rhat[b : b+8 : b+8]
+						d0 -= v * x[0]
+						d1 -= v * x[1]
+						d2 -= v * x[2]
+						d3 -= v * x[3]
+						d4 -= v * x[4]
+						d5 -= v * x[5]
+						d6 -= v * x[6]
+						d7 -= v * x[7]
+					}
+					b := i*st + c0
+					rr := r[b : b+8 : b+8]
+					rh := rhat[b : b+8 : b+8]
+					yy := y[b : b+8 : b+8]
+					if solve {
+						rh[0] = (d0 + yy[0] + alpha*rr[0]) / di
+						rh[1] = (d1 + yy[1] + alpha*rr[1]) / di
+						rh[2] = (d2 + yy[2] + alpha*rr[2]) / di
+						rh[3] = (d3 + yy[3] + alpha*rr[3]) / di
+						rh[4] = (d4 + yy[4] + alpha*rr[4]) / di
+						rh[5] = (d5 + yy[5] + alpha*rr[5]) / di
+						rh[6] = (d6 + yy[6] + alpha*rr[6]) / di
+						rh[7] = (d7 + yy[7] + alpha*rr[7]) / di
+					}
+					yy[0], yy[1], yy[2], yy[3] = d0, d1, d2, d3
+					yy[4], yy[5], yy[6], yy[7] = d4, d5, d6, d7
+				}
+				if full < s {
+					cw := s - full
 					var sums [colTile]float64
-					for k := re - 1; k >= rs; k-- {
-						ci := colidxAtLeast(a.ColIdx, k, hi)
-						if ci < 0 {
-							break
-						}
-						v := a.Val[k]
-						rr := rhat[ci*st+c0 : ci*st+c0+cw]
-						for t, rv := range rr {
+					for k := len(vals) - 1; k >= 0; k-- {
+						v := vals[k]
+						b := cols[k]*st + full
+						for t, rv := range rhat[b : b+cw] {
 							sums[t] -= v * rv
 						}
 					}
-					rr := r[i*st+c0 : i*st+c0+cw]
-					rh := rhat[i*st+c0 : i*st+c0+cw]
-					yy := y[i*st+c0 : i*st+c0+cw]
+					b := i*st + full
+					rr := r[b : b+cw]
+					rh := rhat[b : b+cw]
+					yy := y[b : b+cw]
 					for t := range rh {
 						sum := sums[t]
 						if solve {

@@ -74,21 +74,25 @@ func ParseBackend(name string) (Backend, error) {
 // multiply-adds where CSR performs NNZ, so its padding overhead is the
 // reciprocal of the DIA fill ratio NNZ/(numDiags·n); in exchange every
 // operand is a long contiguous diagonal — the regular access pattern the
-// paper's CYBER layout is built on. DIA pays off when the matrix occupies
-// a bounded, size-independent family of diagonals (banded multicolor
-// systems, eq. 3.2 of the paper: the 6-color plate stays at ~47 diagonals
-// at every size, simple 5-point stencils at 5), and loses badly on
-// scattered fill, where the diagonal count grows with n and the fill
-// ratio collapses.
+// paper's CYBER layout is built on. DIA pays off only when the matrix
+// occupies a bounded, size-independent family of densely filled diagonals
+// (simple 5-point stencils: 5 diagonals, fill ≈ 1), and loses on the
+// banded multicolor plate (eq. 3.2 of the paper: ~47 diagonals at every
+// size, but only a quarter of each filled) and badly on scattered fill,
+// where the diagonal count grows with n and the fill ratio collapses.
 const (
 	// autoMaxDiags bounds the stored-diagonal count Auto accepts: above
 	// it, even a moderate fill ratio means streaming many mostly-padding
 	// vectors.
 	autoMaxDiags = 128
-	// autoMinFill is the lowest DIA fill ratio Auto accepts — at most
-	// 1/autoMinFill padded flops per CSR flop. The colored plate sits
-	// near 0.25, dense-diagonal stencils near 1, scattered fill near 0.
-	autoMinFill = 1.0 / 6
+	// autoMinFill is the lowest DIA fill ratio Auto accepts. A product is
+	// bound by the matrix bytes it streams: DIA reads 8 bytes per stored
+	// slot, padding included, while CSR reads 16 per entry (the value and
+	// an int column index). DIA therefore moves fewer bytes only when more
+	// than half of its slots hold entries. The colored plate sits near
+	// 0.25 (CSR is faster on it in every layout), dense-diagonal stencils
+	// near 1 (DIA's SpMV is faster), scattered fill near 0.
+	autoMinFill = 1.0 / 2
 )
 
 // Probe is the structure scan of one matrix: everything the planner needs
@@ -124,8 +128,10 @@ func NewProbe(k *sparse.CSR) Probe {
 
 // Choose resolves a backend policy against the probed structure: CSR and
 // DIA pass through, and Auto picks DIA exactly when diagonal storage is in
-// the banded regime it wins in — few distinct diagonals and a bounded
-// padding overhead — and CSR otherwise.
+// the regime it wins in — few distinct diagonals, each more than half
+// filled (so DIA streams fewer bytes than CSR) — and CSR otherwise. This
+// is the per-column choice; Planner.Plan overrides it with CSR for tiles
+// run on row-interleaved panels.
 func (p Probe) Choose(policy Backend) Backend {
 	switch policy {
 	case BackendCSR, BackendDIA:
@@ -437,6 +443,13 @@ func (pl Planner) Plan(in Inputs) Plan {
 
 	tiles := tile(s, width)
 	interleave := pl.interleaves(in, tiles, in.M)
+	if interleave && in.Policy == BackendAuto {
+		// DIA's panel kernel re-reads and rewrites every destination row
+		// once per stored diagonal, where CSR's holds a row's sums in
+		// registers: CSR panels won on every matrix measured, the
+		// fill-≈1 stencils included.
+		backend = BackendCSR
+	}
 	return Plan{
 		Backend:    backend,
 		Tiles:      tiles,

@@ -43,6 +43,31 @@ func TestPlanInterleave(t *testing.T) {
 	}
 }
 
+// TestPlanAutoPanelsRunCSR pins Auto's layout rule: a fill-≈1 stencil
+// (Poisson 48²: 5 diagonals, fill 0.983) plans DIA for columns, but its
+// interleaved tiles run CSR, whose panel kernel beats DIA's on every matrix
+// measured. A forced DIA policy still passes through.
+func TestPlanAutoPanelsRunCSR(t *testing.T) {
+	const rows = 48 * 48
+	probe := &Probe{Rows: rows, Cols: rows, NNZ: 5*rows - 4*48, MaxRowNNZ: 5, NumDiags: 5, Fill: 0.983}
+	pl := Planner{}
+	if p := pl.Plan(Inputs{Probe: probe, RHS: 8, M: 0}); !p.Interleave || p.Backend != BackendCSR {
+		t.Errorf("auto s=8 m=0: Interleave=%v Backend=%v, want true/csr", p.Interleave, p.Backend)
+	}
+	if p := pl.Plan(Inputs{Probe: probe, RHS: 8, M: 2, PanelSweep: true}); !p.Interleave || p.Backend != BackendCSR {
+		t.Errorf("auto s=8 panel sweep: Interleave=%v Backend=%v, want true/csr", p.Interleave, p.Backend)
+	}
+	if p := pl.Plan(Inputs{Probe: probe, RHS: 3, M: 0}); p.Interleave || p.Backend != BackendDIA {
+		t.Errorf("auto s=3: Interleave=%v Backend=%v, want false/dia", p.Interleave, p.Backend)
+	}
+	if p := pl.Plan(Inputs{Probe: probe, RHS: 8, M: 2}); p.Interleave || p.Backend != BackendDIA {
+		t.Errorf("auto s=8 without panel sweep: Interleave=%v Backend=%v, want false/dia", p.Interleave, p.Backend)
+	}
+	if p := pl.Plan(Inputs{Probe: probe, Policy: BackendDIA, RHS: 8, M: 0}); !p.Interleave || p.Backend != BackendDIA {
+		t.Errorf("forced dia s=8: Interleave=%v Backend=%v, want true/dia", p.Interleave, p.Backend)
+	}
+}
+
 // TestPlanKernel pins what the plan reports as the running kernel set: the
 // per-solve policy only reaches the interleaved panel path, so portable shows
 // up exactly when the plan interleaves; every other path runs the startup set.

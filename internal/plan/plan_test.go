@@ -141,6 +141,35 @@ func TestPlanBackendResolution(t *testing.T) {
 	checkTiles(t, p.Tiles, 40, DefaultMaxTile)
 }
 
+// TestChooseFillThreshold pins Auto's DIA crossover at fill 1/2, where a
+// stored diagonal slot (8 bytes) and a CSR entry (16 bytes) stream the same
+// matrix bytes per entry.
+func TestChooseFillThreshold(t *testing.T) {
+	const n = 1000
+	probe := func(fill float64) Probe {
+		return Probe{Rows: n, Cols: n, NNZ: int(fill * 5 * n), MaxRowNNZ: 5, NumDiags: 5, Fill: fill}
+	}
+	for _, tc := range []struct {
+		fill float64
+		want Backend
+	}{
+		{0.25, BackendCSR}, // the colored plate
+		{0.499, BackendCSR},
+		{0.501, BackendDIA},
+		{0.99, BackendDIA}, // a 5-point stencil
+	} {
+		if got := probe(tc.fill).Choose(BackendAuto); got != tc.want {
+			t.Errorf("fill %g: Auto chose %v, want %v", tc.fill, got, tc.want)
+		}
+	}
+	if got := probe(0.25).Choose(BackendDIA); got != BackendDIA {
+		t.Errorf("forced dia at fill 0.25 resolved to %v", got)
+	}
+	if got := probe(0.99).Choose(BackendCSR); got != BackendCSR {
+		t.Errorf("forced csr at fill 0.99 resolved to %v", got)
+	}
+}
+
 func TestNewProbe(t *testing.T) {
 	k := banded(200)
 	p := NewProbe(k)

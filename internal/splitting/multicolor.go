@@ -27,7 +27,7 @@ type SixColorSSOR struct {
 	y     []float64 // Conrad–Wallach cache, one value per unknown
 	yb    []float64 // block-apply cache, one value per unknown per column
 	omega float64
-	ka    kernel.SweepArgs // reused matrix-side argument block for the fused sweeps
+	ka    kernel.SweepArgs // matrix-side sweep arguments, built once; each application sets only Alphas
 }
 
 // NewSixColorSSOR builds the multicolor SSOR splitting (ω = 1, the paper's
@@ -65,28 +65,44 @@ func NewMulticolorSSOR(k *sparse.CSR, start []int, omega float64) (*SixColorSSOR
 		}
 	}
 	s := &SixColorSSOR{K: k, Start: append([]int{}, start...), d: d, y: make([]float64, k.Rows), omega: omega}
-	if err := s.verifyDecoupled(); err != nil {
+	pos, err := s.diagPositions()
+	if err != nil {
 		return nil, err
+	}
+	s.ka = kernel.SweepArgs{
+		RowPtr:  k.RowPtr,
+		ColIdx:  k.ColIdx,
+		Val:     k.Val,
+		Start:   s.Start,
+		Diag:    d,
+		DiagPos: pos,
 	}
 	return s, nil
 }
 
-// verifyDecoupled checks that every within-group entry is on the main
+// diagPositions checks that every within-group entry is on the main
 // diagonal — the property the multicolor ordering guarantees and the color
-// sweeps rely on.
-func (s *SixColorSSOR) verifyDecoupled() error {
+// sweeps rely on — and returns each row's diagonal entry position. With
+// sorted columns and the diagonal a row's only within-group entry, that
+// position splits the row into its lower block sum (entries before it, all
+// in earlier groups) and its upper block sum (entries after it, all in
+// later groups).
+func (s *SixColorSSOR) diagPositions() ([]int, error) {
+	pos := make([]int, s.K.Rows)
 	for c := 0; c+1 < len(s.Start); c++ {
 		lo, hi := s.Start[c], s.Start[c+1]
 		for i := lo; i < hi; i++ {
 			for p := s.K.RowPtr[i]; p < s.K.RowPtr[i+1]; p++ {
 				j := s.K.ColIdx[p]
-				if j != i && j >= lo && j < hi {
-					return fmt.Errorf("splitting: group %d not decoupled: entry (%d,%d) within group", c, i, j)
+				if j == i {
+					pos[i] = p
+				} else if j >= lo && j < hi {
+					return nil, fmt.Errorf("splitting: group %d not decoupled: entry (%d,%d) within group", c, i, j)
 				}
 			}
 		}
 	}
-	return nil
+	return pos, nil
 }
 
 // N returns the system dimension.
@@ -107,29 +123,23 @@ func (s *SixColorSSOR) Matrix() *sparse.CSR { return s.K }
 func (s *SixColorSSOR) numGroups() int { return len(s.Start) - 1 }
 
 // lowerSum returns −Σ_{j < Start[c]} K_{ij}·r̂_j for row i of group c, the
-// forward-sweep block sum x of Algorithm 2.
-func (s *SixColorSSOR) lowerSum(i, groupLo int, rhat []float64) float64 {
+// forward-sweep block sum x of Algorithm 2: the entries before the row's
+// diagonal, ascending.
+func (s *SixColorSSOR) lowerSum(i int, rhat []float64) float64 {
 	var sum float64
-	for p := s.K.RowPtr[i]; p < s.K.RowPtr[i+1]; p++ {
-		j := s.K.ColIdx[p]
-		if j >= groupLo {
-			break // columns are sorted; rest are within-group or upper
-		}
-		sum += s.K.Val[p] * rhat[j]
+	for p, dp := s.K.RowPtr[i], s.ka.DiagPos[i]; p < dp; p++ {
+		sum += s.K.Val[p] * rhat[s.K.ColIdx[p]]
 	}
 	return -sum
 }
 
 // upperSum returns −Σ_{j ≥ Start[c+1]} K_{ij}·r̂_j for row i of group c,
-// the backward-sweep block sum.
-func (s *SixColorSSOR) upperSum(i, groupHi int, rhat []float64) float64 {
+// the backward-sweep block sum: the entries after the row's diagonal,
+// descending.
+func (s *SixColorSSOR) upperSum(i int, rhat []float64) float64 {
 	var sum float64
-	for p := s.K.RowPtr[i+1] - 1; p >= s.K.RowPtr[i]; p-- {
-		j := s.K.ColIdx[p]
-		if j < groupHi {
-			break
-		}
-		sum += s.K.Val[p] * rhat[j]
+	for p, dp := s.K.RowPtr[i+1]-1, s.ka.DiagPos[i]; p > dp; p-- {
+		sum += s.K.Val[p] * rhat[s.K.ColIdx[p]]
 	}
 	return -sum
 }
@@ -144,16 +154,16 @@ func (s *SixColorSSOR) Step(rhat, r []float64, alpha float64) {
 	for c := 0; c < ng; c++ {
 		lo, hi := s.Start[c], s.Start[c+1]
 		for i := lo; i < hi; i++ {
-			x := s.lowerSum(i, lo, rhat)
-			u := s.upperSum(i, hi, rhat)
+			x := s.lowerSum(i, rhat)
+			u := s.upperSum(i, rhat)
 			rhat[i] = (1-w)*rhat[i] + w*(x+u+alpha*r[i])/s.d[i]
 		}
 	}
 	for c := ng - 1; c >= 0; c-- {
 		lo, hi := s.Start[c], s.Start[c+1]
 		for i := lo; i < hi; i++ {
-			x := s.lowerSum(i, lo, rhat)
-			u := s.upperSum(i, hi, rhat)
+			x := s.lowerSum(i, rhat)
+			u := s.upperSum(i, rhat)
 			rhat[i] = (1-w)*rhat[i] + w*(x+u+alpha*r[i])/s.d[i]
 		}
 	}
@@ -203,7 +213,7 @@ func (s *SixColorSSOR) ApplyMStep(rhat, r []float64, alphas []float64) {
 			lo, hi := s.Start[c], s.Start[c+1]
 			cache := c < ng-1
 			for i := lo; i < hi; i++ {
-				x := s.lowerSum(i, lo, rhat)
+				x := s.lowerSum(i, rhat)
 				rhat[i] = (x + s.y[i] + alpha*r[i]) / s.d[i]
 				if cache {
 					s.y[i] = x
@@ -217,7 +227,7 @@ func (s *SixColorSSOR) ApplyMStep(rhat, r []float64, alphas []float64) {
 			lo, hi := s.Start[c], s.Start[c+1]
 			solve := c > 0 || step == m
 			for i := lo; i < hi; i++ {
-				x := s.upperSum(i, hi, rhat)
+				x := s.upperSum(i, rhat)
 				if solve {
 					rhat[i] = (x + s.y[i] + alpha*r[i]) / s.d[i]
 				}
@@ -265,20 +275,8 @@ func (s *SixColorSSOR) ApplyMStepBlock(rhat, r *vec.Multi, alphas []float64) {
 	// loading once and fanning out across the tile's per-column block sums.
 	// Per-column arithmetic order still matches lowerSum/upperSum exactly
 	// (−a−b ≡ −(a+b) in IEEE arithmetic, negation being exact).
-	s.sweepArgs(alphas)
+	s.ka.Alphas = alphas
 	kernel.SweepCSRCols(&s.ka, rhat.Data, r.Data, s.yb[:n*ns], n, ns)
-}
-
-// sweepArgs refreshes the reused kernel argument block for a fused sweep.
-func (s *SixColorSSOR) sweepArgs(alphas []float64) {
-	s.ka = kernel.SweepArgs{
-		RowPtr: s.K.RowPtr,
-		ColIdx: s.K.ColIdx,
-		Val:    s.K.Val,
-		Start:  s.Start,
-		Diag:   s.d,
-		Alphas: alphas,
-	}
 }
 
 // CanApplyMStepInterleaved reports whether the fused interleaved sweep is
@@ -311,7 +309,7 @@ func (s *SixColorSSOR) ApplyMStepInterleaved(rhat, r *vec.IMulti, alphas []float
 	if cap(s.yb) < n*st {
 		s.yb = make([]float64, n*st)
 	}
-	s.sweepArgs(alphas)
+	s.ka.Alphas = alphas
 	impl.SweepCSRI(&s.ka, rhat.Data, r.Data, s.yb[:n*st], st, n, rhat.S)
 }
 

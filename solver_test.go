@@ -3,6 +3,7 @@ package repro_test
 import (
 	"context"
 	"errors"
+	"math"
 	"net/http/httptest"
 	"reflect"
 	"testing"
@@ -347,6 +348,55 @@ func TestLocalWarmCachePath(t *testing.T) {
 	}
 	if third.IntervalLo != first.IntervalLo || third.IntervalHi != first.IntervalHi {
 		t.Fatal("problem memo did not carry the interval across sessions")
+	}
+}
+
+// TestAutoPlateBatchMatchesDIABitwise: on the warm plate batch shape (a 52²
+// plate, 8 tractions, m = 3 least-squares) Auto runs the interleaved tiles
+// on CSR, and the answer is the one forced DIA storage gives, bit for bit:
+// DIA's row sums add the same products in the same order plus zero padding.
+func TestAutoPlateBatchMatchesDIABitwise(t *testing.T) {
+	l := repro.NewLocal(repro.LocalConfig{Workers: 1})
+	defer l.Close()
+	tr := []float64{0.5, 0.7, 0.9, 1.1, 1.3, 1.5, 1.7, 2}
+	solve := func(backend string) repro.JobResult {
+		t.Helper()
+		res, err := l.Solve(context.Background(), repro.Request{
+			Plate:  &repro.PlateSpec{Rows: 52, Cols: 52, Tractions: tr},
+			Solver: repro.SolverSpec{M: 3, Coeffs: "least-squares", Tol: 1e-5, Backend: backend},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Converged || len(res.Cases) != len(tr) {
+			t.Fatalf("%s: converged %v, %d cases", backend, res.Converged, len(res.Cases))
+		}
+		return res
+	}
+	dia, auto := solve("dia"), solve("auto")
+	if dia.Backend != "dia" || auto.Backend != "csr" {
+		t.Fatalf("backends dia→%q auto→%q, want dia/csr", dia.Backend, auto.Backend)
+	}
+	if auto.Plan == nil || !auto.Plan.Interleave {
+		t.Fatalf("auto plan %+v does not interleave the 8-wide batch", auto.Plan)
+	}
+	if auto.Iterations != dia.Iterations {
+		t.Fatalf("block iterations auto %d, dia %d", auto.Iterations, dia.Iterations)
+	}
+	for k, want := range dia.Cases {
+		got := auto.Cases[k]
+		if got.Iterations != want.Iterations || math.Float64bits(got.FinalRelRes) != math.Float64bits(want.FinalRelRes) {
+			t.Fatalf("case %d: auto %d its relres %v, dia %d its relres %v",
+				k, got.Iterations, got.FinalRelRes, want.Iterations, want.FinalRelRes)
+		}
+		if len(got.U) != len(want.U) {
+			t.Fatalf("case %d: solution lengths %d vs %d", k, len(got.U), len(want.U))
+		}
+		for i := range want.U {
+			if math.Float64bits(got.U[i]) != math.Float64bits(want.U[i]) {
+				t.Fatalf("case %d: U[%d] auto %v, dia %v", k, i, got.U[i], want.U[i])
+			}
+		}
 	}
 }
 
