@@ -30,11 +30,22 @@
 // already delivered, and if the job itself is gone (a fleet node died
 // mid-batch), it resubmits the request and dedupes replayed cases by case
 // index — the caller still sees every case exactly once and one Done.
+//
+// A keyed SystemSpec crosses the wire in full only until the service has
+// accepted it: once a full-body Solve or SolveStream of that key (the
+// engine's cache key, so solver settings count) ends done, later Solve,
+// SolveStream and Plan calls leave the triplets out and the node resolves
+// the matrix from its cache. A node without the entry — cold, evicted,
+// re-sharded onto by a fleet, or restarted — answers 409 Conflict, and the
+// client resends the full body once. A caller who sends a by-reference
+// body itself has no triplets to resend and gets the 409 back. The client
+// remembers at most maxRefKeys keys, least recently used first out.
 package client
 
 import (
 	"bufio"
 	"bytes"
+	"container/list"
 	"context"
 	"encoding/json"
 	"errors"
@@ -44,9 +55,11 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro"
+	"repro/internal/engine"
 )
 
 // DefaultTimeout bounds each attempt of a non-streaming call when the
@@ -60,6 +73,11 @@ const (
 	maxRetryBackoff  = 2 * time.Second
 )
 
+// maxRefKeys bounds the keyed systems a Client remembers as accepted by the
+// service. Past it the least recently used key is forgotten, and its next
+// request carries the triplets again.
+const maxRefKeys = 1024
+
 // Client drives a remote solver service over its /v1 HTTP API. It
 // implements repro.Solver. A zero Client is not usable; construct with
 // New. Client is safe for concurrent use.
@@ -69,6 +87,54 @@ type Client struct {
 	timeout   time.Duration // per-attempt bound on non-streaming calls; <=0 means none
 	attempts  int           // total tries per idempotent call (1 = no retry)
 	retryBase time.Duration // first backoff; doubles per retry, jittered
+	refs      *refKeys      // keyed systems the service has accepted in full
+}
+
+// refKeys is a bounded LRU set of engine cache keys.
+type refKeys struct {
+	mu    sync.Mutex
+	order *list.List // front = most recently used; values are keys
+	index map[string]*list.Element
+}
+
+func newRefKeys() *refKeys {
+	return &refKeys{order: list.New(), index: make(map[string]*list.Element)}
+}
+
+// has reports whether key is remembered, marking it recently used.
+func (k *refKeys) has(key string) bool {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	el, ok := k.index[key]
+	if ok {
+		k.order.MoveToFront(el)
+	}
+	return ok
+}
+
+// add remembers key, forgetting the least recently used key when full.
+func (k *refKeys) add(key string) {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	if el, ok := k.index[key]; ok {
+		k.order.MoveToFront(el)
+		return
+	}
+	k.index[key] = k.order.PushFront(key)
+	if k.order.Len() > maxRefKeys {
+		oldest := k.order.Back()
+		k.order.Remove(oldest)
+		delete(k.index, oldest.Value.(string))
+	}
+}
+
+func (k *refKeys) remove(key string) {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	if el, ok := k.index[key]; ok {
+		k.order.Remove(el)
+		delete(k.index, key)
+	}
 }
 
 var _ repro.Solver = (*Client)(nil)
@@ -119,6 +185,7 @@ func New(baseURL string, opts ...Option) *Client {
 		timeout:   DefaultTimeout,
 		attempts:  defaultAttempts,
 		retryBase: defaultRetryBase,
+		refs:      newRefKeys(),
 	}
 	for _, o := range opts {
 		o(c)
@@ -253,6 +320,43 @@ type asyncRequest struct {
 	Async bool `json:"async"`
 }
 
+// refKey returns the key under which a full-body keyed system is
+// remembered once the service accepts it: the engine's cache key of the
+// wire request, the same string a fleet router routes on. Other requests
+// (plates, keyless or by-reference systems) have none.
+func refKey(wire repro.Request) string {
+	sy := wire.System
+	if sy == nil || sy.Key == "" || len(sy.I) == 0 {
+		return ""
+	}
+	return (&engine.Request{Plate: wire.Plate, System: sy, Solver: wire.Solver}).CacheKey()
+}
+
+// postKeyed POSTs a solve or plan body to path and decodes the answer into
+// out. A request whose key (refKey) the service has accepted goes by
+// reference, without triplets; if the node answers 409 (no built entry for
+// the key), the key is forgotten and the full body is sent once.
+func (c *Client) postKeyed(ctx context.Context, path string, wire repro.Request, key string, async bool, out any) error {
+	body := func(r repro.Request) any {
+		if async {
+			return asyncRequest{Request: r, Async: true}
+		}
+		return r
+	}
+	if key != "" && c.refs.has(key) {
+		sys := *wire.System
+		sys.I, sys.J, sys.V = nil, nil, nil
+		byRef := wire
+		byRef.System = &sys
+		err := c.doJSON(ctx, http.MethodPost, path, body(byRef), out)
+		if StatusCode(err) != http.StatusConflict {
+			return err
+		}
+		c.refs.remove(key)
+	}
+	return c.doJSON(ctx, http.MethodPost, path, body(wire), out)
+}
+
 func decodeResponse(resp *http.Response, out any) error {
 	if resp.StatusCode/100 != 2 {
 		return responseError(resp)
@@ -290,9 +394,13 @@ func (c *Client) Solve(ctx context.Context, req repro.Request) (repro.JobResult,
 	if err != nil {
 		return repro.JobResult{}, err
 	}
+	key := refKey(wire)
 	var v repro.JobView
-	if err := c.doJSON(ctx, http.MethodPost, "/v1/solve", wire, &v); err != nil {
+	if err := c.postKeyed(ctx, "/v1/solve", wire, key, false, &v); err != nil {
 		return repro.JobResult{}, err
+	}
+	if key != "" && v.State == repro.JobDone {
+		c.refs.add(key)
 	}
 	var res repro.JobResult
 	if v.Result != nil {
@@ -312,7 +420,7 @@ func (c *Client) Plan(ctx context.Context, req repro.Request) (repro.PlanInfo, e
 		return repro.PlanInfo{}, err
 	}
 	var info repro.PlanInfo
-	if err := c.doJSON(ctx, http.MethodPost, "/v1/plan", wire, &info); err != nil {
+	if err := c.postKeyed(ctx, "/v1/plan", wire, refKey(wire), false, &info); err != nil {
 		return repro.PlanInfo{}, err
 	}
 	return info, nil
@@ -409,9 +517,10 @@ func (c *Client) SolveStream(ctx context.Context, req repro.Request, on func(rep
 		on(ev)
 	}
 
+	key := refKey(wire)
 	submit := func() (string, error) {
 		var accepted repro.JobView
-		if err := c.doJSON(ctx, http.MethodPost, "/v1/solve", asyncRequest{Request: wire, Async: true}, &accepted); err != nil {
+		if err := c.postKeyed(ctx, "/v1/solve", wire, key, true, &accepted); err != nil {
 			return "", err
 		}
 		if accepted.ID == "" {
@@ -432,6 +541,9 @@ func (c *Client) SolveStream(ctx context.Context, req repro.Request, on func(rep
 		if err == nil {
 			if done.State == repro.JobFailed {
 				return errors.New(done.Error)
+			}
+			if key != "" && done.State == repro.JobDone {
+				c.refs.add(key)
 			}
 			return nil
 		}

@@ -50,7 +50,11 @@
 // internal/fleet consistent-hashes each request by its problem cache key
 // so repeats always land on the node whose cache owns the problem, and
 // the client SDK's retry/backoff and Last-Event-ID stream resume make a
-// node dying mid-batch invisible to callers.
+// node dying mid-batch invisible to callers. A keyed SystemSpec crosses
+// the wire in full once: a keyed system without triplets names its
+// matrix by reference, the node resolves it from its cache or answers
+// 409 Conflict, and the SDK sends by reference once the service has
+// accepted the key, resending the triplets once on a 409.
 //
 // The execution planner is self-tuning: every warm solve feeds its
 // realized throughput back into a per-problem tuner, and once enough

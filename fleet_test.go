@@ -6,12 +6,16 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
 	"repro"
 	"repro/client"
+	"repro/internal/core"
+	"repro/internal/fem"
 	"repro/internal/fleet"
 	"repro/internal/service"
 )
@@ -194,5 +198,154 @@ func TestFleetKillNodeMidBatch(t *testing.T) {
 	}
 	if got := done.ID[:len(victim.name)+1]; got == victim.name+"-" {
 		t.Fatalf("done view %s still attributed to the dead node", done.ID)
+	}
+}
+
+// keyedPlateSystem is the rows×cols plate's stiffness matrix as a keyed COO
+// system (a full body), with the plate's load scaled per case in fs.
+func keyedPlateSystem(t testing.TB, rows, cols int, key string, scales ...float64) *repro.SystemSpec {
+	t.Helper()
+	plate, _, err := core.PlateSystem(rows, cols, fem.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := plate.K
+	sys := &repro.SystemSpec{N: k.Rows, Key: key}
+	for i := 0; i < k.Rows; i++ {
+		for p := k.RowPtr[i]; p < k.RowPtr[i+1]; p++ {
+			sys.I, sys.J, sys.V = append(sys.I, i), append(sys.J, k.ColIdx[p]), append(sys.V, k.Val[p])
+		}
+	}
+	for _, s := range scales {
+		f := make([]float64, k.Rows)
+		for i, v := range plate.F {
+			f[i] = s * v
+		}
+		sys.Fs = append(sys.Fs, f)
+	}
+	return sys
+}
+
+// nodeNamed returns the fleet node a job ID or owner name designates.
+func nodeNamed(t testing.TB, nodes []*fleetNode, id string) *fleetNode {
+	t.Helper()
+	for _, n := range nodes {
+		if id == n.name || strings.HasPrefix(id, n.name+"-") {
+			return n
+		}
+	}
+	t.Fatalf("no fleet node for %q", id)
+	return nil
+}
+
+// TestFleetByReferenceMatchesFullBody: the SDK solves a keyed system through
+// the fleet with its triplets, then by reference; the owner node resolves
+// the second from its cache and the answers are bitwise equal.
+func TestFleetByReferenceMatchesFullBody(t *testing.T) {
+	router, nodes, cl := startFleetSolver(t, 3)
+	defer cl.Close()
+	req := repro.Request{
+		System: keyedPlateSystem(t, 12, 12, "plate-12", 1, 0.5),
+		Solver: repro.SolverSpec{M: 3, RelResidualTol: 1e-10},
+	}
+	ctx := context.Background()
+	full, err := cl.Solve(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := cl.Solve(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner := nodeNamed(t, nodes, fleetOwnerOf(t, router, req))
+	if st := owner.svc.Stats(); st.ByRefSolves != 1 || st.CacheMisses != 1 {
+		t.Fatalf("owner %s: %d by-reference solves, %d cache misses; want 1, 1", owner.name, st.ByRefSolves, st.CacheMisses)
+	}
+	if len(ref.Cases) != len(full.Cases) || len(full.Cases) != 2 {
+		t.Fatalf("cases: by reference %d, full %d", len(ref.Cases), len(full.Cases))
+	}
+	for c := range full.Cases {
+		fc, rc := full.Cases[c], ref.Cases[c]
+		if rc.Iterations != fc.Iterations || math.Float64bits(rc.FinalRelRes) != math.Float64bits(fc.FinalRelRes) {
+			t.Fatalf("case %d: by reference %d iterations relres %v, full %d %v", c, rc.Iterations, rc.FinalRelRes, fc.Iterations, fc.FinalRelRes)
+		}
+		for i := range fc.U {
+			if math.Float64bits(rc.U[i]) != math.Float64bits(fc.U[i]) {
+				t.Fatalf("case %d: u[%d] = %v by reference, %v full", c, i, rc.U[i], fc.U[i])
+			}
+		}
+	}
+	if ref.Iterations != full.Iterations || math.Float64bits(ref.FinalRelRes) != math.Float64bits(full.FinalRelRes) {
+		t.Fatalf("job: by reference %d iterations relres %v, full %d %v", ref.Iterations, ref.FinalRelRes, full.Iterations, full.FinalRelRes)
+	}
+}
+
+// TestFleetKillNodeMidBatchByReference is TestFleetKillNodeMidBatch for a
+// keyed system the SDK sends by reference: the owner dies mid-batch, the
+// resubmitted by-reference job reaches a survivor that has never seen the
+// key and answers 409, the SDK resends the matrix, and the caller still
+// sees every case exactly once and one done event.
+func TestFleetKillNodeMidBatchByReference(t *testing.T) {
+	router, nodes, cl := startFleetSolver(t, 3)
+	defer cl.Close()
+	const easy = 4
+	scales := []float64{1}
+	for i := 0; i < easy; i++ {
+		scales = append(scales, 1e-9)
+	}
+	solver := repro.SolverSpec{M: 0, Tol: 1e-12}
+	req := repro.Request{System: keyedPlateSystem(t, 60, 60, "plate-60", scales...), Solver: solver, OmitSolution: true}
+	ctx := context.Background()
+
+	// Warm the key with one easy case: the SDK now sends it by reference.
+	warm := req
+	warmSys := *req.System
+	warmSys.Fs = warmSys.Fs[1:2]
+	warm.System = &warmSys
+	if _, err := cl.Solve(ctx, warm); err != nil {
+		t.Fatal(err)
+	}
+	victim := nodeNamed(t, nodes, fleetOwnerOf(t, router, req))
+
+	var events []repro.CaseEvent
+	var done *repro.JobView
+	killed := false
+	err := cl.SolveStream(ctx, req, func(ev repro.CaseEvent) {
+		if ev.Done != nil {
+			done = ev.Done
+			return
+		}
+		events = append(events, ev)
+		if !killed {
+			killed = true
+			victim.kill()
+		}
+	})
+	if err != nil {
+		t.Fatalf("batch failed after node death: %v", err)
+	}
+	if st := victim.svc.Stats(); st.ByRefSolves != 1 {
+		t.Fatalf("victim ran %d by-reference solves, want 1", st.ByRefSolves)
+	}
+	if done == nil || done.State != repro.JobDone {
+		t.Fatalf("terminal view %+v", done)
+	}
+	if len(events) != 1+easy {
+		t.Fatalf("delivered %d case events, want %d", len(events), 1+easy)
+	}
+	seen := map[int]bool{}
+	for _, ev := range events {
+		if seen[ev.Case] {
+			t.Fatalf("case %d delivered twice across the resubmit", ev.Case)
+		}
+		seen[ev.Case] = true
+	}
+	heir := nodeNamed(t, nodes, done.ID)
+	if heir == victim {
+		t.Fatalf("done view %s still attributed to the dead node", done.ID)
+	}
+	if st := heir.svc.Stats(); st.ByRefMisses != 1 || st.CacheMisses != 1 || st.ByRefSolves != 0 {
+		t.Fatalf("new owner %s: %d by-reference misses, %d cache misses, %d by-reference solves; want 1, 1, 0",
+			heir.name, st.ByRefMisses, st.CacheMisses, st.ByRefSolves)
 	}
 }

@@ -29,6 +29,10 @@ type cacheEntry struct {
 	key  string
 	once sync.Once
 	err  error
+	// ready is set as the last step of a build that succeeded. A
+	// by-reference request resolves only ready entries: it carries no
+	// triplets, so it must never be the one to run once.
+	ready atomic.Bool
 
 	sys   core.System
 	plate *fem.Plate
@@ -128,6 +132,7 @@ func (e *cacheEntry) build(req *Request, phase func(name string) (end func())) {
 		e.probeOnce.Do(func() { e.probeVal = *pb.Probe })
 	}
 	e.pool.Put(p)
+	e.ready.Store(true)
 }
 
 // structureProbe returns the entry's memoized matrix structure scan, the
@@ -353,6 +358,29 @@ func (c *cache) peek(key string) (*cacheEntry, bool) {
 	el, ok := s.entries[key]
 	if !ok {
 		return nil, false
+	}
+	return el.Value.(*cacheEntry), true
+}
+
+// built returns the entry for key when its build has finished without
+// error: what a by-reference request resolves against. It never creates an
+// entry or counts a miss, and an entry still building counts as absent.
+// touch marks the entry most recently used and counts a hit, as any warm
+// solve does; planning passes false so it never perturbs the cache.
+func (c *cache) built(key string, touch bool) (*cacheEntry, bool) {
+	if key == "" {
+		return nil, false
+	}
+	s := c.shard(key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	el, ok := s.entries[key]
+	if !ok || !el.Value.(*cacheEntry).ready.Load() {
+		return nil, false
+	}
+	if touch {
+		s.lru.MoveToFront(el)
+		c.hits.Add(1)
 	}
 	return el.Value.(*cacheEntry), true
 }

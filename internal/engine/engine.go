@@ -32,6 +32,12 @@ var ErrQueueFull = errors.New("engine: job queue full")
 // ErrClosed reports submission to a closed engine.
 var ErrClosed = errors.New("engine: closed")
 
+// ErrNotCached reports a by-reference system (a keyed SystemSpec without
+// triplets) whose key and solver settings have no built cache entry here:
+// never sent in full, evicted, or cached on another node. The caller
+// resends the system with its triplets; HTTP maps it to 409 Conflict.
+var ErrNotCached = errors.New("engine: by-reference system not cached")
+
 // Config sizes the engine. Zero values pick sensible defaults.
 type Config struct {
 	// Workers is the number of concurrent solves (default GOMAXPROCS).
@@ -150,6 +156,8 @@ type Engine struct {
 	tilesExecuted    int64
 	planFeedback     int64 // executed plans whose throughput fed the tuner
 	streamSubs       int64 // current streaming subscribers (gauge)
+	byRefSolves      int64 // jobs accepted with a by-reference system
+	byRefMisses      int64 // by-reference requests refused with ErrNotCached
 
 	started time.Time
 	wg      sync.WaitGroup
@@ -193,13 +201,25 @@ func New(cfg Config) *Engine {
 // Submit validates and enqueues a solve, returning its job handle without
 // waiting. It fails fast with ErrQueueFull when the bounded queue is at
 // capacity.
+//
+// A by-reference system is resolved here, synchronously, so async
+// submissions learn of a miss (ErrNotCached) too; the job then holds the
+// entry it resolved, and a later eviction cannot fail it in the queue.
 func (s *Engine) Submit(req Request) (*Job, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
+	var entry *cacheEntry
+	if req.System.byReference() {
+		var err error
+		if entry, err = s.resolveByReference(&req, true); err != nil {
+			return nil, err
+		}
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	job := &Job{
 		req:        req,
+		entry:      entry,
 		done:       make(chan struct{}),
 		ctx:        ctx,
 		cancel:     cancel,
@@ -223,6 +243,11 @@ func (s *Engine) Submit(req Request) (*Job, error) {
 	case s.queue <- job:
 		s.jobs[job.id] = job
 		s.mu.Unlock()
+		if entry != nil {
+			s.cmu.Lock()
+			s.byRefSolves++
+			s.cmu.Unlock()
+		}
 		s.logger.Info("job submitted", "job", job.id, "rhs", req.batchSize())
 		return job, nil
 	default:
@@ -231,6 +256,21 @@ func (s *Engine) Submit(req Request) (*Job, error) {
 		s.logger.Warn("job rejected: queue full", "queue_cap", s.cfg.QueueDepth)
 		return nil, ErrQueueFull
 	}
+}
+
+// resolveByReference finds the built cache entry a by-reference request
+// names, or returns ErrNotCached (counted) when there is none. It never
+// runs an entry's build: the request has no triplets to build from. touch
+// counts the lookup as a cache hit, as a solve does; planning passes false.
+func (s *Engine) resolveByReference(req *Request, touch bool) (*cacheEntry, error) {
+	key := req.CacheKey()
+	if e, ok := s.cache.built(key, touch); ok {
+		return e, nil
+	}
+	s.cmu.Lock()
+	s.byRefMisses++
+	s.cmu.Unlock()
+	return nil, fmt.Errorf("%w: no entry for %s; resend the system with its triplets (system.i/j/v)", ErrNotCached, key)
 }
 
 // Solve submits req and waits for completion (or ctx cancellation — the
@@ -287,9 +327,14 @@ func (s *Engine) PlanRequest(req Request) (PlanInfo, error) {
 	// The peek never creates or touches an entry; an entry only exists if a
 	// solve created it, in which case it is already built (or building —
 	// the once blocks until that build publishes, exactly like a solve
-	// joining the build race).
+	// joining the build race). A by-reference request cannot build, so it
+	// plans only from an entry whose build has finished.
 	var entry *cacheEntry
-	if e, ok := s.cache.peek(req.CacheKey()); ok {
+	if req.System.byReference() {
+		if entry, err = s.resolveByReference(&req, false); err != nil {
+			return PlanInfo{}, err
+		}
+	} else if e, ok := s.cache.peek(req.CacheKey()); ok {
 		e.once.Do(func() { e.build(&req, nil) })
 		if e.err == nil {
 			entry = e
@@ -543,6 +588,8 @@ func (s *Engine) Stats() Stats {
 	st.TilesExecuted = s.tilesExecuted
 	st.PlanFeedback = s.planFeedback
 	st.StreamSubscribers = s.streamSubs
+	st.ByRefSolves = s.byRefSolves
+	st.ByRefMisses = s.byRefMisses
 	s.cmu.Unlock()
 	if total := hits + misses; total > 0 {
 		st.CacheHitRate = float64(hits) / float64(total)
@@ -630,6 +677,9 @@ func (s *Engine) transition(job *Job, state JobState, result *JobResult, err err
 		job.finishedAt = now
 		job.result = result
 		job.err = err
+		// A finished job stays in history; it must not pin the matrix of
+		// an entry the cache has since evicted.
+		job.entry = nil
 		s.finished = append(s.finished, job.id)
 		for len(s.finished) > s.cfg.HistoryLimit {
 			delete(s.jobs, s.finished[0])
@@ -714,9 +764,15 @@ func (s *Engine) runJob(job *Job, ws *cg.Workspace, workerID int) {
 	if key := job.req.CacheKey(); key != "" {
 		// existed=false only for the requester that created the entry; every
 		// later requester (even one blocking on the first build in once.Do)
-		// reuses the assembled system and estimated interval.
-		var existed bool
-		entry, existed = s.cache.get(key)
+		// reuses the assembled system and estimated interval. A
+		// by-reference job resolved its built entry at submission and has no
+		// triplets to build from, so it never runs the entry's once.
+		entry = job.entry
+		byRef := entry != nil
+		existed := true
+		if !byRef {
+			entry, existed = s.cache.get(key)
+		}
 		// cache_wait covers entry acquisition and the preconditioner
 		// checkout. If this job loses the build race, the build's stage
 		// spans (assemble, splitting_build, …) land on this trace as their
@@ -730,13 +786,15 @@ func (s *Engine) runJob(job *Job, ws *cg.Workspace, workerID int) {
 				waitSp.End()
 			}
 		}
-		entry.once.Do(func() {
-			waitSp.SetAttr("built", true)
-			entry.build(&job.req, func(stage string) func() {
-				endWait()
-				return phase(stage)
+		if !byRef {
+			entry.once.Do(func() {
+				waitSp.SetAttr("built", true)
+				entry.build(&job.req, func(stage string) func() {
+					endWait()
+					return phase(stage)
+				})
 			})
-		})
+		}
 		if entry.err != nil {
 			endWait()
 			s.cache.drop(entry)

@@ -188,6 +188,10 @@ type Job struct {
 	id   string
 	req  Request
 	done chan struct{}
+	// entry is the built cache entry a by-reference request resolved at
+	// submission (nil otherwise). Holding it keeps the job's matrix alive
+	// even if the cache evicts the entry while the job waits in the queue.
+	entry *cacheEntry
 
 	// ctx is canceled to abort the solve (client disconnect on a
 	// synchronous request, Engine.Cancel, or engine shutdown); the solve

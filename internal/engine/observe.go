@@ -51,6 +51,10 @@ func (s *Engine) registerMetrics() {
 		counter(&s.tilesExecuted))
 	r.CounterFunc("repro_plan_feedback_total", "Executed plans whose realized throughput fed the self-tuning planner.",
 		counter(&s.planFeedback))
+	r.CounterFunc("repro_by_ref_solves_total", "Jobs whose keyed system was sent without triplets and resolved from the cache.",
+		counter(&s.byRefSolves))
+	r.CounterFunc("repro_by_ref_misses_total", "By-reference requests refused because their key was not cached (HTTP 409).",
+		counter(&s.byRefMisses))
 
 	r.CounterFunc("repro_cache_hits_total", "Problem cache hits.",
 		func() float64 { return float64(s.cache.hits.Load()) })

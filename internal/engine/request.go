@@ -74,9 +74,9 @@ type PlateSpec struct {
 // (I[k], J[k]) entries are summed, as finite element assembly produces.
 type SystemSpec struct {
 	N int       `json:"n"`
-	I []int     `json:"i"`
-	J []int     `json:"j"`
-	V []float64 `json:"v"`
+	I []int     `json:"i,omitempty"`
+	J []int     `json:"j,omitempty"`
+	V []float64 `json:"v,omitempty"`
 	// F is the right-hand side; Fs is the batched form (give one or the
 	// other). All right-hand sides in Fs are solved against the one matrix
 	// in a single block solve sharing every matrix traversal.
@@ -89,7 +89,20 @@ type SystemSpec struct {
 	// problem. Empty disables caching (general matrices are not
 	// content-addressed; hashing every triplet would cost more than it
 	// saves).
+	//
+	// A keyed system that leaves out I, J and V names its matrix by
+	// reference: it is solved against the entry a full-body request with
+	// the same Key and solver settings left in the cache, and fails with
+	// ErrNotCached (HTTP 409) when there is none — never seen, evicted, or
+	// cached on another node. The client SDK sends each key's triplets
+	// once and resends them on that error.
 	Key string `json:"key,omitempty"`
+}
+
+// byReference reports whether the system names its matrix by Key alone
+// (no triplets), to be resolved from the cache. A nil system does not.
+func (sy *SystemSpec) byReference() bool {
+	return sy != nil && sy.Key != "" && len(sy.I)+len(sy.J)+len(sy.V) == 0
 }
 
 // SolverSpec selects the m-step PCG variant by name, mirroring core.Config.
@@ -261,6 +274,9 @@ func (req *Request) Validate() error {
 		}
 		if sy.N > maxSystemN {
 			return fmt.Errorf("engine: system n = %d exceeds the %d limit", sy.N, maxSystemN)
+		}
+		if sy.Key == "" && len(sy.I)+len(sy.J)+len(sy.V) == 0 {
+			return fmt.Errorf("engine: system has no triplets (system.i/j/v); only a keyed system may leave them out, to name a cached matrix by reference")
 		}
 		if len(sy.I) != len(sy.J) || len(sy.J) != len(sy.V) {
 			return fmt.Errorf("engine: triplet lengths differ: |i|=%d |j|=%d |v|=%d", len(sy.I), len(sy.J), len(sy.V))

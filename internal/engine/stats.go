@@ -90,6 +90,13 @@ type Stats struct {
 	// StreamSubscribers is the current number of per-case result streams
 	// (SSE or ?watch=1) attached to jobs.
 	StreamSubscribers int64 `json:"stream_subscribers"`
+	// ByRefSolves counts jobs accepted with a by-reference system (a keyed
+	// system sent without triplets, resolved from the cache).
+	ByRefSolves int64 `json:"by_ref_solves"`
+	// ByRefMisses counts by-reference solve and plan requests refused with
+	// ErrNotCached (HTTP 409). A rising rate means clients are resending
+	// matrices: entries are being evicted or keys re-sharded.
+	ByRefMisses int64 `json:"by_ref_misses"`
 
 	// LatencyP50/P99 are solve latencies (enqueue→finish) in seconds over
 	// the recent-job window.

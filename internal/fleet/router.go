@@ -52,12 +52,26 @@ func (r *Router) Handler() http.Handler {
 // here is deliberately lenient (unknown fields, malformed JSON): the node
 // the request lands on performs the authoritative validation, keeping
 // error text identical to a single-node deployment.
+//
+// Only the fields CacheKey reads are decoded — the plate, the system's
+// key and the solver spec — so the router skips a system's triplets and
+// right-hand sides without parsing a single float.
 func RoutingKey(body []byte) string {
-	var req engine.Request
+	var req struct {
+		Plate  *engine.PlateSpec `json:"plate"`
+		System *struct {
+			Key string `json:"key"`
+		} `json:"system"`
+		Solver engine.SolverSpec `json:"solver"`
+	}
 	if err := json.Unmarshal(body, &req); err != nil {
 		return ""
 	}
-	return req.CacheKey()
+	ereq := engine.Request{Plate: req.Plate, Solver: req.Solver}
+	if req.System != nil {
+		ereq.System = &engine.SystemSpec{Key: req.System.Key}
+	}
+	return ereq.CacheKey()
 }
 
 // nodeOfJob extracts the node name a job ID is prefixed with

@@ -92,6 +92,8 @@ func (r *Router) Stats(ctx context.Context) Stats {
 		agg.TilesExecuted += st.TilesExecuted
 		agg.PlanFeedback += st.PlanFeedback
 		agg.StreamSubscribers += st.StreamSubscribers
+		agg.ByRefSolves += st.ByRefSolves
+		agg.ByRefMisses += st.ByRefMisses
 		maxf(&agg.LatencyP50, st.LatencyP50)
 		maxf(&agg.LatencyP99, st.LatencyP99)
 		maxf(&agg.LatencyP50CSR, st.LatencyP50CSR)

@@ -174,21 +174,28 @@ func decodeBody(w http.ResponseWriter, r *http.Request, dst any) error {
 	return nil
 }
 
+// submitStatus maps a rejected solve or plan to its HTTP status: 503 for
+// a full queue or a draining node (retryable elsewhere or later), 409 for
+// a by-reference system this node has not cached (resend the triplets),
+// 400 for everything else — a verdict on the request itself.
+func submitStatus(err error) int {
+	switch {
+	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrClosed):
+		return http.StatusServiceUnavailable
+	case errors.Is(err, ErrNotCached):
+		return http.StatusConflict
+	}
+	return http.StatusBadRequest
+}
+
 func (s *Service) handleSolve(w http.ResponseWriter, r *http.Request) {
 	var req solveHTTPRequest
 	if decodeBody(w, r, &req) != nil {
 		return
 	}
 	job, err := s.Submit(req.SolveRequest)
-	switch {
-	case errors.Is(err, ErrQueueFull):
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
-		return
-	case errors.Is(err, ErrClosed):
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
-		return
-	case err != nil:
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+	if err != nil {
+		writeJSON(w, submitStatus(err), errorResponse{Error: err.Error()})
 		return
 	}
 	if req.Async {
@@ -213,7 +220,7 @@ func (s *Service) handlePlan(w http.ResponseWriter, r *http.Request) {
 	}
 	info, err := s.PlanRequest(req)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		writeJSON(w, submitStatus(err), errorResponse{Error: err.Error()})
 		return
 	}
 	writeJSON(w, http.StatusOK, info)

@@ -54,10 +54,11 @@ const (
 	JobFailed  = engine.JobFailed
 )
 
-// Queue errors, re-exported for HTTP status mapping and callers.
+// Submission errors, re-exported for HTTP status mapping and callers.
 var (
 	ErrQueueFull = engine.ErrQueueFull
 	ErrClosed    = engine.ErrClosed
+	ErrNotCached = engine.ErrNotCached
 )
 
 // Service serves an engine over HTTP. The embedded engine's methods

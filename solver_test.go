@@ -156,27 +156,32 @@ func laplaceProblem(t *testing.T, n int) *repro.Problem {
 
 // TestSolverValidationParity: malformed requests fail the same way through
 // both implementations (engine validation locally, a 400 with the same
-// message remotely).
+// message remotely). A by-reference system whose key was never sent in
+// full fails the same way too, with 409 remotely.
 func TestSolverValidationParity(t *testing.T) {
 	local, remote := solverPair(t)
-	bad := []repro.Request{
-		{}, // no problem at all
-		{Plate: &repro.PlateSpec{Rows: 1, Cols: 5}},
-		{Plate: &repro.PlateSpec{Rows: 4, Cols: 4}, Solver: repro.SolverSpec{Backend: "ellpack"}},
-		{System: &repro.SystemSpec{N: 2, I: []int{5}, J: []int{0}, V: []float64{1}, F: make([]float64, 2)}},
+	bad := []struct {
+		req    repro.Request
+		status int
+	}{
+		{repro.Request{}, 400}, // no problem at all
+		{repro.Request{Plate: &repro.PlateSpec{Rows: 1, Cols: 5}}, 400},
+		{repro.Request{Plate: &repro.PlateSpec{Rows: 4, Cols: 4}, Solver: repro.SolverSpec{Backend: "ellpack"}}, 400},
+		{repro.Request{System: &repro.SystemSpec{N: 2, I: []int{5}, J: []int{0}, V: []float64{1}, F: make([]float64, 2)}}, 400},
+		{repro.Request{System: &repro.SystemSpec{N: 2, F: make([]float64, 2), Key: "never-sent"}}, 409},
 	}
 	ctx := context.Background()
-	for i, req := range bad {
-		_, lerr := local.Solve(ctx, req)
-		_, rerr := remote.Solve(ctx, req)
+	for i, b := range bad {
+		_, lerr := local.Solve(ctx, b.req)
+		_, rerr := remote.Solve(ctx, b.req)
 		if lerr == nil || rerr == nil {
 			t.Fatalf("bad request %d accepted: local %v, remote %v", i, lerr, rerr)
 		}
 		if lerr.Error() != rerr.Error() {
 			t.Fatalf("bad request %d error text differs:\nlocal:  %v\nremote: %v", i, lerr, rerr)
 		}
-		if client.StatusCode(rerr) != 400 {
-			t.Fatalf("bad request %d: remote status %d, want 400", i, client.StatusCode(rerr))
+		if client.StatusCode(rerr) != b.status {
+			t.Fatalf("bad request %d: remote status %d, want %d", i, client.StatusCode(rerr), b.status)
 		}
 	}
 }
