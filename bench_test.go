@@ -11,6 +11,7 @@ package repro_test
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
@@ -19,6 +20,7 @@ import (
 	"repro"
 	"repro/internal/cg"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/fem"
 	"repro/internal/femachine"
@@ -171,6 +173,48 @@ func BenchmarkSolvePlate(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkPlateAssembly times the set-up a cold request pays before any
+// solving: fem.NewPlate (element kernel, COO→CSR conversion, 6-color
+// permutation) on one set of the cold workload's square shapes and on the
+// 64² and 72² plates, and the engine's intake of a general system's
+// triplets (validation, COO→CSR, symmetry check, structure probe) through
+// PlanRequest on the benchmark's keyless RandomSPD n = 10000.
+func BenchmarkPlateAssembly(b *testing.B) {
+	plates := func(sizes ...int) func(b *testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				for _, n := range sizes {
+					if _, err := fem.NewPlate(n, n, fem.Options{}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		}
+	}
+	b.Run("cold=10,16,22", plates(10, 16, 22))
+	b.Run("plate=64", plates(64))
+	b.Run("plate=72", plates(72))
+	b.Run("intake=randomspd-10000", func(b *testing.B) {
+		k := model.RandomSPD(rand.New(rand.NewSource(10000)), 10000, 8)
+		sy := &engine.SystemSpec{N: k.Rows, F: make([]float64, k.Rows)}
+		for i := 0; i < k.Rows; i++ {
+			for p := k.RowPtr[i]; p < k.RowPtr[i+1]; p++ {
+				sy.I, sy.J, sy.V = append(sy.I, i), append(sy.J, k.ColIdx[p]), append(sy.V, k.Val[p])
+			}
+		}
+		s := engine.New(engine.Config{Workers: 1})
+		defer s.Close()
+		req := engine.Request{System: sy, Solver: engine.SolverSpec{Splitting: "jacobi"}}
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, err := s.PlanRequest(req); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // --- Ablation: Conrad–Wallach fused sweeps vs naive m-step ---------------

@@ -762,6 +762,13 @@ func (s *Engine) runJob(job *Job, ws *cg.Workspace, workerID int) {
 		entry  *cacheEntry // non-nil on the cached path
 	)
 	if key := job.req.CacheKey(); key != "" {
+		// cache_wait covers entry acquisition (the LRU lookup, insert and
+		// eviction included) and the preconditioner checkout. If this job
+		// loses the build race, the build's stage spans (assemble,
+		// splitting_build, …) land on this trace as their own leaves: the
+		// first one closes cache_wait so the spans never overlap, and a warm
+		// hit keeps cache_wait as the only span.
+		waitSp := job.trace.Start("cache_wait").SetWorker(workerID)
 		// existed=false only for the requester that created the entry; every
 		// later requester (even one blocking on the first build in once.Do)
 		// reuses the assembled system and estimated interval. A
@@ -773,12 +780,7 @@ func (s *Engine) runJob(job *Job, ws *cg.Workspace, workerID int) {
 		if !byRef {
 			entry, existed = s.cache.get(key)
 		}
-		// cache_wait covers entry acquisition and the preconditioner
-		// checkout. If this job loses the build race, the build's stage
-		// spans (assemble, splitting_build, …) land on this trace as their
-		// own leaves: the first one closes cache_wait so the spans never
-		// overlap, and a warm hit keeps cache_wait as the only span.
-		waitSp := job.trace.Start("cache_wait").SetWorker(workerID).SetAttr("hit", existed)
+		waitSp.SetAttr("hit", existed)
 		waitEnded := false
 		endWait := func() {
 			if !waitEnded {

@@ -612,6 +612,7 @@ func (req *Request) assemble() (core.System, *fem.Plate, error) {
 	}
 	sy := req.System
 	coo := sparse.NewCOO(sy.N, sy.N)
+	coo.Grow(len(sy.I))
 	for k := range sy.I {
 		coo.Add(sy.I[k], sy.J[k], sy.V[k])
 	}

@@ -78,7 +78,9 @@ func NewDomainProblem(d mesh.Domain, constrained mesh.Constraint, mat Material) 
 	n := p.N()
 	coo := sparse.NewCOO(n, n)
 	p.F = make([]float64, n)
-	for _, tr := range d.Triangles() {
+	tris := d.Triangles()
+	coo.Grow(36 * len(tris))
+	for _, tr := range tris {
 		var x, y [3]float64
 		for k, id := range tr {
 			i, j := g.NodeRC(id)
@@ -106,7 +108,7 @@ func NewDomainProblem(d mesh.Domain, constrained mesh.Constraint, mat Material) 
 				if dofs[b] < 0 {
 					continue
 				}
-				coo.Add(dofs[a], dofs[b], ke.At(a, b))
+				coo.Add(dofs[a], dofs[b], ke[a][b])
 			}
 		}
 	}

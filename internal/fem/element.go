@@ -7,11 +7,7 @@
 // ordering.
 package fem
 
-import (
-	"fmt"
-
-	"repro/internal/la"
-)
+import "fmt"
 
 // Material is a linear-elastic plane-stress material.
 type Material struct {
@@ -42,15 +38,13 @@ func (m Material) Validate() error {
 
 // DMatrix returns the 3×3 plane-stress constitutive matrix
 // D = E/(1−ν²)·[[1,ν,0],[ν,1,0],[0,0,(1−ν)/2]].
-func (m Material) DMatrix() *la.Matrix {
+func (m Material) DMatrix() [3][3]float64 {
 	c := m.E / (1 - m.Nu*m.Nu)
-	d := la.NewMatrix(3, 3)
-	d.Set(0, 0, c)
-	d.Set(0, 1, c*m.Nu)
-	d.Set(1, 0, c*m.Nu)
-	d.Set(1, 1, c)
-	d.Set(2, 2, c*(1-m.Nu)/2)
-	return d
+	return [3][3]float64{
+		{c, c * m.Nu, 0},
+		{c * m.Nu, c, 0},
+		{0, 0, c * (1 - m.Nu) / 2},
+	}
 }
 
 // CSTStiffness returns the 6×6 element stiffness matrix of a constant
@@ -60,28 +54,55 @@ func (m Material) DMatrix() *la.Matrix {
 //	Ke = t · A · Bᵀ D B
 //
 // where B is the 3×6 strain-displacement matrix and A the triangle area.
-func CSTStiffness(m Material, x, y [3]float64) (*la.Matrix, error) {
+// It works on the stack. Each product is formed row by row, summing from
+// zero and skipping zero left factors, so every entry is the same float64
+// sum a dense row-major matrix multiply would give.
+func CSTStiffness(m Material, x, y [3]float64) ([6][6]float64, error) {
+	var ke [6][6]float64
 	twoA := (x[1]-x[0])*(y[2]-y[0]) - (x[2]-x[0])*(y[1]-y[0])
 	if twoA <= 0 {
-		return nil, fmt.Errorf("fem: triangle area %g not positive (vertices clockwise or degenerate)", twoA/2)
+		return ke, fmt.Errorf("fem: triangle area %g not positive (vertices clockwise or degenerate)", twoA/2)
 	}
 	area := twoA / 2
 	// b_k = y_{k+1} − y_{k+2}, c_k = x_{k+2} − x_{k+1} (cyclic).
-	var b, c [3]float64
+	var bm [3][6]float64
 	for k := 0; k < 3; k++ {
-		b[k] = y[(k+1)%3] - y[(k+2)%3]
-		c[k] = x[(k+2)%3] - x[(k+1)%3]
+		b := y[(k+1)%3] - y[(k+2)%3]
+		c := x[(k+2)%3] - x[(k+1)%3]
+		bm[0][2*k] = b / twoA
+		bm[1][2*k+1] = c / twoA
+		bm[2][2*k] = c / twoA
+		bm[2][2*k+1] = b / twoA
 	}
-	bm := la.NewMatrix(3, 6)
-	for k := 0; k < 3; k++ {
-		bm.Set(0, 2*k, b[k]/twoA)
-		bm.Set(1, 2*k+1, c[k]/twoA)
-		bm.Set(2, 2*k, c[k]/twoA)
-		bm.Set(2, 2*k+1, b[k]/twoA)
+	d := m.DMatrix()
+	var btd [6][3]float64 // Bᵀ D
+	for i := 0; i < 6; i++ {
+		for k := 0; k < 3; k++ {
+			a := bm[k][i]
+			if a == 0 {
+				continue
+			}
+			for j := 0; j < 3; j++ {
+				btd[i][j] += a * d[k][j]
+			}
+		}
 	}
-	ke := bm.T().Mul(m.DMatrix()).Mul(bm)
-	for i := range ke.Data {
-		ke.Data[i] *= m.T * area
+	for i := 0; i < 6; i++ {
+		for k := 0; k < 3; k++ {
+			a := btd[i][k]
+			if a == 0 {
+				continue
+			}
+			for j := 0; j < 6; j++ {
+				ke[i][j] += a * bm[k][j]
+			}
+		}
+	}
+	s := m.T * area
+	for i := range ke {
+		for j := range ke[i] {
+			ke[i][j] *= s
+		}
 	}
 	return ke, nil
 }

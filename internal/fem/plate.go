@@ -18,7 +18,7 @@ type Plate struct {
 	Mat         Material
 	Constrained mesh.Constraint
 	Free        []int // natural ids of free nodes
-	freePos     map[int]int
+	freePos     []int // natural id → position in Free, or -1 when constrained
 
 	K        *sparse.CSR // reduced stiffness, natural reduced ordering
 	F        []float64   // reduced load vector
@@ -32,10 +32,10 @@ func (p *Plate) N() int { return 2 * len(p.Free) }
 // FreeIndex returns the free-list position of a natural node id, or -1 if
 // the node is constrained.
 func (p *Plate) FreeIndex(node int) int {
-	if k, ok := p.freePos[node]; ok {
-		return k
+	if node < 0 || node >= len(p.freePos) {
+		return -1
 	}
-	return -1
+	return p.freePos[node]
 }
 
 // DOF returns the reduced unknown index of component comp (0=u, 1=v) at the
@@ -81,14 +81,19 @@ func NewPlate(rows, cols int, opt Options) (*Plate, error) {
 	if len(p.Free) == 0 {
 		return nil, fmt.Errorf("fem: every node is constrained")
 	}
-	p.freePos = make(map[int]int, len(p.Free))
+	p.freePos = make([]int, g.NumNodes())
+	for id := range p.freePos {
+		p.freePos[id] = -1
+	}
 	for k, id := range p.Free {
 		p.freePos[id] = k
 	}
 
 	n := p.N()
 	coo := sparse.NewCOO(n, n)
-	for _, tr := range g.Triangles() {
+	tris := g.Triangles()
+	coo.Grow(36 * len(tris))
+	for _, tr := range tris {
 		var x, y [3]float64
 		for k, id := range tr {
 			i, j := g.NodeRC(id)
@@ -113,7 +118,7 @@ func NewPlate(rows, cols int, opt Options) (*Plate, error) {
 				if dof[b] < 0 {
 					continue
 				}
-				coo.Add(dof[a], dof[b], ke.At(a, b))
+				coo.Add(dof[a], dof[b], ke[a][b])
 			}
 		}
 	}

@@ -201,34 +201,6 @@ func (a *CSR) Clone() *CSR {
 	}
 }
 
-// SplitDLU splits a square A into its diagonal D (dense vector), strictly
-// lower part L, and strictly upper part U, with A = D + L + U as stored.
-// Note the paper's convention is K = D − L − U (L, U carry minus signs);
-// callers that need that convention negate the returned parts.
-func (a *CSR) SplitDLU() (d []float64, l, u *CSR) {
-	if a.Rows != a.Cols {
-		panic("sparse: SplitDLU needs a square matrix")
-	}
-	n := a.Rows
-	d = make([]float64, n)
-	lc := NewCOO(n, n)
-	uc := NewCOO(n, n)
-	for i := 0; i < n; i++ {
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			j := a.ColIdx[k]
-			switch {
-			case j == i:
-				d[i] = a.Val[k]
-			case j < i:
-				lc.Add(i, j, a.Val[k])
-			default:
-				uc.Add(i, j, a.Val[k])
-			}
-		}
-	}
-	return d, lc.ToCSR(), uc.ToCSR()
-}
-
 // MaxRowNNZ returns the maximum number of stored entries in any row — the
 // paper's "at most 14 nonzero elements" claim is checked against this.
 func (a *CSR) MaxRowNNZ() int {

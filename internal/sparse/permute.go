@@ -65,17 +65,38 @@ func (p Perm) UnapplyVec(src []float64) []float64 {
 
 // PermuteSym returns B = Pᵀ A P in index terms: B[new_i][new_j] =
 // A[p[new_i]][p[new_j]]. Symmetry and positive definiteness are preserved.
+// It works CSR to CSR: row new_i is old row p[new_i] with its columns
+// renamed through the inverse permutation and re-sorted; stored zeros are
+// dropped. p must be a valid permutation.
 func PermuteSym(a *CSR, p Perm) *CSR {
 	if a.Rows != a.Cols || a.Rows != len(p) {
 		panic(fmt.Sprintf("sparse: PermuteSym needs square matrix matching perm: %d×%d vs %d", a.Rows, a.Cols, len(p)))
 	}
-	inv := p.Inverse()
-	c := NewCOO(a.Rows, a.Cols)
-	for i := 0; i < a.Rows; i++ {
-		ni := inv[i]
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			c.Add(ni, inv[a.ColIdx[k]], a.Val[k])
-		}
+	if !p.Valid() {
+		panic("sparse: PermuteSym needs a valid permutation")
 	}
-	return c.ToCSR()
+	inv := p.Inverse()
+	rowPtr := make([]int, a.Rows+1)
+	for newI, old := range p {
+		nz := 0
+		for _, v := range a.Val[a.RowPtr[old]:a.RowPtr[old+1]] {
+			if v != 0 {
+				nz++
+			}
+		}
+		rowPtr[newI+1] = rowPtr[newI] + nz
+	}
+	nnz := rowPtr[a.Rows]
+	b := &CSR{Rows: a.Rows, Cols: a.Cols, RowPtr: rowPtr, ColIdx: make([]int, nnz), Val: make([]float64, nnz)}
+	for newI, old := range p {
+		w := rowPtr[newI]
+		for k := a.RowPtr[old]; k < a.RowPtr[old+1]; k++ {
+			if v := a.Val[k]; v != 0 {
+				b.ColIdx[w], b.Val[w] = inv[a.ColIdx[k]], v
+				w++
+			}
+		}
+		sortRow(b.ColIdx[rowPtr[newI]:w], b.Val[rowPtr[newI]:w])
+	}
+	return b
 }
