@@ -20,6 +20,7 @@ import (
 	"repro"
 	"repro/internal/cg"
 	"repro/internal/core"
+	"repro/internal/eigen"
 	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/fem"
@@ -215,6 +216,46 @@ func BenchmarkPlateAssembly(b *testing.B) {
 			}
 		}
 	})
+}
+
+// countingSplitting counts the symmetrized products a spectral estimate
+// takes: one per Lanczos iteration.
+type countingSplitting struct {
+	splitting.Splitting
+	products int
+}
+
+func (c *countingSplitting) MulSymmetrized(dst, x, work []float64) {
+	c.products++
+	c.Splitting.MulSymmetrized(dst, x, work)
+}
+
+// BenchmarkSpectralEstimate times eigen.EstimateInterval, the settled
+// Lanczos run on the symmetrized operator that fits every cold plate's
+// least-squares coefficients, on the multicolor SSOR splitting of the cold
+// workload's 10², 16², 22² and 10×22 plates and of the 64² plate, and
+// reports the iterations each estimate takes.
+func BenchmarkSpectralEstimate(b *testing.B) {
+	for _, sz := range [][2]int{{10, 10}, {16, 16}, {22, 22}, {10, 22}, {64, 64}} {
+		b.Run(fmt.Sprintf("plate=%dx%d", sz[0], sz[1]), func(b *testing.B) {
+			p, err := fem.NewPlate(sz[0], sz[1], fem.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			mc, err := splitting.NewSixColorSSOR(p.KColored, p.Ordering.GroupStart[:])
+			if err != nil {
+				b.Fatal(err)
+			}
+			sp := &countingSplitting{Splitting: mc}
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := eigen.EstimateInterval(sp, 0.02, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(sp.products)/float64(b.N), "iterations/op")
+		})
+	}
 }
 
 // --- Ablation: Conrad–Wallach fused sweeps vs naive m-step ---------------

@@ -622,7 +622,10 @@ func (c *Client) cancelDetached(id string) {
 // readStream consumes an SSE body, invoking on per case event and once
 // with the terminal Done event, whose JobView it returns. Lines are read
 // with an unbounded reader: a data frame carrying a large solution vector
-// can run to many megabytes, far past any fixed scanner token limit.
+// can run to many megabytes, far past any fixed scanner token limit. As the
+// SSE format allows, lines may end in "\r\n" as well as "\n", the space
+// after a field's colon is optional, and several data lines join with
+// "\n"; a lone "\r" line ending is not recognized.
 func readStream(body io.Reader, on func(repro.CaseEvent)) (repro.JobView, error) {
 	var (
 		event string
@@ -639,29 +642,39 @@ func readStream(body io.Reader, on func(repro.CaseEvent)) (repro.JobView, error)
 				return repro.JobView{}, err
 			}
 		}
-		line = strings.TrimRight(line, "\n")
-		switch {
-		case strings.HasPrefix(line, "event: "):
-			event = strings.TrimPrefix(line, "event: ")
-		case strings.HasPrefix(line, "data: "):
-			data = append([]byte(nil), strings.TrimPrefix(line, "data: ")...)
-		case line == "" && event != "":
-			switch event {
-			case "case":
-				var ev repro.CaseEvent
-				if err := json.Unmarshal(data, &ev); err != nil {
-					return repro.JobView{}, fmt.Errorf("client: bad case event: %w", err)
-				}
-				on(ev)
-			case "done":
-				var v repro.JobView
-				if err := json.Unmarshal(data, &v); err != nil {
-					return repro.JobView{}, fmt.Errorf("client: bad done event: %w", err)
-				}
-				on(repro.CaseEvent{Case: -1, Done: &v})
-				return v, nil
+		line = strings.TrimSuffix(strings.TrimSuffix(line, "\n"), "\r")
+		if line != "" {
+			// A field line is "name:value" with an optional space before the
+			// value; a line starting with ':' is a comment.
+			name, value, _ := strings.Cut(line, ":")
+			value = strings.TrimPrefix(value, " ")
+			switch name {
+			case "event":
+				event = value
+			case "data":
+				data = append(append(data, value...), '\n')
 			}
-			event, data = "", nil
+			continue
 		}
+		// A blank line dispatches the frame.
+		if len(data) > 0 {
+			data = data[:len(data)-1]
+		}
+		switch event {
+		case "case":
+			var ev repro.CaseEvent
+			if err := json.Unmarshal(data, &ev); err != nil {
+				return repro.JobView{}, fmt.Errorf("client: bad case event: %w", err)
+			}
+			on(ev)
+		case "done":
+			var v repro.JobView
+			if err := json.Unmarshal(data, &v); err != nil {
+				return repro.JobView{}, fmt.Errorf("client: bad done event: %w", err)
+			}
+			on(repro.CaseEvent{Case: -1, Done: &v})
+			return v, nil
+		}
+		event, data = "", data[:0]
 	}
 }

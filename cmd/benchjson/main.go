@@ -209,9 +209,19 @@ func diff(w io.Writer, old, cur Report) {
 	}
 }
 
+// parse reads go test -bench output. go test names a result line
+// BenchmarkName/sub-N where N is GOMAXPROCS, and prints no suffix when
+// GOMAXPROCS is 1, so a trailing -N alone does not tell a GOMAXPROCS
+// suffix from a sub-benchmark's own number (intake=randomspd-10000). parse
+// therefore splits -N off as Procs only when every result line of the same
+// pkg: block ends in that same -N; otherwise names stay whole and Procs is
+// 0. Two ambiguities remain: at GOMAXPROCS 1, a block whose every name ends
+// in one shared number loses that number to Procs; and a -cpu list (one
+// block at several GOMAXPROCS values) keeps every suffix in the names.
 func parse(r io.Reader) (Report, error) {
 	var rep Report
 	var pkg string
+	block := 0 // index of the current pkg: block's first result
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -224,6 +234,8 @@ func parse(r io.Reader) (Report, error) {
 		case strings.HasPrefix(line, "cpu: "):
 			rep.CPU = strings.TrimPrefix(line, "cpu: ")
 		case strings.HasPrefix(line, "pkg: "):
+			splitProcs(rep.Benchmarks[block:])
+			block = len(rep.Benchmarks)
 			pkg = strings.TrimPrefix(line, "pkg: ")
 		case strings.HasPrefix(line, "Benchmark"):
 			res, ok := parseBench(line)
@@ -233,6 +245,7 @@ func parse(r io.Reader) (Report, error) {
 			}
 		}
 	}
+	splitProcs(rep.Benchmarks[block:])
 	if err := sc.Err(); err != nil {
 		return rep, err
 	}
@@ -242,23 +255,53 @@ func parse(r io.Reader) (Report, error) {
 	return rep, nil
 }
 
+// procsSuffix returns the number after a name's last '-', if it is one.
+func procsSuffix(name string) (int, bool) {
+	i := strings.LastIndexByte(name, '-')
+	if i <= 0 {
+		return 0, false
+	}
+	procs, err := strconv.Atoi(name[i+1:])
+	return procs, err == nil && name[i+1:] == strconv.Itoa(procs)
+}
+
+// splitProcs moves the GOMAXPROCS suffix from the names of one pkg: block's
+// results to Procs, when every name ends in the same -N.
+func splitProcs(block []Result) {
+	if len(block) == 0 {
+		return
+	}
+	procs, ok := procsSuffix(block[0].Name)
+	for _, r := range block[1:] {
+		if !ok {
+			return
+		}
+		p, pok := procsSuffix(r.Name)
+		ok = pok && p == procs
+	}
+	if !ok {
+		return
+	}
+	suffix := "-" + strconv.Itoa(procs)
+	for i := range block {
+		block[i].Name = strings.TrimSuffix(block[i].Name, suffix)
+		block[i].Procs = procs
+	}
+}
+
 // parseBench parses one result line of the form
 //
 //	BenchmarkName/sub-8   100   123.4 ns/op   55.0 solves/s   16 B/op   2 allocs/op
 //
-// Lines that merely announce a benchmark (no fields yet) are skipped.
+// keeping the whole first field as the name (parse splits the GOMAXPROCS
+// suffix off per block). Lines that merely announce a benchmark (no fields
+// yet) are skipped.
 func parseBench(line string) (Result, bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 {
 		return Result{}, false
 	}
 	res := Result{Name: fields[0], Metrics: map[string]float64{}}
-	// Split the -N GOMAXPROCS suffix off the name, when present.
-	if i := strings.LastIndexByte(res.Name, '-'); i > 0 {
-		if procs, err := strconv.Atoi(res.Name[i+1:]); err == nil {
-			res.Name, res.Procs = res.Name[:i], procs
-		}
-	}
 	runs, err := strconv.ParseInt(fields[1], 10, 64)
 	if err != nil {
 		return Result{}, false

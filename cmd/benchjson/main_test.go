@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -105,4 +107,90 @@ func TestRegressionsGate(t *testing.T) {
 	if regs := regressions(old, faster, 1); len(regs) != 0 {
 		t.Fatalf("improvement flagged as regression: %v", regs)
 	}
+}
+
+// The same benchmarks at GOMAXPROCS 1 (no suffix) and 2 (-2) archive under
+// the same names; a sub-benchmark's own trailing number survives at both.
+func TestParseGOMAXPROCSFixtures(t *testing.T) {
+	want := []string{
+		"BenchmarkTable1Coefficients/m=2",
+		"BenchmarkTable1Coefficients/m=3",
+		"BenchmarkTable1Coefficients/m=4",
+		"BenchmarkTable1Coefficients/m=8",
+		"BenchmarkPlateAssembly/cold=10,16,22",
+		"BenchmarkPlateAssembly/plate=64",
+		"BenchmarkPlateAssembly/plate=72",
+		"BenchmarkPlateAssembly/intake=randomspd-10000",
+	}
+	for file, procs := range map[string]int{"testdata/gomaxprocs1.txt": 0, "testdata/gomaxprocs2.txt": 2} {
+		b, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep := parseSample(t, string(b))
+		if len(rep.Benchmarks) != len(want) {
+			t.Fatalf("%s: %d benchmarks, want %d", file, len(rep.Benchmarks), len(want))
+		}
+		for i, r := range rep.Benchmarks {
+			if r.Name != want[i] || r.Procs != procs || r.Pkg != "repro" {
+				t.Errorf("%s: result %d is %q procs %d pkg %q, want %q procs %d", file, i, r.Name, r.Procs, r.Pkg, want[i], procs)
+			}
+		}
+	}
+}
+
+// benchLine formats a result line the way go test does: the GOMAXPROCS
+// suffix only when procs > 1.
+func benchLine(name string, procs int) string {
+	if procs > 1 {
+		name += "-" + strconv.Itoa(procs)
+	}
+	return name + "\t       1\t     123 ns/op\t       4 allocs/op\n"
+}
+
+// FuzzParseBench: a pkg: block of formatted (name, procs) lines parses
+// back to the same names and procs, except where the documented ambiguity
+// applies: without a GOMAXPROCS suffix, names that all end in one shared
+// -N lose it to Procs.
+func FuzzParseBench(f *testing.F) {
+	f.Add("PlateAssembly/intake=randomspd-10000", "PlateAssembly/plate=64", uint8(0))
+	f.Add("PlateAssembly/intake=randomspd-10000", "PlateAssembly/plate=64", uint8(2))
+	f.Add("X/n-8", "Y/n-8", uint8(0))
+	f.Add("X/n-8", "Y/n-8", uint8(8))
+	f.Add("Solve", "Solve/s=8-4", uint8(1))
+	f.Fuzz(func(t *testing.T, a, b string, p uint8) {
+		names := []string{"Benchmark" + a, "Benchmark" + b}
+		for _, n := range names {
+			if n != strings.Join(strings.Fields(n), "") {
+				return // go test names hold no white space
+			}
+		}
+		procs := int(p)
+		if procs == 1 {
+			procs = 0 // go test prints no suffix at GOMAXPROCS 1
+		}
+		text := "pkg: fuzz\n" + benchLine(names[0], procs) + benchLine(names[1], procs)
+		rep, err := parse(strings.NewReader(text))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantProcs := procs
+		if procs == 0 {
+			pa, oka := procsSuffix(names[0])
+			pb, okb := procsSuffix(names[1])
+			if oka && okb && pa == pb {
+				suffix := "-" + strconv.Itoa(pa)
+				names = []string{strings.TrimSuffix(names[0], suffix), strings.TrimSuffix(names[1], suffix)}
+				wantProcs = pa
+			}
+		}
+		if len(rep.Benchmarks) != 2 {
+			t.Fatalf("%q: %d results", text, len(rep.Benchmarks))
+		}
+		for i, r := range rep.Benchmarks {
+			if r.Name != names[i] || r.Procs != wantProcs || r.Pkg != "fuzz" {
+				t.Fatalf("%q: result %d is (%q, %d), want (%q, %d)", text, i, r.Name, r.Procs, names[i], wantProcs)
+			}
+		}
+	})
 }

@@ -17,7 +17,7 @@ import (
 	"slices"
 
 	"repro/internal/precond"
-	"repro/internal/sparse"
+	"repro/internal/vec"
 )
 
 // ErrBreakdownMatrix signals (p, Kp) ≤ 0: the system matrix is not positive
@@ -28,6 +28,21 @@ var ErrBreakdownMatrix = errors.New("cg: breakdown — system matrix not positiv
 // preconditioner is indefinite (the paper's §2 positivity requirement on
 // the eigenvalues of M_m⁻¹K is violated).
 var ErrBreakdownPrecond = errors.New("cg: breakdown — preconditioner not positive definite")
+
+// Operator is what a solve needs of the system matrix K: its shape and its
+// products with a vector and with a column block, each with a worker budget
+// (≤ 1 is serial). sparse.Operator backends (CSR, DIA) satisfy it, and so
+// does any symmetric linear map that can apply itself, such as the
+// symmetrized preconditioned operator internal/eigen runs its spectral
+// estimate on.
+type Operator interface {
+	// Dims returns the matrix shape.
+	Dims() (rows, cols int)
+	// ParMulVecTo computes dst = K·x. dst must not alias x.
+	ParMulVecTo(dst, x []float64, workers int)
+	// ParMulMatTo computes dst = K·X for a column block X.
+	ParMulMatTo(dst, x *vec.Multi, workers int)
+}
 
 // ErrMaxIterations signals the iteration limit was hit before either
 // stopping test fired.
@@ -71,6 +86,15 @@ type Options struct {
 	// to read inside the callback. Every column fires exactly once per
 	// solve.
 	OnColumnDone func(col int, stats ColumnStats)
+	// StopWhen, when non-nil, is an extra per-column stopping test. It is
+	// called each iteration, after the built-in tests, for every active
+	// column they did not stop, with the column's right-hand-side index and
+	// its statistics so far (their CGAlphas and CGBetas alias the
+	// workspace: read them, do not keep them). Returning true retires the
+	// column as converged, and OnColumnDone fires for it as for any
+	// retirement. It must not allocate if the solve is to stay
+	// allocation-free.
+	StopWhen func(col int, stats Stats) bool
 	// Observer, when non-nil, receives one convergence sample per active
 	// column per iteration from the solve hot loop. It is the telemetry tap
 	// convergence curves are captured through; implementations must not
@@ -141,12 +165,12 @@ func (st Stats) detached() Stats {
 }
 
 // Solve runs preconditioned CG on K·u = f with preconditioner M. K is any
-// sparse.Operator backend (CSR, DIA, …); the solver only ever applies it.
+// Operator (CSR, DIA, …); the solver only ever applies it.
 // It returns the iterate, statistics, and an error for breakdowns or
 // hitting MaxIter (the partial result is still returned). Each call
 // allocates its scratch; allocation-sensitive callers use SolveInto with a
 // reused Workspace.
-func Solve(k sparse.Operator, f []float64, m precond.Preconditioner, opt Options) ([]float64, Stats, error) {
+func Solve(k Operator, f []float64, m precond.Preconditioner, opt Options) ([]float64, Stats, error) {
 	rows, _ := k.Dims()
 	u := make([]float64, rows)
 	st, err := SolveInto(u, k, f, m, opt, nil)

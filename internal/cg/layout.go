@@ -44,14 +44,14 @@ type layout interface {
 type columns struct {
 	buf            [4][]float64 // backing of r, r̂, p and Kp
 	r, rhat, p, kp vec.Multi    // active-prefix views
-	k              sparse.Operator
+	k              Operator
 	m              precond.Preconditioner
 	u              *vec.Multi
 	perm           []int
 	w              int
 }
 
-func (c *columns) begin(k sparse.Operator, m precond.Preconditioner, u, f *vec.Multi, perm []int, w int) {
+func (c *columns) begin(k Operator, m precond.Preconditioner, u, f *vec.Multi, perm []int, w int) {
 	n, s := f.N, f.S
 	for i, v := range [...]*vec.Multi{&c.r, &c.rhat, &c.p, &c.kp} {
 		c.buf[i] = grown(c.buf[i], n*s)

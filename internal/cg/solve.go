@@ -123,7 +123,7 @@ func (w *Workspace) ensure(n, s int) {
 // workspace, so copy them before the workspace's next solve if they must
 // survive it. Workers > 1 fans the SpMV/dot/axpy kernels out over that many
 // goroutines (goroutine startup does allocate).
-func SolveInto(u []float64, k sparse.Operator, f []float64, m precond.Preconditioner, opt Options, ws *Workspace) (Stats, error) {
+func SolveInto(u []float64, k Operator, f []float64, m precond.Preconditioner, opt Options, ws *Workspace) (Stats, error) {
 	if ws == nil {
 		ws = NewWorkspace(len(f))
 	}
@@ -140,7 +140,7 @@ func SolveInto(u []float64, k sparse.Operator, f []float64, m precond.Preconditi
 // SolveBlock runs block PCG on K·U = F for a batch of right-hand sides,
 // allocating its own result and scratch. Allocation-sensitive callers use
 // SolveBlockInto with a reused workspace.
-func SolveBlock(k sparse.Operator, f *vec.Multi, m precond.Preconditioner, opt Options) (*vec.Multi, BlockStats, error) {
+func SolveBlock(k Operator, f *vec.Multi, m precond.Preconditioner, opt Options) (*vec.Multi, BlockStats, error) {
 	rows, _ := k.Dims()
 	u := vec.NewMulti(rows, f.S)
 	st, err := SolveBlockInto(u, k, f, m, opt, nil)
@@ -171,7 +171,7 @@ func SolveBlock(k sparse.Operator, f *vec.Multi, m precond.Preconditioner, opt O
 //
 // The returned error is nil only when every column converged; otherwise it
 // joins the per-column failures (also available in BlockStats.ColErrs).
-func SolveBlockInto(u *vec.Multi, k sparse.Operator, f *vec.Multi, m precond.Preconditioner, opt Options, ws *Workspace) (BlockStats, error) {
+func SolveBlockInto(u *vec.Multi, k Operator, f *vec.Multi, m precond.Preconditioner, opt Options, ws *Workspace) (BlockStats, error) {
 	n, cols := k.Dims()
 	s := f.S
 	if cols != n {
@@ -331,7 +331,8 @@ func SolveBlockInto(u *vec.Multi, k sparse.Operator, f *vec.Multi, m precond.Pre
 		// Per-column stopping tests; converged columns deflate out.
 		for slot := act - 1; slot >= 0; slot-- {
 			c := &ws.stats[ws.perm[slot]]
-			if (opt.Tol > 0 && c.FinalUDiff < opt.Tol) || (opt.RelResidualTol > 0 && c.FinalRelRes < opt.RelResidualTol) {
+			if (opt.Tol > 0 && c.FinalUDiff < opt.Tol) || (opt.RelResidualTol > 0 && c.FinalRelRes < opt.RelResidualTol) ||
+				(opt.StopWhen != nil && opt.StopWhen(ws.perm[slot], *c)) {
 				c.Converged = true
 				deflate(slot)
 			}
@@ -410,7 +411,7 @@ func SolveBlockInto(u *vec.Multi, k sparse.Operator, f *vec.Multi, m precond.Pre
 
 // begin loads f into the layout the options and the operator's and
 // preconditioner's capabilities select, and reports which one runs.
-func (ws *Workspace) begin(k sparse.Operator, m precond.Preconditioner, u, f *vec.Multi, opt Options, w int) (layout, BlockStats) {
+func (ws *Workspace) begin(k Operator, m precond.Preconditioner, u, f *vec.Multi, opt Options, w int) (layout, BlockStats) {
 	if opt.Interleave {
 		if ik, ok := k.(sparse.InterleavedOperator); ok && precond.CanApplyInterleaved(m) {
 			impl := kernel.Select(opt.Kernel)

@@ -97,7 +97,8 @@ type Config struct {
 	// notes multicolor SSOR with few colors wants ω = 1 (Adams 1983).
 	Omega float64
 	// Interval optionally pins [λ₁, λₙ] for parametrized coefficients;
-	// when nil it is estimated from a short PCG run (eigen.EstimateInterval).
+	// when nil it is estimated from a short Lanczos run on the splitting's
+	// symmetrized operator (eigen.EstimateInterval).
 	Interval *eigen.Interval
 	// Tol is the paper's ‖u^{k+1}−u^k‖_∞ test (default 1e-6 when both
 	// tolerances are unset).
@@ -207,7 +208,7 @@ func (c Config) IntervalSeed() int64 {
 
 // IntervalFor returns the spectral interval the configuration's
 // parametrized coefficients run on: the pinned cfg.Interval when set, an
-// estimate from a short PCG run on the splitting otherwise. It is the
+// estimate from a short Lanczos run on the splitting otherwise. It is the
 // expensive half of coefficient construction, split out so instrumented
 // callers can time spectral estimation as its own stage. Every caller that
 // needs an interval goes through here, so the pad and seed are defined

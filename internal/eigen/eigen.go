@@ -5,11 +5,19 @@
 // claim.
 //
 // Both come from one source: the Lanczos tridiagonal matrix recovered from
-// a PCG run's coefficients, whose extreme eigenvalues (found by
+// a CG run's coefficients, whose extreme eigenvalues (found by
 // Sturm-sequence bisection) are the "condition estimate for free" of a CG
-// run. PCG is Lanczos in the preconditioner's inner product, in which the
-// preconditioned operator is self-adjoint, so these Ritz values lie inside
-// its spectrum.
+// run. PCG with M is Lanczos for M⁻¹K in M's inner product, in which M⁻¹K
+// is self-adjoint, so these Ritz values lie inside its spectrum.
+//
+// The interval estimate (EstimateInterval) runs that Lanczos process as
+// plain CG on the symmetrized operator K̂ = W⁻¹KW⁻ᵀ of a splitting with
+// P = WWᵀ, which has the spectrum of P⁻¹K and costs one traversal of K per
+// iteration (splitting.Splitting.MulSymmetrized). It stops as soon as the
+// extreme Ritz values have settled: a ritzTracker extends the tridiagonal
+// as the run records α and β, and once the relative residual is below
+// 1e-2 it checks every 3 iterations, with two Sturm counts, whether either
+// extreme moved by more than 2e-4 relative since the last check.
 package eigen
 
 import (
@@ -41,19 +49,11 @@ func SturmCount(diag, offdiag []float64, x float64) int {
 	return count
 }
 
-// TridiagExtremes returns the smallest and largest eigenvalues of a
-// symmetric tridiagonal matrix by Sturm bisection, to absolute tolerance
-// tol (default 1e-12 of the Gershgorin width).
-func TridiagExtremes(diag, offdiag []float64) (lo, hi float64, err error) {
+// gershgorin returns the Gershgorin bounds of a symmetric tridiagonal
+// matrix: every eigenvalue lies in [lo, hi].
+func gershgorin(diag, offdiag []float64) (lo, hi float64) {
 	n := len(diag)
-	if n == 0 {
-		return 0, 0, fmt.Errorf("eigen: empty tridiagonal")
-	}
-	if len(offdiag) != n-1 {
-		return 0, 0, fmt.Errorf("eigen: offdiag length %d, want %d", len(offdiag), n-1)
-	}
-	// Gershgorin bounds.
-	glo, ghi := math.Inf(1), math.Inf(-1)
+	lo, hi = math.Inf(1), math.Inf(-1)
 	for i := 0; i < n; i++ {
 		r := 0.0
 		if i > 0 {
@@ -62,24 +62,48 @@ func TridiagExtremes(diag, offdiag []float64) (lo, hi float64, err error) {
 		if i < n-1 {
 			r += math.Abs(offdiag[i])
 		}
-		glo = math.Min(glo, diag[i]-r)
-		ghi = math.Max(ghi, diag[i]+r)
+		lo = math.Min(lo, diag[i]-r)
+		hi = math.Max(hi, diag[i]+r)
 	}
-	tol := 1e-13 * (1 + ghi - glo)
-	bisect := func(target int) float64 {
-		a, b := glo, ghi
-		for b-a > tol {
-			mid := (a + b) / 2
-			if SturmCount(diag, offdiag, mid) >= target {
-				b = mid
-			} else {
-				a = mid
-			}
+	return lo, hi
+}
+
+// bisect narrows [a, b], with fewer than target eigenvalues of the
+// tridiagonal below a and at least target below b, to the target-th
+// smallest eigenvalue. It halves the bracket while wide(a, b) holds and
+// the midpoint lies strictly between the endpoints (once no float does,
+// halving cannot progress), and returns the midpoint.
+func bisect(diag, offdiag []float64, target int, a, b float64, wide func(a, b float64) bool) float64 {
+	for wide(a, b) {
+		mid := (a + b) / 2
+		if mid == a || mid == b {
+			break
 		}
-		return (a + b) / 2
+		if SturmCount(diag, offdiag, mid) >= target {
+			b = mid
+		} else {
+			a = mid
+		}
 	}
-	lo = bisect(1) // smallest eigenvalue: first x with count >= 1
-	hi = bisect(n) // largest: first x with count >= n
+	return (a + b) / 2
+}
+
+// TridiagExtremes returns the smallest and largest eigenvalues of a
+// symmetric tridiagonal matrix by Sturm bisection, to absolute tolerance
+// 1e-13·(1 + Gershgorin width), or to one ulp where that is finer.
+func TridiagExtremes(diag, offdiag []float64) (lo, hi float64, err error) {
+	n := len(diag)
+	if n == 0 {
+		return 0, 0, fmt.Errorf("eigen: empty tridiagonal")
+	}
+	if len(offdiag) != n-1 {
+		return 0, 0, fmt.Errorf("eigen: offdiag length %d, want %d", len(offdiag), n-1)
+	}
+	glo, ghi := gershgorin(diag, offdiag)
+	tol := 1e-13 * (1 + ghi - glo)
+	wide := func(a, b float64) bool { return b-a > tol }
+	lo = bisect(diag, offdiag, 1, glo, ghi, wide) // smallest eigenvalue: first x with count >= 1
+	hi = bisect(diag, offdiag, n, glo, ghi, wide) // largest: first x with count >= n
 	return lo, hi, nil
 }
 

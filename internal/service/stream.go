@@ -3,9 +3,18 @@ package service
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 )
+
+// WriteSSE writes one server-sent event frame: its id, event and data
+// lines and the blank line that dispatches it, each ended by "\n". data
+// must hold no line break (encoding/json output never does).
+func WriteSSE(w io.Writer, id int, event string, data []byte) error {
+	_, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", id, event, data)
+	return err
+}
 
 // streamJob streams job's per-case results to one HTTP client as the
 // columns converge, then emits a terminal event carrying the finished job
@@ -64,7 +73,7 @@ func (s *Service) streamJob(w http.ResponseWriter, r *http.Request, job *Job, ss
 			return false
 		}
 		if sse {
-			_, err = fmt.Fprintf(w, "id: %d\nevent: case\ndata: %s\n\n", ev.Seq, data)
+			err = WriteSSE(w, ev.Seq, "case", data)
 		} else {
 			_, err = fmt.Fprintf(w, "%s\n", data)
 		}
@@ -80,7 +89,7 @@ func (s *Service) streamJob(w http.ResponseWriter, r *http.Request, job *Job, ss
 			return
 		}
 		if sse {
-			fmt.Fprintf(w, "id: %d\nevent: done\ndata: %s\n\n", maxSeq+1, data)
+			WriteSSE(w, maxSeq+1, "done", data) //nolint:errcheck // the stream ends here either way
 		} else {
 			fmt.Fprintf(w, "{\"done\":%s}\n", data)
 		}

@@ -2,6 +2,7 @@ package splitting
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/kernel"
 	"repro/internal/sparse"
@@ -24,6 +25,8 @@ type SixColorSSOR struct {
 	K     *sparse.CSR
 	Start []int // group boundaries: group c spans [Start[c], Start[c+1])
 	d     []float64
+	sd    []float64 // D^½, for MulSymmetrized
+	dinv  []float64 // D⁻¹, for MulSymmetrized
 	y     []float64 // Conrad–Wallach cache, one value per unknown
 	yb    []float64 // block-apply cache, one value per unknown per column
 	omega float64
@@ -59,12 +62,14 @@ func NewMulticolorSSOR(k *sparse.CSR, start []int, omega float64) (*SixColorSSOR
 		}
 	}
 	d := k.Diag()
+	sd, dinv := make([]float64, len(d)), make([]float64, len(d))
 	for i, di := range d {
 		if di <= 0 {
 			return nil, fmt.Errorf("splitting: multicolor SSOR diagonal entry %d is %g (not positive)", i, di)
 		}
+		sd[i], dinv[i] = math.Sqrt(di), 1/di
 	}
-	s := &SixColorSSOR{K: k, Start: append([]int{}, start...), d: d, y: make([]float64, k.Rows), omega: omega}
+	s := &SixColorSSOR{K: k, Start: append([]int{}, start...), d: d, sd: sd, dinv: dinv, y: make([]float64, k.Rows), omega: omega}
 	pos, err := s.diagPositions()
 	if err != nil {
 		return nil, err
@@ -166,6 +171,39 @@ func (s *SixColorSSOR) Step(rhat, r []float64, alpha float64) {
 			u := s.upperSum(i, rhat)
 			rhat[i] = (1-w)*rhat[i] + w*(x+u+alpha*r[i])/s.d[i]
 		}
+	}
+}
+
+// MulSymmetrized computes dst = K̂·x in Eisenstat's form, exactly as
+// NaturalSSOR.MulSymmetrized does in the colored ordering: the backward
+// solve with D+ωU is a color sweep descending over the upper block sums,
+// and the forward solve with D+ωL a color sweep ascending over the lower
+// ones, so the two touch each entry of K once.
+func (s *SixColorSSOR) MulSymmetrized(dst, x, work []float64) {
+	n, w, c := s.K.Rows, s.omega, 2-s.omega
+	rowPtr, col, val, pos := s.K.RowPtr[:n+1], s.K.ColIdx, s.K.Val, s.ka.DiagPos[:n]
+	sd, dinv, x, dst, work := s.sd[:n], s.dinv[:n], x[:n], dst[:n], work[:n]
+	// t = (D+ωU)⁻¹·D^½x into work: colors descending, upper block sums.
+	for i := n - 1; i >= 0; i-- {
+		lo, hi := pos[i]+1, rowPtr[i+1]
+		var sum float64
+		for q, v := range val[lo:hi] {
+			sum += v * work[col[lo+q]]
+		}
+		work[i] = (sd[i]*x[i] - w*sum) * dinv[i]
+	}
+	// z = (D+ωL)⁻¹(D^½x − (2−ω)·D·t) over t in work: colors ascending,
+	// lower block sums; then K̂x = (2−ω)·D^½·(t + z).
+	for i := 0; i < n; i++ {
+		lo, hi := rowPtr[i], pos[i]
+		var sum float64
+		for q, v := range val[lo:hi] {
+			sum += v * work[col[lo+q]]
+		}
+		t := work[i]
+		z := (sd[i]*x[i]-w*sum)*dinv[i] - c*t
+		work[i] = z
+		dst[i] = c * sd[i] * (t + z)
 	}
 }
 

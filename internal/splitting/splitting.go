@@ -14,10 +14,15 @@
 //	r̂⁽⁰⁾ = 0;  r̂⁽ˢ⁾ = G·r̂⁽ˢ⁻¹⁾ + α_{m−s}·P⁻¹·r,  s = 1..m,
 //
 // yielding r̂⁽ᵐ⁾ = (α₀I + α₁G + … + α_{m−1}G^{m−1})P⁻¹·r = M_m⁻¹·r.
+//
+// Every splitting also applies its symmetrized operator K̂ = W⁻¹KW⁻ᵀ, where
+// P = WWᵀ, in one traversal of K: the form on which internal/eigen runs its
+// Lanczos estimate of spec(P⁻¹K).
 package splitting
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/kernel"
 	"repro/internal/sparse"
@@ -36,6 +41,16 @@ type Splitting interface {
 	// Step performs r̂ ← G·r̂ + α·P⁻¹·r in place. r is read-only and must
 	// not alias r̂.
 	Step(rhat, r []float64, alpha float64)
+	// MulSymmetrized computes dst = K̂·x for the symmetrized operator
+	// K̂ = W⁻¹KW⁻ᵀ, where P = WWᵀ. K̂ is symmetric, positive definite
+	// exactly when K is, and has the spectrum of P⁻¹K, so plain CG on it is
+	// the Lanczos process for P⁻¹K. It costs one traversal of K: Jacobi
+	// scales one product, K̂ = D^−½KD^−½, and the SSOR splittings use
+	// Eisenstat's form, one backward and one forward triangular sweep.
+	// work is scratch of length N(); dst, x and work must not alias.
+	// Unlike Step it touches no splitting state, so concurrent calls with
+	// separate work are safe.
+	MulSymmetrized(dst, x, work []float64)
 }
 
 // MStepApplier is an optional fast path: splittings that can fuse the m
@@ -81,6 +96,7 @@ type MStepInterleavedApplier interface {
 type Jacobi struct {
 	K    *sparse.CSR
 	dinv []float64
+	dis  []float64 // D^−½, for MulSymmetrized
 	work []float64
 }
 
@@ -92,13 +108,15 @@ func NewJacobi(k *sparse.CSR) (*Jacobi, error) {
 	}
 	d := k.Diag()
 	dinv := make([]float64, len(d))
+	dis := make([]float64, len(d))
 	for i, di := range d {
 		if di <= 0 {
 			return nil, fmt.Errorf("splitting: Jacobi diagonal entry %d is %g (not positive)", i, di)
 		}
 		dinv[i] = 1 / di
+		dis[i] = 1 / math.Sqrt(di)
 	}
-	return &Jacobi{K: k, dinv: dinv, work: make([]float64, k.Rows)}, nil
+	return &Jacobi{K: k, dinv: dinv, dis: dis, work: make([]float64, k.Rows)}, nil
 }
 
 // N returns the system dimension.
@@ -118,6 +136,19 @@ func (j *Jacobi) Step(rhat, r []float64, alpha float64) {
 	}
 }
 
+// MulSymmetrized computes dst = D^−½·K·D^−½·x; it needs no work.
+func (j *Jacobi) MulSymmetrized(dst, x, _ []float64) {
+	k := j.K
+	for i := 0; i < k.Rows; i++ {
+		var sum float64
+		for p := k.RowPtr[i]; p < k.RowPtr[i+1]; p++ {
+			c := k.ColIdx[p]
+			sum += k.Val[p] * (j.dis[c] * x[c])
+		}
+		dst[i] = j.dis[i] * sum
+	}
+}
+
 // NaturalSSOR is the SSOR(ω) splitting in the matrix's stored (natural)
 // ordering:
 //
@@ -129,6 +160,8 @@ func (j *Jacobi) Step(rhat, r []float64, alpha float64) {
 type NaturalSSOR struct {
 	K     *sparse.CSR
 	d     []float64
+	sd    []float64 // D^½, for MulSymmetrized
+	dinv  []float64 // D⁻¹, for MulSymmetrized
 	omega float64
 }
 
@@ -142,12 +175,14 @@ func NewNaturalSSOR(k *sparse.CSR, omega float64) (*NaturalSSOR, error) {
 		return nil, fmt.Errorf("splitting: SSOR needs 0 < ω < 2, got %g", omega)
 	}
 	d := k.Diag()
+	sd, dinv := make([]float64, len(d)), make([]float64, len(d))
 	for i, di := range d {
 		if di <= 0 {
 			return nil, fmt.Errorf("splitting: SSOR diagonal entry %d is %g (not positive)", i, di)
 		}
+		sd[i], dinv[i] = math.Sqrt(di), 1/di
 	}
-	return &NaturalSSOR{K: k, d: d, omega: omega}, nil
+	return &NaturalSSOR{K: k, d: d, sd: sd, dinv: dinv, omega: omega}, nil
 }
 
 // N returns the system dimension.
@@ -192,5 +227,41 @@ func (s *NaturalSSOR) Step(rhat, r []float64, alpha float64) {
 		}
 		gs := (alpha*r[i] - sum) / s.d[i]
 		rhat[i] = (1-w)*rhat[i] + w*gs
+	}
+}
+
+// MulSymmetrized computes dst = K̂·x in Eisenstat's form. Writing
+// K = D + L + U with L and U the strict triangles of K (the negated L and U
+// of the type's doc), P_ω = WWᵀ with W = (D+ωL)D^−½/√(ω(2−ω)), and since
+// (D+ωL) + (D+ωU) = ωK + (2−ω)D,
+//
+//	K̂x = (2−ω)·D^½·[t + (D+ωL)⁻¹(y − (2−ω)·D·t)],  y = D^½x, t = (D+ωU)⁻¹y:
+//
+// one backward sweep over U and one forward sweep over L.
+func (s *NaturalSSOR) MulSymmetrized(dst, x, work []float64) {
+	k, w := s.K, s.omega
+	c := 2 - w
+	// t = (D+ωU)⁻¹·D^½x into work, rows descending.
+	for i := k.Rows - 1; i >= 0; i-- {
+		var sum float64
+		for p := k.RowPtr[i]; p < k.RowPtr[i+1]; p++ {
+			if j := k.ColIdx[p]; j > i {
+				sum += k.Val[p] * work[j]
+			}
+		}
+		work[i] = (s.sd[i]*x[i] - w*sum) * s.dinv[i]
+	}
+	// z = (D+ωL)⁻¹(D^½x − (2−ω)·D·t) over t in work, rows ascending.
+	for i := 0; i < k.Rows; i++ {
+		var sum float64
+		for p := k.RowPtr[i]; p < k.RowPtr[i+1]; p++ {
+			if j := k.ColIdx[p]; j < i {
+				sum += k.Val[p] * work[j]
+			}
+		}
+		t := work[i]
+		z := (s.sd[i]*x[i]-w*sum)*s.dinv[i] - c*t
+		work[i] = z
+		dst[i] = c * s.sd[i] * (t + z)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/splitting"
 	"repro/internal/vec"
 )
 
@@ -37,11 +36,21 @@ type Stats struct {
 	History    []float64
 }
 
+// Sweeper is one stationary step x ← G·x + α·P⁻¹·f, in place. Every
+// splitting.Splitting is one, and so is the nonsymmetric SOR sweep, which
+// has no symmetric P to be a splitting.Splitting with.
+type Sweeper interface {
+	// N returns the system dimension.
+	N() int
+	// Step performs x ← G·x + α·P⁻¹·f in place; f must not alias x.
+	Step(x, f []float64, alpha float64)
+}
+
 // Solve iterates x ← G·x + P⁻¹·f using the given splitting until the
 // successive-iterate test passes. For SPD systems with a convergent
 // splitting (SSOR always; Jacobi when 2D−K is SPD) this converges to
 // K⁻¹·f.
-func Solve(sp splitting.Splitting, f []float64, opt Options) ([]float64, Stats, error) {
+func Solve(sp Sweeper, f []float64, opt Options) ([]float64, Stats, error) {
 	n := sp.N()
 	if len(f) != n {
 		return nil, Stats{}, fmt.Errorf("stationary: rhs length %d != n %d", len(f), n)

@@ -210,12 +210,13 @@ func TestSORNames(t *testing.T) {
 	}
 }
 
-// SOR as a Splitting: PCG must reject it (not symmetric) — failure
-// injection through the validation layer.
+// SOR as a preconditioner: PCG must reject it (not symmetric) — failure
+// injection through the validation layer. It is a stationary Sweeper, but
+// with no symmetric P it cannot be a splitting.Splitting.
 func TestSORNotSymmetricAsPreconditioner(t *testing.T) {
 	k := model.Poisson2D(6, 6)
 	s, _ := NewSOR(k, 1)
-	var _ splitting.Splitting = s // it satisfies the interface...
+	var _ Sweeper = s // it is a stationary sweep...
 	// ...but its P⁻¹ is not symmetric:
 	u := model.RandomVec(rand.New(rand.NewSource(3)), 36)
 	v := model.RandomVec(rand.New(rand.NewSource(4)), 36)
