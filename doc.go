@@ -14,11 +14,11 @@
 // simulator (Table 3). The machine also runs for real: the "decomposed"
 // backend partitions a plate into subdomains, each owned by a dedicated
 // goroutine processor exchanging true border values and combining inner
-// products up a reduction tree — auto-selected for plates too large for
-// one cache-resident matrix, or pinned via Config.Subdomains / the solver
-// spec's "subdomains" field. The simulator is a clock over that same
-// decomposed solver: it charges each processor's reported flops, messages
-// and reductions to the machine's time model.
+// products up a reduction tree — run when a request asks for it (Auto
+// never picks it), with Config.Subdomains / the solver spec's "subdomains"
+// field pinning the processor count. The simulator is a clock over that
+// same decomposed solver: it charges each processor's reported flops,
+// messages and reductions to the machine's time model.
 //
 // Quick start:
 //
@@ -35,12 +35,13 @@
 // block: column-contiguous vectors, or row-interleaved panels for wide
 // batch tiles whose preconditioner can sweep them (plain CG, or the
 // multicolor SSOR at ω = 1). A column's iterates are the same bits in
-// either layout and at any batch width. The fused inner loops (SpMM, block
-// dot/axpy, the multicolor sweep) dispatch through internal/kernel: CPU
-// feature detection selects an accelerated implementation set at startup,
-// and REPRO_KERNEL=portable (or Config.Kernel) forces the portable
-// reference set — bit-identical results either way, so the knob only
-// changes speed.
+// either layout and at any batch width; each processor of a decomposed
+// solve runs the same recurrence over a layout of its own. The fused inner
+// loops (SpMM, block dot/axpy, the multicolor sweep) dispatch through
+// internal/kernel: CPU feature detection selects an accelerated
+// implementation set at startup, and REPRO_KERNEL=portable (or
+// Config.Kernel) forces the portable reference set — bit-identical results
+// either way, so the knob only changes speed.
 //
 // Beyond one-shot solves, the Solver interface is a session that
 // amortizes setup across requests and streams per-case results: NewLocal

@@ -27,8 +27,8 @@ func main() {
 		Solver: repro.SolverSpec{M: 2, Tol: 1e-6, Backend: "decomposed", Subdomains: p},
 	}
 
-	// What would the planner do on its own? Without the pin it keeps small
-	// plates on one cache-resident matrix; the explicit backend overrides.
+	// What would the planner do on its own? Auto never picks the
+	// decomposed backend, so only the explicit backend runs it.
 	ctx := context.Background()
 	auto := req
 	auto.Solver.Backend = ""

@@ -5,7 +5,9 @@
 // scalar solve is its one-column case. The working block lives in one of
 // two layouts, column-contiguous vectors or row-interleaved panels; every
 // kernel preserves per-column arithmetic order, so a column's iterates are
-// the same bits in either layout and at any batch width. The default
+// the same bits in either layout and at any batch width. A third layout
+// is the caller's (SolveLayout): internal/decomp runs each subdomain's rank
+// of a distributed solve through the same recurrence. The default
 // stopping test is the paper's ‖u^{k+1} − u^k‖_∞ < ε; a relative-residual
 // test is available as an alternative or supplement.
 package cg

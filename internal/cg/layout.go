@@ -7,33 +7,41 @@ import (
 	"repro/internal/vec"
 )
 
-// layout is the storage of a solve's working block — residuals r,
+// Layout is the storage of a solve's working block — residuals r,
 // preconditioned residuals r̂, directions p and products Kp — behind the
-// block operations of one PCG iteration, so SolveBlockInto writes the
-// recurrence once. Every operation acts on the active prefix of columns
-// (slot-indexed scalar slices are that long); drop shrinks the prefix.
-type layout interface {
-	// matvec sets Kp = K·p.
-	matvec()
-	// precondition sets r̂ = M⁻¹·r.
-	precondition()
-	// startDirection sets p = r̂.
-	startDirection()
-	// dotPKp sets dst[slot] = (p, Kp).
-	dotPKp(dst []float64)
-	// dotRhatR sets dst[slot] = (r̂, r).
-	dotRhatR(dst []float64)
-	// stepU adds α·p to each active column's iterate and sets
+// block operations of one PCG iteration, so the recurrence is written once.
+// Every operation acts on the active prefix of columns (slot-indexed scalar
+// slices are that long); Drop shrinks the prefix. The package's two
+// layouts hold one matrix's block in columns or in interleaved panels;
+// SolveLayout runs the recurrence over any other, such as one subdomain's
+// share of a distributed solve, whose inner products and norms are its
+// local values all-reduced over every subdomain. A layout whose caller
+// reads no relative residual may skip forming it: NormF then reports 1 and
+// StepR −1, so FinalRelRes reads −1.
+type Layout interface {
+	// NormF sets dst[j] = ‖f_j‖₂ for every right-hand side j.
+	NormF(dst []float64)
+	// MatVec sets Kp = K·p.
+	MatVec()
+	// Precondition sets r̂ = M⁻¹·r.
+	Precondition()
+	// StartDirection sets p = r̂.
+	StartDirection()
+	// DotPKp sets dst[slot] = (p, Kp).
+	DotPKp(dst []float64)
+	// DotRhatR sets dst[slot] = (r̂, r).
+	DotRhatR(dst []float64)
+	// StepU adds α·p to each active column's iterate and sets
 	// pinf[slot] = ‖p‖_∞.
-	stepU(alpha, pinf []float64)
-	// stepR adds negAlpha·Kp to r and sets rnorm[slot] = ‖r‖₂.
-	stepR(negAlpha, rnorm []float64)
-	// stepP sets p = r̂ + β·p.
-	stepP(beta []float64)
-	// save makes slot's iterate final in column j of the caller's block.
-	save(slot, j int)
-	// drop swaps slot with the last active column and shrinks the prefix.
-	drop(slot int)
+	StepU(alpha, pinf []float64)
+	// StepR adds negAlpha·Kp to r and sets rnorm[slot] = ‖r‖₂.
+	StepR(negAlpha, rnorm []float64)
+	// StepP sets p = r̂ + β·p.
+	StepP(beta []float64)
+	// Save makes slot's iterate final in column j of the caller's block.
+	Save(slot, j int)
+	// Drop swaps slot with the last active column and shrinks the prefix.
+	Drop(slot int)
 }
 
 // columns is the column-contiguous layout over vec.Multi: every working
@@ -46,7 +54,7 @@ type columns struct {
 	r, rhat, p, kp vec.Multi    // active-prefix views
 	k              Operator
 	m              precond.Preconditioner
-	u              *vec.Multi
+	u, f           *vec.Multi
 	perm           []int
 	w              int
 }
@@ -57,11 +65,15 @@ func (c *columns) begin(k Operator, m precond.Preconditioner, u, f *vec.Multi, p
 		c.buf[i] = grown(c.buf[i], n*s)
 		*v = vec.Multi{N: n, S: s, Data: c.buf[i]}
 	}
+	// u⁰ = 0, so r⁰ = f with no initial product.
+	u.Zero()
 	c.r.CopyFrom(f)
-	c.k, c.m, c.u, c.perm, c.w = k, m, u, perm, w
+	c.k, c.m, c.u, c.f, c.perm, c.w = k, m, u, f, perm, w
 }
 
-func (c *columns) matvec() {
+func (c *columns) NormF(dst []float64) { normCols(c.f, dst) }
+
+func (c *columns) MatVec() {
 	if c.p.S == 1 {
 		c.k.ParMulVecTo(c.kp.Data, c.p.Data, c.w)
 		return
@@ -69,26 +81,26 @@ func (c *columns) matvec() {
 	c.k.ParMulMatTo(&c.kp, &c.p, c.w)
 }
 
-func (c *columns) precondition()          { precond.ApplyBlock(c.m, &c.rhat, &c.r) }
-func (c *columns) startDirection()        { copy(c.p.Data, c.rhat.Data) }
-func (c *columns) dotPKp(dst []float64)   { vec.ParMultiDot(&c.p, &c.kp, c.w, dst) }
-func (c *columns) dotRhatR(dst []float64) { vec.ParMultiDot(&c.rhat, &c.r, c.w, dst) }
-func (c *columns) stepP(beta []float64)   { vec.ParMultiXpay(&c.rhat, beta, &c.p, c.w) }
-func (c *columns) save(int, int)          {}
+func (c *columns) Precondition()          { precond.ApplyBlock(c.m, &c.rhat, &c.r) }
+func (c *columns) StartDirection()        { copy(c.p.Data, c.rhat.Data) }
+func (c *columns) DotPKp(dst []float64)   { vec.ParMultiDot(&c.p, &c.kp, c.w, dst) }
+func (c *columns) DotRhatR(dst []float64) { vec.ParMultiDot(&c.rhat, &c.r, c.w, dst) }
+func (c *columns) StepP(beta []float64)   { vec.ParMultiXpay(&c.rhat, beta, &c.p, c.w) }
+func (c *columns) Save(int, int)          {}
 
-func (c *columns) stepU(alpha, pinf []float64) {
+func (c *columns) StepU(alpha, pinf []float64) {
 	for slot, a := range alpha {
 		vec.ParAxpy(a, c.p.Col(slot), c.u.Col(c.perm[slot]), c.w)
 	}
 	vec.MultiNormInf(&c.p, pinf)
 }
 
-func (c *columns) stepR(negAlpha, rnorm []float64) {
+func (c *columns) StepR(negAlpha, rnorm []float64) {
 	vec.ParMultiAxpy(negAlpha, &c.kp, &c.r, c.w)
 	vec.MultiNorm2(&c.r, rnorm)
 }
 
-func (c *columns) drop(slot int) {
+func (c *columns) Drop(slot int) {
 	last := c.r.S - 1
 	for _, v := range [...]*vec.Multi{&c.r, &c.rhat, &c.p, &c.kp} {
 		v.SwapCols(slot, last)
@@ -106,7 +118,7 @@ type panels struct {
 	r, rhat, p, kp, ui vec.IMulti   // active-prefix views
 	k                  sparse.InterleavedOperator
 	m                  precond.Preconditioner
-	u                  *vec.Multi
+	u, f               *vec.Multi
 	w                  int
 	impl               *kernel.Impl
 }
@@ -117,33 +129,42 @@ func (q *panels) begin(k sparse.InterleavedOperator, m precond.Preconditioner, u
 		q.buf[i] = grown(q.buf[i], n*s)
 		*v = vec.IMulti{N: n, S: s, Stride: s, Data: q.buf[i]}
 	}
+	// u⁰ = 0, so r⁰ = f with no initial product.
 	q.ui.Zero()
 	q.r.InterleaveFrom(f, impl)
-	q.k, q.m, q.u, q.w, q.impl = k, m, u, w, impl
+	q.k, q.m, q.u, q.f, q.w, q.impl = k, m, u, f, w, impl
 }
 
-func (q *panels) matvec()                { q.k.ParMulMatITo(&q.kp, &q.p, q.w, q.impl) }
-func (q *panels) precondition()          { precond.ApplyInterleaved(q.m, &q.rhat, &q.r, q.impl) }
-func (q *panels) startDirection()        { copy(q.p.Data, q.rhat.Data) }
-func (q *panels) dotPKp(dst []float64)   { vec.ParIMultiDot(&q.p, &q.kp, q.w, dst, q.impl) }
-func (q *panels) dotRhatR(dst []float64) { vec.ParIMultiDot(&q.rhat, &q.r, q.w, dst, q.impl) }
-func (q *panels) stepP(beta []float64)   { vec.ParIMultiXpay(&q.rhat, beta, &q.p, q.w, q.impl) }
-func (q *panels) save(slot, j int)       { q.ui.ScatterCol(slot, q.u.Col(j)) }
+func (q *panels) NormF(dst []float64)    { normCols(q.f, dst) }
+func (q *panels) MatVec()                { q.k.ParMulMatITo(&q.kp, &q.p, q.w, q.impl) }
+func (q *panels) Precondition()          { precond.ApplyInterleaved(q.m, &q.rhat, &q.r, q.impl) }
+func (q *panels) StartDirection()        { copy(q.p.Data, q.rhat.Data) }
+func (q *panels) DotPKp(dst []float64)   { vec.ParIMultiDot(&q.p, &q.kp, q.w, dst, q.impl) }
+func (q *panels) DotRhatR(dst []float64) { vec.ParIMultiDot(&q.rhat, &q.r, q.w, dst, q.impl) }
+func (q *panels) StepP(beta []float64)   { vec.ParIMultiXpay(&q.rhat, beta, &q.p, q.w, q.impl) }
+func (q *panels) Save(slot, j int)       { q.ui.ScatterCol(slot, q.u.Col(j)) }
 
-func (q *panels) stepU(alpha, pinf []float64) {
+func (q *panels) StepU(alpha, pinf []float64) {
 	vec.ParIMultiAxpy(alpha, &q.p, &q.ui, q.w, q.impl)
 	vec.IMultiNormInf(&q.p, pinf, q.impl)
 }
 
-func (q *panels) stepR(negAlpha, rnorm []float64) {
+func (q *panels) StepR(negAlpha, rnorm []float64) {
 	vec.ParIMultiAxpy(negAlpha, &q.kp, &q.r, q.w, q.impl)
 	vec.IMultiNorm2(&q.r, rnorm, q.impl)
 }
 
-func (q *panels) drop(slot int) {
+func (q *panels) Drop(slot int) {
 	last := q.r.S - 1
 	for _, v := range [...]*vec.IMulti{&q.r, &q.rhat, &q.p, &q.kp, &q.ui} {
 		v.SwapCols(slot, last)
 		v.S = last
+	}
+}
+
+// normCols sets dst[j] = ‖f_j‖₂ for every column of f.
+func normCols(f *vec.Multi, dst []float64) {
+	for j := range dst {
+		dst[j] = vec.Norm2(f.Col(j))
 	}
 }

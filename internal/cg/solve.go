@@ -89,8 +89,8 @@ type Workspace struct {
 // NewWorkspace returns a workspace sized for n-dimensional scalar solves.
 // It grows automatically when later used for a larger system or batch.
 func NewWorkspace(n int) *Workspace {
-	w := &Workspace{}
-	w.ensure(n, 1)
+	w := &Workspace{tmp: make([]float64, n)}
+	w.ensure(1)
 	return w
 }
 
@@ -102,10 +102,10 @@ func grown[T any](b []T, n int) []T {
 	return b[:n]
 }
 
-// ensure sizes the per-column bookkeeping for an n×s solve, reallocating
-// only on growth; the layouts size their blocks as a solve begins.
-func (w *Workspace) ensure(n, s int) {
-	w.tmp = grown(w.tmp, n)
+// ensure sizes the per-column bookkeeping for s right-hand sides,
+// reallocating only on growth; the layouts size their blocks as a solve
+// begins.
+func (w *Workspace) ensure(s int) {
 	w.rho, w.pkp, w.alpha = grown(w.rho, s), grown(w.pkp, s), grown(w.alpha, s)
 	w.beta, w.pinf, w.rnorm = grown(w.beta, s), grown(w.pinf, s), grown(w.rnorm, s)
 	w.perm, w.normF = grown(w.perm, s), grown(w.normF, s)
@@ -183,11 +183,8 @@ func SolveBlockInto(u *vec.Multi, k Operator, f *vec.Multi, m precond.Preconditi
 	if u.N != n || u.S != s {
 		return BlockStats{}, fmt.Errorf("cg: iterate block is %d×%d, want %d×%d", u.N, u.S, n, s)
 	}
-	if s < 1 {
-		return BlockStats{}, fmt.Errorf("cg: block solve needs at least one right-hand side")
-	}
-	if opt.Tol <= 0 && opt.RelResidualTol <= 0 {
-		return BlockStats{}, fmt.Errorf("cg: no stopping test enabled (Tol and RelResidualTol both unset)")
+	if err := check(s, opt); err != nil {
+		return BlockStats{}, err
 	}
 	if opt.MaxIter <= 0 {
 		opt.MaxIter = 10 * n
@@ -198,38 +195,82 @@ func SolveBlockInto(u *vec.Multi, k Operator, f *vec.Multi, m precond.Preconditi
 	if ws == nil {
 		ws = NewWorkspace(n)
 	}
-	ws.ensure(n, s)
+	ws.tmp = grown(ws.tmp, n)
+	ws.ensure(s)
 	// The Par kernels fall back to their serial forms for w <= 1 (and for
 	// short vectors), so one normalized budget serves every call site.
 	w := max(opt.Workers, 1)
+	var verify func(j int) float64
+	if opt.VerifyResidual {
+		verify = func(j int) float64 {
+			k.ParMulVecTo(ws.tmp, u.Col(j), w)
+			vec.Sub(ws.tmp, f.Col(j), ws.tmp)
+			return vec.Norm2(ws.tmp)
+		}
+	}
+	lay, st := ws.begin(k, m, u, f, opt, w)
+	return ws.run(lay, st, s, opt, verify)
+}
 
+// SolveLayout runs the recurrence of SolveBlockInto over a caller's layout
+// of s right-hand sides, which must hold the zero start: u = 0 and r = f.
+// The layout owns the matrix, the preconditioner and the iterate, so
+// Workers, Interleave and Kernel do not apply and VerifyResidual is not
+// available; MaxIter must be set, since the driver never sees the system's
+// size. Every option is otherwise honored as in SolveBlockInto. ws may be
+// nil.
+func SolveLayout(lay Layout, s int, opt Options, ws *Workspace) (BlockStats, error) {
+	if err := check(s, opt); err != nil {
+		return BlockStats{}, err
+	}
+	if opt.MaxIter <= 0 || opt.VerifyResidual {
+		return BlockStats{}, errors.New("cg: a caller's layout needs MaxIter and cannot verify residuals")
+	}
+	if ws == nil {
+		ws = &Workspace{}
+	}
+	ws.ensure(s)
+	return ws.run(lay, BlockStats{}, s, opt, nil)
+}
+
+// check rejects a solve that cannot run: no right-hand side or no
+// stopping test.
+func check(s int, opt Options) error {
+	if s < 1 {
+		return fmt.Errorf("cg: block solve needs at least one right-hand side")
+	}
+	if opt.Tol <= 0 && opt.RelResidualTol <= 0 {
+		return fmt.Errorf("cg: no stopping test enabled (Tol and RelResidualTol both unset)")
+	}
+	return nil
+}
+
+// run is the recurrence, Algorithm 1 for every column of lay, with the
+// per-column stopping tests, breakdown checks, deflation, hooks and
+// statistics. verify, when non-nil, returns a finished column's true
+// residual norm ‖f_j − K·u_j‖₂.
+func (ws *Workspace) run(lay Layout, st BlockStats, s int, opt Options, verify func(j int) float64) (BlockStats, error) {
+	lay.NormF(ws.normF[:s])
 	for j := 0; j < s; j++ {
 		c := &ws.stats[j]
 		*c = Stats{TrueRelRes: -1, CGAlphas: c.CGAlphas[:0], CGBetas: c.CGBetas[:0]}
 		ws.errs[j] = nil
 		ws.perm[j] = j
-		nf := vec.Norm2(f.Col(j))
-		if nf == 0 {
-			nf = 1 // homogeneous column: absolute residual test
+		if ws.normF[j] == 0 {
+			ws.normF[j] = 1 // homogeneous column: absolute residual test
 		}
-		ws.normF[j] = nf
 	}
-	// u⁰ = 0, so r⁰ = f with no initial product.
-	u.Zero()
-	lay, st := ws.begin(k, m, u, f, opt, w)
 	st.RHS, st.Cols, st.ColErrs = s, ws.stats, ws.errs
 
 	act := s
-	// finish completes column j's report once its iterate is final in u,
-	// then surfaces it through the hook — long before the slowest column
+	// finish completes column j's report once its iterate is final, then
+	// surfaces it through the hook — long before the slowest column
 	// finishes.
 	finish := func(j int) {
 		c := &ws.stats[j]
-		if opt.VerifyResidual {
-			k.ParMulVecTo(ws.tmp, u.Col(j), w)
+		if verify != nil {
 			c.MatVecs++
-			vec.Sub(ws.tmp, f.Col(j), ws.tmp)
-			c.TrueRelRes = vec.Norm2(ws.tmp) / ws.normF[j]
+			c.TrueRelRes = verify(j) / ws.normF[j]
 		}
 		if opt.OnColumnDone != nil {
 			opt.OnColumnDone(j, ColumnStats{Stats: c.detached(), Err: ws.errs[j]})
@@ -241,8 +282,8 @@ func SolveBlockInto(u *vec.Multi, k Operator, f *vec.Multi, m precond.Preconditi
 	// past the active prefix.
 	deflate := func(slot int) {
 		j := ws.perm[slot]
-		lay.save(slot, j)
-		lay.drop(slot)
+		lay.Save(slot, j)
+		lay.Drop(slot)
 		last := act - 1
 		ws.rho[slot], ws.rho[last] = ws.rho[last], ws.rho[slot]
 		ws.pkp[slot], ws.pkp[last] = ws.pkp[last], ws.pkp[slot]
@@ -252,10 +293,10 @@ func SolveBlockInto(u *vec.Multi, k Operator, f *vec.Multi, m precond.Preconditi
 	}
 
 	// M r̂⁰ = r⁰ ; p⁰ = r̂⁰ ; ρ⁰_j = (r̂_j, r_j).
-	lay.precondition()
+	lay.Precondition()
 	st.BlockPrecondApps++
-	lay.startDirection()
-	lay.dotRhatR(ws.rho[:act])
+	lay.StartDirection()
+	lay.DotRhatR(ws.rho[:act])
 	st.InnerProducts += act
 	for j := 0; j < s; j++ {
 		ws.stats[j].PrecondApps++
@@ -284,9 +325,9 @@ func SolveBlockInto(u *vec.Multi, k Operator, f *vec.Multi, m precond.Preconditi
 		st.Iterations++
 
 		// One product feeds every active column: KP = K·P.
-		lay.matvec()
+		lay.MatVec()
 		st.SpMMs++
-		lay.dotPKp(ws.pkp[:act])
+		lay.DotPKp(ws.pkp[:act])
 		st.InnerProducts += act
 		for slot := 0; slot < act; slot++ {
 			c := &ws.stats[ws.perm[slot]]
@@ -312,8 +353,8 @@ func SolveBlockInto(u *vec.Multi, k Operator, f *vec.Multi, m precond.Preconditi
 		}
 		// u_j += α_j p_j and r_j −= α_j K p_j; the paper's test quantity
 		// ‖u^{k+1}−u^k‖_∞ is |α_j|·‖p_j‖_∞ per column.
-		lay.stepU(ws.alpha[:act], ws.pinf[:act])
-		lay.stepR(ws.beta[:act], ws.rnorm[:act])
+		lay.StepU(ws.alpha[:act], ws.pinf[:act])
+		lay.StepR(ws.beta[:act], ws.rnorm[:act])
 		for slot := 0; slot < act; slot++ {
 			j := ws.perm[slot]
 			c := &ws.stats[j]
@@ -343,9 +384,9 @@ func SolveBlockInto(u *vec.Multi, k Operator, f *vec.Multi, m precond.Preconditi
 
 		// One block application serves every surviving column:
 		// M r̂_j = r_j.
-		lay.precondition()
+		lay.Precondition()
 		st.BlockPrecondApps++
-		lay.dotRhatR(ws.pkp[:act]) // pkp doubles as ρ' scratch
+		lay.DotRhatR(ws.pkp[:act]) // pkp doubles as ρ' scratch
 		st.InnerProducts += act
 		for slot := 0; slot < act; slot++ {
 			c := &ws.stats[ws.perm[slot]]
@@ -375,7 +416,7 @@ func SolveBlockInto(u *vec.Multi, k Operator, f *vec.Multi, m precond.Preconditi
 			c.CGBetas = append(c.CGBetas, ws.beta[slot])
 		}
 		// p_j = r̂_j + β_j p_j.
-		lay.stepP(ws.beta[:act])
+		lay.StepP(ws.beta[:act])
 	}
 
 	// Columns still active at exit ran out of iterations — or the context
@@ -388,7 +429,7 @@ func SolveBlockInto(u *vec.Multi, k Operator, f *vec.Multi, m precond.Preconditi
 	for slot := 0; slot < act; slot++ {
 		j := ws.perm[slot]
 		ws.errs[j] = exitErr
-		lay.save(slot, j)
+		lay.Save(slot, j)
 		finish(j)
 	}
 	ws.release()
@@ -411,7 +452,7 @@ func SolveBlockInto(u *vec.Multi, k Operator, f *vec.Multi, m precond.Preconditi
 
 // begin loads f into the layout the options and the operator's and
 // preconditioner's capabilities select, and reports which one runs.
-func (ws *Workspace) begin(k Operator, m precond.Preconditioner, u, f *vec.Multi, opt Options, w int) (layout, BlockStats) {
+func (ws *Workspace) begin(k Operator, m precond.Preconditioner, u, f *vec.Multi, opt Options, w int) (Layout, BlockStats) {
 	if opt.Interleave {
 		if ik, ok := k.(sparse.InterleavedOperator); ok && precond.CanApplyInterleaved(m) {
 			impl := kernel.Select(opt.Kernel)

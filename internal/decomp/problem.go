@@ -3,14 +3,16 @@
 // mesh.Partition), a generic buffered link fabric, a deterministic tree
 // all-reduce, and a parallel m-step PCG solver whose halo exchange moves
 // actual residual and search-direction border values between subdomain
-// goroutines.
+// goroutines. Each subdomain's rank runs the recurrence of internal/cg,
+// the one every single-matrix solve runs, over a rank-local layout whose
+// products, sweeps and reductions span all ranks.
 //
 // Decomposition.Solve serves two consumers. internal/engine runs it as the
-// planner's "decomposed" backend for systems too large for one
-// cache-resident matrix, and internal/femachine runs it with an Observer
-// per rank that charges the reported work to the Finite Element Machine's
-// clocks. One solver for both means the simulation and the execution path
-// cannot drift: they partition, exchange, reduce and iterate identically.
+// "decomposed" backend a request can force, and internal/femachine runs it
+// with an Observer per rank that charges the reported work to the Finite
+// Element Machine's clocks. One solver for both means the simulation and
+// the execution path cannot drift: they partition, exchange, reduce and
+// iterate identically.
 package decomp
 
 import (

@@ -2,22 +2,13 @@ package decomp
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"sync"
 	"time"
 
+	"repro/internal/cg"
 	"repro/internal/kernel"
-)
-
-// Solver errors. All ranks reduce the same quantities, so every rank takes
-// the same branch and returns the same error — the fabric can never
-// deadlock on divergent control flow.
-var (
-	ErrMaxIterations     = errors.New("decomp: maximum iterations reached without convergence")
-	ErrNotPositiveDef    = errors.New("decomp: matrix not positive definite")
-	ErrPrecondIndefinite = errors.New("decomp: preconditioner not positive definite")
 )
 
 // Options configures a decomposed solve.
@@ -31,8 +22,9 @@ type Options struct {
 	Tol            float64
 	RelResidualTol float64
 	MaxIter        int // 0 = 10·n
-	// Ctx, when set, is polled each iteration; cancellation propagates to
-	// every rank through the reduction's flag lane.
+	// Ctx, when set, is read by every rank once per iteration and its
+	// cancellation raised in the ‖Δu‖∞ max-reduce, so all ranks agree to
+	// stop at the end of the same iteration.
 	Ctx context.Context
 	// OnIteration, when set, fires on rank 0 once per CG iteration. The
 	// relative residual is formed only when OnIteration or RelResidualTol
@@ -67,30 +59,26 @@ type Observer interface {
 type SubStats struct {
 	Rank          int
 	HaloSeconds   float64 // packing, link sends and drains
-	SweepSeconds  float64 // local kernels: row sums, group solves, vector ops
+	SweepSeconds  float64 // the rest of the solve: row sums, group solves, vector ops
 	ReduceSeconds float64 // all-reduce rendezvous (includes wait)
 	Exchanges     int     // messages sent
 	Reductions    int
 }
 
-// Stats reports a decomposed solve.
+// Stats reports a decomposed solve: the recurrence's report, the same on
+// every rank (FinalRelRes is −1 unless RelResidualTol or OnIteration asked
+// for the residual), and each rank's measured breakdown.
 type Stats struct {
-	Iterations    int
-	Converged     bool
-	FinalUDiff    float64
-	FinalRelRes   float64 // −1 unless RelResidualTol or OnIteration asked for it
-	MatVecs       int
-	PrecondApps   int
-	InnerProducts int
-	Subdomains    int
-	Subs          []SubStats
+	cg.Stats
+	Subs []SubStats
 }
 
 // Solve runs the m-step preconditioned CG of Algorithm 1 for real: one
-// goroutine per subdomain, halo exchanges moving actual border values over
-// the link fabric, inner products via the tree reducer. f is the right-hand
-// side in the global colored ordering (nil = the problem's own RHS); the
-// returned solution uses the same ordering.
+// goroutine per subdomain, each running cg's recurrence over its rank's
+// layout, with halo exchanges moving actual border values over the link
+// fabric and inner products combining in the tree reducer. f is the
+// right-hand side in the global colored ordering (nil = the problem's own
+// RHS); the returned solution uses the same ordering.
 //
 // Interior rows never reference halo columns, so every matrix-vector
 // product and every sweep group solves its interior while the border
@@ -118,49 +106,36 @@ func (d *Decomposition) Solve(f []float64, opt Options) ([]float64, Stats, error
 
 	links := NewLinks[[]float64](d, LinkDepth)
 	red := newTreeReducer(d.P)
+	u := make([]float64, n)
 	workers := make([]*worker, d.P)
-	for p := 0; p < d.P; p++ {
-		workers[p] = newWorker(d, d.Subs[p], links, red, opt, f)
+	for p := range workers {
+		workers[p] = newWorker(d, d.Subs[p], links, red, opt, f, u)
 	}
-
+	st := Stats{Subs: make([]SubStats, d.P)}
+	var err error
 	var wg sync.WaitGroup
-	errs := make([]error, d.P)
-	for p := 0; p < d.P; p++ {
+	for p, w := range workers {
 		wg.Add(1)
-		go func(w *worker) {
+		go func() {
 			defer wg.Done()
-			errs[w.sd.Rank] = w.run()
-		}(workers[p])
+			cst, cerr := w.solve()
+			st.Subs[p] = w.stats
+			if p == 0 {
+				st.Stats, err = cst, cerr
+			}
+		}()
 	}
 	wg.Wait()
-
-	u := make([]float64, n)
-	st := Stats{Subdomains: d.P, Subs: make([]SubStats, d.P)}
-	for p, w := range workers {
-		for i, gidx := range w.sd.ColoredIdx {
-			u[gidx] = w.u[i]
-		}
-		st.Subs[p] = w.stats
-	}
-	w0 := workers[0]
-	st.Iterations = w0.iterations
-	st.Converged = w0.converged
-	st.FinalUDiff = w0.finalUDiff
-	st.FinalRelRes = w0.finalRelRes
-	st.MatVecs = w0.matVecs
-	st.PrecondApps = w0.precondApps
-	st.InnerProducts = w0.innerProducts
-	for _, err := range errs {
-		if err != nil {
-			return u, st, err
-		}
-	}
-	return u, st, nil
+	return u, st, err
 }
 
-// worker is one subdomain's run state for a single solve. Everything here
-// is private to the owning goroutine; the shared Decomposition is never
-// written.
+// worker is one subdomain's rank for a single solve, and the rank-local
+// cg.Layout the shared recurrence runs over: products and sweeps act on the
+// rank's own rows, and every inner product and norm is the rank's local
+// value all-reduced through the tree, so every rank reads the same scalars
+// and takes the same branches. It holds one column. Everything here is
+// private to the owning goroutine except the shared solution, of which each
+// rank writes only its own entries; the Decomposition is never written.
 type worker struct {
 	d     *Decomposition
 	sd    *Subdomain
@@ -174,6 +149,14 @@ type worker struct {
 	rhat, pvec []float64 // own + halo dofs
 	ycache     []float64 // Conrad–Wallach cache, own dofs
 	f          []float64 // own dofs
+	out        []float64 // the solution, global colored ordering
+
+	// trackRes forms ‖f‖₂ and ‖r‖₂ only when the stopping test or the
+	// iteration hook reads them; every rank decides alike from the shared
+	// options.
+	trackRes bool
+	// canceled is the agreed cancellation flag of the last max-reduce.
+	canceled bool
 
 	// Per-neighbor double-buffered send payloads, sized from the
 	// partition's actual border width (MaxSendWords): the receiver copies
@@ -189,17 +172,10 @@ type worker struct {
 	pendingColors []int
 	hasPending    bool
 
-	stats         SubStats
-	iterations    int
-	converged     bool
-	finalUDiff    float64
-	finalRelRes   float64
-	matVecs       int
-	precondApps   int
-	innerProducts int
+	stats SubStats
 }
 
-func newWorker(d *Decomposition, sd *Subdomain, links *Links[[]float64], red *treeReducer, opt Options, f []float64) *worker {
+func newWorker(d *Decomposition, sd *Subdomain, links *Links[[]float64], red *treeReducer, opt Options, f, out []float64) *worker {
 	nd := 2 * sd.NOwn
 	w := &worker{
 		d: d, sd: sd, links: links, red: red, opt: opt,
@@ -208,6 +184,8 @@ func newWorker(d *Decomposition, sd *Subdomain, links *Links[[]float64], red *tr
 		rhat: make([]float64, 2*sd.NAll), pvec: make([]float64, 2*sd.NAll),
 		ycache:   make([]float64, nd),
 		f:        make([]float64, nd),
+		out:      out,
+		trackRes: opt.RelResidualTol > 0 || opt.OnIteration != nil,
 		sendBufs: make([][2][]float64, len(sd.Neighbors)),
 		sendIdx:  make([]int, len(sd.Neighbors)),
 	}
@@ -224,6 +202,52 @@ func newWorker(d *Decomposition, sd *Subdomain, links *Links[[]float64], red *tr
 	}
 	return w
 }
+
+// solve runs cg's recurrence over the rank's layout from u⁰ = 0, r⁰ = f
+// (no initial product). Only rank 0 carries the iteration hook. The rank's
+// sweep time is its solve time less its halo and reduce time.
+func (w *worker) solve() (cg.Stats, error) {
+	t0 := time.Now()
+	if w.opt.Observe != nil {
+		w.obs = w.opt.Observe(w.sd.Rank)
+	}
+	copy(w.r, w.f)
+	w.work(len(w.r))
+
+	copt := cg.Options{Tol: w.opt.Tol, RelResidualTol: w.opt.RelResidualTol, MaxIter: w.opt.MaxIter}
+	if w.opt.Ctx != nil {
+		copt.Ctx = agreed{w.opt.Ctx, w}
+	}
+	if w.sd.Rank == 0 && w.opt.OnIteration != nil {
+		copt.Observer = onIteration(w.opt.OnIteration)
+	}
+	// Solve validated the options, so the only failure is the column's own,
+	// which ColErrs holds unwrapped.
+	bst, _ := cg.SolveLayout(w, 1, copt, nil)
+	w.stats.SweepSeconds = max(time.Since(t0).Seconds()-w.stats.HaloSeconds-w.stats.ReduceSeconds, 0)
+	return bst.Cols[0], bst.ColErrs[0]
+}
+
+// agreed is the context a rank's recurrence polls: it reports the caller's
+// cancellation only once the ranks have agreed on it in the ‖Δu‖∞
+// max-reduce, so every rank leaves at the same iteration boundary and none
+// is left waiting in the reduction tree.
+type agreed struct {
+	context.Context
+	w *worker
+}
+
+func (c agreed) Err() error {
+	if !c.w.canceled {
+		return nil
+	}
+	return c.Context.Err()
+}
+
+// onIteration adapts Options.OnIteration to rank 0's convergence observer.
+type onIteration func(iter int, udiff, relres float64)
+
+func (f onIteration) ObserveIteration(_, iter int, udiff, relres float64) { f(iter, udiff, relres) }
 
 // post packs the border values of the given node colors from v and sends
 // one record per neighbor; the matching drain scatters the replies into
@@ -295,6 +319,11 @@ func (w *worker) reduce(v [2]float64, op reduceOp) [2]float64 {
 		w.obs.Reduce(op == opMax)
 	}
 	return out
+}
+
+// sum is the all-reduced sum of a local value.
+func (w *worker) sum(local float64) float64 {
+	return w.reduce([2]float64{local, 0}, opSum)[0]
 }
 
 // work reports n units of local work to the observer, if any.
@@ -434,147 +463,93 @@ func (w *worker) msweep() {
 	}
 }
 
-// applyPrecond sets rhat = M⁻¹·r (identity copy when M = 0).
-func (w *worker) applyPrecond() {
+// NormF all-reduces ‖f‖₂ when the residual is tracked and reports 1
+// otherwise, so the relative residual of an untracked ‖r‖₂ reads −1.
+func (w *worker) NormF(dst []float64) {
+	dst[0] = 1
+	if w.trackRes {
+		dst[0] = math.Sqrt(w.sum(w.dot(w.f, w.f)))
+	}
+}
+
+// MatVec computes K·p with overlap: interior rows while border values are
+// in flight, border rows after the drain.
+func (w *worker) MatVec() {
+	w.post(w.pvec, w.d.AllColors, true)
+	w.kpNodes(w.sd.Interior)
+	w.drain()
+	w.kpNodes(w.sd.Border)
+}
+
+// Precondition sets rhat = M⁻¹·r: the m-step sweep, or a copy when M = 0.
+func (w *worker) Precondition() {
 	if w.opt.M == 0 {
-		copy(w.rhat[:2*w.sd.NOwn], w.r)
+		copy(w.rhat[:len(w.r)], w.r)
 		w.work(len(w.r))
 		return
 	}
 	w.msweep()
-	w.precondApps++
 }
 
-// run is the per-rank PCG driver, mirroring cg.SolveInto's iteration
-// structure (same stopping tests, same breakdown checks) so decomposed
-// results are comparable with the single-matrix path.
-func (w *worker) run() error {
-	opt := w.opt
-	n := 2 * w.sd.NOwn
-	if opt.Observe != nil {
-		w.obs = opt.Observe(w.sd.Rank)
-	}
-
-	// r⁰ = f with u⁰ = 0 (no initial product, matching cg.SolveInto).
-	copy(w.r, w.f)
-	w.work(n)
-
-	trackRes := opt.RelResidualTol > 0 || opt.OnIteration != nil
-	normF := 1.0
-	w.finalRelRes = -1
-	if trackRes {
-		if nf := math.Sqrt(w.reduce([2]float64{w.dot(w.f, w.f), 0}, opSum)[0]); nf != 0 {
-			normF = nf
-		}
-		w.innerProducts++
-	}
-
-	w.applyPrecond()
+func (w *worker) StartDirection() {
+	n := len(w.r)
 	copy(w.pvec[:n], w.rhat[:n])
 	w.work(n)
-	rho := w.reduce([2]float64{w.dot(w.rhat[:n], w.r), 0}, opSum)[0]
-	w.innerProducts++
-	if rho == 0 {
-		w.converged = true
-		return nil
-	}
-
-	for iter := 0; iter < opt.MaxIter; iter++ {
-		it0 := time.Now()
-		h0, r0 := w.stats.HaloSeconds, w.stats.ReduceSeconds
-
-		// K·p with overlap: interior rows while border values are in
-		// flight, border rows after the drain.
-		w.post(w.pvec, w.d.AllColors, true)
-		w.kpNodes(w.sd.Interior)
-		w.drain()
-		w.kpNodes(w.sd.Border)
-		w.matVecs++
-		pkpLocal := w.dot(w.pvec[:n], w.kp)
-
-		pkp := w.reduce([2]float64{pkpLocal, 0}, opSum)[0]
-		w.innerProducts++
-		if pkp <= 0 {
-			w.accountSweep(it0, h0, r0)
-			return ErrNotPositiveDef
-		}
-		alpha := rho / pkp
-
-		var pmax float64
-		for i := 0; i < n; i++ {
-			w.u[i] += alpha * w.pvec[i]
-			if a := math.Abs(w.pvec[i]); a > pmax {
-				pmax = a
-			}
-		}
-		w.work(3 * n)
-		w.iterations = iter + 1
-
-		// ‖Δu‖_∞ and the cancellation flag share one max-reduce — the real
-		// machine's signal-flag network folded into the tree.
-		var cancel float64
-		if opt.Ctx != nil && opt.Ctx.Err() != nil {
-			cancel = 1
-		}
-		ud := w.reduce([2]float64{math.Abs(alpha) * pmax, cancel}, opMax)
-		if ud[1] > 0 {
-			w.accountSweep(it0, h0, r0)
-			if opt.Ctx != nil && opt.Ctx.Err() != nil {
-				return opt.Ctx.Err()
-			}
-			return context.Canceled
-		}
-		udiff := ud[0]
-		w.finalUDiff = udiff
-
-		for i := 0; i < n; i++ {
-			w.r[i] -= alpha * w.kp[i]
-		}
-		w.work(2 * n)
-		relres := -1.0
-		if trackRes {
-			relres = math.Sqrt(w.reduce([2]float64{w.dot(w.r, w.r), 0}, opSum)[0]) / normF
-			w.innerProducts++
-			w.finalRelRes = relres
-		}
-
-		if w.sd.Rank == 0 && opt.OnIteration != nil {
-			opt.OnIteration(iter+1, udiff, relres)
-		}
-		if (opt.Tol > 0 && udiff < opt.Tol) || (opt.RelResidualTol > 0 && relres < opt.RelResidualTol) {
-			w.converged = true
-			w.accountSweep(it0, h0, r0)
-			return nil
-		}
-
-		w.applyPrecond()
-		rhoNext := w.reduce([2]float64{w.dot(w.rhat[:n], w.r), 0}, opSum)[0]
-		w.innerProducts++
-		if rhoNext < 0 {
-			w.accountSweep(it0, h0, r0)
-			return ErrPrecondIndefinite
-		}
-		if rhoNext == 0 {
-			w.converged = true
-			w.accountSweep(it0, h0, r0)
-			return nil
-		}
-		beta := rhoNext / rho
-		rho = rhoNext
-		for i := 0; i < n; i++ {
-			w.pvec[i] = w.rhat[i] + beta*w.pvec[i]
-		}
-		w.work(2 * n)
-		w.accountSweep(it0, h0, r0)
-	}
-	return ErrMaxIterations
 }
 
-// accountSweep attributes one iteration's wall time minus its halo and
-// reduce shares to local kernel work.
-func (w *worker) accountSweep(it0 time.Time, halo0, reduce0 float64) {
-	s := time.Since(it0).Seconds() - (w.stats.HaloSeconds - halo0) - (w.stats.ReduceSeconds - reduce0)
-	if s > 0 {
-		w.stats.SweepSeconds += s
+func (w *worker) DotPKp(dst []float64)   { dst[0] = w.sum(w.dot(w.pvec[:len(w.kp)], w.kp)) }
+func (w *worker) DotRhatR(dst []float64) { dst[0] = w.sum(w.dot(w.rhat[:len(w.r)], w.r)) }
+
+// StepU updates the own iterate and max-reduces ‖p‖_∞ with the
+// cancellation flag in the second lane — the real machine's signal-flag
+// network folded into the tree.
+func (w *worker) StepU(alpha, pinf []float64) {
+	a := alpha[0]
+	var pmax float64
+	for i := range w.u {
+		w.u[i] += a * w.pvec[i]
+		if v := math.Abs(w.pvec[i]); v > pmax {
+			pmax = v
+		}
+	}
+	w.work(3 * len(w.u))
+	var cancel float64
+	if w.opt.Ctx != nil && w.opt.Ctx.Err() != nil {
+		cancel = 1
+	}
+	m := w.reduce([2]float64{pmax, cancel}, opMax)
+	pinf[0], w.canceled = m[0], m[1] > 0
+}
+
+// StepR updates r and, when tracked, all-reduces ‖r‖₂; otherwise it
+// reports −1.
+func (w *worker) StepR(negAlpha, rnorm []float64) {
+	alpha := -negAlpha[0]
+	for i := range w.r {
+		w.r[i] -= alpha * w.kp[i]
+	}
+	w.work(2 * len(w.r))
+	rnorm[0] = -1
+	if w.trackRes {
+		rnorm[0] = math.Sqrt(w.sum(w.dot(w.r, w.r)))
 	}
 }
+
+func (w *worker) StepP(beta []float64) {
+	b := beta[0]
+	for i := range w.r {
+		w.pvec[i] = w.rhat[i] + b*w.pvec[i]
+	}
+	w.work(2 * len(w.r))
+}
+
+// Save writes the rank's own entries of the final iterate into the shared
+// solution.
+func (w *worker) Save(int, int) {
+	for i, gidx := range w.sd.ColoredIdx {
+		w.out[gidx] = w.u[i]
+	}
+}
+
+// Drop retires the rank's one column, which ends the solve.
+func (w *worker) Drop(int) {}

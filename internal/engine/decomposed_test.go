@@ -191,3 +191,36 @@ func TestSubdomainsValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestDecomposedCountsLikeCSR: a decomposed job counts its work by the
+// rules of a CSR job of the same plate — one product and one
+// preconditioner application per iteration (plain CG's identity included),
+// two inner products per iteration — and records one α per iteration.
+func TestDecomposedCountsLikeCSR(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	for _, m := range []int{0, 2} {
+		for _, backend := range []string{"csr", "decomposed"} {
+			req := Request{
+				Plate:  &PlateSpec{Rows: 12, Cols: 12},
+				Solver: SolverSpec{M: m, Tol: 1e-7, Backend: backend},
+			}
+			if backend == "decomposed" {
+				req.Solver.Subdomains = 2
+			}
+			v, err := s.Solve(context.Background(), req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := v.Result
+			it := res.Iterations
+			if res.MatVecs != it || res.PrecondApps != it || res.InnerProducts != 2*it {
+				t.Errorf("%s m=%d: %d iterations, %d matvecs, %d precond apps, %d inner products; want %d, %d, %d",
+					backend, m, it, res.MatVecs, res.PrecondApps, res.InnerProducts, it, it, 2*it)
+			}
+			if res.CGStats == nil || len(res.CGStats.CGAlphas) != it {
+				t.Errorf("%s m=%d: CG stats %+v, want %d alphas", backend, m, res.CGStats, it)
+			}
+		}
+	}
+}

@@ -1088,16 +1088,7 @@ func (s *Engine) runDecomposed(job *Job, dec *decomp.Decomposition, plate *fem.P
 		if !st.Converged {
 			res.Converged = false
 		}
-		cgst := cg.Stats{
-			Iterations:    st.Iterations,
-			Converged:     st.Converged,
-			FinalUDiff:    st.FinalUDiff,
-			FinalRelRes:   st.FinalRelRes,
-			InnerProducts: st.InnerProducts,
-			PrecondApps:   st.PrecondApps,
-			MatVecs:       st.MatVecs,
-			TrueRelRes:    -1,
-		}
+		cgst := st.Stats
 		cr := CaseResult{
 			Converged:   st.Converged,
 			Iterations:  st.Iterations,

@@ -128,8 +128,8 @@ type SolverSpec struct {
 	// Backend selects the matvec storage for K: "csr", "dia", "decomposed",
 	// or "auto" (empty = auto) — auto probes the matrix structure and picks
 	// diagonal storage for banded-diagonal systems (the paper's CYBER
-	// layout), CSR for scattered fill, and the domain-decomposed parallel
-	// path for plate problems too large for one cache-resident matrix. The
+	// layout) and CSR for scattered fill; it never picks the
+	// domain-decomposed parallel path, which runs only when asked for. The
 	// decomposed backend needs the mesh, so forcing it on a general system
 	// fails. The result reports the backend actually used.
 	Backend string `json:"backend,omitempty"`

@@ -182,20 +182,6 @@ const (
 	// the tile boundary so each gathered matrix row feeds every column from
 	// one cache line.
 	DefaultWideBlockThreshold = 4
-
-	// DefaultDecompMinBytes is the single-matrix footprint (CSR values +
-	// column indices + the solve's n-vectors) above which Auto prefers the
-	// decomposed backend for mesh-backed problems. Seeded from the
-	// vectorsim cost model's crossover: once K alone overflows the tile
-	// cache budget several times over (6× DefaultBudgetBytes), every CG
-	// iteration streams the whole matrix from memory, while P subdomains
-	// of footprint/P each can stay cache-resident and the halo traffic
-	// they add is a surface term (O(√(n/P)) per subdomain per iteration)
-	// against the volume term they save.
-	DefaultDecompMinBytes = 48 << 20
-	// bytesPerNNZ approximates a CSR entry's footprint: an 8-byte value
-	// plus a column index.
-	bytesPerNNZ = 16
 )
 
 // Planner turns solve inputs into execution plans. The zero value uses the
@@ -211,10 +197,6 @@ type Planner struct {
 	// MinTile floors the tile width for huge systems (default
 	// DefaultMinTile).
 	MinTile int
-	// DecompMinBytes is the matrix footprint above which Auto switches a
-	// mesh-backed problem to the decomposed backend (default
-	// DefaultDecompMinBytes).
-	DecompMinBytes int
 	// WideBlockThreshold is the smallest tile width planned onto the
 	// row-interleaved panel layout (default DefaultWideBlockThreshold);
 	// negative disables interleaving entirely.
@@ -260,10 +242,10 @@ type Inputs struct {
 	// multicolor SSOR at ω = 1, whose m-step sweep the fused kernels run on
 	// row-interleaved panels and on decomposed subdomains (see FusedSweep).
 	PanelSweep bool
-	// Decomp, when non-nil, describes the mesh behind the problem and
-	// enables the decomposed backend (Auto considers it; forcing
-	// BackendDecomposed without it plans a single subdomain and fails
-	// downstream where the mesh is truly required).
+	// Decomp, when non-nil, describes the mesh behind the problem that a
+	// forced BackendDecomposed partitions (Auto never picks it; forcing it
+	// without mesh facts plans a single subdomain and fails downstream
+	// where the mesh is truly required).
 	Decomp *DecompInputs
 }
 
@@ -380,9 +362,6 @@ func (pl Planner) Plan(in Inputs) Plan {
 		backend = in.Policy
 	case probe != nil:
 		backend = probe.Choose(BackendAuto)
-		if in.Decomp != nil && pl.decompWins(probe, in.Decomp) {
-			backend = BackendDecomposed
-		}
 	default:
 		backend = BackendCSR
 	}
@@ -468,19 +447,6 @@ func (pl Planner) Plan(in Inputs) Plan {
 func (pl Planner) interleaves(in Inputs, tiles [][]int, m int) bool {
 	wide := pl.wideThreshold()
 	return in.FusedSweep(m) && wide > 0 && len(tiles[len(tiles)-1]) >= wide
-}
-
-// decompWins is Auto's rule for preferring the decomposed backend: the
-// single-matrix solve's footprint (CSR entries plus the six resident
-// n-vectors) exceeds the decomposition threshold and the mesh actually
-// yields at least two subdomains.
-func (pl Planner) decompWins(probe *Probe, dc *DecompInputs) bool {
-	minBytes := pl.DecompMinBytes
-	if minBytes <= 0 {
-		minBytes = DefaultDecompMinBytes
-	}
-	footprint := probe.NNZ*bytesPerNNZ + probe.Rows*bytesPerColumn
-	return footprint > minBytes && subdomainCount(dc) >= 2
 }
 
 // subdomainCount resolves a decomposed plan's processor count: the

@@ -217,16 +217,25 @@ func TestParseBackendDecomposed(t *testing.T) {
 }
 
 func TestPlanDecomposedAuto(t *testing.T) {
-	// A probe whose footprint clears the decomposition threshold: Auto with
-	// mesh facts available must pick the decomposed backend.
+	// Auto never resolves to the decomposed backend, with or without mesh
+	// facts, on a 2²¹-row probe as on a small plate: it never measured a
+	// win there, so only a forced backend runs it.
 	big := &Probe{Rows: 1 << 21, Cols: 1 << 21, NNZ: 40 << 20, MaxRowNNZ: 18, NumDiags: 47, Fill: 0.25}
+	small := &Probe{Rows: 800, Cols: 800, NNZ: 14000, MaxRowNNZ: 18, NumDiags: 47, Fill: 0.37}
 	dc := &DecompInputs{Rows: 1024, FreeNodes: 1 << 20, MaxProcs: 8}
-	p := (Planner{}).Plan(Inputs{Probe: big, Policy: BackendAuto, RHS: 3, Decomp: dc, Workers: 8})
-	if p.Backend != BackendDecomposed {
-		t.Fatalf("auto on a huge plate resolved to %v, want decomposed", p.Backend)
+	for _, in := range []Inputs{
+		{Probe: big, Policy: BackendAuto, RHS: 3, Decomp: dc, Workers: 8},
+		{Probe: big, Policy: BackendAuto},
+		{Probe: small, Policy: BackendAuto, Decomp: dc},
+	} {
+		if p := (Planner{}).Plan(in); p.Backend == BackendDecomposed || p.Subdomains != 0 {
+			t.Errorf("auto on %d rows resolved to %v with %d subdomains", in.Probe.Rows, p.Backend, p.Subdomains)
+		}
 	}
-	if p.Subdomains != 8 {
-		t.Errorf("subdomains = %d, want MaxProcs 8", p.Subdomains)
+	// Forced on the same big probe, the mesh facts size the partition.
+	p := (Planner{}).Plan(Inputs{Probe: big, Policy: BackendDecomposed, RHS: 3, Decomp: dc, Workers: 8})
+	if p.Backend != BackendDecomposed || p.Subdomains != 8 {
+		t.Fatalf("forced plan = %v/%d, want decomposed/8 (MaxProcs)", p.Backend, p.Subdomains)
 	}
 	if p.Workers != 1 {
 		t.Errorf("decomposed plan workers = %d, want 1 (subdomains are the parallelism)", p.Workers)
@@ -234,21 +243,6 @@ func TestPlanDecomposedAuto(t *testing.T) {
 	checkTiles(t, p.Tiles, 3, 3) // one untiled case sequence
 	if got := p.Attrs()["subdomains"]; got != 8 {
 		t.Errorf("attrs subdomains = %v", got)
-	}
-
-	// Same probe without mesh facts: the decomposed backend is unavailable.
-	if got := (Planner{}).Plan(Inputs{Probe: big, Policy: BackendAuto}).Backend; got == BackendDecomposed {
-		t.Error("auto picked decomposed without DecompInputs")
-	}
-	// Small matrix with mesh facts: single-matrix still wins.
-	small := &Probe{Rows: 800, Cols: 800, NNZ: 14000, MaxRowNNZ: 18, NumDiags: 47, Fill: 0.37}
-	if got := (Planner{}).Plan(Inputs{Probe: small, Policy: BackendAuto, Decomp: dc}).Backend; got == BackendDecomposed {
-		t.Error("auto picked decomposed below the footprint threshold")
-	}
-	// A lowered threshold flips the small case.
-	lowered := Planner{DecompMinBytes: 1}
-	if got := lowered.Plan(Inputs{Probe: small, Policy: BackendAuto, Decomp: dc}).Backend; got != BackendDecomposed {
-		t.Errorf("lowered threshold resolved to %v, want decomposed", got)
 	}
 }
 

@@ -57,13 +57,13 @@ const (
 // Matrix storage backends for the CG matvec path (Config.Backend). The
 // default, BackendAuto, probes the matrix structure and picks diagonal
 // (CYBER-style) storage for systems on a few densely filled diagonals
-// (5-point stencils), CSR for the colored plate, scattered fill and every
-// batch tile run on interleaved panels, and the domain-decomposed parallel
-// path for plate problems too large for one cache-resident matrix;
-// Result.Backend reports the storage a solve actually ran on. BackendDecomposed (plates only) partitions the
-// mesh into subdomains, each run by a dedicated goroutine with halo
-// exchange and tree-reduced inner products — the paper's Finite Element
-// Machine executed for real; Config.Subdomains pins its processor count.
+// (5-point stencils), and CSR for the colored plate, scattered fill and
+// every batch tile run on interleaved panels; Result.Backend reports the
+// storage a solve actually ran on. BackendDecomposed (plates only), which
+// Auto never picks, partitions the mesh into subdomains, each run by a
+// dedicated goroutine with halo exchange and tree-reduced inner products —
+// the paper's Finite Element Machine executed for real; Config.Subdomains
+// pins its processor count.
 const (
 	BackendAuto       = core.BackendAuto
 	BackendCSR        = core.BackendCSR
