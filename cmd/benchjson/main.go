@@ -8,6 +8,12 @@
 // the standard ns/op, B/op and allocs/op alongside custom b.ReportMetric
 // series like solves/s, rhs/s, iterations or simulated-s — together with
 // the goos/goarch/cpu context lines and the package each benchmark ran in.
+// Repeated lines of one benchmark — from -count, or from a second run
+// appended to the same input — fold into one result holding each metric's
+// median, so a noisy benchmark is compared by its typical sample rather
+// than by one draw:
+//
+//	go test -run='^$' -bench='^BenchmarkDecomposedSolve$' -benchtime=1x -count=5 . | go run ./cmd/benchjson
 //
 // With -diff the run is additionally compared against a committed baseline
 // report (a previous run's JSON), printing old → new with the percentage
@@ -36,9 +42,10 @@ import (
 	"strings"
 )
 
-// Result is one benchmark line: its name (sub-benchmarks keep their
+// Result is one benchmark: its name (sub-benchmarks keep their
 // /slash/path), the GOMAXPROCS suffix, the iteration count, and every
-// value-unit metric pair the line reported.
+// value-unit metric pair its line reported. A benchmark with several lines
+// sums their iteration counts and keeps each metric's median.
 type Result struct {
 	Pkg     string             `json:"pkg"`
 	Name    string             `json:"name"`
@@ -252,7 +259,47 @@ func parse(r io.Reader) (Report, error) {
 	if len(rep.Benchmarks) == 0 {
 		return rep, fmt.Errorf("no benchmark lines on stdin (pipe `go test -bench` output in)")
 	}
+	rep.Benchmarks = fold(rep.Benchmarks)
 	return rep, nil
+}
+
+// fold merges the results that share a package and name into one, at the
+// position of the first: iteration counts add up and every metric becomes
+// the median of the samples that reported it.
+func fold(results []Result) []Result {
+	at := make(map[string]int, len(results))
+	var out []Result
+	var samples []map[string][]float64
+	for _, r := range results {
+		i, ok := at[r.Pkg+"."+r.Name]
+		if !ok {
+			i = len(out)
+			at[r.Pkg+"."+r.Name] = i
+			out = append(out, Result{Pkg: r.Pkg, Name: r.Name, Procs: r.Procs, Metrics: map[string]float64{}})
+			samples = append(samples, map[string][]float64{})
+		}
+		out[i].Runs += r.Runs
+		for u, v := range r.Metrics {
+			samples[i][u] = append(samples[i][u], v)
+		}
+	}
+	for i, byUnit := range samples {
+		for u, vs := range byUnit {
+			out[i].Metrics[u] = median(vs)
+		}
+	}
+	return out
+}
+
+// median returns the middle value of xs (the mean of the two middle values
+// for an even count), sorting xs in place.
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	n := len(xs)
+	if n%2 == 1 {
+		return xs[n/2]
+	}
+	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
 // procsSuffix returns the number after a name's last '-', if it is one.

@@ -139,6 +139,46 @@ func TestParseGOMAXPROCSFixtures(t *testing.T) {
 	}
 }
 
+// TestFoldRepeatedLines: -count=3 output (a real run of a multi-goroutine
+// benchmark, GOMAXPROCS 2) folds into one result per benchmark holding each
+// metric's median, and a second run appended to the same input folds in
+// too.
+func TestFoldRepeatedLines(t *testing.T) {
+	b, err := os.ReadFile("testdata/count3.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := parseSample(t, string(b))
+	want := []string{"P=1/m=0", "P=2/m=0", "P=5/m=0", "P=1/m=2", "P=2/m=2", "P=5/m=2"}
+	if len(rep.Benchmarks) != len(want) {
+		t.Fatalf("%d results, want %d", len(rep.Benchmarks), len(want))
+	}
+	for i, r := range rep.Benchmarks {
+		if r.Name != "BenchmarkTable3FEMachine/"+want[i] || r.Procs != 2 || r.Runs != 3 {
+			t.Errorf("result %d: %q procs %d runs %d, want %q procs 2 runs 3", i, r.Name, r.Procs, r.Runs, want[i])
+		}
+	}
+	p5 := rep.Benchmarks[2]
+	if p5.Metrics["ns/op"] != 1550011 || p5.Metrics["iterations"] != 47 || p5.Metrics["simulated-s"] != 0.02262 {
+		t.Errorf("P=5/m=0 medians: %v, want ns/op 1550011 of (1550011, 1738958, 1457839)", p5.Metrics)
+	}
+
+	// A second run of one sub-benchmark, appended: four samples, so the
+	// median is the mean of the middle two.
+	more := "pkg: repro\nBenchmarkTable3FEMachine/P=5/m=0-2 \t 1 \t 1000000 ns/op \t 47.00 iterations\n"
+	rep = parseSample(t, string(b)+more)
+	if len(rep.Benchmarks) != len(want) {
+		t.Fatalf("appended run: %d results, want %d", len(rep.Benchmarks), len(want))
+	}
+	p5 = rep.Benchmarks[2]
+	if got, wantNs := p5.Metrics["ns/op"], (1457839+1550011)/2.0; p5.Runs != 4 || got != wantNs {
+		t.Errorf("appended run: P=5/m=0 runs %d ns/op %v, want 4 and %v", p5.Runs, got, wantNs)
+	}
+	if p5.Metrics["simulated-s"] != 0.02262 {
+		t.Errorf("appended run: a metric only some samples report keeps their median, got %v", p5.Metrics["simulated-s"])
+	}
+}
+
 // benchLine formats a result line the way go test does: the GOMAXPROCS
 // suffix only when procs > 1.
 func benchLine(name string, procs int) string {
@@ -184,8 +224,11 @@ func FuzzParseBench(f *testing.F) {
 				wantProcs = pa
 			}
 		}
-		if len(rep.Benchmarks) != 2 {
-			t.Fatalf("%q: %d results", text, len(rep.Benchmarks))
+		if names[0] == names[1] {
+			names = names[:1] // two lines of one benchmark fold into one result
+		}
+		if len(rep.Benchmarks) != len(names) {
+			t.Fatalf("%q: %d results, want %d", text, len(rep.Benchmarks), len(names))
 		}
 		for i, r := range rep.Benchmarks {
 			if r.Name != names[i] || r.Procs != wantProcs || r.Pkg != "fuzz" {

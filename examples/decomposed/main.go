@@ -37,7 +37,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("auto plan:   backend=%s (plate fits one matrix)\n", pi.Backend)
+	fmt.Printf("auto plan:   backend=%s (auto never picks decomposed)\n", pi.Backend)
 	pi, err = l.Plan(ctx, req)
 	if err != nil {
 		log.Fatal(err)

@@ -159,7 +159,8 @@ func TestRecurrenceMatchesReference(t *testing.T) {
 						bopt := opt
 						bopt.Interleave, bopt.Kernel = interleave, kern
 						fs := &vec.Multi{N: n, S: s, Data: f.Data[:n*s]}
-						u, st, err := SolveBlock(op, fs, sys.pc, bopt)
+						u := vec.NewMulti(n, s)
+						st, err := SolveBlockInto(u, op, fs, sys.pc, bopt, nil)
 						if err != nil {
 							t.Fatalf("%s: %v", name, err)
 						}

@@ -137,16 +137,6 @@ func SolveInto(u []float64, k Operator, f []float64, m precond.Preconditioner, o
 	return st.Cols[0], st.ColErrs[0]
 }
 
-// SolveBlock runs block PCG on K·U = F for a batch of right-hand sides,
-// allocating its own result and scratch. Allocation-sensitive callers use
-// SolveBlockInto with a reused workspace.
-func SolveBlock(k Operator, f *vec.Multi, m precond.Preconditioner, opt Options) (*vec.Multi, BlockStats, error) {
-	rows, _ := k.Dims()
-	u := vec.NewMulti(rows, f.S)
-	st, err := SolveBlockInto(u, k, f, m, opt, nil)
-	return u, st, err
-}
-
 // SolveBlockInto runs preconditioned CG on s systems K·u_j = f_j sharing
 // one matrix and one preconditioner: s independent scalar CG recurrences
 // advance in lockstep, but every iteration performs exactly one

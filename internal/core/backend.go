@@ -15,7 +15,7 @@ type Backend = plan.Backend
 
 const (
 	// BackendAuto (the zero value) probes the matrix structure and picks
-	// the backend itself; see ChooseBackend.
+	// the backend itself; see plan.Probe.Choose.
 	BackendAuto = plan.BackendAuto
 	// BackendCSR forces compressed-sparse-row storage.
 	BackendCSR = plan.BackendCSR
@@ -32,20 +32,6 @@ const (
 // ParseBackend resolves a backend name ("", "auto", "csr", "dia",
 // "decomposed"); the empty string means Auto.
 func ParseBackend(name string) (Backend, error) { return plan.ParseBackend(name) }
-
-// ChooseBackend resolves a backend policy against a concrete matrix: CSR
-// and DIA pass through, and Auto probes the structure (see plan.Probe) and
-// picks DIA exactly when diagonal storage is in the regime it wins in: a
-// few diagonals, each more than half filled (dense stencils; the colored
-// plate stays on CSR). This is the column-layout choice; the planner runs
-// interleaved batch tiles on CSR. Callers that re-resolve the same matrix
-// should keep a plan.Probe instead of rescanning.
-func ChooseBackend(k *sparse.CSR, policy Backend) Backend {
-	if policy != BackendAuto {
-		return policy
-	}
-	return plan.NewProbe(k).Choose(policy)
-}
 
 // operatorFor materializes the operator a resolved backend names. The DIA
 // conversion is performed here (callers that solve the same matrix

@@ -9,6 +9,7 @@ import (
 	"repro/internal/fem"
 	"repro/internal/mesh"
 	"repro/internal/model"
+	"repro/internal/plan"
 	"repro/internal/sparse"
 )
 
@@ -73,34 +74,35 @@ func randScattered(rng *rand.Rand, n int) *sparse.CSR {
 }
 
 func TestChooseBackendAuto(t *testing.T) {
+	choose := func(k *sparse.CSR, policy Backend) Backend { return plan.NewProbe(k).Choose(policy) }
 	// The colored plate's ~47 diagonals are about a quarter filled: DIA
 	// would stream more matrix bytes than CSR, so Auto keeps row storage.
 	sys, _ := plateSystem(t, 12, 12)
-	if got := ChooseBackend(sys.K, BackendAuto); got != BackendCSR {
+	if got := choose(sys.K, BackendAuto); got != BackendCSR {
 		t.Fatalf("Auto on banded multicolor plate chose %s, want csr", got)
 	}
-	if got := ChooseBackend(model.Poisson2D(30, 30), BackendAuto); got != BackendDIA {
+	if got := choose(model.Poisson2D(30, 30), BackendAuto); got != BackendDIA {
 		t.Fatalf("Auto on 5-point Poisson stencil chose %s, want dia", got)
 	}
 	rng := rand.New(rand.NewSource(3))
-	if got := ChooseBackend(randScattered(rng, 400), BackendAuto); got != BackendCSR {
+	if got := choose(randScattered(rng, 400), BackendAuto); got != BackendCSR {
 		t.Fatalf("Auto on scattered fill chose %s, want csr", got)
 	}
 	mc := randBandedMulticolor(rng, 6, 40)
-	if got := ChooseBackend(mc.K, BackendAuto); got != BackendDIA {
+	if got := choose(mc.K, BackendAuto); got != BackendDIA {
 		t.Fatalf("Auto on random banded multicolor system chose %s, want dia", got)
 	}
 	// Forced policies pass through untouched, even against the structure.
-	if got := ChooseBackend(sys.K, BackendCSR); got != BackendCSR {
+	if got := choose(sys.K, BackendCSR); got != BackendCSR {
 		t.Fatalf("forced csr resolved to %s", got)
 	}
-	if got := ChooseBackend(randScattered(rng, 100), BackendDIA); got != BackendDIA {
+	if got := choose(randScattered(rng, 100), BackendDIA); got != BackendDIA {
 		t.Fatalf("forced dia resolved to %s", got)
 	}
 	// Auto never picks DIA for a non-square matrix (unconvertible).
 	rect := sparse.NewCOO(2, 3)
 	rect.Add(0, 0, 1)
-	if got := ChooseBackend(rect.ToCSR(), BackendAuto); got != BackendCSR {
+	if got := choose(rect.ToCSR(), BackendAuto); got != BackendCSR {
 		t.Fatalf("Auto on a non-square matrix chose %s, want csr", got)
 	}
 }

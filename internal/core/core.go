@@ -124,11 +124,6 @@ type Config struct {
 	// REPRO_KERNEL=portable applies process-wide). Any other value is
 	// rejected. Column iterates are bit-identical across kernel sets.
 	Kernel string
-	// TileBudgetBytes bounds the multivector working set of one batch tile
-	// in engine batch solves: wide batches are split by the planner into
-	// cache-sized column tiles executed sequentially (0 =
-	// plan.DefaultBudgetBytes).
-	TileBudgetBytes int
 	// Subdomains pins the processor count of a decomposed solve (0 = the
 	// planner picks from the worker budget and mesh shape). Only
 	// meaningful for mesh-backed problems routed through the engine.
@@ -142,11 +137,6 @@ type Config struct {
 	// excluded from the engine's problem cache key — it is an execution
 	// policy, not part of the prepared problem.
 	Tuning string
-}
-
-// planner returns the execution planner the config's budgets select.
-func (c Config) planner() plan.Planner {
-	return plan.Planner{BudgetBytes: c.TileBudgetBytes}
 }
 
 // Result reports a solve.
@@ -326,7 +316,7 @@ func Solve(sys System, cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	pl := cfg.planner().Plan(plan.Inputs{
+	pl := plan.Planner{}.Plan(plan.Inputs{
 		K: sys.K, Policy: cfg.Backend, RHS: 1, M: cfg.M, Workers: cfg.Workers, Kernel: cfg.Kernel,
 	})
 	op, backend, err := operatorFor(sys.K, pl.Backend)

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"container/list"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -24,7 +23,9 @@ import (
 // of ready preconditioners. The system and interval are immutable after
 // build; preconditioners carry mutable sweep scratch (e.g. the
 // Conrad–Wallach auxiliary vector), so concurrent jobs each check one out
-// of the pool rather than sharing an instance.
+// of the pool rather than sharing an instance. Every job runs against an
+// entry: a keyless request builds a throwaway one (empty key) that the
+// cache never holds and the tuner never sees.
 type cacheEntry struct {
 	key  string
 	once sync.Once
@@ -91,21 +92,18 @@ type altPrecond struct {
 	name   string
 }
 
-// build does the expensive setup exactly once per entry: plate assembly (or
-// general-system conversion), splitting construction, interval estimation,
+// build does the expensive setup exactly once per entry, cached or
+// throwaway: assembly, then splitting construction, interval estimation
 // and the first preconditioner. phase, when non-nil, brackets each stage
-// ("assemble", then core's build phases) — the job that loses the cache
-// race and ends up building records the stages on its own trace; planning
-// probes pass nil.
+// ("assemble", then core's build phases) — the job that runs the build
+// records the stages on its own trace; planning passes nil.
 func (e *cacheEntry) build(req *Request, phase func(name string) (end func())) {
-	var end func()
-	if phase != nil {
-		end = phase("assemble")
+	if phase == nil {
+		phase = func(string) func() { return func() {} }
 	}
-	sys, plate, err := req.assemble()
-	if end != nil {
-		end()
-	}
+	end := phase("assemble")
+	err := e.assemble(req)
+	end()
 	if err != nil {
 		e.err = err
 		return
@@ -115,24 +113,35 @@ func (e *cacheEntry) build(req *Request, phase func(name string) (end func())) {
 		e.err = err
 		return
 	}
-	p, alphas, iv, err := core.BuildPreconditionerPhased(sys, cfg, phase)
+	p, alphas, iv, err := core.BuildPreconditionerPhased(e.sys, cfg, phase)
 	if err != nil {
 		e.err = err
 		return
 	}
-	e.sys, e.plate, e.interval, e.alphas, e.precond = sys, plate, iv, alphas, p.Name()
+	e.interval, e.alphas, e.precond = iv, alphas, p.Name()
 	if iv != (eigen.Interval{}) {
 		// Pin the estimate: later preconditioner builds reuse it.
 		cfg.Interval = &e.interval
 	}
 	e.cfg = cfg
+	e.pool.Put(p)
+	e.ready.Store(true)
+}
+
+// assemble sets the entry's system and plate from the request: all that
+// planning needs, without a preconditioner or a spectral estimate.
+func (e *cacheEntry) assemble(req *Request) error {
+	sys, plate, err := req.assemble()
+	if err != nil {
+		return err
+	}
+	e.sys, e.plate = sys, plate
 	if pb := req.Prebuilt; pb != nil && pb.Probe != nil {
 		// Seed the structure-probe memo from the caller's own memo: a
 		// prebuilt problem's pattern is never rescanned, not even once.
 		e.probeOnce.Do(func() { e.probeVal = *pb.Probe })
 	}
-	e.pool.Put(p)
-	e.ready.Store(true)
+	return nil
 }
 
 // structureProbe returns the entry's memoized matrix structure scan, the
@@ -151,13 +160,10 @@ func (e *cacheEntry) getDIA() (*sparse.DIA, error) {
 }
 
 // getDecomp returns the entry's memoized p-way row-strip decomposition of
-// its plate, partitioning on first use. Like the DIA conversion, it is
-// cached alongside the CSR so repeated decomposed solves of one problem
-// never re-partition the mesh.
+// its plate (the entry must hold one), partitioning on first use. Like the
+// DIA conversion, it is cached alongside the CSR so repeated decomposed
+// solves of one problem never re-partition the mesh.
 func (e *cacheEntry) getDecomp(p int) (*decomp.Decomposition, error) {
-	if e.plate == nil {
-		return nil, errors.New("engine: decomposed backend needs a plate-backed problem (general systems carry no mesh to partition)")
-	}
 	e.decompMu.Lock()
 	defer e.decompMu.Unlock()
 	if d, ok := e.decomps[p]; ok {

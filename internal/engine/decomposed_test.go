@@ -3,6 +3,9 @@ package engine
 import (
 	"context"
 	"math"
+	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -221,6 +224,67 @@ func TestDecomposedCountsLikeCSR(t *testing.T) {
 			if res.CGStats == nil || len(res.CGStats.CGAlphas) != it {
 				t.Errorf("%s m=%d: CG stats %+v, want %d alphas", backend, m, res.CGStats, it)
 			}
+		}
+	}
+}
+
+// TestPlanTilesMatchExecutedTiles: a job executes exactly the tiles its
+// plan lists, so Stats.TilesExecuted and repro_tiles_executed_total grow by
+// len(Plan.Tiles), and PlanRequest lists the tiles the solve runs. A
+// decomposed batch gives every case a tile; a CSR batch this narrow is one
+// block tile.
+func TestPlanTilesMatchExecutedTiles(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	tilesMetric := func() int64 {
+		var sb strings.Builder
+		if err := s.WriteMetrics(&sb); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(sb.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, "repro_tiles_executed_total "); ok {
+				n, err := strconv.ParseFloat(v, 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return int64(n)
+			}
+		}
+		t.Fatal("exposition has no repro_tiles_executed_total")
+		return 0
+	}
+	for _, tc := range []struct {
+		backend string
+		tiles   [][]int
+	}{
+		{"decomposed", [][]int{{0}, {1}, {2}}},
+		{"csr", [][]int{{0, 1, 2}}},
+	} {
+		req := Request{
+			Plate:  &PlateSpec{Rows: 10, Cols: 10, Tractions: []float64{1, 2.5, -1}},
+			Solver: SolverSpec{M: 1, Tol: 1e-7, Backend: tc.backend, Subdomains: 2},
+		}
+		planned, err := s.PlanRequest(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats, metric := s.Stats().TilesExecuted, tilesMetric()
+		v, err := s.Solve(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tiles := v.Result.Plan.Tiles
+		if !reflect.DeepEqual(tiles, tc.tiles) {
+			t.Errorf("%s: plan tiles %v, want %v", tc.backend, tiles, tc.tiles)
+		}
+		if !reflect.DeepEqual(planned.Tiles, tiles) {
+			t.Errorf("%s: PlanRequest tiles %v, solve ran %v", tc.backend, planned.Tiles, tiles)
+		}
+		if grew := s.Stats().TilesExecuted - stats; grew != int64(len(tiles)) {
+			t.Errorf("%s: tiles_executed grew by %d for a %d-tile plan", tc.backend, grew, len(tiles))
+		}
+		if grew := tilesMetric() - metric; grew != int64(len(tiles)) {
+			t.Errorf("%s: repro_tiles_executed_total grew by %d for a %d-tile plan", tc.backend, grew, len(tiles))
 		}
 	}
 }

@@ -15,9 +15,7 @@ import (
 	"repro/internal/cg"
 	"repro/internal/core"
 	"repro/internal/decomp"
-	"repro/internal/eigen"
 	"repro/internal/fem"
-	"repro/internal/mesh"
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/poly"
@@ -308,14 +306,15 @@ func (s *Engine) Cancel(id string) bool {
 
 // PlanRequest resolves the execution plan the service would run req with —
 // backend, batch tiles, kernel fan-out, step count — without solving
-// anything. When the request's problem is already cached its memoized
-// structure probe answers immediately; otherwise the system is assembled
-// just for the probe (never inserted into the cache, and no preconditioner
-// or spectral interval is built — planning must stay far cheaper than
-// solving). Either way a later solve of the same request reports an
-// identical JobResult.Plan — including the self-tuning evidence: a warm
-// problem past the observation gate explains its decision with every
-// candidate's measured throughput and cost-model prior.
+// anything, through the planning call the solve itself makes. When the
+// request's problem is already cached it plans from that entry (its
+// memoized structure probe answers immediately); otherwise from a throwaway
+// entry that is only assembled: never inserted into the cache, and no
+// preconditioner or spectral interval is built — planning must stay far
+// cheaper than solving. Either way a later solve of the same request
+// reports an identical JobResult.Plan — including the self-tuning
+// evidence: a warm problem past the observation gate explains its decision
+// with every candidate's measured throughput and cost-model prior.
 func (s *Engine) PlanRequest(req Request) (PlanInfo, error) {
 	if err := req.Validate(); err != nil {
 		return PlanInfo{}, err
@@ -340,46 +339,28 @@ func (s *Engine) PlanRequest(req Request) (PlanInfo, error) {
 			entry = e
 		}
 	}
-	var probe *plan.Probe
-	var plate *fem.Plate
-	if pb := req.Prebuilt; pb != nil {
-		plate = pb.Plate
-		if pb.Probe != nil {
-			probe = pb.Probe
-		}
-	}
-	if probe == nil && entry != nil {
-		probe = entry.structureProbe()
-		plate = entry.plate
-	}
-	if probe == nil {
-		sys, pl, err := req.assemble()
-		if err != nil {
+	if entry == nil {
+		entry = &cacheEntry{}
+		if err := entry.assemble(&req); err != nil {
 			return PlanInfo{}, err
 		}
-		p := plan.NewProbe(sys.K)
-		probe = &p
-		plate = pl
 	}
-	in := s.planInputs(cfg, probe, plate, req.batchSize())
-	pl := s.plannerFor(cfg).Plan(in)
-	mode := s.tuningFor(cfg)
-	var dec plan.Decision
-	if mode != plan.TuningOff && entry != nil {
-		pl, dec = s.tuner.Decide(entry.key, s.plannerFor(cfg), in, pl, s.priorFor(entry), mode == plan.TuningAdapt)
-	}
+	_, pl, mode, dec := s.planFor(entry, cfg, req.batchSize())
 	return planInfo(pl, mode, dec), nil
 }
 
-// planInputs assembles the planner's inputs for one solve: the structure
-// probe, whether the preconditioner has the fused multicolor sweep, and —
-// for plate-backed problems whose preconditioner the decomposed path can
-// run — the mesh facts that enable the decomposed backend. PlanRequest and
-// runJob share it, so an offline plan always matches the plan the solve
-// runs.
-func (s *Engine) planInputs(cfg core.Config, probe *plan.Probe, plate *fem.Plate, rhs int) plan.Inputs {
+// planFor is the one planning call, shared by runJob and PlanRequest so an
+// offline plan always matches the plan the solve runs. The planner turns
+// the entry's structure probe, the batch width and the budgets into the
+// static plan; the preconditioner decides whether panels and the decomposed
+// backend are open to it, and a plate gives the mesh facts the decomposed
+// backend partitions. Under a tuning policy a cached problem then takes the
+// tuner's decision: adapt may re-plan from measured throughput, observe
+// only explains and keeps the static plan. A throwaway entry (empty key)
+// has no observations and keeps the static plan.
+func (s *Engine) planFor(entry *cacheEntry, cfg core.Config, rhs int) (plan.Inputs, plan.Plan, plan.TuningMode, plan.Decision) {
 	in := plan.Inputs{
-		Probe:      probe,
+		Probe:      entry.structureProbe(),
 		Policy:     cfg.Backend,
 		RHS:        rhs,
 		M:          cfg.M,
@@ -387,25 +368,21 @@ func (s *Engine) planInputs(cfg core.Config, probe *plan.Probe, plate *fem.Plate
 		Kernel:     cfg.Kernel,
 		PanelSweep: cfg.Splitting == core.SSORMulticolor && (cfg.Omega == 0 || cfg.Omega == 1),
 	}
-	if plate != nil && in.FusedSweep(cfg.M) {
+	if p := entry.plate; p != nil && in.FusedSweep(cfg.M) {
 		in.Decomp = &plan.DecompInputs{
-			Rows:      plate.Grid.Rows,
-			FreeNodes: len(plate.Free),
+			Rows:      p.Grid.Rows,
+			FreeNodes: len(p.Free),
 			Requested: cfg.Subdomains,
-			MaxProcs:  s.workersFor(cfg),
+			MaxProcs:  in.Workers,
 		}
 	}
-	return in
-}
-
-// plannerFor returns the planner a resolved config runs under: the engine's
-// shared planner, unless the (in-process, full-config) request pins its own
-// tile budget.
-func (s *Engine) plannerFor(cfg core.Config) plan.Planner {
-	if cfg.TileBudgetBytes > 0 {
-		return plan.Planner{BudgetBytes: cfg.TileBudgetBytes}
+	pl := s.planner.Plan(in)
+	mode := s.tuningFor(cfg)
+	var dec plan.Decision
+	if mode != plan.TuningOff && entry.key != "" {
+		pl, dec = s.tuner.Decide(entry.key, s.planner, in, pl, s.priorFor(entry), mode == plan.TuningAdapt)
 	}
-	return s.planner
+	return in, pl, mode, dec
 }
 
 // workersFor resolves the kernel fan-out budget for a job: the engine's
@@ -729,13 +706,12 @@ func (s *Engine) transition(job *Job, state JobState, result *JobResult, err err
 	}
 }
 
-// runJob is the plan → execute → emit pipeline for one job: resolve the
-// problem (via the cache when the request is keyed), check out a
-// preconditioner, let the planner turn the request's shape into an
-// execution plan, then run the plan's tiles, emitting each case's result
-// the moment its column retires. A batched request runs as one job against
-// one cache entry and one preconditioner checkout; every block traversal
-// is shared across the tile's columns.
+// runJob is the plan → execute → emit pipeline every job runs: resolve the
+// job's cache entry (a throwaway one for a keyless request) and check out a
+// preconditioner, plan through the call PlanRequest makes, then run the
+// plan's tiles, emitting each case's result the moment it finishes. A
+// batched request runs as one job against one entry and one preconditioner
+// checkout.
 func (s *Engine) runJob(job *Job, ws *cg.Workspace, workerID int) {
 	s.transition(job, JobRunning, nil, nil)
 	s.logger.Debug("job started", "job", job.id, "worker", workerID)
@@ -745,208 +721,53 @@ func (s *Engine) runJob(job *Job, ws *cg.Workspace, workerID int) {
 	phase := func(name string) func() {
 		return job.trace.Start(name).SetWorker(workerID).End
 	}
+	fail := func(err error) { s.transition(job, JobFailed, nil, err) }
 
 	cfg, err := job.req.coreConfig()
 	if err != nil {
-		s.transition(job, JobFailed, nil, err)
+		fail(err)
+		return
+	}
+	entry, pc, err := s.acquire(job, workerID, phase)
+	if err != nil {
+		fail(err)
+		return
+	}
+	defer entry.release(pc)
+	alphas, name := entry.alphas, entry.precond
+	fs, err := job.req.rhsCols(entry.sys)
+	if err != nil {
+		fail(err)
 		return
 	}
 
-	var (
-		sys    core.System
-		plate  *fem.Plate
-		pc     precond.Preconditioner
-		iv     eigen.Interval
-		alphas poly.Alphas
-		name   string
-		entry  *cacheEntry // non-nil on the cached path
-	)
-	if key := job.req.CacheKey(); key != "" {
-		// cache_wait covers entry acquisition (the LRU lookup, insert and
-		// eviction included) and the preconditioner checkout. If this job
-		// loses the build race, the build's stage spans (assemble,
-		// splitting_build, …) land on this trace as their own leaves: the
-		// first one closes cache_wait so the spans never overlap, and a warm
-		// hit keeps cache_wait as the only span.
-		waitSp := job.trace.Start("cache_wait").SetWorker(workerID)
-		// existed=false only for the requester that created the entry; every
-		// later requester (even one blocking on the first build in once.Do)
-		// reuses the assembled system and estimated interval. A
-		// by-reference job resolved its built entry at submission and has no
-		// triplets to build from, so it never runs the entry's once.
-		entry = job.entry
-		byRef := entry != nil
-		existed := true
-		if !byRef {
-			entry, existed = s.cache.get(key)
-		}
-		waitSp.SetAttr("hit", existed)
-		waitEnded := false
-		endWait := func() {
-			if !waitEnded {
-				waitEnded = true
-				waitSp.End()
-			}
-		}
-		if !byRef {
-			entry.once.Do(func() {
-				waitSp.SetAttr("built", true)
-				entry.build(&job.req, func(stage string) func() {
-					endWait()
-					return phase(stage)
-				})
-			})
-		}
-		if entry.err != nil {
-			endWait()
-			s.cache.drop(entry)
-			s.transition(job, JobFailed, nil, entry.err)
-			return
-		}
-		s.mu.Lock()
-		job.cacheHit = existed
-		s.mu.Unlock()
-		sys, plate, iv, alphas, name = entry.sys, entry.plate, entry.interval, entry.alphas, entry.precond
-		var cerr error
-		pc, cerr = entry.checkout()
-		endWait()
-		if cerr != nil {
-			s.transition(job, JobFailed, nil, fmt.Errorf("engine: preconditioner rebuild failed for %s: %w", key, cerr))
-			return
-		}
-		defer entry.release(pc)
-	} else {
-		end := phase("assemble")
-		sys, plate, err = job.req.assemble()
-		end()
-		if err != nil {
-			s.transition(job, JobFailed, nil, err)
-			return
-		}
-		pc, alphas, iv, err = core.BuildPreconditionerPhased(sys, cfg, phase)
-		if err != nil {
-			s.transition(job, JobFailed, nil, err)
-			return
-		}
-		name = pc.Name()
-	}
-
-	fs, ferr := job.req.rhsCols(sys)
-	if ferr != nil {
-		s.transition(job, JobFailed, nil, ferr)
-		return
-	}
-
-	// Plan: the planner is the single place the request's shape — matrix
-	// structure, batch width, budgets — becomes an execution decision. On
-	// the cached path the structure probe is memoized in the entry (seeded
-	// from the caller's own memo for prebuilt problems), so repeated solves
-	// of a cached problem never rescan the pattern. The plan span carries
-	// the full decision and its structural evidence as attributes.
+	// Plan: the plan span carries the full decision and its structural
+	// evidence as attributes. A tuned step count checks out an alternate-M
+	// preconditioner from the entry; if that build fails the candidate is
+	// recorded as infeasible and the configured M runs.
 	planSp := job.trace.Start("plan").SetWorker(workerID)
-	var probe *plan.Probe
-	switch {
-	case entry != nil:
-		probe = entry.structureProbe()
-	case job.req.Prebuilt != nil && job.req.Prebuilt.Probe != nil:
-		probe = job.req.Prebuilt.Probe
-	default:
-		p := plan.NewProbe(sys.K)
-		probe = &p
-	}
-	in := s.planInputs(cfg, probe, plate, len(fs))
-	pl := s.plannerFor(cfg).Plan(in)
-
-	// Close the loop: past the observation gate a warm problem re-plans
-	// from its measured throughput (adapt) or at least explains what the
-	// measurements say (observe). A tuned step count checks out an
-	// alternate-M preconditioner from the entry; if that build fails the
-	// candidate is recorded as infeasible and the static M runs.
-	mode := s.tuningFor(cfg)
-	var tdec plan.Decision
-	if mode != plan.TuningOff && entry != nil {
-		static := pl
-		tuned, d := s.tuner.Decide(entry.key, s.plannerFor(cfg), in, static, s.priorFor(entry), mode == plan.TuningAdapt)
-		tdec = d
-		if mode == plan.TuningAdapt {
-			if tuned.M != static.M {
-				p2, a2, n2, rel2, aerr := entry.checkoutM(tuned.M)
-				if aerr != nil {
-					s.tuner.Observe(entry.key, tuned.Signature(), plan.Observation{})
-					tuned.M = static.M
-				} else {
-					// The original checkout's deferred release captured the
-					// original pc; the alternate returns to its own pool.
-					pc, alphas, name = p2, a2, n2
-					defer rel2(p2)
-				}
-			}
-			pl = tuned
+	in, pl, mode, tdec := s.planFor(entry, cfg, len(fs))
+	if pl.M != cfg.M {
+		p2, a2, n2, rel2, aerr := entry.checkoutM(pl.M)
+		if aerr != nil {
+			s.tuner.Observe(entry.key, pl.Signature(), plan.Observation{})
+			pl.M = cfg.M
+		} else {
+			// The original checkout's deferred release captured the
+			// original pc; the alternate returns to its own pool.
+			pc, alphas, name = p2, a2, n2
+			defer rel2(p2)
 		}
 	}
-
 	for k, v := range pl.Attrs() {
 		planSp.SetAttr(k, v)
 	}
-	planSp.SetAttr("probe", probe.Attrs())
+	planSp.SetAttr("probe", in.Probe.Attrs())
 	planSp.SetAttr("tuning", mode.String())
 	if tdec.Source != "" {
 		planSp.SetAttr("plan_source", tdec.Source)
 	}
 	planSp.End()
-
-	// A decomposed plan replaces the single-matrix operator with a P-way
-	// mesh partition: resolve it (memoized on the cache entry for keyed
-	// requests) before execution, so setup failures surface like any other
-	// build error.
-	var dec *decomp.Decomposition
-	if pl.Backend == plan.BackendDecomposed {
-		if plate == nil {
-			s.transition(job, JobFailed, nil, errors.New("engine: decomposed backend needs a plate-backed problem (general systems carry no mesh to partition)"))
-			return
-		}
-		if !in.FusedSweep(cfg.M) {
-			s.transition(job, JobFailed, nil, errors.New("engine: decomposed backend implements the multicolor SSOR sweep at ω = 1; pick splitting ssor-multicolor (or m = 0) or a single-matrix backend"))
-			return
-		}
-		decSp := job.trace.Start("decompose").SetWorker(workerID)
-		var derr error
-		if entry != nil {
-			dec, derr = entry.getDecomp(pl.Subdomains)
-		} else {
-			dec, derr = decomp.New(decomp.PlateProblem(plate), pl.Subdomains, mesh.RowStrips)
-		}
-		if derr != nil {
-			decSp.End()
-			s.transition(job, JobFailed, nil, derr)
-			return
-		}
-		decSp.SetAttr("subdomains", dec.P).
-			SetAttr("strategy", "row-strips").
-			SetAttr("halo_fraction", dec.HaloFraction()).
-			End()
-	}
-
-	// Materialize the planned backend's operator (the DIA conversion is
-	// cached next to the CSR on the cached path).
-	var op sparse.Operator = sys.K
-	if pl.Backend == core.BackendDIA {
-		end := phase("dia_convert")
-		var dia *sparse.DIA
-		var derr error
-		if entry != nil {
-			dia, derr = entry.getDIA()
-		} else {
-			dia, derr = sparse.NewDIAFromCSR(sys.K)
-		}
-		end()
-		if derr != nil {
-			s.transition(job, JobFailed, nil, derr)
-			return
-		}
-		op = dia
-	}
-	s.countSolve(pl.Backend)
 
 	opts := cg.Options{
 		Tol:            cfg.Tol,
@@ -962,22 +783,56 @@ func (s *Engine) runJob(job *Job, ws *cg.Workspace, workerID int) {
 		opts.Tol = 1e-6
 	}
 
-	// Execute + emit.
-	job.initCases(len(fs))
-	var res *JobResult
-	execStart := time.Now()
-	if dec != nil {
-		res, err = s.runDecomposed(job, dec, plate, fs, cfg, alphas, opts, workerID)
-	} else {
-		res, err = s.runTiles(job, op, plate, pc, fs, pl, opts, ws, workerID)
+	// Materialize the planned backend, memoized on the entry so setup
+	// failures surface like any other build error: a decomposed plan
+	// partitions the plate P ways, a DIA plan converts the matrix.
+	var solve tileSolver
+	switch pl.Backend {
+	case plan.BackendDecomposed:
+		if entry.plate == nil {
+			fail(errors.New("engine: decomposed backend needs a plate-backed problem (general systems carry no mesh to partition)"))
+			return
+		}
+		if !in.FusedSweep(cfg.M) {
+			fail(errors.New("engine: decomposed backend implements the multicolor SSOR sweep at ω = 1; pick splitting ssor-multicolor (or m = 0) or a single-matrix backend"))
+			return
+		}
+		decSp := job.trace.Start("decompose").SetWorker(workerID)
+		dec, err := entry.getDecomp(pl.Subdomains)
+		if err != nil {
+			decSp.End()
+			fail(err)
+			return
+		}
+		decSp.SetAttr("subdomains", dec.P).
+			SetAttr("strategy", "row-strips").
+			SetAttr("halo_fraction", dec.HaloFraction()).
+			End()
+		solve = s.decompSolver(job, dec, fs, pl.M, alphas, opts, workerID)
+	case plan.BackendDIA:
+		end := phase("dia_convert")
+		dia, err := entry.getDIA()
+		end()
+		if err != nil {
+			fail(err)
+			return
+		}
+		solve = s.matrixSolver(job, dia, pc, fs, opts, ws, workerID)
+	default:
+		solve = s.matrixSolver(job, entry.sys.K, pc, fs, opts, ws, workerID)
 	}
+	s.countSolve(pl.Backend)
+
+	// Execute + emit.
+	execStart := time.Now()
+	res, err := s.runTiles(job, pl.Tiles, len(fs), entry.plate, solve)
 	execSeconds := time.Since(execStart).Seconds()
 	emitEnd := phase("emit")
 	res.Precond = name
 	res.Backend = pl.Backend.String()
 	info := planInfo(pl, mode, tdec)
 	res.Plan = &info
-	res.IntervalLo, res.IntervalHi = iv.Lo, iv.Hi
+	res.IntervalLo, res.IntervalHi = entry.interval.Lo, entry.interval.Hi
 	if alphas.M() > 0 {
 		a := alphas
 		res.Alphas = &a
@@ -985,11 +840,11 @@ func (s *Engine) runJob(job *Job, ws *cg.Workspace, workerID int) {
 	emitEnd()
 
 	// Feedback: fold the executed plan's realized throughput back into the
-	// tuner's observation store. Only clean cached solves count — errors
-	// and cancellations would poison the estimates, uncached problems have
-	// no store to feed, and a decomposed plan's execution shape is owned by
-	// the mesh partition, not the tuner.
-	if mode != plan.TuningOff && err == nil && entry != nil && pl.Backend != plan.BackendDecomposed {
+	// tuner's observation store. Only clean solves of cached problems count
+	// — errors and cancellations would poison the estimates, a throwaway
+	// entry has no store to feed, and a decomposed plan's execution shape is
+	// owned by the mesh partition, not the tuner.
+	if mode != plan.TuningOff && err == nil && entry.key != "" && pl.Backend != plan.BackendDecomposed {
 		rhsPerSec := 0.0
 		if execSeconds > 0 {
 			rhsPerSec = float64(len(fs)) / execSeconds
@@ -1020,6 +875,48 @@ func (s *Engine) runJob(job *Job, ws *cg.Workspace, workerID int) {
 	s.transition(job, JobDone, res, nil)
 }
 
+// acquire resolves the job's cache entry, building it on first use, and
+// checks out one of its preconditioners. A keyed request looks its entry
+// up (the LRU insert and eviction included); a by-reference job holds the
+// entry it resolved at submission, whose build is done; a keyless request
+// builds a throwaway entry the cache never sees, which counts no hit or
+// miss. cache_wait covers the lookup and the checkout. If this job runs the
+// build, the build's stage spans (assemble, splitting_build, …) land on its
+// trace as their own leaves: the first one closes cache_wait so the spans
+// never overlap, and a warm hit keeps cache_wait as the only span.
+func (s *Engine) acquire(job *Job, workerID int, phase func(string) func()) (*cacheEntry, precond.Preconditioner, error) {
+	waitSp := job.trace.Start("cache_wait").SetWorker(workerID)
+	defer waitSp.End()
+	entry, hit := job.entry, true
+	if entry == nil {
+		if key := job.req.CacheKey(); key != "" {
+			entry, hit = s.cache.get(key)
+		} else {
+			entry, hit = &cacheEntry{}, false
+		}
+	}
+	waitSp.SetAttr("hit", hit)
+	entry.once.Do(func() {
+		waitSp.SetAttr("built", true)
+		entry.build(&job.req, func(stage string) func() {
+			waitSp.End()
+			return phase(stage)
+		})
+	})
+	if entry.err != nil {
+		s.cache.drop(entry)
+		return nil, nil, entry.err
+	}
+	s.mu.Lock()
+	job.cacheHit = hit
+	s.mu.Unlock()
+	pc, err := entry.checkout()
+	if err != nil {
+		return nil, nil, fmt.Errorf("engine: preconditioner rebuild failed for %s: %w", entry.key, err)
+	}
+	return entry, pc, nil
+}
+
 // countSolve attributes one job to the matvec backend it resolved to.
 func (s *Engine) countSolve(b plan.Backend) {
 	s.cmu.Lock()
@@ -1042,175 +939,60 @@ func (s *Engine) countTile(iters int) {
 	s.cmu.Unlock()
 }
 
-// runDecomposed is the domain-decomposed execute path: every case runs as
-// one parallel solve over dec's subdomains — a goroutine per subdomain,
-// border values moving over the link fabric, inner products combining up
-// the reduction tree. Cases run sequentially because a single case already
-// occupies all P subdomain goroutines; per-case completions stream exactly
-// like the tiled path's.
-func (s *Engine) runDecomposed(job *Job, dec *decomp.Decomposition, plate *fem.Plate, fs [][]float64, cfg core.Config, alphas poly.Alphas, opts cg.Options, workerID int) (*JobResult, error) {
-	dopt := decomp.Options{
-		M:              cfg.M,
-		Tol:            opts.Tol,
-		RelResidualTol: opts.RelResidualTol,
-		MaxIter:        opts.MaxIter,
-		Ctx:            job.ctx,
-	}
-	if cfg.M > 0 {
-		dopt.Alphas = alphas.Coeffs
-	}
-	res := &JobResult{RHS: len(fs), Converged: true}
+// A tileSolver solves the cases of one plan tile (ti numbers the tile) as
+// one block solve and reports it; done emits each case as it finishes.
+// Each backend's solver opens its own trace spans. The returned error
+// joins the tile's case failures, which BlockStats.ColErrs holds
+// unwrapped.
+type tileSolver func(ti int, cases []int, done caseDone) (cg.BlockStats, error)
+
+// caseDone emits case cases[col] of a tile: u is its solution in the
+// solver's ordering, st its recurrence report, err its failure.
+type caseDone func(col int, u []float64, st cg.Stats, err error)
+
+// runTiles is the execute loop every backend shares: the plan's tiles run
+// in order through solve, and every case is emitted the moment it
+// finishes — a retired column of a block solve, or a decomposed case — so
+// early-converging load cases are visible to stream subscribers while the
+// slowest is still iterating. A one-case job reports like a scalar solve:
+// its case at the top level instead of a cases array, and the case's own
+// error.
+func (s *Engine) runTiles(job *Job, tiles [][]int, rhs int, plate *fem.Plate, solve tileSolver) (*JobResult, error) {
+	job.initCases(rhs)
+	scalar := rhs == 1
+	res := &JobResult{RHS: rhs, Converged: true}
 	var errs []error
 	var canceled error
-	for ci, f := range fs {
-		if cerr := job.ctx.Err(); cerr != nil {
-			job.caseFinished(ci, CaseResult{Error: cerr.Error()})
-			res.Converged = false
-			canceled = cerr
-			continue
-		}
-		copt := dopt
-		caseIdx := ci
-		copt.OnIteration = func(iter int, udiff, relres float64) {
-			job.conv.ObserveIteration(caseIdx, iter, udiff, relres)
-		}
-		start := time.Now()
-		sp := job.trace.Start("solve").SetWorker(workerID).SetAttr("case", ci)
-		u, st, err := dec.Solve(f, copt)
-		sp.SetIterations(st.Iterations).SetAttr("converged", st.Converged).End()
-		recordSubSpans(job.trace, ci, start, st.Subs)
-		s.countTile(st.Iterations)
-		s.hCaseIters.Observe(float64(st.Iterations))
-		res.Iterations += st.Iterations
-		res.MatVecs += st.MatVecs
-		res.PrecondApps += st.PrecondApps
-		res.InnerProducts += st.InnerProducts
-		if !st.Converged {
-			res.Converged = false
-		}
-		cgst := st.Stats
-		cr := CaseResult{
-			Converged:   st.Converged,
-			Iterations:  st.Iterations,
-			FinalUDiff:  st.FinalUDiff,
-			FinalRelRes: st.FinalRelRes,
-			CGStats:     &cgst,
-		}
-		if err != nil {
-			cr.Error = err.Error()
-			errs = append(errs, fmt.Errorf("case %d: %w", ci, err))
-		}
-		if !job.req.OmitSolution {
-			cr.U = u
-			cr.Nodes, cr.NodeU, cr.NodeV = plateDisplacements(plate, u)
-		}
-		job.caseFinished(ci, cr)
-		if len(fs) == 1 {
-			res.FinalUDiff = st.FinalUDiff
-			res.FinalRelRes = st.FinalRelRes
-			res.CGStats = &cgst
-			res.U = cr.U
-			res.Nodes, res.NodeU, res.NodeV = cr.Nodes, cr.NodeU, cr.NodeV
-		}
-	}
-	if canceled != nil {
-		errs = append(errs, canceled)
-	}
-	if len(fs) > 1 {
-		res.Cases = job.snapshotCases()
-		for i := range res.Cases {
-			res.FinalUDiff = max(res.FinalUDiff, res.Cases[i].FinalUDiff)
-			res.FinalRelRes = max(res.FinalRelRes, res.Cases[i].FinalRelRes)
-		}
-	}
-	return res, errors.Join(errs...)
-}
-
-// recordSubSpans attributes one decomposed case's per-subdomain time
-// breakdown to the job trace: a halo_exchange, local_sweep and reduce span
-// per rank, anchored at the case's start. These are the one deliberate
-// exception to the trace's non-overlapping-leaves convention — the P
-// subdomains ran concurrently, so their stage durations sum past the
-// case's wall time by design.
-func recordSubSpans(tr *obs.Trace, ci int, start time.Time, subs []decomp.SubStats) {
-	dur := func(sec float64) time.Duration { return time.Duration(sec * float64(time.Second)) }
-	for _, ss := range subs {
-		tr.Record("halo_exchange", start, dur(ss.HaloSeconds)).SetAttr("subdomain", ss.Rank).SetAttr("case", ci)
-		tr.Record("local_sweep", start, dur(ss.SweepSeconds)).SetAttr("subdomain", ss.Rank).SetAttr("case", ci)
-		tr.Record("reduce", start, dur(ss.ReduceSeconds)).SetAttr("subdomain", ss.Rank).SetAttr("case", ci)
-	}
-}
-
-// runTiles is the single-matrix execute path: the plan's column tiles run
-// as sequential block solves sharing the worker's workspace, and every
-// column retirement — converged, broken down, or canceled — emits that
-// case's result immediately via the deflation hook, so early-converging
-// load cases are visible to stream subscribers while the slowest column is
-// still iterating. op is the backend-resolved form of the system matrix. A
-// one-column job runs the same way and reports like a scalar solve: its
-// case at the top level instead of a cases array, a "solve" span instead
-// of a tile span, and the column's own error.
-func (s *Engine) runTiles(job *Job, op sparse.Operator, plate *fem.Plate, pc precond.Preconditioner, fs [][]float64, pl plan.Plan, opts cg.Options, ws *cg.Workspace, workerID int) (*JobResult, error) {
-	n, _ := op.Dims()
-	scalar := len(fs) == 1
-	res := &JobResult{RHS: len(fs), Converged: true}
-	var errs []error
-	var canceled error
-	for ti, tileCols := range pl.Tiles {
+	for ti, cases := range tiles {
 		if cerr := job.ctx.Err(); cerr != nil {
 			// Canceled between tiles: the remaining cases fail without
 			// running (their events still fire, so streams see every case);
 			// the cancellation joins the job error once, not once per tile.
-			for _, c := range tileCols {
+			for _, c := range cases {
 				job.caseFinished(c, CaseResult{Error: cerr.Error()})
 			}
 			res.Converged = false
 			canceled = cerr
 			continue
 		}
-		cols := make([][]float64, len(tileCols))
-		for i, c := range tileCols {
-			cols[i] = fs[c]
-		}
-		u := vec.NewMulti(n, len(tileCols))
-		topts := opts
-		// The convergence observer sees tile-local column indices; remap
-		// them to the job's case numbering so a multi-tile batch's curves
-		// stay distinguishable.
-		topts.Observer = tileObserver{log: job.conv, cases: tileCols}
-		topts.OnColumnDone = func(col int, cs cg.ColumnStats) {
-			s.hCaseIters.Observe(float64(cs.Stats.Iterations))
+		st, err := solve(ti, cases, func(col int, u []float64, cs cg.Stats, err error) {
+			s.hCaseIters.Observe(float64(cs.Iterations))
 			cr := CaseResult{
-				Converged:   cs.Stats.Converged,
-				Iterations:  cs.Stats.Iterations,
-				FinalUDiff:  cs.Stats.FinalUDiff,
-				FinalRelRes: cs.Stats.FinalRelRes,
-				CGStats:     &cs.Stats,
+				Converged:   cs.Converged,
+				Iterations:  cs.Iterations,
+				FinalUDiff:  cs.FinalUDiff,
+				FinalRelRes: cs.FinalRelRes,
+				CGStats:     &cs,
 			}
-			if cs.Err != nil {
-				cr.Error = cs.Err.Error()
+			if err != nil {
+				cr.Error = err.Error()
 			}
 			if !job.req.OmitSolution {
-				// A retired column is never written again; the capped slice
-				// keeps an append from reaching the next column.
-				cr.U = u.Data[col*n : (col+1)*n : (col+1)*n]
-				cr.Nodes, cr.NodeU, cr.NodeV = plateDisplacements(plate, cr.U)
+				cr.U = u
+				cr.Nodes, cr.NodeU, cr.NodeV = plateDisplacements(plate, u)
 			}
-			job.caseFinished(tileCols[col], cr)
-		}
-		span := "tile"
-		if scalar {
-			span = "solve"
-		}
-		sp := job.trace.Start(span).SetWorker(workerID)
-		if !scalar {
-			sp.SetAttr("tile", ti).
-				SetAttr("case_first", tileCols[0]).
-				SetAttr("case_last", tileCols[len(tileCols)-1])
-		}
-		st, err := cg.SolveBlockInto(u, op, vec.MultiFromCols(cols), pc, topts, ws)
-		sp.SetAttr("kernel", st.Kernel).SetAttr("interleaved", st.Interleaved).SetAttr("converged", st.Converged)
-		sp.SetIterations(st.Iterations).End()
+			job.caseFinished(cases[col], cr)
+		})
 		s.countTile(st.Iterations)
 		res.Iterations += st.Iterations
 		res.MatVecs += st.SpMMs
@@ -1224,7 +1006,7 @@ func (s *Engine) runTiles(job *Job, op sparse.Operator, plate *fem.Plate, pc pre
 		case scalar:
 			errs = append(errs, st.ColErrs[0])
 		default:
-			errs = append(errs, fmt.Errorf("tile %d (cases %d–%d): %w", ti, tileCols[0], tileCols[len(tileCols)-1], err))
+			errs = append(errs, fmt.Errorf("tile %d (cases %d–%d): %w", ti, cases[0], cases[len(cases)-1], err))
 		}
 	}
 	if canceled != nil {
@@ -1242,6 +1024,103 @@ func (s *Engine) runTiles(job *Job, op sparse.Operator, plate *fem.Plate, pc pre
 		res.Cases = cases
 	}
 	return res, errors.Join(errs...)
+}
+
+// matrixSolver solves a tile as one block PCG solve over op, the
+// backend's form of the system matrix, sharing the worker's workspace.
+// Every column retirement — converged, broken down, or canceled — emits
+// its case through the deflation hook. A one-case job traces a "solve"
+// span instead of a tile span.
+func (s *Engine) matrixSolver(job *Job, op sparse.Operator, pc precond.Preconditioner, fs [][]float64, opts cg.Options, ws *cg.Workspace, workerID int) tileSolver {
+	n, _ := op.Dims()
+	scalar := len(fs) == 1
+	return func(ti int, cases []int, done caseDone) (cg.BlockStats, error) {
+		cols := make([][]float64, len(cases))
+		for i, c := range cases {
+			cols[i] = fs[c]
+		}
+		u := vec.NewMulti(n, len(cases))
+		topts := opts
+		// The convergence observer sees tile-local column indices; remap
+		// them to the job's case numbering so a multi-tile batch's curves
+		// stay distinguishable.
+		topts.Observer = tileObserver{log: job.conv, cases: cases}
+		topts.OnColumnDone = func(col int, cs cg.ColumnStats) {
+			// A retired column is never written again; the capped slice
+			// keeps an append from reaching the next column.
+			done(col, u.Data[col*n:(col+1)*n:(col+1)*n], cs.Stats, cs.Err)
+		}
+		span := "tile"
+		if scalar {
+			span = "solve"
+		}
+		sp := job.trace.Start(span).SetWorker(workerID)
+		if !scalar {
+			sp.SetAttr("tile", ti).
+				SetAttr("case_first", cases[0]).
+				SetAttr("case_last", cases[len(cases)-1])
+		}
+		st, err := cg.SolveBlockInto(u, op, vec.MultiFromCols(cols), pc, topts, ws)
+		sp.SetAttr("kernel", st.Kernel).SetAttr("interleaved", st.Interleaved).SetAttr("converged", st.Converged)
+		sp.SetIterations(st.Iterations).End()
+		return st, err
+	}
+}
+
+// decompSolver solves a tile's one case as a parallel solve over dec's
+// subdomains: a goroutine per subdomain, border values moving over the
+// link fabric, inner products combining up the reduction tree. A case
+// occupies all P subdomain goroutines, so a decomposed plan gives every
+// case a tile of its own. Each case traces a "solve" span and its
+// per-subdomain stage breakdown.
+func (s *Engine) decompSolver(job *Job, dec *decomp.Decomposition, fs [][]float64, m int, alphas poly.Alphas, opts cg.Options, workerID int) tileSolver {
+	dopt := decomp.Options{
+		M:              m,
+		Tol:            opts.Tol,
+		RelResidualTol: opts.RelResidualTol,
+		MaxIter:        opts.MaxIter,
+		Ctx:            job.ctx,
+	}
+	if m > 0 {
+		dopt.Alphas = alphas.Coeffs
+	}
+	return func(_ int, cases []int, done caseDone) (cg.BlockStats, error) {
+		ci := cases[0]
+		copt := dopt
+		copt.OnIteration = func(iter int, udiff, relres float64) {
+			job.conv.ObserveIteration(ci, iter, udiff, relres)
+		}
+		start := time.Now()
+		sp := job.trace.Start("solve").SetWorker(workerID).SetAttr("case", ci)
+		u, st, err := dec.Solve(fs[ci], copt)
+		sp.SetIterations(st.Iterations).SetAttr("converged", st.Converged).End()
+		recordSubSpans(job.trace, ci, start, st.Subs)
+		done(0, u, st.Stats, err)
+		return cg.BlockStats{
+			RHS:              1,
+			Iterations:       st.Iterations,
+			SpMMs:            st.MatVecs,
+			BlockPrecondApps: st.PrecondApps,
+			InnerProducts:    st.InnerProducts,
+			Converged:        st.Converged,
+			ColErrs:          []error{err},
+		}, err
+	}
+}
+
+// recordSubSpans attributes one decomposed case's per-subdomain time
+// breakdown to the job trace: a halo_exchange, local_sweep and reduce span
+// per rank, anchored at the case's start. These are the one deliberate
+// exception to the trace's non-overlapping-leaves convention — the P
+// subdomains ran concurrently, so their stage durations sum past the
+// case's wall time by design.
+func recordSubSpans(tr *obs.Trace, ci int, start time.Time, subs []decomp.SubStats) {
+	dur := func(sec float64) time.Duration { return time.Duration(sec * float64(time.Second)) }
+	for _, ss := range subs {
+		tr.Record("halo_exchange", start, dur(ss.HaloSeconds)).SetAttr("subdomain", ss.Rank).SetAttr("case", ci)
+		tr.Record("local_sweep", start, dur(ss.SweepSeconds)).SetAttr("subdomain", ss.Rank).SetAttr("case", ci)
+		tr.Record("reduce", start, dur(ss.ReduceSeconds)).SetAttr("subdomain", ss.Rank).SetAttr("case", ci)
+	}
 }
 
 // plateDisplacements maps a colored-ordering solution back to per-node

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -120,16 +121,39 @@ func TestEngineGeneralSystemAndKeyedCache(t *testing.T) {
 	s := New(Config{Workers: 2})
 	defer s.Close()
 
-	// Unkeyed: solves but never caches.
-	v, err := s.Solve(context.Background(), laplace1D(50, ""))
+	// Unkeyed: solves through a throwaway entry the cache never holds, so
+	// it counts no entry, hit or miss.
+	unkeyed := laplace1D(50, "")
+	v, err := s.Solve(context.Background(), unkeyed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v.State != JobDone || !v.Result.Converged {
 		t.Fatalf("general solve failed: %+v", v)
 	}
-	if s.Stats().CacheEntries != 0 {
-		t.Fatal("unkeyed system was cached")
+	if st := s.Stats(); st.CacheEntries != 0 || st.CacheHits != 0 || st.CacheMisses != 0 {
+		t.Fatalf("unkeyed system touched the cache: entries %d, hits %d, misses %d", st.CacheEntries, st.CacheHits, st.CacheMisses)
+	}
+	// Its trace opens like a cold keyed job's: cache_wait (a miss that
+	// built), then assembly and the build stages.
+	ti, ok := s.Trace(v.ID)
+	if !ok {
+		t.Fatalf("no trace for %s", v.ID)
+	}
+	want := []string{"queue", "cache_wait", "assemble", "splitting_build", "precond_build", "plan"}
+	if got := stageNames(ti); len(got) < len(want) || !reflect.DeepEqual(got[:len(want)], want) {
+		t.Fatalf("unkeyed trace stages %v, want them to open with %v", got, want)
+	}
+	if wait := ti.Spans[1]; wait.Attrs["hit"] != false || wait.Attrs["built"] != true {
+		t.Fatalf("unkeyed cache_wait attrs: %v", wait.Attrs)
+	}
+	// Planning the same request offline reports the plan the job ran.
+	info, err := s.PlanRequest(unkeyed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(info, *v.Result.Plan) {
+		t.Fatalf("offline plan %+v != executed %+v", info, *v.Result.Plan)
 	}
 
 	// Keyed: second submission reuses the assembled matrix.

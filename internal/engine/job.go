@@ -30,7 +30,8 @@ type PlanInfo struct {
 	// "decomposed").
 	Backend string `json:"backend"`
 	// Tiles partitions the batch's column indices into the groups executed
-	// as sequential block solves.
+	// as sequential block solves (one case per tile on the decomposed
+	// backend).
 	Tiles [][]int `json:"tiles"`
 	// Workers is the kernel goroutine fan-out each tile ran with.
 	Workers int `json:"workers"`
@@ -189,8 +190,10 @@ type Job struct {
 	req  Request
 	done chan struct{}
 	// entry is the built cache entry a by-reference request resolved at
-	// submission (nil otherwise). Holding it keeps the job's matrix alive
-	// even if the cache evicts the entry while the job waits in the queue.
+	// submission. Holding it keeps the job's matrix alive even if the cache
+	// evicts the entry while the job waits in the queue. Every other job
+	// leaves it nil and resolves its entry when it runs: the cached one for
+	// a keyed request, a throwaway one for a keyless request.
 	entry *cacheEntry
 
 	// ctx is canceled to abort the solve (client disconnect on a

@@ -34,7 +34,9 @@ type Prebuilt struct {
 	Plate *fem.Plate
 	// Key, when non-empty, names the problem for the cache: repeated
 	// requests with the same Key and solver settings reuse the estimated
-	// spectral interval and pooled preconditioners. Empty disables caching.
+	// spectral interval and pooled preconditioners. Empty builds the problem
+	// for this job alone, in a throwaway entry the cache never holds and
+	// the self-tuning planner never observes.
 	Key string
 	// Fs, when non-empty, is the batch of right-hand sides solved against
 	// Sys.K in one block job (Sys.F is ignored).

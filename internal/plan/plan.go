@@ -263,7 +263,8 @@ type Plan struct {
 	Backend Backend
 	// Tiles partitions the RHS column indices 0..s-1 into contiguous
 	// groups executed as sequential block solves. Always at least one
-	// tile; a batch at or under the tile width is a single tile.
+	// tile; a batch at or under the tile width is a single tile, and a
+	// decomposed plan gives every case a tile of its own.
 	Tiles [][]int
 	// Workers is the kernel goroutine fan-out per tile (≥ 1; 1 when the
 	// system is too small for the parallel kernels to engage).
@@ -407,12 +408,12 @@ func (pl Planner) Plan(in Inputs) Plan {
 
 	if backend == BackendDecomposed {
 		// The subdomain goroutines are the parallelism: kernel fan-out per
-		// case is 1 and the batch runs as one untiled case sequence (each
-		// case occupies all P processors). Local sweeps dispatch through the
+		// case is 1 and every case is a tile of its own (each case occupies
+		// all P processors). Local sweeps dispatch through the
 		// startup-selected kernel set.
 		return Plan{
 			Backend:    backend,
-			Tiles:      tile(s, s),
+			Tiles:      tile(s, 1),
 			Workers:    1,
 			M:          in.M,
 			Subdomains: subdomains,
