@@ -11,8 +11,10 @@ package repro_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -36,6 +38,80 @@ import (
 	"repro/internal/vec"
 	"repro/internal/vectorsim"
 )
+
+// --- Host reference ----------------------------------------------------
+
+// BenchmarkHostRef does fixed work that shares no code with the solver:
+// sweeps of a CG-like update over a 5-point stencil in CSR form (about
+// 1.7 MB, most of a 2 MiB L2 cache) and the formatting and parsing of
+// floats. A change to the solver cannot move it, so `cmd/benchjson -diff`
+// reads the host's speed from its ns/op and compares the other benchmarks
+// host-adjusted. One op takes about 20 ms, so a single 1x sample is steady.
+func BenchmarkHostRef(b *testing.B) {
+	const grid, sweeps, floats = 150, 64, 40000
+	n := grid * grid
+	rowPtr := make([]int32, 1, n+1)
+	var col []int32
+	var val []float64
+	x, y := make([]float64, n), make([]float64, n)
+	for i := 0; i < grid; i++ {
+		for j := 0; j < grid; j++ {
+			r := i*grid + j
+			add := func(c int, v float64) {
+				col = append(col, int32(c))
+				val = append(val, v)
+			}
+			if i > 0 {
+				add(r-grid, -1)
+			}
+			if j > 0 {
+				add(r-1, -1)
+			}
+			add(r, 4.01)
+			if j < grid-1 {
+				add(r+1, -1)
+			}
+			if i < grid-1 {
+				add(r+grid, -1)
+			}
+			rowPtr = append(rowPtr, int32(len(col)))
+			x[r] = 1 / float64(1+r%17)
+		}
+	}
+	var buf []byte
+	sink := 0.0
+	b.ResetTimer()
+	for it := 0; it < b.N; it++ {
+		// x never changes, so every op does the same arithmetic.
+		for s := 0; s < sweeps; s++ {
+			dot := 0.0
+			for r := range y {
+				sum := 0.0
+				for p := rowPtr[r]; p < rowPtr[r+1]; p++ {
+					sum += val[p] * x[col[p]]
+				}
+				y[r] = sum
+				dot += sum * x[r]
+			}
+			a := 1 / dot
+			for r := range y {
+				y[r] = x[r] - a*y[r]
+			}
+			sink += y[s]
+		}
+		for i := 0; i < floats; i++ {
+			buf = strconv.AppendFloat(buf[:0], x[i*7%n]*float64(i+1), 'g', -1, 64)
+			v, err := strconv.ParseFloat(string(buf), 64)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sink += v
+		}
+	}
+	if math.IsNaN(sink) {
+		b.Fatal("host reference produced NaN")
+	}
+}
 
 // --- Table 1: parametrized coefficient computation --------------------
 

@@ -11,11 +11,12 @@ import (
 )
 
 // benchmarkPlateIterations lists, for every plate the repository benchmark
-// solves with least-squares coefficients (m = 3, fitted on the estimated
-// spectral interval of P⁻¹K), the iterations each load case takes. The
-// counts were recorded with the earlier estimator, PCG with the one-step
-// preconditioner run to relative residual 1e-6; the settled Lanczos
-// estimate must leave every one unchanged.
+// solves with least-squares coefficients (m = 3, multicolor SSOR at ω = 1),
+// the iterations each load case takes. The counts were recorded with α
+// fitted on an estimated spectral interval of P⁻¹K (PCG with the one-step
+// preconditioner run to relative residual 1e-6). These solves now fit on
+// the fixed SSOR bound [1e-9, 1.02] and run no estimate
+// (core.IntervalFor); the bound must leave every count unchanged.
 var benchmarkPlateIterations = map[string][]int{
 	"cold 10x10 E=0.5": {16},
 	"cold 10x10 E=1":   {16},
@@ -149,5 +150,63 @@ func TestEstimateConditionLargeShift(t *testing.T) {
 	// 1e6 + (1 ∓ √5)/2.
 	if math.Abs(lo-(1e6-0.618034)) > 1e-5 || math.Abs(hi-(1e6+1.618034)) > 1e-5 {
 		t.Fatalf("λ = [%.9g, %.9g], want 1e6 + [−0.618034, 1.618034]", lo, hi)
+	}
+}
+
+// A Problem's interval memo holds estimates only: least squares (fitted on
+// the SSOR bound), then Chebyshev (estimated), then least squares again on
+// one problem give each solve the iterations and α of the same config on a
+// fresh problem. Were the bound memoized, the Chebyshev solve would fit on
+// [1e-9, 1.02] and take several times the iterations.
+func TestProblemIntervalMemoAcrossCoefficients(t *testing.T) {
+	for _, m := range []int{3, 4} {
+		shared, err := repro.NewPlateProblem(16, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cfg := range []repro.Config{
+			{M: m, Coeffs: repro.LeastSquaresCoeffs, Tol: 1e-6},
+			{M: m, Coeffs: repro.ChebyshevCoeffs, Tol: 1e-6},
+			{M: m, Coeffs: repro.LeastSquaresCoeffs, Tol: 1e-6},
+		} {
+			got, err := repro.Solve(shared, cfg)
+			if err != nil {
+				t.Fatalf("m=%d %v: %v", m, cfg.Coeffs, err)
+			}
+			fresh, err := repro.NewPlateProblem(16, 16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := repro.Solve(fresh, cfg)
+			if err != nil {
+				t.Fatalf("m=%d %v, fresh problem: %v", m, cfg.Coeffs, err)
+			}
+			if got.Stats.Iterations != want.Stats.Iterations || fmt.Sprint(got.Alphas.Coeffs) != fmt.Sprint(want.Alphas.Coeffs) {
+				t.Errorf("m=%d %v: %d iterations, α %v on the shared problem; %d, α %v on a fresh one",
+					m, cfg.Coeffs, got.Stats.Iterations, got.Alphas.Coeffs, want.Stats.Iterations, want.Alphas.Coeffs)
+			}
+		}
+	}
+}
+
+// Past m = 10 the least-squares fit's rounding noise depends on the
+// interval's lower end, so it keeps the spectral estimate: at m = 12 the
+// fit on the bound is not positive on most plates, while the fit on the
+// estimate solves all of these.
+func TestLeastSquaresPastStableMEstimates(t *testing.T) {
+	for _, n := range []int{10, 16, 22, 40} {
+		p, err := repro.NewPlateProblem(n, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := repro.Solve(p, repro.Config{M: 12, Coeffs: repro.LeastSquaresCoeffs, Tol: 1e-6})
+		if err != nil {
+			t.Errorf("%d² plate, m = 12: %v", n, err)
+			continue
+		}
+		if !res.Stats.Converged || res.Interval.Lo <= 1e-9 {
+			t.Errorf("%d² plate, m = 12: converged %v on [%g, %g], want a converged solve on an estimate",
+				n, res.Stats.Converged, res.Interval.Lo, res.Interval.Hi)
+		}
 	}
 }

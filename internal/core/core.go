@@ -96,9 +96,10 @@ type Config struct {
 	// Omega is the SSORNatural relaxation parameter; the paper uses 1 and
 	// notes multicolor SSOR with few colors wants ω = 1 (Adams 1983).
 	Omega float64
-	// Interval optionally pins [λ₁, λₙ] for parametrized coefficients;
-	// when nil it is estimated from a short Lanczos run on the splitting's
-	// symmetrized operator (eigen.EstimateInterval).
+	// Interval optionally pins [λ₁, λₙ] for parametrized coefficients.
+	// When nil, IntervalFor decides: the fixed SSOR bound where it
+	// applies, else an estimate from a short Lanczos run on the
+	// splitting's symmetrized operator (eigen.EstimateInterval).
 	Interval *eigen.Interval
 	// Tol is the paper's ‖u^{k+1}−u^k‖_∞ test (default 1e-6 when both
 	// tolerances are unset).
@@ -145,7 +146,7 @@ type Result struct {
 	Stats    cg.Stats
 	Precond  string
 	Alphas   poly.Alphas    // zero-value when M == 0
-	Interval eigen.Interval // zero-value when no estimate was needed
+	Interval eigen.Interval // the α's interval; zero-value for unit coefficients
 	// Backend is the matvec storage the solve actually ran on ("csr" or
 	// "dia") — the resolved form of Config.Backend.
 	Backend string
@@ -196,22 +197,68 @@ func (c Config) IntervalSeed() int64 {
 	return c.Seed
 }
 
-// IntervalFor returns the spectral interval the configuration's
-// parametrized coefficients run on: the pinned cfg.Interval when set, an
-// estimate from a short Lanczos run on the splitting otherwise. It is the
-// expensive half of coefficient construction, split out so instrumented
-// callers can time spectral estimation as its own stage. Every caller that
-// needs an interval goes through here, so the pad and seed are defined
-// once.
-func IntervalFor(sp splitting.Splitting, cfg Config) (eigen.Interval, error) {
+// ssorBound is the fixed interval least-squares coefficients fit on where
+// fitsOnSSORBound holds. Its lower end is any positive value far below
+// λmin: the least-squares fit barely depends on it.
+var ssorBound = eigen.Interval{Lo: 1e-9, Hi: 1 + intervalPad}
+
+// fitsOnSSORBound reports whether cfg's coefficients fit on ssorBound
+// instead of an estimate: least squares of either weight, for an SSOR
+// splitting (multicolor or natural) at ω = 1 and 1 ≤ M ≤
+// poly.LeastSquaresStableM. For an SPD K and 0 < ω < 2, P − K is positive
+// semidefinite, so spec(P⁻¹K) ⊂ (0, 1]; at ω = 1, P − K = L·D⁻¹·U is
+// singular, so λmax = 1 exactly. Chebyshev's fit does depend on λmin; at
+// ω ≠ 1 λmax lies below 1; and past poly.LeastSquaresStableM the fit's
+// rounding noise depends on the interval's ends: all of those keep the
+// estimate. It ignores cfg.Interval: IntervalSource checks a pinned
+// interval first.
+func fitsOnSSORBound(cfg Config) bool {
+	ssor := cfg.Splitting == SSORMulticolor || cfg.Splitting == SSORNatural
+	ls := cfg.Coeffs == LeastSquaresCoeffs || cfg.Coeffs == WeightedLSCoeffs
+	return ssor && ls && (cfg.Omega == 0 || cfg.Omega == 1) && cfg.M >= 1 && cfg.M <= poly.LeastSquaresStableM
+}
+
+// Where IntervalFor takes a configuration's interval from
+// (IntervalSource): the pinned Config.Interval, the SSOR bound, or
+// eigen.EstimateInterval.
+const (
+	SourcePinned    = "pinned"
+	SourceSSORBound = "ssor-bound"
+	SourceEstimate  = "estimate"
+)
+
+// IntervalSource returns where IntervalFor takes cfg's interval from; only
+// SourceEstimate runs a spectral estimate.
+func IntervalSource(cfg Config) string {
 	if cfg.Interval != nil {
+		return SourcePinned
+	}
+	if fitsOnSSORBound(cfg) {
+		return SourceSSORBound
+	}
+	return SourceEstimate
+}
+
+// IntervalFor returns the spectral interval the configuration's
+// parametrized coefficients run on: the pinned cfg.Interval when set,
+// [1e-9, 1.02] for SSOR least squares at ω = 1 and m ≤ 10, an estimate
+// from a short Lanczos run on the splitting otherwise (always for a Config
+// without coefficients). The estimate is the expensive half of coefficient
+// construction, split out so instrumented callers can time it as its own
+// stage. Every caller that needs an interval goes through here, so the
+// pad, the bound and the seed are defined once.
+func IntervalFor(sp splitting.Splitting, cfg Config) (eigen.Interval, error) {
+	switch IntervalSource(cfg) {
+	case SourcePinned:
 		return *cfg.Interval, nil
+	case SourceSSORBound:
+		return ssorBound, nil
 	}
 	return eigen.EstimateInterval(sp, intervalPad, cfg.IntervalSeed())
 }
 
-// BuildCoefficients computes the α for the configured criterion, estimating
-// the spectral interval when necessary.
+// BuildCoefficients computes the α for the configured criterion on the
+// interval IntervalFor decides.
 func BuildCoefficients(sp splitting.Splitting, cfg Config) (poly.Alphas, eigen.Interval, error) {
 	if cfg.M < 1 {
 		return poly.Alphas{}, eigen.Interval{}, fmt.Errorf("core: coefficients need M >= 1, got %d", cfg.M)
@@ -253,14 +300,18 @@ func BuildPreconditioner(sys System, cfg Config) (precond.Preconditioner, poly.A
 }
 
 // BuildPreconditionerPhased is BuildPreconditioner with stage timing
-// hooks: phase(name) is called as each construction stage begins —
-// "splitting_build", "spectral_estimate" (only when an interval must be
-// estimated), "precond_build" — and the returned func as it ends. A nil
-// phase skips all instrumentation; the engine passes its span tracer so a
-// job's trace shows where preconditioner setup time went.
-func BuildPreconditionerPhased(sys System, cfg Config, phase func(name string) (end func())) (precond.Preconditioner, poly.Alphas, eigen.Interval, error) {
+// hooks: phase(name, attrs...) is called as each construction stage
+// begins — "splitting_build", "spectral_estimate" (only when IntervalSource
+// says an estimate runs), "precond_build" — and the returned func as it
+// ends. attrs are key/value pairs; for parametrized coefficients
+// precond_build carries "interval_source" (IntervalSource) and the
+// interval's "interval_lo" and "interval_hi". A nil phase skips all
+// instrumentation; the engine passes its span tracer so a job's trace
+// shows where preconditioner setup time went and where the interval came
+// from.
+func BuildPreconditionerPhased(sys System, cfg Config, phase func(name string, attrs ...any) (end func())) (precond.Preconditioner, poly.Alphas, eigen.Interval, error) {
 	if phase == nil {
-		phase = func(string) func() { return func() {} }
+		phase = func(string, ...any) func() { return func() {} }
 	}
 	if cfg.M == 0 {
 		return precond.Identity{}, poly.Alphas{}, eigen.Interval{}, nil
@@ -274,19 +325,25 @@ func BuildPreconditionerPhased(sys System, cfg Config, phase func(name string) (
 	if err != nil {
 		return nil, poly.Alphas{}, eigen.Interval{}, err
 	}
-	// Pin the interval before BuildCoefficients so spectral estimation —
-	// the dominant setup cost for parametrized coefficients — times as its
-	// own stage (BuildCoefficients then finds it pre-resolved).
-	if cfg.Coeffs != Unparametrized && cfg.Interval == nil {
-		end = phase("spectral_estimate")
+	var attrs []any
+	if cfg.Coeffs != Unparametrized {
+		// Resolve the interval before BuildCoefficients so spectral
+		// estimation — the dominant setup cost where it runs — times as its
+		// own stage (BuildCoefficients then finds it pinned).
+		src := IntervalSource(cfg)
+		end = func() {}
+		if src == SourceEstimate {
+			end = phase("spectral_estimate")
+		}
 		iv, err := IntervalFor(sp, cfg)
 		end()
 		if err != nil {
 			return nil, poly.Alphas{}, eigen.Interval{}, err
 		}
 		cfg.Interval = &iv
+		attrs = []any{"interval_source", src, "interval_lo", iv.Lo, "interval_hi", iv.Hi}
 	}
-	end = phase("precond_build")
+	end = phase("precond_build", attrs...)
 	defer end()
 	a, iv, err := BuildCoefficients(sp, cfg)
 	if err != nil {

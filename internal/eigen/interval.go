@@ -10,8 +10,10 @@ import (
 	"repro/internal/vec"
 )
 
-// Interval is an estimated spectral interval [Lo, Hi] for P⁻¹K, padded for
-// safety so the true spectrum is (with high confidence) contained.
+// Interval is a spectral interval [Lo, Hi] for P⁻¹K that contains its
+// spectrum: either an estimate padded for safety (EstimateInterval), so the
+// true spectrum is contained with high confidence, or a bound known from
+// the splitting (the SSOR bound core.IntervalFor fits least squares on).
 type Interval struct {
 	Lo, Hi float64
 }
@@ -53,9 +55,10 @@ const (
 // outward on both ends.
 //
 // A CG breakdown or a non-positive Ritz value means K̂, and so K or P, is
-// not SPD, and is reported as an error. For the SSOR(ω=1) splitting on an
-// SPD matrix the spectrum lies in (0, 1]; this function stays
-// splitting-agnostic and does not cap Hi there.
+// not SPD, and is reported as an error. This function stays
+// splitting-agnostic and does not cap Hi at 1 for SSOR, whose spectrum
+// lies in (0, 1]; core.IntervalFor decides where a caller skips the
+// estimate for that bound instead.
 func EstimateInterval(sp splitting.Splitting, pad float64, seed int64) (Interval, error) {
 	n := sp.N()
 	if n == 0 {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/fem"
 	"repro/internal/la"
+	"repro/internal/mesh"
 	"repro/internal/model"
 	"repro/internal/sparse"
 	"repro/internal/splitting"
@@ -138,6 +139,75 @@ func TestEstimateIntervalContainsSpectrum(t *testing.T) {
 			}
 			if _, err := la.Cholesky(above); err != nil {
 				t.Errorf("%s seed %d: %g·P − K not positive definite: Hi below λmax", name, seed, iv.Hi)
+			}
+		}
+	}
+}
+
+// The SSOR bound the least-squares coefficients fit on holds: for an SSOR
+// splitting at ω = 1, spec(P⁻¹K) ⊂ [1e-9, 1] with λmax = 1 to within 1e-6,
+// because P − K = L·D⁻¹·U is positive semidefinite and singular. So
+// (1 + 1e-6)·P − K and K − 1e-9·P are positive definite and
+// (1 − 1e-6)·P − K is not. At ω = 1.5, P − K is positive definite, so λmax
+// sits below 1 − 1e-6. Checked against dense P for multicolor and natural
+// SSOR on square plates and an L-shaped domain.
+func TestSSORSpectrumBound(t *testing.T) {
+	type system struct {
+		name       string
+		k, colored *sparse.CSR
+		groups     []int
+	}
+	var systems []system
+	for _, size := range []int{6, 8, 10} {
+		plate, err := fem.NewPlate(size, size, fem.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		systems = append(systems, system{fmt.Sprintf("plate%d", size), plate.K, plate.KColored, plate.Ordering.GroupStart[:]})
+	}
+	d, err := fem.NewDomainProblem(mesh.LShapedDomain(mesh.NewGrid(9, 9)), nil, fem.Material{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	systems = append(systems, system{"L-shape9", d.K, d.KColored, d.GroupStart})
+
+	// pd reports whether a·P + b·K is positive definite.
+	pd := func(k, p *la.Matrix, a, b float64) bool {
+		m := la.NewMatrix(k.Rows, k.Cols)
+		for i := range m.Data {
+			m.Data[i] = a*p.Data[i] + b*k.Data[i]
+		}
+		_, err := la.Cholesky(m)
+		return err == nil
+	}
+	for _, sys := range systems {
+		for _, omega := range []float64{1, 1.5} {
+			mc, err := splitting.NewMulticolorSSOR(sys.colored, sys.groups, omega)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nat, err := splitting.NewNaturalSSOR(sys.k, omega)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, sp := range []splitting.Splitting{mc, nat} {
+				name := fmt.Sprintf("%s ω=%g %s", sp.Name(), omega, sys.name)
+				k, p := denseSplitting(t, sp)
+				if omega != 1 {
+					if !pd(k, p, 1-1e-6, -1) {
+						t.Errorf("%s: (1 − 1e-6)·P − K not positive definite: λmax ≥ 1 − 1e-6", name)
+					}
+					continue
+				}
+				if !pd(k, p, 1+1e-6, -1) {
+					t.Errorf("%s: (1 + 1e-6)·P − K not positive definite: λmax above 1", name)
+				}
+				if pd(k, p, 1-1e-6, -1) {
+					t.Errorf("%s: (1 − 1e-6)·P − K positive definite: λmax below 1 − 1e-6", name)
+				}
+				if !pd(k, p, -1e-9, 1) {
+					t.Errorf("%s: K − 1e-9·P not positive definite: λmin below 1e-9", name)
+				}
 			}
 		}
 	}

@@ -19,8 +19,9 @@ import (
 )
 
 // cacheEntry is one fully-prepared problem: the assembled system, the
-// estimated spectral interval (for parametrized coefficients), and a pool
-// of ready preconditioners. The system and interval are immutable after
+// spectral interval its parametrized coefficients were fitted on (the SSOR
+// bound or an estimate; see core.IntervalFor), and a pool of ready
+// preconditioners. The system and interval are immutable after
 // build; preconditioners carry mutable sweep scratch (e.g. the
 // Conrad–Wallach auxiliary vector), so concurrent jobs each check one out
 // of the pool rather than sharing an instance. Every job runs against an
@@ -37,9 +38,9 @@ type cacheEntry struct {
 
 	sys   core.System
 	plate *fem.Plate
-	// cfg is the request's solver config with the estimated interval
-	// pinned, so pooled preconditioner rebuilds never re-run the power
-	// method.
+	// cfg is the request's solver config with the build's interval
+	// pinned, so pooled preconditioner rebuilds never re-run the spectral
+	// estimate.
 	cfg      core.Config
 	interval eigen.Interval
 	alphas   poly.Alphas
@@ -93,13 +94,14 @@ type altPrecond struct {
 }
 
 // build does the expensive setup exactly once per entry, cached or
-// throwaway: assembly, then splitting construction, interval estimation
-// and the first preconditioner. phase, when non-nil, brackets each stage
-// ("assemble", then core's build phases) — the job that runs the build
-// records the stages on its own trace; planning passes nil.
-func (e *cacheEntry) build(req *Request, phase func(name string) (end func())) {
+// throwaway: assembly, then splitting construction, the spectral interval
+// (an estimate only where core.IntervalSource says so) and the first
+// preconditioner. phase, when non-nil, brackets each stage ("assemble",
+// then core's build phases, with their attributes) — the job that runs the
+// build records the stages on its own trace; planning passes nil.
+func (e *cacheEntry) build(req *Request, phase func(name string, attrs ...any) (end func())) {
 	if phase == nil {
-		phase = func(string) func() { return func() {} }
+		phase = func(string, ...any) func() { return func() {} }
 	}
 	end := phase("assemble")
 	err := e.assemble(req)
@@ -120,7 +122,7 @@ func (e *cacheEntry) build(req *Request, phase func(name string) (end func())) {
 	}
 	e.interval, e.alphas, e.precond = iv, alphas, p.Name()
 	if iv != (eigen.Interval{}) {
-		// Pin the estimate: later preconditioner builds reuse it.
+		// Pin the interval: later preconditioner builds reuse it.
 		cfg.Interval = &e.interval
 	}
 	e.cfg = cfg

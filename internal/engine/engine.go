@@ -717,9 +717,15 @@ func (s *Engine) runJob(job *Job, ws *cg.Workspace, workerID int) {
 	s.logger.Debug("job started", "job", job.id, "worker", workerID)
 
 	// All stage spans are leaves — no span nests inside another — so the
-	// trace's span durations sum to at most the job's wall time.
-	phase := func(name string) func() {
-		return job.trace.Start(name).SetWorker(workerID).End
+	// trace's span durations sum to at most the job's wall time. attrs are
+	// the stage's key/value attributes (core's precond_build names its
+	// spectral interval's source).
+	phase := func(name string, attrs ...any) func() {
+		sp := job.trace.Start(name).SetWorker(workerID)
+		for i := 0; i+1 < len(attrs); i += 2 {
+			sp.SetAttr(fmt.Sprint(attrs[i]), attrs[i+1])
+		}
+		return sp.End
 	}
 	fail := func(err error) { s.transition(job, JobFailed, nil, err) }
 
@@ -884,7 +890,7 @@ func (s *Engine) runJob(job *Job, ws *cg.Workspace, workerID int) {
 // build, the build's stage spans (assemble, splitting_build, …) land on its
 // trace as their own leaves: the first one closes cache_wait so the spans
 // never overlap, and a warm hit keeps cache_wait as the only span.
-func (s *Engine) acquire(job *Job, workerID int, phase func(string) func()) (*cacheEntry, precond.Preconditioner, error) {
+func (s *Engine) acquire(job *Job, workerID int, phase func(string, ...any) func()) (*cacheEntry, precond.Preconditioner, error) {
 	waitSp := job.trace.Start("cache_wait").SetWorker(workerID)
 	defer waitSp.End()
 	entry, hit := job.entry, true
@@ -898,9 +904,9 @@ func (s *Engine) acquire(job *Job, workerID int, phase func(string) func()) (*ca
 	waitSp.SetAttr("hit", hit)
 	entry.once.Do(func() {
 		waitSp.SetAttr("built", true)
-		entry.build(&job.req, func(stage string) func() {
+		entry.build(&job.req, func(stage string, attrs ...any) func() {
 			waitSp.End()
-			return phase(stage)
+			return phase(stage, attrs...)
 		})
 	})
 	if entry.err != nil {

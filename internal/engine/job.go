@@ -112,7 +112,8 @@ type JobResult struct {
 	// fan-out, and step count, as the planner resolved them.
 	Plan *PlanInfo `json:"plan,omitempty"`
 	// IntervalLo/Hi report the spectral interval used for parametrized
-	// coefficients (0,0 when none was needed).
+	// coefficients (0,0 when none was needed): an estimate, or [1e-9, 1.02]
+	// where SSOR least squares fits on the known bound (core.IntervalFor).
 	IntervalLo float64 `json:"interval_lo,omitempty"`
 	IntervalHi float64 `json:"interval_hi,omitempty"`
 	// Alphas reports the m-step polynomial coefficients the preconditioner

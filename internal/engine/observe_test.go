@@ -17,11 +17,32 @@ func spansByName(ti TraceInfo) map[string][]int {
 	return m
 }
 
+// checkIntervalSource asserts that a built job's trace opens
+// spectral_estimate exactly when the interval came from an estimate, and
+// that precond_build names the source and the interval the job reports.
+func checkIntervalSource(t *testing.T, ti TraceInfo, want string, res *JobResult) {
+	t.Helper()
+	byName := spansByName(ti)
+	if estimated := len(byName["spectral_estimate"]) > 0; estimated != (want == "estimate") {
+		t.Errorf("%s job: spectral_estimate span present = %v (have %v)", want, estimated, stageNames(ti))
+	}
+	if len(byName["precond_build"]) != 1 {
+		t.Fatalf("%s job: no precond_build span (have %v)", want, stageNames(ti))
+	}
+	attrs := ti.Spans[byName["precond_build"][0]].Attrs
+	if attrs["interval_source"] != want || attrs["interval_lo"] != res.IntervalLo || attrs["interval_hi"] != res.IntervalHi {
+		t.Errorf("precond_build attrs %v, want interval_source %q on the job's [%g, %g]", attrs, want, res.IntervalLo, res.IntervalHi)
+	}
+}
+
 // TestTraceTiledJobTimeline is the observability acceptance test: a solved
 // batch job exposes its complete stage timeline — queue wait, assembly,
 // preconditioner build phases, planning, per-tile solves, emit — with span
 // durations that sum to within the measured job latency, plus a sampled
-// convergence curve covering the batch's cases.
+// convergence curve covering the batch's cases. Its least-squares
+// coefficients fit on the SSOR bound, so no spectral_estimate span opens
+// and precond_build names the source; a Chebyshev job of the same plate
+// estimates, and traces the estimate.
 func TestTraceTiledJobTimeline(t *testing.T) {
 	// Tile budget sized so the 20×20 plate (n=760) tiles the 20 cases.
 	s := New(Config{Workers: 1, TileBudgetBytes: 8 * 760 * 48})
@@ -57,15 +78,12 @@ func TestTraceTiledJobTimeline(t *testing.T) {
 
 	// Every pipeline stage appears, in pipeline order.
 	byName := spansByName(ti)
-	wantStages := []string{"queue", "assemble", "plan", "emit"}
-	if req.Solver.M > 0 {
-		wantStages = append(wantStages, "splitting_build", "spectral_estimate", "precond_build")
-	}
-	for _, name := range wantStages {
+	for _, name := range []string{"queue", "assemble", "splitting_build", "precond_build", "plan", "emit"} {
 		if len(byName[name]) == 0 {
 			t.Errorf("trace missing stage %q (have %v)", name, stageNames(ti))
 		}
 	}
+	checkIntervalSource(t, ti, "ssor-bound", v.Result)
 	if got := len(byName["tile"]); got != len(v.Result.Plan.Tiles) {
 		t.Errorf("trace has %d tile spans, plan has %d tiles", got, len(v.Result.Plan.Tiles))
 	}
@@ -136,6 +154,16 @@ func TestTraceTiledJobTimeline(t *testing.T) {
 	if again.TotalSeconds != ti.TotalSeconds || len(again.Spans) != len(ti.Spans) {
 		t.Error("finished trace drifted between snapshots")
 	}
+
+	// Chebyshev coefficients depend on λmin, so they estimate the interval.
+	cheb := req
+	cheb.Solver.Coeffs = "chebyshev"
+	cv, err := s.Solve(context.Background(), cheb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cti, _ := s.Trace(cv.ID)
+	checkIntervalSource(t, cti, "estimate", cv.Result)
 }
 
 func stageNames(ti TraceInfo) []string {

@@ -71,6 +71,12 @@ func LeastSquares(m int, lo, hi float64) (Alphas, error) {
 	return LeastSquaresWeighted(m, lo, hi, Poly{1})
 }
 
+// LeastSquaresStableM is the largest step count whose least-squares fit is
+// well conditioned (see the Gram matrix in LeastSquaresWeighted): the
+// m ≈ 10 the paper sweeps. Past it the fitted α carry rounding noise that
+// depends on the interval's ends, down to its lower one.
+const LeastSquaresStableM = 10
+
 // LeastSquaresWeighted minimizes ∫ w(λ)·(1 − q(λ))² dλ for a polynomial
 // weight w ≥ 0 on [lo, hi]. Johnson, Micchelli and Paul consider the
 // weights w(λ) = λ^μ; w = λ (Poly{0, 1}) emphasizes the upper end of the
@@ -91,7 +97,8 @@ func LeastSquaresWeighted(m int, lo, hi float64, weight Poly) (Alphas, error) {
 	// Optimize q(λ) = λ·p(λ) with p expressed in the Chebyshev basis of
 	// [lo, hi]: φᵢ(λ) = λ·Tᵢ(s(λ)), s(λ) = (2λ−hi−lo)/(hi−lo). The Gram
 	// matrix in this basis stays well conditioned up to the m ≈ 10 the
-	// paper sweeps, unlike the Hilbert-like (1−λ)-power basis.
+	// paper sweeps (LeastSquaresStableM), unlike the Hilbert-like
+	// (1−λ)-power basis.
 	s := Poly{-(hi + lo) / (hi - lo), 2 / (hi - lo)}
 	basis := make([]Poly, m)
 	for i := 0; i < m; i++ {

@@ -77,7 +77,8 @@ const (
 //
 // A Problem memoizes its own setup artifacts: the planner's structure
 // probe and the spectral-interval estimates the parametrized coefficient
-// criteria need (one per splitting/ω/seed combination). Repeated solves of
+// criteria need where core.IntervalFor estimates (one per splitting/ω/seed
+// combination; SSOR least squares at ω = 1 fits on a fixed bound instead). Repeated solves of
 // the same *Problem — through Solve, SolveBatch, or any local Solver
 // session — therefore never redo that work, even across sessions or after
 // an engine cache eviction. A Problem is safe for concurrent use.
@@ -99,10 +100,13 @@ type Problem struct {
 	ivMemo map[intervalMemoKey]eigen.Interval
 }
 
-// intervalMemoKey is the part of a Config the spectral interval of P⁻¹K
+// intervalMemoKey is the part of a Config a spectral estimate of P⁻¹K
 // depends on: the splitting (with its relaxation parameter) and the
-// estimation seed. Coefficients, tolerances and execution knobs do not
-// perturb the estimate.
+// estimation seed. The coefficient kind and step count decide whether an
+// estimate runs at all (core.IntervalSource), not its value, so the memo
+// holds estimates only: a config fitted on the SSOR bound never reads or
+// writes it, and a later Chebyshev solve of the same problem still gets an
+// estimate.
 type intervalMemoKey struct {
 	splitting core.SplittingKind
 	omega     float64
@@ -128,9 +132,10 @@ func (p *Problem) probeRef() *plan.Probe {
 	return &p.probeVal
 }
 
-// intervalFor returns the problem's memoized spectral interval for the
+// intervalFor returns the problem's memoized spectral estimate for the
 // splitting cfg selects, estimating it on first use through
-// core.IntervalFor, the estimator the engine runs.
+// core.IntervalFor, the estimator the engine runs. Callers pass only
+// configs whose core.IntervalSource is an estimate.
 func (p *Problem) intervalFor(cfg core.Config) (eigen.Interval, error) {
 	omega := cfg.Omega
 	if omega == 0 {

@@ -228,10 +228,11 @@ func (r Request) engineRequest() (engine.Request, error) {
 			return engine.Request{}, err
 		}
 	}
-	if cfg.Interval == nil && cfg.M >= 1 && cfg.Coeffs != Unparametrized {
-		// Pin the problem's memoized spectral interval (estimating it on
-		// first use): repeated solves — and engine cache misses — never
-		// re-run the spectral estimate. Estimation failures are left for the
+	if cfg.M >= 1 && cfg.Coeffs != Unparametrized && core.IntervalSource(cfg) == core.SourceEstimate {
+		// Pin the problem's memoized spectral estimate (running it on first
+		// use): repeated solves — and engine cache misses — never re-run
+		// it. A config fitted on the SSOR bound needs no estimate and
+		// leaves the memo alone. Estimation failures are left for the
 		// engine's preconditioner build to report with full context.
 		if iv, err := p.intervalFor(cfg); err == nil {
 			cfg.Interval = &iv

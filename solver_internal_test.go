@@ -10,7 +10,9 @@ import (
 // probe is computed once (stable pointer), and the spectral interval is
 // estimated once per (splitting, ω, seed) and replayed bit-identically —
 // including into the engine request, where it arrives pre-pinned so cache
-// misses skip the spectral estimate.
+// misses skip the spectral estimate. Configs that run no estimate (unit
+// coefficients, SSOR least squares on its bound) pin nothing and leave the
+// memo alone.
 func TestProblemSetupMemoization(t *testing.T) {
 	p, err := NewPlateProblem(10, 10)
 	if err != nil {
@@ -23,7 +25,7 @@ func TestProblemSetupMemoization(t *testing.T) {
 		t.Fatal("probe empty")
 	}
 
-	cfg := core.Config{M: 3, Coeffs: core.LeastSquaresCoeffs}
+	cfg := core.Config{M: 3, Coeffs: core.ChebyshevCoeffs}
 	first, err := p.intervalFor(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -35,10 +37,12 @@ func TestProblemSetupMemoization(t *testing.T) {
 	if first != again {
 		t.Fatalf("memoized interval changed: %+v vs %+v", first, again)
 	}
-	// Tolerances and coefficient criteria share the memo entry; a different
-	// seed does not.
+	// Tolerances, coefficient criteria and step counts share the memo
+	// entry (least squares past m = 10 estimates too); a different seed
+	// does not.
 	other := cfg
-	other.Coeffs = core.ChebyshevCoeffs
+	other.Coeffs = core.LeastSquaresCoeffs
+	other.M = 11
 	other.Tol = 1e-3
 	if iv, err := p.intervalFor(other); err != nil || iv != first {
 		t.Fatalf("coeff/tol change split the memo: %+v (%v)", iv, err)
@@ -56,7 +60,7 @@ func TestProblemSetupMemoization(t *testing.T) {
 	}
 
 	// The engine request carries the memoized interval pre-pinned.
-	req := Request{Problem: p, Solver: SolverSpec{M: 3, Coeffs: "least-squares"}}
+	req := Request{Problem: p, Solver: SolverSpec{M: 3, Coeffs: "chebyshev"}}
 	ereq, err := req.engineRequest()
 	if err != nil {
 		t.Fatal(err)
@@ -74,13 +78,18 @@ func TestProblemSetupMemoization(t *testing.T) {
 		t.Fatal("engine request not keyed by problem identity")
 	}
 
-	// Unparametrized solves never trigger estimation.
-	ones := Request{Problem: p, Solver: SolverSpec{M: 2}}
-	oreq, err := ones.engineRequest()
-	if err != nil {
-		t.Fatal(err)
+	// Unparametrized solves never trigger estimation, and least squares at
+	// m ≤ 10 fits on the SSOR bound in the engine's build.
+	for _, solver := range []SolverSpec{{M: 2}, {M: 3, Coeffs: "least-squares"}, {M: 10, Coeffs: "least-squares"}} {
+		oreq, err := Request{Problem: p, Solver: solver}.engineRequest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if oreq.Prebuilt.Config.Interval != nil {
+			t.Fatalf("%+v: request pinned an interval", solver)
+		}
 	}
-	if oreq.Prebuilt.Config.Interval != nil {
-		t.Fatal("unparametrized request pinned an interval")
+	if len(p.ivMemo) != 2 {
+		t.Fatalf("requests that run no estimate changed the memo: %d entries", len(p.ivMemo))
 	}
 }
