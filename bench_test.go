@@ -44,9 +44,11 @@ import (
 // BenchmarkHostRef does fixed work that shares no code with the solver:
 // sweeps of a CG-like update over a 5-point stencil in CSR form (about
 // 1.7 MB, most of a 2 MiB L2 cache) and the formatting and parsing of
-// floats. A change to the solver cannot move it, so `cmd/benchjson -diff`
-// reads the host's speed from its ns/op and compares the other benchmarks
-// host-adjusted. One op takes about 20 ms, so a single 1x sample is steady.
+// floats. A change to the solver cannot move it, so its ns/op in two
+// reports says how fast their hosts ran. `cmd/benchjson -diff` does not
+// scale the other benchmarks by it: on one 2-vCPU host their 1x samples
+// did not move with it. One op takes 20–45 ms there, long enough for a
+// single 1x sample.
 func BenchmarkHostRef(b *testing.B) {
 	const grid, sweeps, floats = 150, 64, 40000
 	n := grid * grid

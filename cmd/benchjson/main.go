@@ -28,15 +28,6 @@
 // simulated-s, …) are never gated.
 //
 //	... | go run ./cmd/benchjson -diff BENCH_PR7.json -fail-over 25
-//
-// When both reports carry BenchmarkHostRef — fixed work that shares no code
-// with the solver — the diff reads the host's speed from it: the ratio
-// r = new ÷ old of its ns/op heads the table, and the table and the gate
-// compare host-adjusted values, ns/op divided by r and /s units multiplied
-// by r. So a run on a host twice as slow as the baseline's reads as
-// unchanged, not as a broad regression. B/op, allocs/op and unitless
-// metrics compare raw, as does every metric when either report lacks the
-// reference.
 package main
 
 import (
@@ -133,44 +124,9 @@ func metricDirection(unit string) int {
 	return 0
 }
 
-// hostRefName is the benchmark whose ns/op measures the host's speed.
-const hostRefName = "BenchmarkHostRef"
-
-// hostRatio returns r = new ÷ old ns/op of BenchmarkHostRef, and false when
-// either report lacks it.
-func hostRatio(old, cur Report) (float64, bool) {
-	ref := func(rep Report) float64 {
-		for _, r := range rep.Benchmarks {
-			if r.Name == hostRefName {
-				return r.Metrics["ns/op"]
-			}
-		}
-		return 0
-	}
-	o, n := ref(old), ref(cur)
-	if o <= 0 || n <= 0 {
-		return 1, false
-	}
-	return n / o, true
-}
-
-// hostAdjusted returns a new-run value as it would read on the baseline's
-// host, r being hostRatio: time per op divided by r, throughput multiplied
-// by r; memory and unitless metrics do not scale with host speed.
-func hostAdjusted(unit string, v, r float64) float64 {
-	switch {
-	case unit == "ns/op":
-		return v / r
-	case strings.HasSuffix(unit, "/s"):
-		return v * r
-	}
-	return v
-}
-
 // regressions lists every shared, direction-aware metric that moved the
-// wrong way, host-adjusted, by more than pct percent of the baseline value.
+// wrong way by more than pct percent of the baseline value.
 func regressions(old, cur Report, pct float64) []string {
-	hr, _ := hostRatio(old, cur)
 	key := func(r Result) string { return r.Pkg + "." + r.Name }
 	prev := make(map[string]Result, len(old.Benchmarks))
 	for _, r := range old.Benchmarks {
@@ -191,7 +147,7 @@ func regressions(old, cur Report, pct float64) []string {
 		sort.Strings(units)
 		for _, u := range units {
 			dir := metricDirection(u)
-			ov, nv := o.Metrics[u], hostAdjusted(u, r.Metrics[u], hr)
+			ov, nv := o.Metrics[u], r.Metrics[u]
 			if dir == 0 || ov == 0 {
 				continue
 			}
@@ -221,14 +177,8 @@ func loadReport(path string) (Report, error) {
 // diff prints every metric the two reports share, old → new with the
 // percentage change, plus the benchmarks only one side has (renames and new
 // kernels should be visible, not silently dropped). Benchmarks are matched
-// by package + name, metrics by unit. When both reports carry the host
-// reference, a header line gives the host ratio and the new column holds
-// host-adjusted values.
+// by package + name, metrics by unit.
 func diff(w io.Writer, old, cur Report) {
-	hr, adjusted := hostRatio(old, cur)
-	if adjusted {
-		fmt.Fprintf(w, "host: %s new/old = %.3f; ns/op divided and /s multiplied by it below\n", hostRefName, hr)
-	}
 	key := func(r Result) string { return r.Pkg + "." + r.Name }
 	prev := make(map[string]Result, len(old.Benchmarks))
 	for _, r := range old.Benchmarks {
@@ -251,7 +201,7 @@ func diff(w io.Writer, old, cur Report) {
 		}
 		sort.Strings(units)
 		for _, u := range units {
-			ov, nv := o.Metrics[u], hostAdjusted(u, r.Metrics[u], hr)
+			ov, nv := o.Metrics[u], r.Metrics[u]
 			delta := "-"
 			if ov != 0 {
 				delta = fmt.Sprintf("%+.1f%%", (nv-ov)/ov*100)

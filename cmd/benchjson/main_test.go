@@ -109,54 +109,6 @@ func TestRegressionsGate(t *testing.T) {
 	}
 }
 
-// hostSample is a baseline that carries the host reference.
-const hostSample = `pkg: repro
-BenchmarkHostRef-2                     1   20000000 ns/op
-BenchmarkSolvePlate/m=3-2              1    4000000 ns/op   250.0 solves/s   5000 B/op   40 allocs/op
-BenchmarkSpMM/plate40-2                1    3000000 ns/op   8.0 Gflop-pairs/s
-BenchmarkTable3FEMachine/P=5-2         1    6000000 ns/op   0.42 simulated-s
-PASS
-`
-
-// On a host half as fast, with the reference doubled, every ns/op doubled
-// and every /s halved is no regression; a benchmark that triples is. B/op
-// and allocs/op stay raw, so a doubling of those is flagged at any host
-// ratio. Without the reference on both sides, the comparison is raw.
-func TestRegressionsHostAdjusted(t *testing.T) {
-	old := parseSample(t, hostSample)
-	slowHost := strings.NewReplacer(
-		"20000000 ns/op", "40000000 ns/op",
-		"4000000 ns/op   250.0", "8000000 ns/op   125.0",
-		"3000000 ns/op   8.0", "6000000 ns/op   4.0",
-		"6000000 ns/op   0.42", "12000000 ns/op   0.42",
-	).Replace(hostSample)
-	cur := parseSample(t, slowHost)
-	if regs := regressions(old, cur, 25); len(regs) != 0 {
-		t.Fatalf("uniform host slowdown flagged: %v", regs)
-	}
-	var sb strings.Builder
-	diff(&sb, old, cur)
-	if out := sb.String(); !strings.Contains(out, "new/old = 2.000") || strings.Contains(out, "+100.0%") {
-		t.Fatalf("diff does not show the host ratio or adjusted values:\n%s", out)
-	}
-
-	tripled := parseSample(t, strings.Replace(slowHost, "12000000 ns/op", "36000000 ns/op", 1))
-	regs := regressions(old, tripled, 25)
-	if len(regs) != 1 || !strings.Contains(regs[0], "BenchmarkTable3FEMachine/P=5 ns/op") {
-		t.Fatalf("want the tripled benchmark flagged alone, got %v", regs)
-	}
-
-	heavier := parseSample(t, strings.Replace(slowHost, "5000 B/op   40 allocs/op", "10000 B/op   80 allocs/op", 1))
-	if regs := regressions(old, heavier, 25); len(regs) != 2 {
-		t.Fatalf("want B/op and allocs/op flagged raw, got %v", regs)
-	}
-
-	noRef := parseSample(t, strings.Replace(slowHost, "BenchmarkHostRef-2", "BenchmarkOther-2", 1))
-	if regs := regressions(old, noRef, 25); len(regs) != 5 {
-		t.Fatalf("without the reference want 5 raw regressions (3 ns/op, 2 /s), got %d: %v", len(regs), regs)
-	}
-}
-
 // The same benchmarks at GOMAXPROCS 1 (no suffix) and 2 (-2) archive under
 // the same names; a sub-benchmark's own trailing number survives at both.
 func TestParseGOMAXPROCSFixtures(t *testing.T) {

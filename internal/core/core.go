@@ -239,6 +239,14 @@ func IntervalSource(cfg Config) string {
 	return SourceEstimate
 }
 
+// RunsEstimate reports whether building cfg's preconditioner runs a
+// spectral estimate: parametrized coefficients, M ≥ 1 and IntervalSource
+// SourceEstimate. Only such an interval is worth pinning for reuse; the
+// SSOR bound costs nothing to recompute.
+func RunsEstimate(cfg Config) bool {
+	return cfg.M >= 1 && cfg.Coeffs != Unparametrized && IntervalSource(cfg) == SourceEstimate
+}
+
 // IntervalFor returns the spectral interval the configuration's
 // parametrized coefficients run on: the pinned cfg.Interval when set,
 // [1e-9, 1.02] for SSOR least squares at ω = 1 and m ≤ 10, an estimate

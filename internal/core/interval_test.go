@@ -43,14 +43,23 @@ func TestIntervalDecision(t *testing.T) {
 			tc{Config{M: 3, Splitting: sk, Coeffs: ChebyshevCoeffs}, SourceEstimate},
 			tc{Config{M: 3, Splitting: sk, Coeffs: ChebyshevCoeffs, Interval: &pinned}, SourcePinned})
 	}
-	// A Config without coefficients, as the experiments pass it, estimates.
+	// A Config without coefficients, as the experiments pass it, estimates
+	// when asked for an interval, but its preconditioner build runs none.
 	if got := IntervalSource(Config{}); got != SourceEstimate {
 		t.Errorf("IntervalSource(Config{}) = %q, want %q", got, SourceEstimate)
+	}
+	for _, c := range []Config{{}, {M: 3}, {Coeffs: ChebyshevCoeffs}} {
+		if RunsEstimate(c) {
+			t.Errorf("RunsEstimate(%+v) = true for a build without an interval", c)
+		}
 	}
 	for _, c := range cases {
 		name := fmt.Sprintf("%v %v ω=%g m=%d pinned=%v", c.cfg.Splitting, c.cfg.Coeffs, c.cfg.Omega, c.cfg.M, c.cfg.Interval != nil)
 		if got := IntervalSource(c.cfg); got != c.want {
 			t.Errorf("%s: IntervalSource = %q, want %q", name, got, c.want)
+		}
+		if got := RunsEstimate(c.cfg); got != (c.want == SourceEstimate) {
+			t.Errorf("%s: RunsEstimate = %v", name, got)
 		}
 		var phases []string
 		var attrs map[string]any

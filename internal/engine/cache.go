@@ -38,9 +38,11 @@ type cacheEntry struct {
 
 	sys   core.System
 	plate *fem.Plate
-	// cfg is the request's solver config with the build's interval
-	// pinned, so pooled preconditioner rebuilds never re-run the spectral
-	// estimate.
+	// cfg is the request's solver config with the build's spectral
+	// estimate pinned, so pooled preconditioner rebuilds — alternate step
+	// counts included — never re-run it. The SSOR bound is never pinned:
+	// it costs nothing to recompute, and an alternate count past
+	// poly.LeastSquaresStableM must estimate instead.
 	cfg      core.Config
 	interval eigen.Interval
 	alphas   poly.Alphas
@@ -77,20 +79,34 @@ type cacheEntry struct {
 	costErr  error
 
 	// alts holds per-step-count preconditioner pools for tuned plans whose
-	// M differs from the request's: the splitting and pinned spectral
-	// interval are shared with the main pool, so an alternate-M rebuild
-	// never re-runs the spectral estimate.
+	// M differs from the request's: the splitting configuration and any
+	// pinned spectral estimate are shared with the main pool, so an
+	// alternate-M rebuild re-runs the estimate only where its own count
+	// needs one and the entry's build ran none.
 	altMu sync.Mutex
 	alts  map[int]*altPrecond
 
 	pool sync.Pool // of precond.Preconditioner
 }
 
-// altPrecond is one alternate step count's preconditioner pool.
+// altPrecond is one alternate step count's preconditioner pool. cfg is
+// the entry's config at that count, with its own estimate pinned when its
+// first build ran one.
 type altPrecond struct {
 	pool   sync.Pool
+	cfg    core.Config
 	alphas poly.Alphas
 	name   string
+}
+
+// pinEstimate returns cfg with iv, the interval cfg's build fitted on,
+// pinned when that build ran a spectral estimate (core.RunsEstimate), so
+// later builds of cfg reuse it.
+func pinEstimate(cfg core.Config, iv eigen.Interval) core.Config {
+	if core.RunsEstimate(cfg) {
+		cfg.Interval = &iv
+	}
+	return cfg
 }
 
 // build does the expensive setup exactly once per entry, cached or
@@ -121,11 +137,7 @@ func (e *cacheEntry) build(req *Request, phase func(name string, attrs ...any) (
 		return
 	}
 	e.interval, e.alphas, e.precond = iv, alphas, p.Name()
-	if iv != (eigen.Interval{}) {
-		// Pin the interval: later preconditioner builds reuse it.
-		cfg.Interval = &e.interval
-	}
-	e.cfg = cfg
+	e.cfg = pinEstimate(cfg, iv)
 	e.pool.Put(p)
 	e.ready.Store(true)
 }
@@ -184,7 +196,7 @@ func (e *cacheEntry) getDecomp(p int) (*decomp.Decomposition, error) {
 
 // checkout takes a preconditioner from the pool, rebuilding one when the
 // pool is empty (or the GC emptied it). Rebuilds reuse the pinned spectral
-// interval, so they never re-run the spectral estimate. A rebuild failure —
+// estimate, or refit on the SSOR bound, so they never re-run an estimate. A rebuild failure —
 // which should be impossible after a successful first build — surfaces its
 // real cause to the caller rather than an untyped nil.
 func (e *cacheEntry) checkout() (precond.Preconditioner, error) {
@@ -203,9 +215,11 @@ func (e *cacheEntry) release(p precond.Preconditioner) { e.pool.Put(p) }
 // checkoutM takes a preconditioner built for m steps instead of the
 // entry's configured count — how a tuned plan's M±1 candidates execute
 // against a problem cached at another m. The first checkout of each
-// alternate count builds it (reusing the pinned spectral interval and the
-// entry's splitting configuration); later checkouts pool like the main
-// path. The returned release puts the instance back.
+// alternate count builds it from the entry's splitting configuration and
+// pinned estimate, if any; where the entry fitted on the SSOR bound, the
+// alternate count takes its own interval from core.IntervalFor (the bound
+// again, or an estimate past poly.LeastSquaresStableM). Later checkouts
+// pool like the main path. The returned release puts the instance back.
 func (e *cacheEntry) checkoutM(m int) (precond.Preconditioner, poly.Alphas, string, func(precond.Preconditioner), error) {
 	if m == e.cfg.M {
 		p, err := e.checkout()
@@ -221,12 +235,15 @@ func (e *cacheEntry) checkoutM(m int) (precond.Preconditioner, poly.Alphas, stri
 	}
 	cfg := e.cfg
 	cfg.M = m
-	p, alphas, _, err := core.BuildPreconditioner(e.sys, cfg)
+	if alt != nil {
+		cfg = alt.cfg
+	}
+	p, alphas, iv, err := core.BuildPreconditioner(e.sys, cfg)
 	if err != nil {
 		return nil, poly.Alphas{}, "", nil, err
 	}
 	if alt == nil {
-		alt = &altPrecond{alphas: alphas, name: p.Name()}
+		alt = &altPrecond{cfg: pinEstimate(cfg, iv), alphas: alphas, name: p.Name()}
 		e.altMu.Lock()
 		if prev, ok := e.alts[m]; ok {
 			alt = prev

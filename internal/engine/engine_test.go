@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/cg"
 	"repro/internal/core"
 	"repro/internal/fem"
 )
@@ -306,6 +308,40 @@ func TestEngineValidationAndFailures(t *testing.T) {
 	badOmega.Solver.Omega = 2.5
 	if _, err := s.Submit(badOmega); err == nil {
 		t.Fatal("ω = 2.5 accepted at submission")
+	}
+}
+
+// TestIndefiniteSystemFailsInSolve: the SSOR bound assumes an SPD K and
+// checks nothing at build, so a symmetric indefinite system (spectrum of
+// P⁻¹K = {1, −3}) under natural SSOR least squares builds, is cached, and
+// fails in the solve with cg's breakdown error. The same system with
+// Chebyshev coefficients still runs the spectral estimate, which rejects it
+// at build and caches nothing.
+func TestIndefiniteSystemFailsInSolve(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	indefinite := func(coeffs, key string) Request {
+		return Request{
+			System: &SystemSpec{
+				N: 2, I: []int{0, 0, 1, 1}, J: []int{0, 1, 0, 1}, V: []float64{1, 2, 2, 1},
+				F: []float64{1, 1}, Key: key,
+			},
+			Solver: SolverSpec{M: 3, Splitting: "ssor-natural", Coeffs: coeffs},
+		}
+	}
+	v, err := s.Solve(context.Background(), indefinite("least-squares", "indef-ls"))
+	if err == nil || v.State != JobFailed || !strings.Contains(v.Error, cg.ErrBreakdownMatrix.Error()) {
+		t.Fatalf("least squares on the bound: state %s, error %q, want a cg breakdown", v.State, v.Error)
+	}
+	if s.Stats().CacheEntries != 1 {
+		t.Fatalf("bound build cached %d entries, want 1", s.Stats().CacheEntries)
+	}
+	v, err = s.Solve(context.Background(), indefinite("chebyshev", "indef-cheb"))
+	if err == nil || v.State != JobFailed || !strings.Contains(v.Error, "spectral estimate") {
+		t.Fatalf("Chebyshev: state %s, error %q, want the estimate's rejection", v.State, v.Error)
+	}
+	if s.Stats().CacheEntries != 1 {
+		t.Fatalf("failed estimate left a cache entry: %d entries", s.Stats().CacheEntries)
 	}
 }
 

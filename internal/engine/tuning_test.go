@@ -5,7 +5,9 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/plan"
+	"repro/internal/poly"
 )
 
 // tuningReq is a keyed batch request with the tuning policy pinned: enough
@@ -228,5 +230,56 @@ func TestTuningExcludedFromCacheKey(t *testing.T) {
 	}
 	if st := s.Stats(); st.CacheEntries != 1 {
 		t.Fatalf("cache entries = %d, want 1", st.CacheEntries)
+	}
+}
+
+// TestCheckoutMIntervalPerStepCount: an entry fitted on the SSOR bound
+// pins nothing, so each alternate step count a tuned plan checks out takes
+// its own interval — the bound again at m ≤ poly.LeastSquaresStableM, an
+// estimate past it — and gets the α a fresh build at that count gets. (On
+// the bound, m = 12's least-squares α are not positive on this plate.) An
+// alternate count's estimate is pinned on its pool, so a rebuild after the
+// pool drains reuses it.
+func TestCheckoutMIntervalPerStepCount(t *testing.T) {
+	req := plateReq(16, 16, 10)
+	e := &cacheEntry{}
+	e.once.Do(func() { e.build(&req, nil) })
+	if e.err != nil {
+		t.Fatal(e.err)
+	}
+	if e.cfg.Interval != nil {
+		t.Fatalf("entry pinned the SSOR bound %+v", *e.cfg.Interval)
+	}
+	for _, m := range []int{9, 11, 12} {
+		fresh, err := req.coreConfig()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh.M = m
+		_, want, _, err := core.BuildPreconditioner(e.sys, fresh)
+		if err != nil {
+			t.Fatalf("m=%d: fresh build: %v", m, err)
+		}
+		for round := 0; round < 2; round++ {
+			p, got, _, release, err := e.checkoutM(m)
+			if err != nil {
+				t.Fatalf("m=%d round %d: %v", m, round, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("m=%d round %d: α %+v, fresh build %+v", m, round, got, want)
+			}
+			if round == 0 {
+				release(p) // the second round takes it back from the pool
+				continue
+			}
+			// Build past the drained pool: the same α again.
+			if _, again, _, _, err := e.checkoutM(m); err != nil || !reflect.DeepEqual(again, want) {
+				t.Fatalf("m=%d rebuild: α %+v (%v), fresh build %+v", m, again, err, want)
+			}
+		}
+		estimated := m > poly.LeastSquaresStableM
+		if pinned := e.alts[m].cfg.Interval != nil; pinned != estimated {
+			t.Fatalf("m=%d: alternate pool pinned an interval = %v, want %v", m, pinned, estimated)
+		}
 	}
 }

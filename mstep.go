@@ -78,10 +78,11 @@ const (
 // A Problem memoizes its own setup artifacts: the planner's structure
 // probe and the spectral-interval estimates the parametrized coefficient
 // criteria need where core.IntervalFor estimates (one per splitting/ω/seed
-// combination; SSOR least squares at ω = 1 fits on a fixed bound instead). Repeated solves of
-// the same *Problem — through Solve, SolveBatch, or any local Solver
-// session — therefore never redo that work, even across sessions or after
-// an engine cache eviction. A Problem is safe for concurrent use.
+// combination; SSOR least squares at ω = 1 fits on a fixed bound
+// instead). Repeated solves of the same *Problem — through Solve,
+// SolveBatch, or any local Solver session — therefore never redo that
+// work, even across sessions or after an engine cache eviction. A Problem
+// is safe for concurrent use.
 type Problem struct {
 	sys   core.System
 	plate *fem.Plate
@@ -133,10 +134,16 @@ func (p *Problem) probeRef() *plan.Probe {
 }
 
 // intervalFor returns the problem's memoized spectral estimate for the
-// splitting cfg selects, estimating it on first use through
-// core.IntervalFor, the estimator the engine runs. Callers pass only
-// configs whose core.IntervalSource is an estimate.
-func (p *Problem) intervalFor(cfg core.Config) (eigen.Interval, error) {
+// splitting cfg selects, running it on first use through core.IntervalFor,
+// the estimator the engine runs. It reports false, and leaves the memo
+// alone, when a preconditioner build of cfg runs no estimate
+// (core.RunsEstimate) — so the memo holds estimates only. An estimation
+// failure also reports false: the engine's preconditioner build reports it
+// with full context.
+func (p *Problem) intervalFor(cfg core.Config) (eigen.Interval, bool) {
+	if !core.RunsEstimate(cfg) {
+		return eigen.Interval{}, false
+	}
 	omega := cfg.Omega
 	if omega == 0 {
 		omega = 1
@@ -145,21 +152,21 @@ func (p *Problem) intervalFor(cfg core.Config) (eigen.Interval, error) {
 	p.ivMu.Lock()
 	defer p.ivMu.Unlock()
 	if iv, ok := p.ivMemo[key]; ok {
-		return iv, nil
+		return iv, true
 	}
 	sp, err := core.BuildSplitting(p.sys, cfg)
 	if err != nil {
-		return eigen.Interval{}, err
+		return eigen.Interval{}, false
 	}
 	iv, err := core.IntervalFor(sp, cfg)
 	if err != nil {
-		return eigen.Interval{}, err
+		return eigen.Interval{}, false
 	}
 	if p.ivMemo == nil {
 		p.ivMemo = make(map[intervalMemoKey]eigen.Interval)
 	}
 	p.ivMemo[key] = iv
-	return iv, nil
+	return iv, true
 }
 
 // NewPlateProblem assembles the paper's plane-stress test problem on a

@@ -228,15 +228,10 @@ func (r Request) engineRequest() (engine.Request, error) {
 			return engine.Request{}, err
 		}
 	}
-	if cfg.M >= 1 && cfg.Coeffs != Unparametrized && core.IntervalSource(cfg) == core.SourceEstimate {
-		// Pin the problem's memoized spectral estimate (running it on first
-		// use): repeated solves — and engine cache misses — never re-run
-		// it. A config fitted on the SSOR bound needs no estimate and
-		// leaves the memo alone. Estimation failures are left for the
-		// engine's preconditioner build to report with full context.
-		if iv, err := p.intervalFor(cfg); err == nil {
-			cfg.Interval = &iv
-		}
+	// Pin the problem's memoized spectral estimate (running it on first
+	// use): repeated solves — and engine cache misses — never re-run it.
+	if iv, ok := p.intervalFor(cfg); ok {
+		cfg.Interval = &iv
 	}
 	ereq.Prebuilt = &engine.Prebuilt{
 		Sys:    p.sys,

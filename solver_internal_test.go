@@ -26,13 +26,13 @@ func TestProblemSetupMemoization(t *testing.T) {
 	}
 
 	cfg := core.Config{M: 3, Coeffs: core.ChebyshevCoeffs}
-	first, err := p.intervalFor(cfg)
-	if err != nil {
-		t.Fatal(err)
+	first, ok := p.intervalFor(cfg)
+	if !ok {
+		t.Fatal("Chebyshev config ran no estimate")
 	}
-	again, err := p.intervalFor(cfg)
-	if err != nil {
-		t.Fatal(err)
+	again, ok := p.intervalFor(cfg)
+	if !ok {
+		t.Fatal("memoized estimate missing")
 	}
 	if first != again {
 		t.Fatalf("memoized interval changed: %+v vs %+v", first, again)
@@ -44,16 +44,16 @@ func TestProblemSetupMemoization(t *testing.T) {
 	other.Coeffs = core.LeastSquaresCoeffs
 	other.M = 11
 	other.Tol = 1e-3
-	if iv, err := p.intervalFor(other); err != nil || iv != first {
-		t.Fatalf("coeff/tol change split the memo: %+v (%v)", iv, err)
+	if iv, ok := p.intervalFor(other); !ok || iv != first {
+		t.Fatalf("coeff/tol change split the memo: %+v (%v)", iv, ok)
 	}
 	if len(p.ivMemo) != 1 {
 		t.Fatalf("memo holds %d entries, want 1", len(p.ivMemo))
 	}
 	seeded := cfg
 	seeded.Seed = 7
-	if _, err := p.intervalFor(seeded); err != nil {
-		t.Fatal(err)
+	if _, ok := p.intervalFor(seeded); !ok {
+		t.Fatal("seeded config ran no estimate")
 	}
 	if len(p.ivMemo) != 2 {
 		t.Fatalf("seed change did not get its own memo entry: %d", len(p.ivMemo))
@@ -78,8 +78,19 @@ func TestProblemSetupMemoization(t *testing.T) {
 		t.Fatal("engine request not keyed by problem identity")
 	}
 
-	// Unparametrized solves never trigger estimation, and least squares at
-	// m ≤ 10 fits on the SSOR bound in the engine's build.
+	// Configs that run no estimate get none from the memo: unit
+	// coefficients, no steps, and least squares at m ≤ 10 (the SSOR bound).
+	for _, c := range []core.Config{
+		{M: 2},
+		{Coeffs: core.ChebyshevCoeffs},
+		{M: 3, Coeffs: core.LeastSquaresCoeffs},
+		{M: 10, Coeffs: core.WeightedLSCoeffs, Splitting: core.SSORNatural},
+	} {
+		if _, ok := p.intervalFor(c); ok {
+			t.Fatalf("%+v: memo returned an estimate", c)
+		}
+	}
+	// Nor do their engine requests pin an interval.
 	for _, solver := range []SolverSpec{{M: 2}, {M: 3, Coeffs: "least-squares"}, {M: 10, Coeffs: "least-squares"}} {
 		oreq, err := Request{Problem: p, Solver: solver}.engineRequest()
 		if err != nil {
