@@ -199,12 +199,13 @@ func BenchmarkConditionEstimate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	cfg := core.Config{M: 2, RelResidualTol: 1e-10, MaxIter: 10000}
 	for i := 0; i < b.N; i++ {
-		res, err := core.Solve(sys, core.Config{M: 2, RelResidualTol: 1e-10, MaxIter: 10000})
+		res, err := engine.SolveOnce(engine.Prebuilt{Sys: sys, Config: &cfg})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, _, _, err := repro.EstimateCondition(repro.Result(res)); err != nil {
+		if _, _, _, err := repro.EstimateCondition(res[0]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -242,11 +243,11 @@ func BenchmarkSolvePlate(b *testing.B) {
 				c.MaxIter = 100000
 				var iters int
 				for i := 0; i < b.N; i++ {
-					res, err := core.Solve(sys, c)
+					res, err := engine.SolveOnce(engine.Prebuilt{Sys: sys, Config: &c})
 					if err != nil {
 						b.Fatal(err)
 					}
-					iters = res.Stats.Iterations
+					iters = res[0].Stats.Iterations
 				}
 				b.ReportMetric(float64(iters), "iterations")
 			})
@@ -415,11 +416,11 @@ func BenchmarkAblationOrdering(b *testing.B) {
 			c.MaxIter = 100000
 			var iters int
 			for i := 0; i < b.N; i++ {
-				res, err := core.Solve(sys, c)
+				res, err := engine.SolveOnce(engine.Prebuilt{Sys: sys, Config: &c})
 				if err != nil {
 					b.Fatal(err)
 				}
-				iters = res.Stats.Iterations
+				iters = res[0].Stats.Iterations
 			}
 			b.ReportMetric(float64(iters), "iterations")
 		})

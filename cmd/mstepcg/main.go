@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/eigen"
+	"repro/internal/engine"
 	"repro/internal/fem"
 )
 
@@ -63,10 +64,11 @@ func main() {
 	fmt.Printf("plate: %d×%d nodes, %d equations, %d nonzeros\n",
 		*rows, *cols, plate.N(), plate.KColored.NNZ())
 
-	res, err := core.Solve(sys, cfg)
+	results, err := engine.SolveOnce(engine.Prebuilt{Sys: sys, Config: &cfg})
 	if err != nil {
 		log.Fatalf("solve: %v", err)
 	}
+	res := results[0]
 	fmt.Printf("preconditioner: %s\n", res.Precond)
 	if res.Alphas.M() > 0 && cfg.Coeffs != core.Unparametrized {
 		fmt.Printf("interval: [%.4f, %.4f]  α = %.4v\n", res.Interval.Lo, res.Interval.Hi, res.Alphas.Coeffs)

@@ -21,7 +21,7 @@
 //	                     service would run it with, without solving; for a
 //	                     warm problem past the observation gate the plan
 //	                     carries its self-tuning evidence (every candidate's
-//	                     measured rhs/s and cost-model prediction)
+//	                     measured rhs/s and score)
 //	GET    /v1/jobs/{id} job status and result; with "Accept:
 //	                     text/event-stream" (or "?watch=1" for chunked JSON
 //	                     lines) streams each load case's result as it

@@ -43,10 +43,13 @@
 // Config.Kernel) forces the portable reference set — bit-identical results
 // either way, so the knob only changes speed.
 //
-// Beyond one-shot solves, the Solver interface is a session that
-// amortizes setup across requests and streams per-case results: NewLocal
-// embeds the solver engine in process, the client package drives a
-// remote solverd daemon through the identical contract, and
+// Solve and SolveBatch run the engine every Solver session runs, on a
+// throwaway one-worker instance, and so do the commands and the paper's
+// experiments: every number the repository prints comes from one
+// executor. Beyond one-shot solves, the Solver interface is a session
+// that amortizes setup across requests and streams per-case results:
+// NewLocal embeds the solver engine in process, the client package drives
+// a remote solverd daemon through the identical contract, and
 // cmd/solverfleet serves the same API over a cluster of solverd nodes —
 // internal/fleet consistent-hashes each request by its problem cache key
 // so repeats always land on the node whose cache owns the problem, and
@@ -59,9 +62,10 @@
 //
 // The execution planner is self-tuning: every warm solve feeds its
 // realized throughput back into a per-problem tuner, and once enough
-// observations accumulate the engine executes the best measured (or
-// cost-model-predicted) candidate from a bounded neighborhood around the
-// static plan — m, tile width, workers, interleave — with the decision's
+// observations accumulate the engine executes the best-scored candidate
+// from a bounded neighborhood around the static plan — m, tile width,
+// workers, interleave — scored by measured throughput plus an exploration
+// bonus that gets every unmeasured neighbor tried, with the decision's
 // full candidate table attached to Solver.Plan, POST /v1/plan and
 // JobResult.Plan. The solver spec's "tuning" field selects the policy:
 // "adapt" (default), "observe" (collect evidence, execute statically),

@@ -2,21 +2,20 @@
 // irregular regions since the grid must be colored". This example colors an
 // L-shaped plate and a plate with a hole using a greedy graph colorer,
 // builds the general multicolor ordering, and runs the m-step SSOR PCG
-// method on the result via the internal packages the library is built
-// from.
+// method on the result through the engine's one-shot executor, the
+// internal package the library is built on.
 package main
 
 import (
 	"fmt"
 	"log"
 
-	"repro/internal/cg"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/fem"
 	"repro/internal/femachine"
 	"repro/internal/mesh"
 	"repro/internal/poly"
-	"repro/internal/precond"
 	"repro/internal/splitting"
 )
 
@@ -28,35 +27,27 @@ func solveShape(name string, d mesh.Domain) {
 	fmt.Printf("%s: %d active cells, %d equations, %d node colors (greedy)\n",
 		name, d.NumActiveCells(), p.N(), p.NumColors)
 
-	mc, err := splitting.NewSixColorSSOR(p.KColored, p.GroupStart)
-	if err != nil {
-		log.Fatalf("%s: %v", name, err)
-	}
-	rhs := p.ColoredRHS()
+	sys := core.System{K: p.KColored, F: p.ColoredRHS(), GroupStart: p.GroupStart}
 	solve := func(m int, param bool) int {
-		var pc precond.Preconditioner = precond.Identity{}
-		if m > 0 {
-			a := poly.Ones(m)
-			if param {
-				iv, err := core.IntervalFor(mc, core.Config{})
-				if err != nil {
-					log.Fatal(err)
-				}
-				a, err = poly.LeastSquares(m, iv.Lo, iv.Hi)
-				if err != nil {
-					log.Fatal(err)
-				}
+		cfg := core.Config{M: m, Tol: 1e-6, MaxIter: 100000, Backend: core.BackendCSR}
+		if param {
+			// Least squares fitted on the estimated spectrum of the
+			// irregular region's splitting, not on the SSOR bound.
+			mc, err := splitting.NewSixColorSSOR(p.KColored, p.GroupStart)
+			if err != nil {
+				log.Fatalf("%s: %v", name, err)
 			}
-			pc, err = precond.NewMStep(mc, a)
+			iv, err := core.IntervalFor(mc, core.Config{})
 			if err != nil {
 				log.Fatal(err)
 			}
+			cfg.Coeffs, cfg.Interval = core.LeastSquaresCoeffs, &iv
 		}
-		_, st, err := cg.Solve(p.KColored, rhs, pc, cg.Options{Tol: 1e-6, MaxIter: 100000})
+		res, err := engine.SolveOnce(engine.Prebuilt{Sys: sys, Config: &cfg})
 		if err != nil {
 			log.Fatalf("%s m=%d: %v", name, m, err)
 		}
-		return st.Iterations
+		return res[0].Stats.Iterations
 	}
 	fmt.Printf("  CG: %d iterations   1-step SSOR: %d   4-step LS: %d\n",
 		solve(0, false), solve(1, false), solve(4, true))

@@ -1,9 +1,10 @@
 // Self-tuning example: run the same batched problem repeatedly and watch
-// the planner close the loop — the cold plan is the static cost-model
+// the planner close the loop — the cold plan is the planner's static
 // decision; every warm solve feeds its realized rhs/s back into the
-// tuner; past the observation gate the planner starts executing the best
-// measured candidate and the plan explains itself with the evidence it
-// used (the paper's point, live: the best m is measured, not assumed).
+// tuner; past the observation gate the planner explores neighboring plans
+// and executes the best measured candidate, and the plan explains itself
+// with the evidence it used (the paper's point, live: the best m is
+// measured, not assumed).
 //
 // Turn the loop off with Tuning: "off" for bit-identical static plans,
 // or "observe" to collect the evidence without changing execution.
@@ -66,14 +67,14 @@ func main() {
 	}
 	fmt.Printf("\nwarm plan: m=%d source=%s (%d candidates considered)\n",
 		warm.M, warm.Source, len(warm.Candidates))
-	fmt.Println("\n  m  tile  workers  interleave  obs  measured rhs/s  predicted rhs/s  chosen")
+	fmt.Println("\n  m  tile  workers  interleave  obs  measured rhs/s  chosen")
 	for _, c := range warm.Candidates {
 		chosen := ""
 		if c.Chosen {
 			chosen = "  <--"
 		}
-		fmt.Printf("  %d  %4d  %7d  %10v  %3d  %14.1f  %15.1f%s\n",
+		fmt.Printf("  %d  %4d  %7d  %10v  %3d  %14.1f%s\n",
 			c.M, c.TileWidth, c.Workers, c.Interleave, c.Observations,
-			c.MeasuredRHSPerSec, c.PredictedRHSPerSec, chosen)
+			c.MeasuredRHSPerSec, chosen)
 	}
 }

@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"fmt"
@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/fem"
 	"repro/internal/mesh"
 	"repro/internal/model"
@@ -18,7 +19,7 @@ import (
 // diagonal offsets with |d| >= sz (so every within-group entry is on the
 // main diagonal — the multicolor decoupling the SSOR sweeps need), and
 // makes the matrix symmetric and strictly diagonally dominant.
-func randBandedMulticolor(rng *rand.Rand, groups, sz int) System {
+func randBandedMulticolor(rng *rand.Rand, groups, sz int) core.System {
 	n := groups * sz
 	// A handful of banded offsets, all at least one group wide.
 	offsets := []int{sz, sz + 1, 2 * sz}
@@ -47,7 +48,7 @@ func randBandedMulticolor(rng *rand.Rand, groups, sz int) System {
 	for i := range f {
 		f[i] = rng.Float64()*2 - 1
 	}
-	return System{K: coo.ToCSR(), F: f, GroupStart: start}
+	return core.System{K: coo.ToCSR(), F: f, GroupStart: start}
 }
 
 // randScattered builds a random SPD matrix with scattered fill: entry
@@ -74,49 +75,49 @@ func randScattered(rng *rand.Rand, n int) *sparse.CSR {
 }
 
 func TestChooseBackendAuto(t *testing.T) {
-	choose := func(k *sparse.CSR, policy Backend) Backend { return plan.NewProbe(k).Choose(policy) }
+	choose := func(k *sparse.CSR, policy core.Backend) core.Backend { return plan.NewProbe(k).Choose(policy) }
 	// The colored plate's ~47 diagonals are about a quarter filled: DIA
 	// would stream more matrix bytes than CSR, so Auto keeps row storage.
 	sys, _ := plateSystem(t, 12, 12)
-	if got := choose(sys.K, BackendAuto); got != BackendCSR {
+	if got := choose(sys.K, core.BackendAuto); got != core.BackendCSR {
 		t.Fatalf("Auto on banded multicolor plate chose %s, want csr", got)
 	}
-	if got := choose(model.Poisson2D(30, 30), BackendAuto); got != BackendDIA {
+	if got := choose(model.Poisson2D(30, 30), core.BackendAuto); got != core.BackendDIA {
 		t.Fatalf("Auto on 5-point Poisson stencil chose %s, want dia", got)
 	}
 	rng := rand.New(rand.NewSource(3))
-	if got := choose(randScattered(rng, 400), BackendAuto); got != BackendCSR {
+	if got := choose(randScattered(rng, 400), core.BackendAuto); got != core.BackendCSR {
 		t.Fatalf("Auto on scattered fill chose %s, want csr", got)
 	}
 	mc := randBandedMulticolor(rng, 6, 40)
-	if got := choose(mc.K, BackendAuto); got != BackendDIA {
+	if got := choose(mc.K, core.BackendAuto); got != core.BackendDIA {
 		t.Fatalf("Auto on random banded multicolor system chose %s, want dia", got)
 	}
 	// Forced policies pass through untouched, even against the structure.
-	if got := choose(sys.K, BackendCSR); got != BackendCSR {
+	if got := choose(sys.K, core.BackendCSR); got != core.BackendCSR {
 		t.Fatalf("forced csr resolved to %s", got)
 	}
-	if got := choose(randScattered(rng, 100), BackendDIA); got != BackendDIA {
+	if got := choose(randScattered(rng, 100), core.BackendDIA); got != core.BackendDIA {
 		t.Fatalf("forced dia resolved to %s", got)
 	}
 	// Auto never picks DIA for a non-square matrix (unconvertible).
 	rect := sparse.NewCOO(2, 3)
 	rect.Add(0, 0, 1)
-	if got := choose(rect.ToCSR(), BackendAuto); got != BackendCSR {
+	if got := choose(rect.ToCSR(), core.BackendAuto); got != core.BackendCSR {
 		t.Fatalf("Auto on a non-square matrix chose %s, want csr", got)
 	}
 }
 
 func TestParseBackend(t *testing.T) {
-	for name, want := range map[string]Backend{
-		"": BackendAuto, "auto": BackendAuto, "csr": BackendCSR, "dia": BackendDIA,
+	for name, want := range map[string]core.Backend{
+		"": core.BackendAuto, "auto": core.BackendAuto, "csr": core.BackendCSR, "dia": core.BackendDIA,
 	} {
-		got, err := ParseBackend(name)
+		got, err := core.ParseBackend(name)
 		if err != nil || got != want {
 			t.Fatalf("ParseBackend(%q) = %v, %v", name, got, err)
 		}
 	}
-	if _, err := ParseBackend("ellpack"); err == nil {
+	if _, err := core.ParseBackend("ellpack"); err == nil {
 		t.Fatal("ParseBackend accepted an unknown backend")
 	}
 }
@@ -126,17 +127,17 @@ func TestParseBackend(t *testing.T) {
 // different orders (rows vs diagonals), so iterates differ by rounding —
 // ulps per iteration — and the comparison is a tight relative tolerance,
 // not bitwise equality.
-func backendsAgree(t *testing.T, sys System, cfg Config, label string) {
+func backendsAgree(t *testing.T, sys core.System, cfg core.Config, label string) {
 	t.Helper()
 	cfg.Tol = 1e-10
 	cfg.MaxIter = 20000
-	cfg.Backend = BackendCSR
-	csr, err := Solve(sys, cfg)
+	cfg.Backend = core.BackendCSR
+	csr, err := solveOnce(sys, cfg)
 	if err != nil {
 		t.Fatalf("%s: csr solve: %v", label, err)
 	}
-	cfg.Backend = BackendDIA
-	dia, err := Solve(sys, cfg)
+	cfg.Backend = core.BackendDIA
+	dia, err := solveOnce(sys, cfg)
 	if err != nil {
 		t.Fatalf("%s: dia solve: %v", label, err)
 	}
@@ -159,8 +160,8 @@ func backendsAgree(t *testing.T, sys System, cfg Config, label string) {
 
 func TestBackendsAgreeOnPlate(t *testing.T) {
 	sys, _ := plateSystem(t, 10, 10)
-	backendsAgree(t, sys, Config{M: 3, Splitting: SSORMulticolor, Coeffs: LeastSquaresCoeffs}, "plate m=3 ls")
-	backendsAgree(t, sys, Config{M: 0}, "plate plain cg")
+	backendsAgree(t, sys, core.Config{M: 3, Splitting: core.SSORMulticolor, Coeffs: core.LeastSquaresCoeffs}, "plate m=3 ls")
+	backendsAgree(t, sys, core.Config{M: 0}, "plate plain cg")
 }
 
 func TestBackendsAgreeOnRandomBandedMulticolor(t *testing.T) {
@@ -170,13 +171,13 @@ func TestBackendsAgreeOnRandomBandedMulticolor(t *testing.T) {
 		sz := 10 + rng.Intn(30)
 		sys := randBandedMulticolor(rng, groups, sz)
 		label := fmt.Sprintf("trial %d (%d groups × %d)", trial, groups, sz)
-		backendsAgree(t, sys, Config{M: 2, Splitting: SSORMulticolor}, label)
+		backendsAgree(t, sys, core.Config{M: 2, Splitting: core.SSORMulticolor}, label)
 	}
 }
 
 func TestSolveReportsAutoBackend(t *testing.T) {
 	sys, _ := plateSystem(t, 8, 8)
-	res, err := Solve(sys, Config{M: 2, Tol: 1e-8, MaxIter: 10000})
+	res, err := solveOnce(sys, core.Config{M: 2, Tol: 1e-8, MaxIter: 10000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +187,7 @@ func TestSolveReportsAutoBackend(t *testing.T) {
 	k := model.Poisson2D(12, 12)
 	f := make([]float64, k.Rows)
 	f[0] = 1
-	res, err = Solve(System{K: k, F: f}, Config{M: 1, Splitting: JacobiSplitting, Tol: 1e-8, MaxIter: 10000})
+	res, err = solveOnce(core.System{K: k, F: f}, core.Config{M: 1, Splitting: core.JacobiSplitting, Tol: 1e-8, MaxIter: 10000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,6 +203,6 @@ func TestSolveDIAOnFEMDomain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys := System{K: dom.KColored, F: dom.ColoredRHS(), GroupStart: dom.GroupStart}
-	backendsAgree(t, sys, Config{M: 2, Splitting: SSORMulticolor}, "L-domain")
+	sys := core.System{K: dom.KColored, F: dom.ColoredRHS(), GroupStart: dom.GroupStart}
+	backendsAgree(t, sys, core.Config{M: 2, Splitting: core.SSORMulticolor}, "L-domain")
 }

@@ -1,9 +1,10 @@
-package core
+package core_test
 
 import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/fem"
 )
 
@@ -12,13 +13,13 @@ import (
 // fast with a clear message instead of silently producing an indefinite
 // preconditioner. ω = 0 means "unset" and keeps the paper's default of 1.
 func TestBuildSplittingRejectsBadOmega(t *testing.T) {
-	sys, _, err := PlateSystem(6, 6, fem.Options{})
+	sys, _, err := core.PlateSystem(6, 6, fem.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kind := range []SplittingKind{SSORMulticolor, SSORNatural, JacobiSplitting} {
+	for _, kind := range []core.SplittingKind{core.SSORMulticolor, core.SSORNatural, core.JacobiSplitting} {
 		for _, omega := range []float64{-1, -0.5, 2, 2.5, 100} {
-			_, err := BuildSplitting(sys, Config{Splitting: kind, Omega: omega})
+			_, err := core.BuildSplitting(sys, core.Config{Splitting: kind, Omega: omega})
 			if err == nil {
 				t.Fatalf("%s with ω = %g accepted", kind, omega)
 			}
@@ -27,14 +28,14 @@ func TestBuildSplittingRejectsBadOmega(t *testing.T) {
 			}
 		}
 		for _, omega := range []float64{0, 1, 0.5, 1.9} {
-			if _, err := BuildSplitting(sys, Config{Splitting: kind, Omega: omega}); err != nil {
+			if _, err := core.BuildSplitting(sys, core.Config{Splitting: kind, Omega: omega}); err != nil {
 				t.Fatalf("%s with ω = %g rejected: %v", kind, omega, err)
 			}
 		}
 	}
 
 	// Solve surfaces the same rejection end to end.
-	if _, err := Solve(sys, Config{M: 2, Omega: 3}); err == nil {
+	if _, err := solveOnce(sys, core.Config{M: 2, Omega: 3}); err == nil {
 		t.Fatal("Solve accepted ω = 3")
 	}
 }
@@ -43,15 +44,15 @@ func TestBuildSplittingRejectsBadOmega(t *testing.T) {
 // execution strategy, not the method: iteration counts agree and solutions
 // coincide to rounding.
 func TestSolveWorkersMatchesSerial(t *testing.T) {
-	sys, _, err := PlateSystem(10, 10, fem.Options{})
+	sys, _, err := core.PlateSystem(10, 10, fem.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := Solve(sys, Config{M: 2, Tol: 1e-8})
+	serial, err := solveOnce(sys, core.Config{M: 2, Tol: 1e-8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Solve(sys, Config{M: 2, Tol: 1e-8, Workers: 4})
+	par, err := solveOnce(sys, core.Config{M: 2, Tol: 1e-8, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,12 @@
 // Package core composes the paper's pieces — a splitting, polynomial
-// coefficients, and preconditioned conjugate gradient — into the m-step
-// PCG solver that is the paper's contribution. It owns the policy decisions
-// (which splitting, which coefficient criterion, which spectral interval)
-// and delegates the mechanics to internal/splitting, internal/poly,
-// internal/precond, internal/cg and internal/eigen.
+// coefficients and a spectral interval — into the m-step preconditioner
+// that is the paper's contribution, and defines the solver's
+// configuration and result types. It owns the policy decisions (which
+// splitting, which coefficient criterion, which spectral interval) and
+// delegates the mechanics to internal/splitting, internal/poly,
+// internal/precond and internal/eigen. It runs no solve: internal/engine
+// executes every solve with the preconditioner built here, one-shot
+// solves included (engine.SolveOnce).
 package core
 
 import (
@@ -12,8 +15,6 @@ import (
 	"repro/internal/cg"
 	"repro/internal/eigen"
 	"repro/internal/fem"
-	"repro/internal/kernel"
-	"repro/internal/plan"
 	"repro/internal/poly"
 	"repro/internal/precond"
 	"repro/internal/sparse"
@@ -132,11 +133,11 @@ type Config struct {
 	// Tuning is the self-tuning planner's feedback policy: "" or "adapt"
 	// lets warm engine sessions re-plan from measured throughput,
 	// "observe" records evidence without adapting, "off" pins the static
-	// plan bit-for-bit. Any other value is rejected. The one-shot Solve
-	// path has no observation store, so the knob only gates validation
-	// there; the engine is where it takes effect. Deliberately
-	// excluded from the engine's problem cache key — it is an execution
-	// policy, not part of the prepared problem.
+	// plan bit-for-bit. Any other value is rejected. A one-shot solve
+	// (engine.SolveOnce) runs on a throwaway engine that never collects
+	// the observations a re-plan needs, so the knob only gates validation
+	// there. Deliberately excluded from the engine's problem cache key —
+	// it is an execution policy, not part of the prepared problem.
 	Tuning string
 }
 
@@ -362,44 +363,6 @@ func BuildPreconditionerPhased(sys System, cfg Config, phase func(name string, a
 		return nil, a, iv, err
 	}
 	return p, a, iv, nil
-}
-
-// Solve runs the configured m-step PCG on the system. The execution shape
-// — matvec backend and kernel fan-out — comes from the planner, the same
-// decision path the solver service uses.
-func Solve(sys System, cfg Config) (Result, error) {
-	if sys.K == nil || len(sys.F) != sys.K.Rows {
-		return Result{}, fmt.Errorf("core: malformed system (K nil or |F|=%d != n)", len(sys.F))
-	}
-	if !kernel.ValidName(cfg.Kernel) {
-		return Result{}, fmt.Errorf("core: unknown kernel policy %q (want auto or portable)", cfg.Kernel)
-	}
-	if _, err := plan.ParseTuning(cfg.Tuning); err != nil {
-		return Result{}, err
-	}
-	p, a, iv, err := BuildPreconditioner(sys, cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	pl := plan.Planner{}.Plan(plan.Inputs{
-		K: sys.K, Policy: cfg.Backend, RHS: 1, M: cfg.M, Workers: cfg.Workers, Kernel: cfg.Kernel,
-	})
-	op, backend, err := operatorFor(sys.K, pl.Backend)
-	if err != nil {
-		return Result{}, err
-	}
-	if cfg.Tol <= 0 && cfg.RelResidualTol <= 0 {
-		cfg.Tol = 1e-6
-	}
-	u, st, err := cg.Solve(op, sys.F, p, cg.Options{
-		Tol:            cfg.Tol,
-		RelResidualTol: cfg.RelResidualTol,
-		MaxIter:        cfg.MaxIter,
-		History:        cfg.History,
-		Workers:        pl.Workers,
-	})
-	res := Result{U: u, Stats: st, Precond: p.Name(), Alphas: a, Interval: iv, Backend: backend.String(), Kernel: pl.Kernel}
-	return res, err
 }
 
 // PlateSystem builds the paper's plane-stress test problem in the 6-color

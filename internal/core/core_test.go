@@ -1,19 +1,31 @@
-package core
+package core_test
 
 import (
 	"math"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/eigen"
+	"repro/internal/engine"
 	"repro/internal/fem"
 	"repro/internal/model"
 	"repro/internal/vec"
 )
 
-func plateSystem(t *testing.T, rows, cols int) (System, *fem.Plate) {
+// solveOnce runs cfg on sys through the engine's one-shot executor and
+// returns the result of its one right-hand side.
+func solveOnce(sys core.System, cfg core.Config) (core.Result, error) {
+	res, err := engine.SolveOnce(engine.Prebuilt{Sys: sys, Config: &cfg})
+	if len(res) == 0 {
+		return core.Result{}, err
+	}
+	return res[0], err
+}
+
+func plateSystem(t *testing.T, rows, cols int) (core.System, *fem.Plate) {
 	t.Helper()
-	sys, plate, err := PlateSystem(rows, cols, fem.Options{})
+	sys, plate, err := core.PlateSystem(rows, cols, fem.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +34,7 @@ func plateSystem(t *testing.T, rows, cols int) (System, *fem.Plate) {
 
 func TestSolvePlainCG(t *testing.T) {
 	sys, _ := plateSystem(t, 6, 6)
-	res, err := Solve(sys, Config{M: 0, Tol: 1e-8, MaxIter: 5000})
+	res, err := solveOnce(sys, core.Config{M: 0, Tol: 1e-8, MaxIter: 5000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,23 +48,23 @@ func TestSolvePlainCG(t *testing.T) {
 
 func TestSolveAllVariantsAgree(t *testing.T) {
 	sys, _ := plateSystem(t, 6, 6)
-	ref, err := Solve(sys, Config{M: 0, RelResidualTol: 1e-12, MaxIter: 10000})
+	ref, err := solveOnce(sys, core.Config{M: 0, RelResidualTol: 1e-12, MaxIter: 10000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfgs := []Config{
-		{M: 1, Splitting: SSORMulticolor},
-		{M: 3, Splitting: SSORMulticolor},
-		{M: 3, Splitting: SSORMulticolor, Coeffs: LeastSquaresCoeffs},
-		{M: 3, Splitting: SSORMulticolor, Coeffs: ChebyshevCoeffs},
-		{M: 2, Splitting: SSORNatural},
-		{M: 1, Splitting: JacobiSplitting},
-		{M: 3, Splitting: JacobiSplitting, Coeffs: ChebyshevCoeffs},
+	cfgs := []core.Config{
+		{M: 1, Splitting: core.SSORMulticolor},
+		{M: 3, Splitting: core.SSORMulticolor},
+		{M: 3, Splitting: core.SSORMulticolor, Coeffs: core.LeastSquaresCoeffs},
+		{M: 3, Splitting: core.SSORMulticolor, Coeffs: core.ChebyshevCoeffs},
+		{M: 2, Splitting: core.SSORNatural},
+		{M: 1, Splitting: core.JacobiSplitting},
+		{M: 3, Splitting: core.JacobiSplitting, Coeffs: core.ChebyshevCoeffs},
 	}
 	for _, cfg := range cfgs {
 		cfg.RelResidualTol = 1e-12
 		cfg.MaxIter = 10000
-		res, err := Solve(sys, cfg)
+		res, err := solveOnce(sys, cfg)
 		if err != nil {
 			t.Fatalf("%v/%v m=%d: %v", cfg.Splitting, cfg.Coeffs, cfg.M, err)
 		}
@@ -69,11 +81,11 @@ func TestParametrizedBeatsUnparametrized(t *testing.T) {
 	// takes fewer iterations than the unparametrized one at the same m.
 	sys, _ := plateSystem(t, 10, 10)
 	for _, m := range []int{3, 4, 5} {
-		plain, err := Solve(sys, Config{M: m, Tol: 1e-8, MaxIter: 5000})
+		plain, err := solveOnce(sys, core.Config{M: m, Tol: 1e-8, MaxIter: 5000})
 		if err != nil {
 			t.Fatal(err)
 		}
-		param, err := Solve(sys, Config{M: m, Coeffs: LeastSquaresCoeffs, Tol: 1e-8, MaxIter: 5000})
+		param, err := solveOnce(sys, core.Config{M: m, Coeffs: core.LeastSquaresCoeffs, Tol: 1e-8, MaxIter: 5000})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,9 +100,9 @@ func TestIterationsDecreaseWithM(t *testing.T) {
 	sys, _ := plateSystem(t, 10, 10)
 	prev := 1 << 30
 	for _, m := range []int{0, 1, 2, 4, 6} {
-		res, err := Solve(sys, Config{M: m, Coeffs: LeastSquaresCoeffs, Tol: 1e-8, MaxIter: 5000})
+		res, err := solveOnce(sys, core.Config{M: m, Coeffs: core.LeastSquaresCoeffs, Tol: 1e-8, MaxIter: 5000})
 		if m == 0 {
-			res, err = Solve(sys, Config{M: 0, Tol: 1e-8, MaxIter: 5000})
+			res, err = solveOnce(sys, core.Config{M: 0, Tol: 1e-8, MaxIter: 5000})
 		}
 		if err != nil {
 			t.Fatalf("m=%d: %v", m, err)
@@ -106,7 +118,7 @@ func TestSolutionPhysicallySensible(t *testing.T) {
 	// A plate pulled rightward from a clamped left edge stretches: every
 	// u-displacement is nonnegative and grows toward the loaded edge.
 	sys, plate := plateSystem(t, 6, 6)
-	res, err := Solve(sys, Config{M: 2, Coeffs: LeastSquaresCoeffs, RelResidualTol: 1e-12, MaxIter: 5000})
+	res, err := solveOnce(sys, core.Config{M: 2, Coeffs: core.LeastSquaresCoeffs, RelResidualTol: 1e-12, MaxIter: 5000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,31 +148,31 @@ func TestSolutionPhysicallySensible(t *testing.T) {
 
 func TestBuildPreconditionerErrors(t *testing.T) {
 	sys, _ := plateSystem(t, 4, 4)
-	noGroups := System{K: sys.K, F: sys.F}
-	if _, _, _, err := BuildPreconditioner(noGroups, Config{M: 1, Splitting: SSORMulticolor}); err == nil {
+	noGroups := core.System{K: sys.K, F: sys.F}
+	if _, _, _, err := core.BuildPreconditioner(noGroups, core.Config{M: 1, Splitting: core.SSORMulticolor}); err == nil {
 		t.Fatal("multicolor without groups accepted")
 	}
-	if _, _, _, err := BuildPreconditioner(sys, Config{M: -1}); err == nil {
+	if _, _, _, err := core.BuildPreconditioner(sys, core.Config{M: -1}); err == nil {
 		t.Fatal("negative m accepted")
 	}
-	if _, _, _, err := BuildPreconditioner(sys, Config{M: 1, Splitting: SplittingKind(99)}); err == nil {
+	if _, _, _, err := core.BuildPreconditioner(sys, core.Config{M: 1, Splitting: core.SplittingKind(99)}); err == nil {
 		t.Fatal("unknown splitting accepted")
 	}
-	if _, _, _, err := BuildPreconditioner(sys, Config{M: 1, Coeffs: CoeffKind(99)}); err == nil {
+	if _, _, _, err := core.BuildPreconditioner(sys, core.Config{M: 1, Coeffs: core.CoeffKind(99)}); err == nil {
 		t.Fatal("unknown coefficient kind accepted")
 	}
 	bad := eigen.Interval{Lo: 1, Hi: 0.5}
-	if _, _, _, err := BuildPreconditioner(sys, Config{M: 2, Coeffs: LeastSquaresCoeffs, Interval: &bad}); err == nil {
+	if _, _, _, err := core.BuildPreconditioner(sys, core.Config{M: 2, Coeffs: core.LeastSquaresCoeffs, Interval: &bad}); err == nil {
 		t.Fatal("invalid interval accepted")
 	}
 }
 
 func TestSolveMalformedSystem(t *testing.T) {
-	if _, err := Solve(System{}, Config{M: 0, Tol: 1e-6}); err == nil {
+	if _, err := solveOnce(core.System{}, core.Config{M: 0, Tol: 1e-6}); err == nil {
 		t.Fatal("nil system accepted")
 	}
 	k := model.Laplacian1D(4)
-	if _, err := Solve(System{K: k, F: make([]float64, 3)}, Config{M: 0, Tol: 1e-6}); err == nil {
+	if _, err := solveOnce(core.System{K: k, F: make([]float64, 3)}, core.Config{M: 0, Tol: 1e-6}); err == nil {
 		t.Fatal("mismatched rhs accepted")
 	}
 }
@@ -170,15 +182,15 @@ func TestGeneralMatrixViaJacobiAndNaturalSSOR(t *testing.T) {
 	k := model.Poisson2D(12, 12)
 	f := make([]float64, k.Rows)
 	f[50] = 1
-	sys := System{K: k, F: f}
-	for _, cfg := range []Config{
-		{M: 1, Splitting: JacobiSplitting},
-		{M: 2, Splitting: SSORNatural, Omega: 1.2},
-		{M: 3, Splitting: JacobiSplitting, Coeffs: ChebyshevCoeffs},
+	sys := core.System{K: k, F: f}
+	for _, cfg := range []core.Config{
+		{M: 1, Splitting: core.JacobiSplitting},
+		{M: 2, Splitting: core.SSORNatural, Omega: 1.2},
+		{M: 3, Splitting: core.JacobiSplitting, Coeffs: core.ChebyshevCoeffs},
 	} {
 		cfg.RelResidualTol = 1e-10
 		cfg.MaxIter = 5000
-		res, err := Solve(sys, cfg)
+		res, err := solveOnce(sys, cfg)
 		if err != nil {
 			t.Fatalf("%+v: %v", cfg, err)
 		}
@@ -191,20 +203,20 @@ func TestGeneralMatrixViaJacobiAndNaturalSSOR(t *testing.T) {
 }
 
 func TestKindStrings(t *testing.T) {
-	if SSORMulticolor.String() != "ssor-multicolor" || JacobiSplitting.String() != "jacobi" {
+	if core.SSORMulticolor.String() != "ssor-multicolor" || core.JacobiSplitting.String() != "jacobi" {
 		t.Fatal("splitting names")
 	}
-	if SplittingKind(9).String() != "?" || CoeffKind(9).String() != "?" {
+	if core.SplittingKind(9).String() != "?" || core.CoeffKind(9).String() != "?" {
 		t.Fatal("unknown kind names")
 	}
-	if LeastSquaresCoeffs.String() != "least-squares" || ChebyshevCoeffs.String() != "chebyshev" || Unparametrized.String() != "ones" {
+	if core.LeastSquaresCoeffs.String() != "least-squares" || core.ChebyshevCoeffs.String() != "chebyshev" || core.Unparametrized.String() != "ones" {
 		t.Fatal("coefficient names")
 	}
 }
 
 func TestSolveReportsPrecondName(t *testing.T) {
 	sys, _ := plateSystem(t, 5, 5)
-	res, err := Solve(sys, Config{M: 2, Coeffs: LeastSquaresCoeffs, Tol: 1e-7, MaxIter: 2000})
+	res, err := solveOnce(sys, core.Config{M: 2, Coeffs: core.LeastSquaresCoeffs, Tol: 1e-7, MaxIter: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,14 +233,14 @@ func TestSolveReportsPrecondName(t *testing.T) {
 
 func TestWeightedLSCoeffsSolve(t *testing.T) {
 	sys, _ := plateSystem(t, 10, 10)
-	res, err := Solve(sys, Config{M: 3, Coeffs: WeightedLSCoeffs, Tol: 1e-7, MaxIter: 10000})
+	res, err := solveOnce(sys, core.Config{M: 3, Coeffs: core.WeightedLSCoeffs, Tol: 1e-7, MaxIter: 10000})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Stats.Converged {
 		t.Fatal("weighted LS did not converge")
 	}
-	plain, err := Solve(sys, Config{M: 3, Tol: 1e-7, MaxIter: 10000})
+	plain, err := solveOnce(sys, core.Config{M: 3, Tol: 1e-7, MaxIter: 10000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,8 +248,8 @@ func TestWeightedLSCoeffsSolve(t *testing.T) {
 		t.Fatalf("weighted LS (%d iters) worse than unparametrized (%d)",
 			res.Stats.Iterations, plain.Stats.Iterations)
 	}
-	if WeightedLSCoeffs.String() != "least-squares(w=λ)" {
-		t.Fatalf("name %q", WeightedLSCoeffs.String())
+	if core.WeightedLSCoeffs.String() != "least-squares(w=λ)" {
+		t.Fatalf("name %q", core.WeightedLSCoeffs.String())
 	}
 }
 
@@ -248,7 +260,7 @@ func TestIterationsRespectSqrtKappaBound(t *testing.T) {
 	sys, _ := plateSystem(t, 12, 12)
 	eps := 1e-8
 	for _, m := range []int{0, 1, 3} {
-		res, err := Solve(sys, Config{M: m, RelResidualTol: eps, MaxIter: 100000})
+		res, err := solveOnce(sys, core.Config{M: m, RelResidualTol: eps, MaxIter: 100000})
 		if err != nil {
 			t.Fatal(err)
 		}

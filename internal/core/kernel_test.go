@@ -1,9 +1,10 @@
-package core
+package core_test
 
 import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/kernel"
 )
 
@@ -11,8 +12,8 @@ import (
 // policy before doing any work.
 func TestSolveRejectsUnknownKernel(t *testing.T) {
 	sys, _ := plateSystem(t, 6, 6)
-	cfg := Config{M: 2, Splitting: SSORMulticolor, Kernel: "fast"}
-	if _, err := Solve(sys, cfg); err == nil || !strings.Contains(err.Error(), "kernel policy") {
+	cfg := core.Config{M: 2, Splitting: core.SSORMulticolor, Kernel: "fast"}
+	if _, err := solveOnce(sys, cfg); err == nil || !strings.Contains(err.Error(), "kernel policy") {
 		t.Fatalf("Solve: want kernel-policy error, got %v", err)
 	}
 }
@@ -23,7 +24,7 @@ func TestSolveRejectsUnknownKernel(t *testing.T) {
 func TestSolveReportsKernel(t *testing.T) {
 	sys, _ := plateSystem(t, 8, 8)
 	for _, policy := range []string{"", "portable"} {
-		res, err := Solve(sys, Config{M: 2, Splitting: SSORMulticolor, Tol: 1e-8, MaxIter: 10000, Kernel: policy})
+		res, err := solveOnce(sys, core.Config{M: 2, Splitting: core.SSORMulticolor, Tol: 1e-8, MaxIter: 10000, Kernel: policy})
 		if err != nil {
 			t.Fatal(err)
 		}

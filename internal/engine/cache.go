@@ -2,7 +2,6 @@ package engine
 
 import (
 	"container/list"
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -15,7 +14,6 @@ import (
 	"repro/internal/poly"
 	"repro/internal/precond"
 	"repro/internal/sparse"
-	"repro/internal/vectorsim"
 )
 
 // cacheEntry is one fully-prepared problem: the assembled system, the
@@ -69,14 +67,6 @@ type cacheEntry struct {
 	// identical probe (plan stability on cache hits).
 	probeOnce sync.Once
 	probeVal  plan.Probe
-
-	// costVal memoizes the vectorsim cost analysis of the entry's system —
-	// the paper's eq. (4.1) breakdown the self-tuning planner uses as its
-	// prior for unmeasured step counts. Needs the multicolor group
-	// boundaries; general systems without them memoize the error instead.
-	costOnce sync.Once
-	costVal  vectorsim.CostBreakdown
-	costErr  error
 
 	// alts holds per-step-count preconditioner pools for tuned plans whose
 	// M differs from the request's: the splitting configuration and any
@@ -259,20 +249,6 @@ func (e *cacheEntry) checkoutM(m int) (precond.Preconditioner, poly.Alphas, stri
 }
 
 func (a *altPrecond) put(p precond.Preconditioner) { a.pool.Put(p) }
-
-// costModel returns the entry's memoized vectorsim analysis: the cost of
-// one CG iteration (A) and one preconditioner step (B) on the model
-// machine, the self-tuning planner's prior for unmeasured step counts.
-func (e *cacheEntry) costModel() (vectorsim.CostBreakdown, error) {
-	e.costOnce.Do(func() {
-		if len(e.sys.GroupStart) < 2 {
-			e.costErr = fmt.Errorf("%w: no multicolor group boundaries", vectorsim.ErrDegenerate)
-			return
-		}
-		e.costVal, e.costErr = vectorsim.Analyze(vectorsim.Cyber203(), e.sys.K, e.sys.GroupStart, 0)
-	})
-	return e.costVal, e.costErr
-}
 
 // cacheShards caps the number of independently-locked cache segments. Keys
 // hash to a shard, so concurrent batch traffic on distinct problems

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"math"
 	"runtime"
 	"strings"
 	"sync"
@@ -15,6 +14,7 @@ import (
 	"repro/internal/cg"
 	"repro/internal/core"
 	"repro/internal/decomp"
+	"repro/internal/eigen"
 	"repro/internal/fem"
 	"repro/internal/obs"
 	"repro/internal/plan"
@@ -292,6 +292,53 @@ func (s *Engine) Solve(ctx context.Context, req Request) (JobView, error) {
 	}
 }
 
+// SolveOnce runs one prebuilt problem to completion on a throwaway
+// one-worker engine, whose kernels run serially unless pb.Config pins
+// Workers: the executor the library's one-shot solves share with the
+// service (repro.Solve and SolveBatch, the commands, the paper's
+// experiments and the CYBER simulation). pb.Config, when set, is the full
+// solver configuration. It returns one Result per right-hand side (pb.Fs,
+// or pb.Sys.F when Fs is empty) and the job's error; a column that failed
+// still returns its result beside the joined error.
+func SolveOnce(pb Prebuilt) ([]core.Result, error) {
+	eng := New(Config{
+		Workers: 1, WorkerBudget: 1, QueueDepth: 1,
+		CacheSize: 1, HistoryLimit: 1, LatencyWindow: 16,
+	})
+	defer eng.Close()
+	job, err := eng.Submit(Request{Prebuilt: &pb})
+	if err != nil {
+		return nil, err
+	}
+	<-job.Done()
+	jr := job.Result()
+	if jr == nil {
+		return nil, job.Err()
+	}
+	shell := core.Result{
+		Precond:  jr.Precond,
+		Backend:  jr.Backend,
+		Interval: eigen.Interval{Lo: jr.IntervalLo, Hi: jr.IntervalHi},
+		Kernel:   jr.Plan.Kernel,
+	}
+	if jr.Alphas != nil {
+		shell.Alphas = *jr.Alphas
+	}
+	cases := jr.Cases
+	if jr.RHS == 1 {
+		cases = []CaseResult{{U: jr.U, CGStats: jr.CGStats}}
+	}
+	out := make([]core.Result, len(cases))
+	for i, c := range cases {
+		out[i] = shell
+		out[i].U = c.U
+		if c.CGStats != nil {
+			out[i].Stats = *c.CGStats
+		}
+	}
+	return out, job.Err()
+}
+
 // Cancel aborts a job by ID: a queued job is skipped when dequeued, a
 // running solve stops at its next iteration boundary and the job finishes
 // as failed with the cancellation error. Reports whether the ID was known.
@@ -314,7 +361,7 @@ func (s *Engine) Cancel(id string) bool {
 // cheaper than solving. Either way a later solve of the same request
 // reports an identical JobResult.Plan — including the self-tuning
 // evidence: a warm problem past the observation gate explains its decision
-// with every candidate's measured throughput and cost-model prior.
+// with every candidate's measured throughput and score.
 func (s *Engine) PlanRequest(req Request) (PlanInfo, error) {
 	if err := req.Validate(); err != nil {
 		return PlanInfo{}, err
@@ -380,7 +427,7 @@ func (s *Engine) planFor(entry *cacheEntry, cfg core.Config, rhs int) (plan.Inpu
 	mode := s.tuningFor(cfg)
 	var dec plan.Decision
 	if mode != plan.TuningOff && entry.key != "" {
-		pl, dec = s.tuner.Decide(entry.key, s.planner, in, pl, s.priorFor(entry), mode == plan.TuningAdapt)
+		pl, dec = s.tuner.Decide(entry.key, in, pl, mode == plan.TuningAdapt)
 	}
 	return in, pl, mode, dec
 }
@@ -411,32 +458,10 @@ func (s *Engine) tuningFor(cfg core.Config) plan.TuningMode {
 	return mode
 }
 
-// priorFor derives the tuner's cost-model prior from the entry's memoized
-// vectorsim analysis. Eq. (4.1) prices one iteration at A + m·B while the
-// iteration count of m-step PCG scales like 1/√(m+1), so a candidate step
-// count's predicted throughput relative to the reference is t(ref)/t(cand)
-// with t(m) = (A + m·B)/√(m+1). The model holds no opinion on non-M
-// differences (ratio 1), and degenerate systems get no prior at all.
-func (s *Engine) priorFor(entry *cacheEntry) plan.PriorFunc {
-	cb, err := entry.costModel()
-	if err != nil || cb.A <= 0 {
-		return nil
-	}
-	t := func(m int) float64 {
-		return (cb.A + float64(m)*cb.B) / math.Sqrt(float64(m)+1)
-	}
-	return func(ref, cand plan.Signature) float64 {
-		if cand.M == ref.M {
-			return 1
-		}
-		return t(ref.M) / t(cand.M)
-	}
-}
-
 // planInfo shapes a resolved plan for job results and the HTTP API,
 // including the tuning evidence: which policy governed the decision, how
 // the plan was chosen, and every candidate considered with its measured
-// and predicted throughput.
+// throughput.
 func planInfo(pl plan.Plan, mode plan.TuningMode, d plan.Decision) PlanInfo {
 	info := PlanInfo{
 		Backend:    pl.Backend.String(),
@@ -465,7 +490,6 @@ func planInfo(pl plan.Plan, mode plan.TuningMode, d plan.Decision) PlanInfo {
 				MeasuredRHSPerSec:   c.Measured,
 				Observations:        c.Observations,
 				SecondsPerIteration: c.IterSeconds,
-				PredictedRHSPerSec:  c.Prior,
 				Score:               c.Score,
 				Chosen:              c.Chosen,
 			}
@@ -707,11 +731,11 @@ func (s *Engine) transition(job *Job, state JobState, result *JobResult, err err
 }
 
 // runJob is the plan → execute → emit pipeline every job runs: resolve the
-// job's cache entry (a throwaway one for a keyless request) and check out a
-// preconditioner, plan through the call PlanRequest makes, then run the
-// plan's tiles, emitting each case's result the moment it finishes. A
-// batched request runs as one job against one entry and one preconditioner
-// checkout.
+// job's cache entry (a throwaway one for a keyless request), plan through
+// the call PlanRequest makes and check out the preconditioner the plan
+// runs, then run the plan's tiles, emitting each case's result the moment
+// it finishes. A batched request runs as one job against one entry and one
+// preconditioner checkout.
 func (s *Engine) runJob(job *Job, ws *cg.Workspace, workerID int) {
 	s.transition(job, JobRunning, nil, nil)
 	s.logger.Debug("job started", "job", job.id, "worker", workerID)
@@ -734,13 +758,11 @@ func (s *Engine) runJob(job *Job, ws *cg.Workspace, workerID int) {
 		fail(err)
 		return
 	}
-	entry, pc, err := s.acquire(job, workerID, phase)
+	entry, err := s.acquire(job, workerID, phase)
 	if err != nil {
 		fail(err)
 		return
 	}
-	defer entry.release(pc)
-	alphas, name := entry.alphas, entry.precond
 	fs, err := job.req.rhsCols(entry.sys)
 	if err != nil {
 		fail(err)
@@ -748,23 +770,23 @@ func (s *Engine) runJob(job *Job, ws *cg.Workspace, workerID int) {
 	}
 
 	// Plan: the plan span carries the full decision and its structural
-	// evidence as attributes. A tuned step count checks out an alternate-M
-	// preconditioner from the entry; if that build fails the candidate is
-	// recorded as infeasible and the configured M runs.
+	// evidence as attributes, and covers the one preconditioner checkout,
+	// at the planned step count. If a tuned step count's build fails, the
+	// candidate is recorded as infeasible and the configured M runs.
 	planSp := job.trace.Start("plan").SetWorker(workerID)
 	in, pl, mode, tdec := s.planFor(entry, cfg, len(fs))
-	if pl.M != cfg.M {
-		p2, a2, n2, rel2, aerr := entry.checkoutM(pl.M)
-		if aerr != nil {
-			s.tuner.Observe(entry.key, pl.Signature(), plan.Observation{})
-			pl.M = cfg.M
-		} else {
-			// The original checkout's deferred release captured the
-			// original pc; the alternate returns to its own pool.
-			pc, alphas, name = p2, a2, n2
-			defer rel2(p2)
-		}
+	pc, alphas, name, release, err := entry.checkoutM(pl.M)
+	if err != nil && pl.M != cfg.M {
+		s.tuner.Observe(entry.key, pl.Signature(), plan.Observation{})
+		pl.M = cfg.M
+		pc, alphas, name, release, err = entry.checkoutM(pl.M)
 	}
+	if err != nil {
+		planSp.End()
+		fail(fmt.Errorf("engine: preconditioner rebuild failed for %s: %w", entry.key, err))
+		return
+	}
+	defer release(pc)
 	for k, v := range pl.Attrs() {
 		planSp.SetAttr(k, v)
 	}
@@ -881,16 +903,16 @@ func (s *Engine) runJob(job *Job, ws *cg.Workspace, workerID int) {
 	s.transition(job, JobDone, res, nil)
 }
 
-// acquire resolves the job's cache entry, building it on first use, and
-// checks out one of its preconditioners. A keyed request looks its entry
-// up (the LRU insert and eviction included); a by-reference job holds the
-// entry it resolved at submission, whose build is done; a keyless request
-// builds a throwaway entry the cache never sees, which counts no hit or
-// miss. cache_wait covers the lookup and the checkout. If this job runs the
-// build, the build's stage spans (assemble, splitting_build, …) land on its
-// trace as their own leaves: the first one closes cache_wait so the spans
-// never overlap, and a warm hit keeps cache_wait as the only span.
-func (s *Engine) acquire(job *Job, workerID int, phase func(string, ...any) func()) (*cacheEntry, precond.Preconditioner, error) {
+// acquire resolves the job's cache entry, building it on first use. A
+// keyed request looks its entry up (the LRU insert and eviction included);
+// a by-reference job holds the entry it resolved at submission, whose
+// build is done; a keyless request builds a throwaway entry the cache
+// never sees, which counts no hit or miss. cache_wait covers the lookup.
+// If this job runs the build, the build's stage spans (assemble,
+// splitting_build, …) land on its trace as their own leaves: the first one
+// closes cache_wait so the spans never overlap, and a warm hit keeps
+// cache_wait as the only span.
+func (s *Engine) acquire(job *Job, workerID int, phase func(string, ...any) func()) (*cacheEntry, error) {
 	waitSp := job.trace.Start("cache_wait").SetWorker(workerID)
 	defer waitSp.End()
 	entry, hit := job.entry, true
@@ -911,16 +933,12 @@ func (s *Engine) acquire(job *Job, workerID int, phase func(string, ...any) func
 	})
 	if entry.err != nil {
 		s.cache.drop(entry)
-		return nil, nil, entry.err
+		return nil, entry.err
 	}
 	s.mu.Lock()
 	job.cacheHit = hit
 	s.mu.Unlock()
-	pc, err := entry.checkout()
-	if err != nil {
-		return nil, nil, fmt.Errorf("engine: preconditioner rebuild failed for %s: %w", entry.key, err)
-	}
-	return entry, pc, nil
+	return entry, nil
 }
 
 // countSolve attributes one job to the matvec backend it resolved to.

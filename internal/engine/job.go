@@ -53,13 +53,13 @@ type PlanInfo struct {
 	// Source reports how the plan was chosen: "static" for the planner's
 	// structure heuristic (cold problems, tuning off, or a measured
 	// confirmation that the static plan wins), "measured" for a candidate
-	// promoted on observed throughput, "predicted" for an unmeasured
-	// candidate promoted by the cost-model prior and exploration bonus.
+	// promoted on observed throughput, "explore" for an unmeasured
+	// candidate promoted by the exploration bonus.
 	Source string `json:"plan_source,omitempty"`
 	// Candidates is the evidence trail of a tuned decision: every plan the
 	// selector considered, with measured rhs/s where the signature has
-	// executed before and the cost-model prediction where it has not.
-	// Empty until the problem crosses the tuner's observation gate.
+	// executed before. Empty until the problem crosses the tuner's
+	// observation gate.
 	Candidates []PlanCandidate `json:"candidates,omitempty"`
 }
 
@@ -81,9 +81,6 @@ type PlanCandidate struct {
 	// SecondsPerIteration is the mean execute time per block iteration —
 	// the per-iteration cost the m in m-step trades against.
 	SecondsPerIteration float64 `json:"seconds_per_iteration,omitempty"`
-	// PredictedRHSPerSec is the cost-model prior for an unmeasured
-	// candidate, anchored to the best measured plan (0 when measured).
-	PredictedRHSPerSec float64 `json:"predicted_rhs_per_second,omitempty"`
 	// Score is the exploration-adjusted value the selection ranked by.
 	Score float64 `json:"score,omitempty"`
 	// Chosen marks the candidate the decision picked.

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/fem"
 	"repro/internal/kernel"
 )
 
@@ -19,6 +21,21 @@ func TestEngineUnknownKernelRejected(t *testing.T) {
 	req.Solver.Kernel = "simd9000"
 	if _, err := s.Solve(context.Background(), req); err == nil || !strings.Contains(err.Error(), "kernel policy") {
 		t.Fatalf("want kernel-policy rejection, got %v", err)
+	}
+	// A prebuilt problem is checked the same way, whether its solver comes
+	// from the spec or from a full Config.
+	sys, _, err := core.PlateSystem(6, 6, fem.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.Config{M: 1, Kernel: "simd9000"}
+	for _, pre := range []Request{
+		{Prebuilt: &Prebuilt{Sys: sys}, Solver: SolverSpec{M: 1, Kernel: "simd9000"}},
+		{Prebuilt: &Prebuilt{Sys: sys, Config: &cfg}},
+	} {
+		if _, err := s.Solve(context.Background(), pre); err == nil || !strings.Contains(err.Error(), "kernel policy") {
+			t.Fatalf("prebuilt: want kernel-policy rejection, got %v", err)
+		}
 	}
 }
 

@@ -212,8 +212,10 @@ func (req *Request) Validate() error {
 	}
 	if pb := req.Prebuilt; pb != nil {
 		// Prebuilt problems come from in-process callers, not the network:
-		// only structural integrity is checked here (no resource caps), and
-		// a full Config override is validated by core at build time.
+		// only structural integrity is checked here (no resource caps). A
+		// full Config override has its execution policies (kernel, tuning)
+		// checked here, as a spec's are; core validates the rest at build
+		// time.
 		if req.Plate != nil || req.System != nil {
 			return fmt.Errorf("engine: prebuilt request must not also carry a plate or system spec")
 		}
@@ -232,8 +234,11 @@ func (req *Request) Validate() error {
 				return fmt.Errorf("engine: prebuilt rhs %d length %d != n %d", k, len(f), n)
 			}
 		}
-		if pb.Config != nil {
-			if _, err := plan.ParseTuning(strings.ToLower(pb.Config.Tuning)); err != nil {
+		if c := pb.Config; c != nil {
+			if !kernel.ValidName(c.Kernel) {
+				return fmt.Errorf("engine: unknown kernel policy %q (want auto or portable)", c.Kernel)
+			}
+			if _, err := plan.ParseTuning(strings.ToLower(c.Tuning)); err != nil {
 				return err
 			}
 			return nil
@@ -243,6 +248,9 @@ func (req *Request) Validate() error {
 		}
 		if _, err := core.ParseBackend(strings.ToLower(req.Solver.Backend)); err != nil {
 			return err
+		}
+		if k := strings.ToLower(req.Solver.Kernel); !kernel.ValidName(k) {
+			return fmt.Errorf("engine: unknown kernel policy %q (want auto or portable)", req.Solver.Kernel)
 		}
 		if _, err := plan.ParseTuning(strings.ToLower(req.Solver.Tuning)); err != nil {
 			return err

@@ -170,7 +170,7 @@ func TestTuningAdaptExecutesTunedPlan(t *testing.T) {
 	if pl.Tuning != "adapt" || len(pl.Candidates) == 0 {
 		t.Fatalf("warm adapt-mode plan has no evidence: %+v", pl)
 	}
-	if pl.Source != "static" && pl.Source != "measured" && pl.Source != "predicted" {
+	if pl.Source != "static" && pl.Source != "measured" && pl.Source != "explore" {
 		t.Fatalf("unknown plan source %q", pl.Source)
 	}
 	var chosen *PlanCandidate

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/cg"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/fem"
 	"repro/internal/splitting"
 	"repro/internal/stationary"
@@ -72,15 +72,17 @@ func BaselineStudy(rows, cols int, tol float64) (BaselineResult, error) {
 	// CG and m-step PCG.
 	sys := core.System{K: kc, F: rhs, GroupStart: start}
 	runPCG := func(m int, coeffs core.CoeffKind, label string) error {
-		res, err := core.Solve(sys, core.Config{M: m, Coeffs: coeffs, Tol: tol, MaxIter: 100000})
+		cfg := core.Config{M: m, Coeffs: coeffs, Tol: tol, MaxIter: 100000}
+		res, err := engine.SolveOnce(engine.Prebuilt{Sys: sys, Config: &cfg})
 		if err != nil {
 			return fmt.Errorf("%s: %w", label, err)
 		}
+		st := res[0].Stats
 		out.Table = append(out.Table, BaselineRow{
 			Method:     label,
-			Iterations: res.Stats.Iterations,
-			Sweeps:     res.Stats.Iterations * max(m, 1),
-			Converged:  res.Stats.Converged,
+			Iterations: st.Iterations,
+			Sweeps:     st.Iterations * max(m, 1),
+			Converged:  st.Converged,
 		})
 		return nil
 	}
@@ -109,6 +111,3 @@ func (b BaselineResult) Render() string {
 	s.WriteString("pure stationary methods need thousands — CG acceleration is the point.\n")
 	return s.String()
 }
-
-// Used by cg import pruning guards.
-var _ = cg.Options{}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/cg"
 	"repro/internal/core"
 	"repro/internal/eigen"
+	"repro/internal/engine"
 	"repro/internal/fem"
 )
 
@@ -40,12 +41,12 @@ func ConditionStudy(rows, cols int, specs []MSpec) (CondResult, error) {
 	kappaOf := func(cfg core.Config) (float64, cg.Stats, error) {
 		cfg.RelResidualTol = 1e-12
 		cfg.MaxIter = 100000
-		res, err := core.Solve(sys, cfg)
+		res, err := engine.SolveOnce(engine.Prebuilt{Sys: sys, Config: &cfg})
 		if err != nil {
-			return 0, res.Stats, err
+			return 0, cg.Stats{}, err
 		}
-		_, _, kappa, err := eigen.CondFromCGStats(res.Stats)
-		return kappa, res.Stats, err
+		_, _, kappa, err := eigen.CondFromCGStats(res[0].Stats)
+		return kappa, res[0].Stats, err
 	}
 	var err2 error
 	out.KappaCG, _, err2 = kappaOf(core.Config{M: 0})

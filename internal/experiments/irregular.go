@@ -4,13 +4,11 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/cg"
 	"repro/internal/core"
 	"repro/internal/eigen"
+	"repro/internal/engine"
 	"repro/internal/fem"
 	"repro/internal/mesh"
-	"repro/internal/poly"
-	"repro/internal/precond"
 	"repro/internal/splitting"
 )
 
@@ -65,22 +63,13 @@ func IrregularStudy(size int, specs []MSpec) (IrregularResult, error) {
 				return IrregularResult{}, fmt.Errorf("%s interval: %w", sh.name, err)
 			}
 		}
+		sys := core.System{K: kc, F: rhs, GroupStart: p.GroupStart}
 		for _, s := range specs {
-			var p2 precond.Preconditioner = precond.Identity{}
-			if s.M > 0 {
-				a := poly.Ones(s.M)
-				if s.Param {
-					a, err = poly.LeastSquares(s.M, iv.Lo, iv.Hi)
-					if err != nil {
-						return IrregularResult{}, err
-					}
-				}
-				p2, err = precond.NewMStep(mc, a)
-				if err != nil {
-					return IrregularResult{}, err
-				}
+			cfg := core.Config{M: s.M, Tol: 1e-6, MaxIter: 100000, Backend: core.BackendCSR}
+			if s.Param {
+				cfg.Coeffs, cfg.Interval = core.LeastSquaresCoeffs, &iv
 			}
-			_, st, err := cg.Solve(kc, rhs, p2, cg.Options{Tol: 1e-6, MaxIter: 100000})
+			res, err := engine.SolveOnce(engine.Prebuilt{Sys: sys, Config: &cfg})
 			if err != nil {
 				return IrregularResult{}, fmt.Errorf("%s %s: %w", sh.name, s.Label(), err)
 			}
@@ -89,7 +78,7 @@ func IrregularStudy(size int, specs []MSpec) (IrregularResult, error) {
 				NumColors:  p.NumColors,
 				Equations:  p.N(),
 				Spec:       s,
-				Iterations: st.Iterations,
+				Iterations: res[0].Stats.Iterations,
 			})
 		}
 	}

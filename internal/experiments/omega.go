@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/fem"
 	"repro/internal/vectorsim"
 )
@@ -39,20 +40,18 @@ func OmegaStudy(rows, cols, m int, omegas []float64) (OmegaResult, error) {
 	out := OmegaResult{Rows: rows, Cols: cols, M: m}
 	for _, w := range omegas {
 		row := OmegaRow{Omega: w}
-		mc, err := core.Solve(coloredSys, core.Config{
-			M: m, Splitting: core.SSORMulticolor, Omega: w, Tol: 1e-7, MaxIter: 100000,
-		})
+		mcCfg := core.Config{M: m, Splitting: core.SSORMulticolor, Omega: w, Tol: 1e-7, MaxIter: 100000}
+		mc, err := engine.SolveOnce(engine.Prebuilt{Sys: coloredSys, Config: &mcCfg})
 		if err != nil {
 			return OmegaResult{}, fmt.Errorf("ω=%g multicolor: %w", w, err)
 		}
-		row.Multicolor = mc.Stats.Iterations
-		nat, err := core.Solve(naturalSys, core.Config{
-			M: m, Splitting: core.SSORNatural, Omega: w, Tol: 1e-7, MaxIter: 100000,
-		})
+		row.Multicolor = mc[0].Stats.Iterations
+		natCfg := core.Config{M: m, Splitting: core.SSORNatural, Omega: w, Tol: 1e-7, MaxIter: 100000}
+		nat, err := engine.SolveOnce(engine.Prebuilt{Sys: naturalSys, Config: &natCfg})
 		if err != nil {
 			return OmegaResult{}, fmt.Errorf("ω=%g natural: %w", w, err)
 		}
-		row.Natural = nat.Stats.Iterations
+		row.Natural = nat[0].Stats.Iterations
 		out.Table = append(out.Table, row)
 	}
 	return out, nil

@@ -261,18 +261,21 @@ func TestHardwareTreeBeatsSoftwareRing(t *testing.T) {
 
 func TestParametrizedCoefficientsOnMachine(t *testing.T) {
 	// The machine accepts arbitrary α (Algorithm 3's a_{m-s} multipliers);
-	// results must match the serial parametrized solver.
+	// results must match the serial parametrized solver, built here from
+	// core's preconditioner and cg's scalar solve.
 	plate := paperPlate(t)
 	sys := core.System{K: plate.KColored, F: plate.ColoredRHS(), GroupStart: plate.Ordering.GroupStart[:]}
-	serialRes, err := core.Solve(sys, core.Config{
-		M: 3, Coeffs: core.LeastSquaresCoeffs, Tol: 1e-6, MaxIter: 10000,
-	})
+	pc, alphas, _, err := core.BuildPreconditioner(sys, core.Config{M: 3, Coeffs: core.LeastSquaresCoeffs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	serialU, serialSt, err := cg.Solve(sys.K, sys.F, pc, cg.Options{Tol: 1e-6, MaxIter: 10000})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := Config{
 		P: 5, Strategy: mesh.ColStrips, M: 3,
-		Alphas: serialRes.Alphas.Coeffs,
+		Alphas: alphas.Coeffs,
 		Tol:    1e-6, MaxIter: 10000, Time: DefaultTimeModel(),
 	}
 	mach, err := New(plate, cfg)
@@ -283,11 +286,11 @@ func TestParametrizedCoefficientsOnMachine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if di := res.Iterations - serialRes.Stats.Iterations; di > 1 || di < -1 {
-		t.Fatalf("iterations %d vs serial %d", res.Iterations, serialRes.Stats.Iterations)
+	if di := res.Iterations - serialSt.Iterations; di > 1 || di < -1 {
+		t.Fatalf("iterations %d vs serial %d", res.Iterations, serialSt.Iterations)
 	}
 	for i := range res.U {
-		if d := math.Abs(res.U[i] - serialRes.U[i]); d > 1e-7 {
+		if d := math.Abs(res.U[i] - serialU[i]); d > 1e-7 {
 			t.Fatalf("solution deviates at %d by %g", i, d)
 		}
 	}

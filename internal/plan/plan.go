@@ -192,15 +192,6 @@ type Planner struct {
 	// BudgetBytes bounds the multivector working set of one tile
 	// (default DefaultBudgetBytes).
 	BudgetBytes int
-	// MaxTile caps columns per tile (default DefaultMaxTile).
-	MaxTile int
-	// MinTile floors the tile width for huge systems (default
-	// DefaultMinTile).
-	MinTile int
-	// WideBlockThreshold is the smallest tile width planned onto the
-	// row-interleaved panel layout (default DefaultWideBlockThreshold);
-	// negative disables interleaving entirely.
-	WideBlockThreshold int
 }
 
 // DecompInputs describes the mesh behind a solve — present only when the
@@ -276,8 +267,9 @@ type Plan struct {
 	// each subdomain gets a dedicated goroutine.
 	Subdomains int
 	// Interleave reports that the tiles run on the row-interleaved panel
-	// layout (every tile is at least WideBlockThreshold columns wide and
-	// the preconditioner sweeps panels; both backends serve them).
+	// layout (every tile is at least DefaultWideBlockThreshold columns
+	// wide and the preconditioner sweeps panels; both backends serve
+	// them).
 	Interleave bool
 	// Kernel names the kernel set the solve's fused loops run through
 	// ("portable", "avx2", "neon") — the resolved form of Inputs.Kernel.
@@ -333,22 +325,11 @@ const minParallelRows = 4096
 
 // Plan resolves in into an execution plan. It never fails: missing probes
 // are computed from K, and a nil K with a forced policy plans structure-
-// blind (tiling then assumes nothing about n and uses MaxTile).
+// blind (tiling then assumes nothing about n and uses DefaultMaxTile).
 func (pl Planner) Plan(in Inputs) Plan {
 	budget := pl.BudgetBytes
 	if budget <= 0 {
 		budget = DefaultBudgetBytes
-	}
-	maxTile := pl.MaxTile
-	if maxTile <= 0 {
-		maxTile = DefaultMaxTile
-	}
-	minTile := pl.MinTile
-	if minTile <= 0 {
-		minTile = DefaultMinTile
-	}
-	if minTile > maxTile {
-		minTile = maxTile
 	}
 
 	probe := in.Probe
@@ -383,17 +364,11 @@ func (pl Planner) Plan(in Inputs) Plan {
 	}
 
 	// Tile width: how many columns of six resident n-vectors fit the
-	// budget, clamped to [minTile, maxTile]. Unknown n plans optimistically
-	// at maxTile.
-	width := maxTile
+	// budget, clamped to [DefaultMinTile, DefaultMaxTile]. Unknown n plans
+	// optimistically at DefaultMaxTile.
+	width := DefaultMaxTile
 	if rows > 0 {
-		width = budget / (rows * bytesPerColumn)
-		if width > maxTile {
-			width = maxTile
-		}
-		if width < minTile {
-			width = minTile
-		}
+		width = min(max(budget/(rows*bytesPerColumn), DefaultMinTile), DefaultMaxTile)
 	}
 
 	workers := in.Workers
@@ -422,7 +397,7 @@ func (pl Planner) Plan(in Inputs) Plan {
 	}
 
 	tiles := tile(s, width)
-	interleave := pl.interleaves(in, tiles, in.M)
+	interleave := interleaves(in, tiles, in.M)
 	if interleave && in.Policy == BackendAuto {
 		// DIA's panel kernel re-reads and rewrites every destination row
 		// once per stored diagonal, where CSR's holds a row's sums in
@@ -445,9 +420,8 @@ func (pl Planner) Plan(in Inputs) Plan {
 // every tile clears the threshold. Balanced tiling keeps widths within one
 // of each other, so the last tile is the narrowest (s = 1 scalar solves
 // never clear it).
-func (pl Planner) interleaves(in Inputs, tiles [][]int, m int) bool {
-	wide := pl.wideThreshold()
-	return in.FusedSweep(m) && wide > 0 && len(tiles[len(tiles)-1]) >= wide
+func interleaves(in Inputs, tiles [][]int, m int) bool {
+	return in.FusedSweep(m) && len(tiles[len(tiles)-1]) >= DefaultWideBlockThreshold
 }
 
 // subdomainCount resolves a decomposed plan's processor count: the

@@ -8,37 +8,29 @@ import (
 
 // TestPlanInterleave pins the wide-block layout decision: interleave exactly
 // when the preconditioner sweeps panels (plain CG, or a PanelSweep
-// splitting) and every tile clears the threshold (balanced tiling makes the
-// last tile the narrowest); s = 1 never interleaves, negative threshold
-// disables.
+// splitting) and every tile clears DefaultWideBlockThreshold (balanced
+// tiling makes the last tile the narrowest); s = 1 never interleaves.
 func TestPlanInterleave(t *testing.T) {
 	const rows, width = 1000, 16
 	probe := &Probe{Rows: rows, Cols: rows, NNZ: 5 * rows, MaxRowNNZ: 5, NumDiags: 5, Fill: 1}
 	for _, tc := range []struct {
-		name      string
-		threshold int
-		s         int
-		m         int
-		sweep     bool
-		want      bool
+		name  string
+		s     int
+		m     int
+		sweep bool
+		want  bool
 	}{
-		{"scalar solve stays columnar", 0, 1, 0, false, false},
-		{"narrow block under default threshold", 0, 3, 0, false, false},
-		{"at default threshold", 0, 4, 0, false, true},
-		{"full tile", 0, 16, 0, false, true},
-		{"split 9+8 keeps both wide", 0, 17, 0, false, true},
-		{"custom threshold excludes", 10, 9, 0, false, false},
-		{"custom threshold includes", 10, 16, 0, false, true},
-		{"negative threshold disables", -1, 32, 0, false, false},
-		{"m-step without panel sweep stays columnar", 0, 8, 2, false, false},
-		{"m-step with panel sweep", 0, 8, 2, true, true},
+		{"scalar solve stays columnar", 1, 0, false, false},
+		{"narrow block under the threshold", 3, 0, false, false},
+		{"at the threshold", 4, 0, false, true},
+		{"full tile", 16, 0, false, true},
+		{"split 9+8 keeps both wide", 17, 0, false, true},
+		{"m-step without panel sweep stays columnar", 8, 2, false, false},
+		{"m-step with panel sweep", 8, 2, true, true},
 	} {
-		pl := pinned(rows, width)
-		pl.WideBlockThreshold = tc.threshold
-		p := pl.Plan(Inputs{Probe: probe, RHS: tc.s, M: tc.m, PanelSweep: tc.sweep})
+		p := pinned(rows, width).Plan(Inputs{Probe: probe, RHS: tc.s, M: tc.m, PanelSweep: tc.sweep})
 		if p.Interleave != tc.want {
-			t.Errorf("%s (threshold=%d s=%d): Interleave=%v want %v",
-				tc.name, tc.threshold, tc.s, p.Interleave, tc.want)
+			t.Errorf("%s (s=%d): Interleave=%v want %v", tc.name, tc.s, p.Interleave, tc.want)
 		}
 	}
 }

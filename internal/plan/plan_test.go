@@ -8,9 +8,10 @@ import (
 )
 
 // pinned returns a planner whose tile width resolves to exactly `width`
-// for a `rows`-dimensional system: budget = width·rows·bytesPerColumn.
+// for a `rows`-dimensional system: budget = width·rows·bytesPerColumn, for
+// a width within [DefaultMinTile, DefaultMaxTile].
 func pinned(rows, width int) Planner {
-	return Planner{BudgetBytes: width * rows * bytesPerColumn, MaxTile: 64, MinTile: 1}
+	return Planner{BudgetBytes: width * rows * bytesPerColumn}
 }
 
 func checkTiles(t *testing.T, tiles [][]int, s, maxWidth int) {
@@ -72,15 +73,15 @@ func TestTileBoundaries(t *testing.T) {
 
 func TestTileWidthClamps(t *testing.T) {
 	probe := &Probe{Rows: 1 << 20, Cols: 1 << 20, NNZ: 5 << 20, NumDiags: 5, MaxRowNNZ: 5, Fill: 1}
-	// A huge system would compute a sub-1 width; MinTile floors it.
+	// A huge system would compute a sub-1 width; DefaultMinTile floors it.
 	p := Planner{}.Plan(Inputs{Probe: probe, RHS: 64})
 	checkTiles(t, p.Tiles, 64, DefaultMinTile)
-	// A tiny system would compute an enormous width; MaxTile caps it.
+	// A tiny system would compute an enormous width; DefaultMaxTile caps it.
 	small := &Probe{Rows: 10, Cols: 10, NNZ: 30, NumDiags: 3, MaxRowNNZ: 3, Fill: 1}
 	p = Planner{}.Plan(Inputs{Probe: small, RHS: 200})
 	for _, tile := range p.Tiles {
 		if len(tile) > DefaultMaxTile {
-			t.Fatalf("tile width %d exceeds MaxTile %d", len(tile), DefaultMaxTile)
+			t.Fatalf("tile width %d exceeds DefaultMaxTile %d", len(tile), DefaultMaxTile)
 		}
 	}
 	checkTiles(t, p.Tiles, 200, DefaultMaxTile)

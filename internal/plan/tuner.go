@@ -109,23 +109,15 @@ type Observation struct {
 	IterSeconds float64
 }
 
-// PriorFunc predicts the relative throughput of an unmeasured candidate:
-// it returns cand's expected speed as a multiple of ref's measured speed
-// (1 = no opinion). The engine derives it from the vectorsim cost model,
-// eq. (4.1): T_m = Setup + N·(A + m·B).
-type PriorFunc func(ref, cand Signature) float64
-
 // Candidate is one plan the selector considered, with its evidence: the
-// measured throughput estimate when the signature has executed before, the
-// cost-model prediction otherwise, and the exploration-adjusted score the
-// selection ranked it by.
+// measured throughput estimate when the signature has executed before, and
+// the exploration-adjusted score the selection ranked it by.
 type Candidate struct {
 	Plan         Plan
 	Signature    Signature
 	Measured     float64 // mean measured rhs/s (0 when unmeasured)
 	Observations int
 	IterSeconds  float64 // mean execute seconds per block iteration
-	Prior        float64 // cost-model predicted rhs/s (0 when measured or no prior)
 	Score        float64
 	Chosen       bool
 }
@@ -136,13 +128,13 @@ type Candidate struct {
 type Decision struct {
 	// Source is "static" (the planner's structure heuristic, unexamined or
 	// deliberately kept), "measured" (a candidate chosen on observed
-	// throughput) or "predicted" (an unmeasured candidate promoted by the
-	// cost-model prior / exploration bonus).
+	// throughput) or "explore" (an unmeasured candidate promoted by the
+	// exploration bonus).
 	Source     string
 	Candidates []Candidate
 }
 
-// Tuner defaults.
+// Tuner constants.
 const (
 	// DefaultMinObservations is how many executed solves a problem needs
 	// before the selector starts considering alternatives: below it plans
@@ -155,7 +147,8 @@ const (
 	// DefaultMaxProblems bounds the distinct problems (cache keys) the
 	// store tracks.
 	DefaultMaxProblems = 256
-	// DefaultMaxSignatures bounds the plan signatures tracked per problem.
+	// DefaultMaxSignatures bounds the plan signatures tracked per problem;
+	// observations for further signatures are dropped.
 	DefaultMaxSignatures = 32
 	// maxCandidates caps the plans one decision examines.
 	maxCandidates = 12
@@ -165,29 +158,16 @@ const (
 // per-problem observation store keyed by plan signature, folding each
 // executed solve's realized rhs/s into an online estimate, plus the
 // selector that re-plans warm problems from the estimates. The zero value
-// uses the defaults above and is ready to use; all methods are safe for
-// concurrent use.
+// is ready to use; all methods are safe for concurrent use.
 //
 // Selection is UCB-style over the neighborhood of the static plan and the
 // best measured plan (M±1, halved/doubled tile widths, halved/doubled
 // worker counts, interleave toggled): each candidate scores its measured
-// mean throughput — or the cost-model prior, anchored to the best measured
-// signature, when unmeasured — plus an exploration bonus that shrinks as
-// the candidate accumulates observations. The arithmetic is deliberately
-// clock- and randomness-free: equal stores produce equal decisions.
+// mean throughput — or, when unmeasured, the best measured signature's —
+// plus an exploration bonus that shrinks as the candidate accumulates
+// observations. The arithmetic is deliberately clock- and randomness-free:
+// equal stores produce equal decisions.
 type Tuner struct {
-	// MinObservations gates selection (default DefaultMinObservations).
-	MinObservations int
-	// Explore scales the exploration bonus (default DefaultExplore);
-	// negative disables exploration (pure greedy over measured means).
-	Explore float64
-	// MaxProblems bounds tracked problems (default DefaultMaxProblems).
-	MaxProblems int
-	// MaxSignatures bounds tracked signatures per problem (default
-	// DefaultMaxSignatures); observations for further signatures are
-	// dropped.
-	MaxSignatures int
-
 	mu       sync.Mutex
 	problems map[string]*problemStats
 	touch    int64
@@ -205,37 +185,6 @@ type sigStat struct {
 	iterSeconds float64 // running mean seconds per block iteration
 }
 
-func (t *Tuner) minObs() int {
-	if t.MinObservations > 0 {
-		return t.MinObservations
-	}
-	return DefaultMinObservations
-}
-
-func (t *Tuner) explore() float64 {
-	switch {
-	case t.Explore < 0:
-		return 0
-	case t.Explore == 0:
-		return DefaultExplore
-	}
-	return t.Explore
-}
-
-func (t *Tuner) maxProblems() int {
-	if t.MaxProblems > 0 {
-		return t.MaxProblems
-	}
-	return DefaultMaxProblems
-}
-
-func (t *Tuner) maxSignatures() int {
-	if t.MaxSignatures > 0 {
-		return t.MaxSignatures
-	}
-	return DefaultMaxSignatures
-}
-
 // Observe folds one executed plan's realized performance into the store.
 // Non-positive keys-less problems (key "") and non-finite or negative
 // throughputs are ignored; a zero RHSPerSec is accepted as the deliberate
@@ -251,7 +200,7 @@ func (t *Tuner) Observe(key string, sig Signature, obs Observation) {
 	}
 	p := t.problems[key]
 	if p == nil {
-		if len(t.problems) >= t.maxProblems() {
+		if len(t.problems) >= DefaultMaxProblems {
 			t.evictColdest()
 		}
 		p = &problemStats{sigs: make(map[Signature]*sigStat)}
@@ -261,7 +210,7 @@ func (t *Tuner) Observe(key string, sig Signature, obs Observation) {
 	p.lastUsed = t.touch
 	st := p.sigs[sig]
 	if st == nil {
-		if len(p.sigs) >= t.maxSignatures() {
+		if len(p.sigs) >= DefaultMaxSignatures {
 			return // bounded store: drop observations beyond the cap
 		}
 		st = &sigStat{}
@@ -299,30 +248,27 @@ func (t *Tuner) Observations(key string) int {
 }
 
 // Decide chooses the plan a warm problem should run: base is the planner's
-// static decision for in (pl is the planner that produced it, needed to
-// regenerate consistent candidate plans). Until the problem has
-// MinObservations executed solves — or when the base plan is decomposed,
-// whose execution shape the mesh partition owns — the static plan returns
-// untouched with an empty Decision. Past the gate every candidate is
-// scored; with adapt true the winner's plan is returned, otherwise the
-// static plan is (observe mode: evidence without adaptation). prior, when
-// non-nil, supplies the cost-model throughput ratio for unmeasured
-// candidates (it is per-problem, so it is an argument rather than tuner
-// state). Decide never mutates the store, so offline planning
+// static decision for in, from which the candidate plans are derived.
+// Until the problem has DefaultMinObservations executed solves — or when
+// the base plan is decomposed, whose execution shape the mesh partition
+// owns — the static plan returns untouched with an empty Decision. Past
+// the gate every candidate is scored; with adapt true the winner's plan is
+// returned, otherwise the static plan is (observe mode: evidence without
+// adaptation). Decide never mutates the store, so offline planning
 // (POST /v1/plan) can call it freely.
-func (t *Tuner) Decide(key string, pl Planner, in Inputs, base Plan, prior PriorFunc, adapt bool) (Plan, Decision) {
+func (t *Tuner) Decide(key string, in Inputs, base Plan, adapt bool) (Plan, Decision) {
 	if key == "" || base.Backend == BackendDecomposed || len(base.Tiles) == 0 {
 		return base, Decision{}
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	p := t.problems[key]
-	if p == nil || p.total < t.minObs() {
+	if p == nil || p.total < DefaultMinObservations {
 		return base, Decision{}
 	}
 
-	// Anchor: the best measured signature, the unit every prior and
-	// exploration bonus is expressed in.
+	// Anchor: the best measured signature, the value of every unmeasured
+	// candidate and the unit of the exploration bonus.
 	var anchorSig Signature
 	anchor := 0.0
 	found := false
@@ -338,26 +284,18 @@ func (t *Tuner) Decide(key string, pl Planner, in Inputs, base Plan, prior Prior
 		return base, Decision{}
 	}
 
-	cands := t.candidates(pl, in, base, anchorSig)
+	cands := t.candidates(in, base, anchorSig)
 	total := float64(p.total)
-	explore := t.explore()
 	best := 0
 	for i := range cands {
 		c := &cands[i]
-		value := 0.0
+		value := anchor
 		n := 0
 		if st := p.sigs[c.Signature]; st != nil && st.n > 0 {
 			c.Measured, c.Observations, c.IterSeconds = st.mean, st.n, st.iterSeconds
 			value, n = st.mean, st.n
-		} else {
-			ratio := 1.0
-			if prior != nil {
-				ratio = clampRatio(prior(anchorSig, c.Signature))
-			}
-			c.Prior = anchor * ratio
-			value = c.Prior
 		}
-		c.Score = value + explore*anchor*math.Sqrt(math.Log(total+1)/float64(n+1))
+		c.Score = value + DefaultExplore*anchor*math.Sqrt(math.Log(total+1)/float64(n+1))
 		if c.Score > cands[best].Score {
 			best = i
 		}
@@ -375,24 +313,15 @@ func (t *Tuner) Decide(key string, pl Planner, in Inputs, base Plan, prior Prior
 	case cands[best].Observations > 0:
 		d.Source = "measured"
 	default:
-		d.Source = "predicted"
+		d.Source = "explore"
 	}
 	return cands[best].Plan, d
-}
-
-// clampRatio bounds a prior's opinion: the cost model ranks neighbors, it
-// does not get to declare a candidate 100× faster than the evidence.
-func clampRatio(r float64) float64 {
-	if math.IsNaN(r) || r <= 0 {
-		return 1
-	}
-	return math.Min(math.Max(r, 0.1), 10)
 }
 
 // candidates builds the deterministic candidate list: the static base plan
 // first, then the neighborhoods of the base and of the incumbent best
 // measured plan, deduplicated by signature. Caller holds t.mu.
-func (t *Tuner) candidates(pl Planner, in Inputs, base Plan, anchorSig Signature) []Candidate {
+func (t *Tuner) candidates(in Inputs, base Plan, anchorSig Signature) []Candidate {
 	seen := map[Signature]bool{base.Signature(): true}
 	out := []Candidate{{Plan: base, Signature: base.Signature()}}
 	add := func(p Plan, ok bool) {
@@ -407,18 +336,18 @@ func (t *Tuner) candidates(pl Planner, in Inputs, base Plan, anchorSig Signature
 		out = append(out, Candidate{Plan: p, Signature: sig})
 	}
 	expand := func(from Plan) {
-		add(pl.withM(in, from, from.M+1))
-		add(pl.withM(in, from, from.M-1))
-		add(pl.retiled(in, from, 2*tileWidth(from)))
-		add(pl.retiled(in, from, tileWidth(from)/2))
-		add(pl.withWorkers(in, from, from.Workers*2))
-		add(pl.withWorkers(in, from, from.Workers/2))
-		add(pl.withInterleave(in, from, !from.Interleave))
+		add(withM(in, from, from.M+1))
+		add(withM(in, from, from.M-1))
+		add(retiled(in, from, 2*tileWidth(from)))
+		add(retiled(in, from, tileWidth(from)/2))
+		add(withWorkers(in, from, from.Workers*2))
+		add(withWorkers(in, from, from.Workers/2))
+		add(withInterleave(in, from, !from.Interleave))
 	}
 	expand(base)
 	// Walk the neighborhood of the incumbent too, so adaptation can climb
 	// more than one step away from the static plan (m 1 → 2 → 3 …).
-	if inc, ok := pl.fromSignature(in, base, anchorSig); ok {
+	if inc, ok := fromSignature(in, base, anchorSig); ok {
 		add(inc, true)
 		expand(inc)
 	}
@@ -442,14 +371,6 @@ func batchSize(p Plan) int {
 	return s
 }
 
-// wideThreshold is the planner's effective interleave threshold.
-func (pl Planner) wideThreshold() int {
-	if pl.WideBlockThreshold == 0 {
-		return DefaultWideBlockThreshold
-	}
-	return pl.WideBlockThreshold
-}
-
 // kernelFor resolves the kernel set a plan runs through: only the
 // interleaved panel path threads the per-solve policy; every other path
 // dispatches through the process-wide startup set (kernel.Active), so the
@@ -463,7 +384,7 @@ func kernelFor(interleave bool, policy string) string {
 
 // withM proposes base with m preconditioner steps (invalid m: no plan),
 // leaving the panel layout when the m-step preconditioner cannot sweep it.
-func (pl Planner) withM(in Inputs, base Plan, m int) (Plan, bool) {
+func withM(in Inputs, base Plan, m int) (Plan, bool) {
 	if m < 0 || m == base.M {
 		return Plan{}, false
 	}
@@ -478,14 +399,14 @@ func (pl Planner) withM(in Inputs, base Plan, m int) (Plan, bool) {
 
 // retiled proposes base re-partitioned at the given tile width, with the
 // interleave legality and kernel resolution the static planner applies.
-func (pl Planner) retiled(in Inputs, base Plan, width int) (Plan, bool) {
+func retiled(in Inputs, base Plan, width int) (Plan, bool) {
 	s := batchSize(base)
 	if s <= 1 || width < 1 || width > s || width == tileWidth(base) {
 		return Plan{}, false
 	}
 	out := base
 	out.Tiles = tile(s, width)
-	out.Interleave = pl.interleaves(in, out.Tiles, out.M)
+	out.Interleave = interleaves(in, out.Tiles, out.M)
 	out.Kernel = kernelFor(out.Interleave, in.Kernel)
 	if tileWidth(out) == tileWidth(base) && out.Interleave == base.Interleave {
 		return Plan{}, false
@@ -496,7 +417,7 @@ func (pl Planner) retiled(in Inputs, base Plan, width int) (Plan, bool) {
 // withWorkers proposes base at a different kernel fan-out, bounded by the
 // session's worker budget. Systems below the parallel-kernel threshold run
 // serially regardless, so no variant is proposed for them.
-func (pl Planner) withWorkers(in Inputs, base Plan, w int) (Plan, bool) {
+func withWorkers(in Inputs, base Plan, w int) (Plan, bool) {
 	budget := in.Workers
 	if budget < 1 {
 		budget = 1
@@ -513,15 +434,13 @@ func (pl Planner) withWorkers(in Inputs, base Plan, w int) (Plan, bool) {
 }
 
 // withInterleave proposes base with the panel layout toggled. Turning it
-// on needs a preconditioner that sweeps panels, every tile at least two
-// columns wide (a one-column panel is the scalar path) and the planner's
-// threshold not negative (negative disables interleaving entirely, a pin
-// the tuner honors).
-func (pl Planner) withInterleave(in Inputs, base Plan, on bool) (Plan, bool) {
+// on needs a preconditioner that sweeps panels and every tile at least two
+// columns wide (a one-column panel is the scalar path).
+func withInterleave(in Inputs, base Plan, on bool) (Plan, bool) {
 	if on == base.Interleave || len(base.Tiles) == 0 {
 		return Plan{}, false
 	}
-	if on && (!in.FusedSweep(base.M) || pl.wideThreshold() <= 0 || len(base.Tiles[len(base.Tiles)-1]) < 2) {
+	if on && (!in.FusedSweep(base.M) || len(base.Tiles[len(base.Tiles)-1]) < 2) {
 		return Plan{}, false
 	}
 	out := base
@@ -535,32 +454,32 @@ func (pl Planner) withInterleave(in Inputs, base Plan, on bool) (Plan, bool) {
 // It reports false when the signature is not reachable from base — a
 // different backend, or a shape the current inputs cannot express — so a
 // stale store entry can never smuggle in an inconsistent plan.
-func (pl Planner) fromSignature(in Inputs, base Plan, sig Signature) (Plan, bool) {
+func fromSignature(in Inputs, base Plan, sig Signature) (Plan, bool) {
 	if sig.Backend != base.Backend {
 		return Plan{}, false
 	}
 	out := base
 	if sig.M != out.M {
 		var ok bool
-		if out, ok = pl.withM(in, out, sig.M); !ok {
+		if out, ok = withM(in, out, sig.M); !ok {
 			return Plan{}, false
 		}
 	}
 	if sig.TileWidth != tileWidth(out) {
 		var ok bool
-		if out, ok = pl.retiled(in, out, sig.TileWidth); !ok {
+		if out, ok = retiled(in, out, sig.TileWidth); !ok {
 			return Plan{}, false
 		}
 	}
 	if sig.Workers != out.Workers {
 		var ok bool
-		if out, ok = pl.withWorkers(in, out, sig.Workers); !ok {
+		if out, ok = withWorkers(in, out, sig.Workers); !ok {
 			return Plan{}, false
 		}
 	}
 	if sig.Interleave != out.Interleave {
 		var ok bool
-		if out, ok = pl.withInterleave(in, out, sig.Interleave); !ok {
+		if out, ok = withInterleave(in, out, sig.Interleave); !ok {
 			return Plan{}, false
 		}
 	}

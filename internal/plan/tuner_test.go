@@ -64,7 +64,7 @@ func TestDecideBelowGateIsStatic(t *testing.T) {
 			tu.Observe(key, base.Signature(), Observation{RHSPerSec: 100})
 		}
 		for _, adapt := range []bool{false, true} {
-			got, d := tu.Decide(key, pl, in, base, nil, adapt)
+			got, d := tu.Decide(key, in, base, adapt)
 			if !reflect.DeepEqual(got, base) {
 				t.Errorf("input %d adapt=%v: below-gate plan differs:\n got %+v\nwant %+v", i, adapt, got, base)
 			}
@@ -81,7 +81,7 @@ func TestDecideDecomposedUntouched(t *testing.T) {
 	for i := 0; i < 3*DefaultMinObservations; i++ {
 		tu.Observe("k", base.Signature(), Observation{RHSPerSec: 10})
 	}
-	got, d := tu.Decide("k", Planner{}, Inputs{}, base, nil, true)
+	got, d := tu.Decide("k", Inputs{}, base, true)
 	if !reflect.DeepEqual(got, base) || len(d.Candidates) != 0 {
 		t.Fatalf("decomposed plan was tuned: %+v / %+v", got, d)
 	}
@@ -95,7 +95,7 @@ func TestDecideObserveModeKeepsStatic(t *testing.T) {
 	for i := 0; i < 2*DefaultMinObservations; i++ {
 		tu.Observe("k", base.Signature(), Observation{RHSPerSec: 100})
 	}
-	got, d := tu.Decide("k", pl, in, base, nil, false)
+	got, d := tu.Decide("k", in, base, false)
 	if !reflect.DeepEqual(got, base) {
 		t.Fatalf("observe mode changed the plan:\n got %+v\nwant %+v", got, base)
 	}
@@ -130,10 +130,10 @@ func syntheticSpeed(base Signature, sig Signature) float64 {
 // runTuningLoop simulates n solve rounds: each round executes whatever plan
 // Decide picks and feeds the synthetic throughput back in. It returns the
 // sequence of executed step counts.
-func runTuningLoop(tu *Tuner, pl Planner, in Inputs, base Plan, n int) []int {
+func runTuningLoop(tu *Tuner, in Inputs, base Plan, n int) []int {
 	ms := make([]int, 0, n)
 	for i := 0; i < n; i++ {
-		p, _ := tu.Decide("k", pl, in, base, nil, true)
+		p, _ := tu.Decide("k", in, base, true)
 		sig := p.Signature()
 		tu.Observe("k", sig, Observation{RHSPerSec: syntheticSpeed(base.Signature(), sig), IterSeconds: 0.01})
 		ms = append(ms, sig.M)
@@ -152,9 +152,9 @@ func TestTunerConvergesToBestCandidate(t *testing.T) {
 	base := pl.Plan(in)
 	tu := &Tuner{}
 
-	runTuningLoop(tu, pl, in, base, 80)
+	runTuningLoop(tu, in, base, 80)
 
-	final, d := tu.Decide("k", pl, in, base, nil, true)
+	final, d := tu.Decide("k", in, base, true)
 	if got := final.Signature().M; got != 3 {
 		t.Fatalf("converged to m = %d, want 3 (decision %+v)", got, d)
 	}
@@ -181,42 +181,15 @@ func TestTunerDeterministic(t *testing.T) {
 	pl := pinned(1000, 8)
 	in := Inputs{Probe: probe, RHS: 16, M: 1, Workers: 2}
 	base := pl.Plan(in)
-	a := runTuningLoop(&Tuner{}, pl, in, base, 40)
-	b := runTuningLoop(&Tuner{}, pl, in, base, 40)
+	a := runTuningLoop(&Tuner{}, in, base, 40)
+	b := runTuningLoop(&Tuner{}, in, base, 40)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("identical loops diverged:\n%v\n%v", a, b)
 	}
 }
 
-// TestTunerPriorSteersUnmeasured checks the cost-model hook: with a prior
-// that predicts m+1 always faster, the first adaptive decision past the
-// gate must promote an unmeasured higher-m candidate as "predicted".
-func TestTunerPriorSteersUnmeasured(t *testing.T) {
-	probe := &Probe{Rows: 1000, Cols: 1000, NNZ: 5000, NumDiags: 5, MaxRowNNZ: 5, Fill: 1}
-	pl := pinned(1000, 8)
-	in := Inputs{Probe: probe, RHS: 16, M: 1, Workers: 2}
-	base := pl.Plan(in)
-	tu := &Tuner{Explore: -1} // pure greedy: the prior alone must promote
-	for i := 0; i < DefaultMinObservations; i++ {
-		tu.Observe("k", base.Signature(), Observation{RHSPerSec: 100})
-	}
-	prior := func(ref, cand Signature) float64 {
-		if cand.M > ref.M {
-			return 2
-		}
-		return 0.5
-	}
-	got, d := tu.Decide("k", pl, in, base, prior, true)
-	if got.Signature().M != base.M+1 {
-		t.Fatalf("prior ignored: chose m = %d (decision %+v)", got.Signature().M, d)
-	}
-	if d.Source != "predicted" {
-		t.Fatalf("decision source = %q, want predicted", d.Source)
-	}
-}
-
 func TestObserveBounds(t *testing.T) {
-	tu := &Tuner{MaxProblems: 2, MaxSignatures: 2}
+	tu := &Tuner{}
 	sig := Signature{Backend: BackendCSR, TileWidth: 8, Workers: 1, M: 1}
 	// Rejected observations never create state.
 	tu.Observe("", sig, Observation{RHSPerSec: 1})
@@ -224,22 +197,28 @@ func TestObserveBounds(t *testing.T) {
 	if n := tu.Observations("k"); n != 0 {
 		t.Fatalf("invalid observations stored: %d", n)
 	}
-	// Per-problem signature cap: the third distinct signature is dropped.
-	for m := 1; m <= 3; m++ {
+	// Per-problem signature cap: the signature past the cap is dropped.
+	for m := 1; m <= DefaultMaxSignatures+1; m++ {
 		s := sig
 		s.M = m
 		tu.Observe("k", s, Observation{RHSPerSec: float64(m)})
 	}
-	if n := tu.Observations("k"); n != 2 {
+	if n := tu.Observations("k"); n != DefaultMaxSignatures {
 		t.Fatalf("signature cap leaked: %d observations", n)
 	}
 	// Problem cap: the coldest problem is evicted, the hot ones survive.
-	tu.Observe("k2", sig, Observation{RHSPerSec: 1})
-	tu.Observe("k3", sig, Observation{RHSPerSec: 1})
+	for i := 2; i <= DefaultMaxProblems; i++ {
+		tu.Observe(fmt.Sprintf("k%d", i), sig, Observation{RHSPerSec: 1})
+	}
+	if tu.Observations("k") == 0 {
+		t.Fatal("a problem evicted below the cap")
+	}
+	last := fmt.Sprintf("k%d", DefaultMaxProblems+1)
+	tu.Observe(last, sig, Observation{RHSPerSec: 1})
 	if tu.Observations("k") != 0 {
 		t.Fatal("LRU eviction kept the coldest problem")
 	}
-	if tu.Observations("k3") == 0 {
+	if tu.Observations(last) == 0 {
 		t.Fatal("newest problem evicted")
 	}
 }
@@ -258,7 +237,7 @@ func TestTunerCandidatesNeedPanelSweep(t *testing.T) {
 		for i := 0; i < DefaultMinObservations; i++ {
 			tu.Observe("k", base.Signature(), Observation{RHSPerSec: 100})
 		}
-		_, d := tu.Decide("k", pl, in, base, nil, false)
+		_, d := tu.Decide("k", in, base, false)
 		if len(d.Candidates) < 2 {
 			t.Fatalf("m=%d: no candidates past the gate", m)
 		}

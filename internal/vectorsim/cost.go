@@ -8,10 +8,8 @@ import (
 )
 
 // ErrDegenerate reports a system the cost analysis cannot describe: no
-// matrix, no rows, or no stored entries. Callers that use Analyze as a
-// planning prior (the engine's self-tuning planner calls it on every cold
-// plan) test for it with errors.Is and fall back to measurement-only
-// selection instead of trusting a zero CostBreakdown.
+// matrix, no rows, or no stored entries. Callers test for it with
+// errors.Is instead of trusting a zero CostBreakdown.
 var ErrDegenerate = errors.New("vectorsim: degenerate system")
 
 // CostBreakdown decomposes one solve into the paper's eq. (4.1) quantities:

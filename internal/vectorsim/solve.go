@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/eigen"
+	"repro/internal/engine"
 	"repro/internal/fem"
 )
 
@@ -33,8 +34,8 @@ func (r Run) Label() string {
 
 // SimulatePlate runs the m-step multicolor SSOR PCG on an rows×cols plate
 // under the machine model, returning iterations and simulated seconds. The
-// numerics are the real solver (identical iterates to internal/core); only
-// the clock is modeled. tol is the paper's ‖Δu‖_∞ stopping threshold.
+// numerics are the real solver (engine.SolveOnce); only the clock is
+// modeled. tol is the paper's ‖Δu‖_∞ stopping threshold.
 func SimulatePlate(model Model, rows, cols, m int, param bool, tol float64) (Run, error) {
 	return SimulatePlateWithInterval(model, rows, cols, m, param, tol, nil)
 }
@@ -54,7 +55,7 @@ func SimulatePlateWithInterval(model Model, rows, cols, m int, param bool, tol f
 		}
 		cfg.Coeffs = core.LeastSquaresCoeffs
 	}
-	res, err := core.Solve(sys, cfg)
+	res, err := engine.SolveOnce(engine.Prebuilt{Sys: sys, Config: &cfg})
 	if err != nil {
 		return Run{}, fmt.Errorf("vectorsim: solve (m=%d, param=%v): %w", m, param, err)
 	}
@@ -67,10 +68,10 @@ func SimulatePlateWithInterval(model Model, rows, cols, m int, param bool, tol f
 	}
 	return Run{
 		Rows: rows, Cols: cols, M: m, Param: param,
-		Iterations: res.Stats.Iterations,
-		Seconds:    cost.Time(res.Stats.Iterations, m),
+		Iterations: res[0].Stats.Iterations,
+		Seconds:    cost.Time(res[0].Stats.Iterations, m),
 		VectorLen:  pad,
 		Cost:       cost,
-		Precond:    res.Precond,
+		Precond:    res[0].Precond,
 	}, nil
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/cg"
 	"repro/internal/core"
 	"repro/internal/eigen"
+	"repro/internal/engine"
 	"repro/internal/fem"
 	"repro/internal/femachine"
 	"repro/internal/mesh"
@@ -225,63 +226,33 @@ func (b *MatrixBuilder) Problem(f []float64) (*Problem, error) {
 // N returns the number of unknowns.
 func (p *Problem) N() int { return p.sys.K.Rows }
 
-// throwawayLocal returns the minimal single-worker solver session backing
-// the package-level convenience wrappers: one worker, serial kernels
-// (matching the historical default of Config.Workers = 0), one cache slot
-// for the wrapped problem.
-func throwawayLocal() *Local {
-	return NewLocal(LocalConfig{
-		Workers: 1, WorkerBudget: 1, QueueDepth: 1,
-		CacheSize: 1, HistoryLimit: 1, LatencyWindow: 16,
-	})
+// prebuilt is the engine payload that solves p with cfg against fs (p's own
+// right-hand side when fs is empty): zero-copy, keyed by problem identity,
+// and carrying the problem's memoized structure probe and spectral
+// estimate, so a warm problem never redoes setup — not even across solver
+// sessions or cache evictions.
+func (p *Problem) prebuilt(cfg core.Config, fs [][]float64) engine.Prebuilt {
+	// Pin the problem's memoized spectral estimate (running it on first
+	// use): repeated solves — and engine cache misses — never re-run it.
+	if iv, ok := p.intervalFor(cfg); ok {
+		cfg.Interval = &iv
+	}
+	return engine.Prebuilt{Sys: p.sys, Plate: p.plate, Key: p.id, Fs: fs, Probe: p.probeRef(), Config: &cfg}
 }
 
-// resultShell maps the job-level fields shared by every Result a job
-// yields — preconditioner, backend, interval, coefficients.
-func resultShell(jr *JobResult) Result {
-	res := Result{
-		Precond:  jr.Precond,
-		Backend:  jr.Backend,
-		Interval: eigen.Interval{Lo: jr.IntervalLo, Hi: jr.IntervalHi},
-	}
-	if jr.Alphas != nil {
-		res.Alphas = *jr.Alphas
-	}
-	return res
-}
-
-// resultFromJob reconstructs the library Result from an engine job result
-// (the full CG stats ride along on the in-process path).
-func resultFromJob(jr *JobResult) Result {
-	res := resultShell(jr)
-	res.U = jr.U
-	if jr.CGStats != nil {
-		res.Stats = *jr.CGStats
-	}
-	return res
-}
-
-// Solve runs the configured m-step PCG method. It is a thin wrapper over a
-// throwaway local solver session, so it shares the Solver pipeline —
-// planner, backends, tiling — and the problem's memoized setup (structure
-// probe, spectral interval): repeated Solve calls on one *Problem skip
-// interval estimation entirely. Long-lived callers solving many requests
-// should hold a NewLocal session instead, which additionally pools
-// preconditioners and caches across problems.
+// Solve runs the configured m-step PCG method through engine.SolveOnce,
+// the one-shot form of the engine every Solver session runs, so it shares
+// the Solver pipeline — planner, backends, tiling — and the problem's
+// memoized setup (structure probe, spectral interval): repeated Solve
+// calls on one *Problem skip interval estimation entirely. Long-lived
+// callers solving many requests should hold a NewLocal session instead,
+// which additionally pools preconditioners and caches across problems.
 func Solve(p *Problem, cfg Config) (Result, error) {
-	l := throwawayLocal()
-	defer l.Close()
-	req := Request{Problem: p, config: &cfg}
-	job, err := l.submit(req)
-	if err != nil {
+	res, err := engine.SolveOnce(p.prebuilt(cfg, nil))
+	if len(res) == 0 {
 		return Result{}, err
 	}
-	<-job.Done()
-	jr := job.Result()
-	if jr == nil {
-		return Result{}, job.Err()
-	}
-	return resultFromJob(jr), job.Err()
+	return res[0], err
 }
 
 // F returns a copy of the problem's assembled right-hand side (in the
@@ -305,43 +276,14 @@ func (p *Problem) F() []float64 {
 // The returned error is nil only when every column converged; partial
 // results are still returned alongside a joined per-column error.
 //
-// Like Solve, SolveBatch is a thin wrapper over a throwaway local solver
-// session sharing the problem's memoized setup; hold a NewLocal session
-// for sustained batch traffic.
+// Like Solve, SolveBatch runs through engine.SolveOnce and shares the
+// problem's memoized setup; hold a NewLocal session for sustained batch
+// traffic.
 func SolveBatch(p *Problem, fs [][]float64, cfg Config) ([]Result, error) {
 	if len(fs) == 0 {
 		return nil, fmt.Errorf("repro: batch solve needs at least one right-hand side")
 	}
-	l := throwawayLocal()
-	defer l.Close()
-	req := Request{Problem: p, Fs: fs, config: &cfg}
-	job, err := l.submit(req)
-	if err != nil {
-		return nil, err
-	}
-	<-job.Done()
-	jr := job.Result()
-	if jr == nil {
-		return nil, job.Err()
-	}
-	out := make([]Result, len(fs))
-	if len(fs) == 1 {
-		out[0] = resultFromJob(jr)
-		return out, job.Err()
-	}
-	if len(jr.Cases) < len(fs) {
-		// The job failed before its per-case table was populated.
-		return nil, job.Err()
-	}
-	for j := range fs {
-		c := jr.Cases[j]
-		out[j] = resultShell(jr)
-		out[j].U = c.U
-		if c.CGStats != nil {
-			out[j].Stats = *c.CGStats
-		}
-	}
-	return out, job.Err()
+	return engine.SolveOnce(p.prebuilt(cfg, fs))
 }
 
 // NodeDisplacements maps a plate solution (Result.U, colored ordering) back

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/engine"
 )
 
@@ -37,12 +36,6 @@ type Request struct {
 	// OmitSolution drops solution vectors from results (status and
 	// convergence stats only).
 	OmitSolution bool `json:"omit_solution,omitempty"`
-
-	// config, when set, is the full typed configuration the Solve /
-	// SolveBatch convenience wrappers run with — knobs the wire vocabulary
-	// cannot express (pinned interval, iteration history, estimation
-	// seed). In-process only.
-	config *core.Config
 }
 
 // CaseEvent is one streamed per-case completion, delivered to SolveStream
@@ -194,10 +187,8 @@ func (l *Local) submit(req Request) (*engine.Job, error) {
 }
 
 // engineRequest lowers the public request onto the engine's vocabulary:
-// spec requests pass through, prebuilt problems become zero-copy Prebuilt
-// payloads keyed by problem identity and carrying the problem's memoized
-// structure probe and spectral interval, so a warm problem never redoes
-// setup — not even across solver sessions or cache evictions.
+// spec requests pass through, and a prebuilt problem becomes its Prebuilt
+// payload (Problem.prebuilt) under the config its SolverSpec names.
 func (r Request) engineRequest() (engine.Request, error) {
 	ereq := engine.Request{
 		Plate:        r.Plate,
@@ -206,9 +197,6 @@ func (r Request) engineRequest() (engine.Request, error) {
 		OmitSolution: r.OmitSolution,
 	}
 	if r.Problem == nil {
-		if r.config != nil {
-			return engine.Request{}, fmt.Errorf("repro: a full Config needs a prebuilt Problem")
-		}
 		if len(r.Fs) > 0 {
 			return engine.Request{}, fmt.Errorf("repro: Request.Fs needs Request.Problem (spec requests batch via PlateSpec.Tractions or SystemSpec.Fs)")
 		}
@@ -217,30 +205,12 @@ func (r Request) engineRequest() (engine.Request, error) {
 	if r.Plate != nil || r.System != nil {
 		return engine.Request{}, fmt.Errorf("repro: request needs exactly one of Problem, Plate or System")
 	}
-	p := r.Problem
-	var cfg core.Config
-	if r.config != nil {
-		cfg = *r.config
-	} else {
-		var err error
-		cfg, err = r.Solver.CoreConfig(p.plate != nil)
-		if err != nil {
-			return engine.Request{}, err
-		}
+	cfg, err := r.Solver.CoreConfig(r.Problem.plate != nil)
+	if err != nil {
+		return engine.Request{}, err
 	}
-	// Pin the problem's memoized spectral estimate (running it on first
-	// use): repeated solves — and engine cache misses — never re-run it.
-	if iv, ok := p.intervalFor(cfg); ok {
-		cfg.Interval = &iv
-	}
-	ereq.Prebuilt = &engine.Prebuilt{
-		Sys:    p.sys,
-		Plate:  p.plate,
-		Key:    p.id,
-		Fs:     r.Fs,
-		Probe:  p.probeRef(),
-		Config: &cfg,
-	}
+	pb := r.Problem.prebuilt(cfg, r.Fs)
+	ereq.Prebuilt = &pb
 	return ereq, nil
 }
 
@@ -261,9 +231,6 @@ func (r Request) Wire() (Request, error) {
 	}
 	if r.Plate != nil || r.System != nil {
 		return Request{}, fmt.Errorf("repro: request needs exactly one of Problem, Plate or System")
-	}
-	if r.config != nil {
-		return Request{}, fmt.Errorf("repro: a full Config is in-process only; use the Solver spec for wire requests")
 	}
 	out := r
 	out.Problem, out.Fs = nil, nil
