@@ -201,7 +201,7 @@ func BenchmarkConditionEstimate(b *testing.B) {
 	}
 	cfg := core.Config{M: 2, RelResidualTol: 1e-10, MaxIter: 10000}
 	for i := 0; i < b.N; i++ {
-		res, err := engine.SolveOnce(engine.Prebuilt{Sys: sys, Config: &cfg})
+		res, err := engine.SolveOnce(engine.Prebuilt{Sys: sys, Config: cfg})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -243,7 +243,7 @@ func BenchmarkSolvePlate(b *testing.B) {
 				c.MaxIter = 100000
 				var iters int
 				for i := 0; i < b.N; i++ {
-					res, err := engine.SolveOnce(engine.Prebuilt{Sys: sys, Config: &c})
+					res, err := engine.SolveOnce(engine.Prebuilt{Sys: sys, Config: c})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -416,7 +416,7 @@ func BenchmarkAblationOrdering(b *testing.B) {
 			c.MaxIter = 100000
 			var iters int
 			for i := 0; i < b.N; i++ {
-				res, err := engine.SolveOnce(engine.Prebuilt{Sys: sys, Config: &c})
+				res, err := engine.SolveOnce(engine.Prebuilt{Sys: sys, Config: c})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -950,10 +950,11 @@ func BenchmarkLocalSolverThroughput(b *testing.B) {
 // warm-cached 100×100 plate batch whose requested m = 1 is deliberately
 // suboptimal (the paper's point: the best m is machine-dependent, so a
 // static request pins the wrong one). The static row executes the request
-// as written (tuning off); the adaptive row warms the tuner past its
-// observation gate before the timed loop, so the measured rhs/s is the
-// steady state of the plan the feedback loop converged to — compare the
-// rhs/s metrics, and the m it settled on is in the reported metric.
+// as written (tuning off); the adaptive row warms the tuner until it has
+// measured every candidate of its decision before the timed loop, so the
+// measured rhs/s is the steady state of the plan the feedback loop
+// converged to — compare the rhs/s metrics; the m it settled on and the
+// warm-up solves it took are reported metrics.
 func BenchmarkAdaptivePlan(b *testing.B) {
 	tractions := make([]float64, 8)
 	for i := range tractions {
@@ -988,12 +989,18 @@ func BenchmarkAdaptivePlan(b *testing.B) {
 		l := repro.NewLocal(repro.LocalConfig{Workers: 1})
 		defer l.Close()
 		req := mkReq("adapt")
-		// Warm-up: past the observation gate plus room for the selector to
-		// explore the neighborhood and settle. Untimed by design — the
-		// benchmark measures the converged steady state, matching the
-		// static row's warm-cache footing.
+		// Warm-up: past the observation gate and until a decision lists no
+		// unmeasured candidate, so the timed loop runs the settled plan, not
+		// the exploration. Untimed by design — the benchmark measures the
+		// converged steady state, matching the static row's warm-cache
+		// footing.
+		const maxWarmup = 60
 		var settled repro.JobResult
-		for i := 0; i < 14; i++ {
+		warmup := 0
+		for ; !allMeasured(settled.Plan); warmup++ {
+			if warmup == maxWarmup {
+				b.Fatalf("tuner still exploring after %d warm-up solves: %+v", warmup, settled.Plan)
+			}
 			res, err := l.Solve(context.Background(), req)
 			if err != nil {
 				b.Fatal(err)
@@ -1010,10 +1017,23 @@ func BenchmarkAdaptivePlan(b *testing.B) {
 		}
 		b.StopTimer()
 		b.ReportMetric(rhs*float64(b.N)/b.Elapsed().Seconds(), "rhs/s")
-		if settled.Plan != nil {
-			b.ReportMetric(float64(settled.Plan.M), "executed-m")
-		}
+		b.ReportMetric(float64(settled.Plan.M), "executed-m")
+		b.ReportMetric(float64(warmup), "warmup-solves")
 	})
+}
+
+// allMeasured reports whether pl is a tuner decision whose every candidate
+// has been measured at least once.
+func allMeasured(pl *repro.PlanInfo) bool {
+	if pl == nil || len(pl.Candidates) == 0 {
+		return false
+	}
+	for _, c := range pl.Candidates {
+		if c.Observations == 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // BenchmarkDecomposedSolve measures the decomposed backend on a warm-cached

@@ -64,7 +64,7 @@ func main() {
 	fmt.Printf("plate: %d×%d nodes, %d equations, %d nonzeros\n",
 		*rows, *cols, plate.N(), plate.KColored.NNZ())
 
-	results, err := engine.SolveOnce(engine.Prebuilt{Sys: sys, Config: &cfg})
+	results, err := engine.SolveOnce(engine.Prebuilt{Sys: sys, Config: cfg})
 	if err != nil {
 		log.Fatalf("solve: %v", err)
 	}

@@ -43,7 +43,7 @@ func solveShape(name string, d mesh.Domain) {
 			}
 			cfg.Coeffs, cfg.Interval = core.LeastSquaresCoeffs, &iv
 		}
-		res, err := engine.SolveOnce(engine.Prebuilt{Sys: sys, Config: &cfg})
+		res, err := engine.SolveOnce(engine.Prebuilt{Sys: sys, Config: cfg})
 		if err != nil {
 			log.Fatalf("%s m=%d: %v", name, m, err)
 		}

@@ -16,7 +16,7 @@ import (
 // solveOnce runs cfg on sys through the engine's one-shot executor and
 // returns the result of its one right-hand side.
 func solveOnce(sys core.System, cfg core.Config) (core.Result, error) {
-	res, err := engine.SolveOnce(engine.Prebuilt{Sys: sys, Config: &cfg})
+	res, err := engine.SolveOnce(engine.Prebuilt{Sys: sys, Config: cfg})
 	if len(res) == 0 {
 		return core.Result{}, err
 	}

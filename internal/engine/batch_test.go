@@ -235,16 +235,51 @@ func TestCacheCheckoutPlumbsRebuildError(t *testing.T) {
 	}
 	// Drain the pooled instance, then corrupt the pinned config so the
 	// rebuild fails the way a real regression would.
-	if p, err := e.checkout(); err != nil || p == nil {
+	if _, p, err := e.checkout(2); err != nil || p == nil {
 		t.Fatalf("first checkout: %v", err)
 	}
-	e.cfg.Splitting = core.SplittingKind(99)
-	_, err := e.checkout()
+	e.pools[2].cfg.Splitting = core.SplittingKind(99)
+	_, _, err := e.checkout(2)
 	if err == nil {
 		t.Fatal("corrupted rebuild returned no error")
 	}
 	if !strings.Contains(err.Error(), "unknown splitting") {
 		t.Fatalf("rebuild error lost its cause: %v", err)
+	}
+}
+
+// TestCheckoutConcurrentStepCounts: jobs on several workers check out the
+// configured count and its tuned neighbours at once; each count gets one
+// pool, whose config and α every checkout of that count shares.
+func TestCheckoutConcurrentStepCounts(t *testing.T) {
+	req := plateReq(8, 8, 2)
+	e := &cacheEntry{key: req.CacheKey()}
+	e.build(&req, nil)
+	if e.err != nil {
+		t.Fatal(e.err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 12; i++ {
+				m := 1 + i%3
+				sp, p, err := e.checkout(m)
+				if err != nil {
+					t.Errorf("checkout(%d): %v", m, err)
+					return
+				}
+				if sp.cfg.M != m || sp.alphas.M() != m {
+					t.Errorf("checkout(%d) returned the pool of m=%d (α for %d)", m, sp.cfg.M, sp.alphas.M())
+				}
+				sp.pool.Put(p)
+			}
+		}()
+	}
+	wg.Wait()
+	if len(e.pools) != 3 {
+		t.Fatalf("%d pools, want one per step count 1..3", len(e.pools))
 	}
 }
 

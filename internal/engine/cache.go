@@ -16,13 +16,11 @@ import (
 	"repro/internal/sparse"
 )
 
-// cacheEntry is one fully-prepared problem: the assembled system, the
-// spectral interval its parametrized coefficients were fitted on (the SSOR
-// bound or an estimate; see core.IntervalFor), and a pool of ready
-// preconditioners. The system and interval are immutable after
-// build; preconditioners carry mutable sweep scratch (e.g. the
-// Conrad–Wallach auxiliary vector), so concurrent jobs each check one out
-// of the pool rather than sharing an instance. Every job runs against an
+// cacheEntry is one fully-prepared problem: the assembled system and one
+// pool of ready preconditioners per step count (stepPool). The system is
+// immutable after build; preconditioners carry mutable sweep scratch (e.g.
+// the Conrad–Wallach auxiliary vector), so concurrent jobs each check one
+// out of a pool rather than sharing an instance. Every job runs against an
 // entry: a keyless request builds a throwaway one (empty key) that the
 // cache never holds and the tuner never sees.
 type cacheEntry struct {
@@ -36,15 +34,9 @@ type cacheEntry struct {
 
 	sys   core.System
 	plate *fem.Plate
-	// cfg is the request's solver config with the build's spectral
-	// estimate pinned, so pooled preconditioner rebuilds — alternate step
-	// counts included — never re-run it. The SSOR bound is never pinned:
-	// it costs nothing to recompute, and an alternate count past
-	// poly.LeastSquaresStableM must estimate instead.
-	cfg      core.Config
-	interval eigen.Interval
-	alphas   poly.Alphas
-	precond  string // display name
+	// m is the request's configured step count, whose pool the build
+	// creates; every other count's pool starts from that pool's config.
+	m int
 
 	// dia is the diagonal-storage conversion of sys.K, built at most once
 	// per entry the first time a job resolves to the DIA backend and
@@ -68,43 +60,31 @@ type cacheEntry struct {
 	probeOnce sync.Once
 	probeVal  plan.Probe
 
-	// alts holds per-step-count preconditioner pools for tuned plans whose
-	// M differs from the request's: the splitting configuration and any
-	// pinned spectral estimate are shared with the main pool, so an
-	// alternate-M rebuild re-runs the estimate only where its own count
-	// needs one and the entry's build ran none.
-	altMu sync.Mutex
-	alts  map[int]*altPrecond
-
-	pool sync.Pool // of precond.Preconditioner
+	poolMu sync.Mutex
+	pools  map[int]*stepPool // by step count
 }
 
-// altPrecond is one alternate step count's preconditioner pool. cfg is
-// the entry's config at that count, with its own estimate pinned when its
-// first build ran one.
-type altPrecond struct {
-	pool   sync.Pool
-	cfg    core.Config
-	alphas poly.Alphas
-	name   string
-}
-
-// pinEstimate returns cfg with iv, the interval cfg's build fitted on,
-// pinned when that build ran a spectral estimate (core.RunsEstimate), so
-// later builds of cfg reuse it.
-func pinEstimate(cfg core.Config, iv eigen.Interval) core.Config {
-	if core.RunsEstimate(cfg) {
-		cfg.Interval = &iv
-	}
-	return cfg
+// stepPool is one step count's preconditioners and what a job that runs
+// them reports: the α, the interval they were fitted on and the display
+// name. cfg is the entry's config at that count with the interval pinned
+// where its first build ran a spectral estimate (core.RunsEstimate), so
+// rebuilds never re-run it. The SSOR bound is never pinned: it costs
+// nothing to recompute, and a count past poly.LeastSquaresStableM must
+// estimate instead.
+type stepPool struct {
+	cfg      core.Config
+	alphas   poly.Alphas
+	interval eigen.Interval
+	name     string
+	pool     sync.Pool // of precond.Preconditioner
 }
 
 // build does the expensive setup exactly once per entry, cached or
 // throwaway: assembly, then splitting construction, the spectral interval
-// (an estimate only where core.IntervalSource says so) and the first
-// preconditioner. phase, when non-nil, brackets each stage ("assemble",
-// then core's build phases, with their attributes) — the job that runs the
-// build records the stages on its own trace; planning passes nil.
+// (an estimate only where core.IntervalSource says so) and the configured
+// step count's first preconditioner. phase, when non-nil, brackets each
+// stage ("assemble", then core's build phases, with their attributes) —
+// the job that runs the build records the stages on its own trace.
 func (e *cacheEntry) build(req *Request, phase func(name string, attrs ...any) (end func())) {
 	if phase == nil {
 		phase = func(string, ...any) func() { return func() {} }
@@ -121,14 +101,13 @@ func (e *cacheEntry) build(req *Request, phase func(name string, attrs ...any) (
 		e.err = err
 		return
 	}
-	p, alphas, iv, err := core.BuildPreconditionerPhased(e.sys, cfg, phase)
+	sp, p, err := e.addPool(cfg, phase)
 	if err != nil {
 		e.err = err
 		return
 	}
-	e.interval, e.alphas, e.precond = iv, alphas, p.Name()
-	e.cfg = pinEstimate(cfg, iv)
-	e.pool.Put(p)
+	e.m = cfg.M
+	sp.pool.Put(p)
 	e.ready.Store(true)
 }
 
@@ -184,229 +163,137 @@ func (e *cacheEntry) getDecomp(p int) (*decomp.Decomposition, error) {
 	return d, nil
 }
 
-// checkout takes a preconditioner from the pool, rebuilding one when the
-// pool is empty (or the GC emptied it). Rebuilds reuse the pinned spectral
-// estimate, or refit on the SSOR bound, so they never re-run an estimate. A rebuild failure —
-// which should be impossible after a successful first build — surfaces its
-// real cause to the caller rather than an untyped nil.
-func (e *cacheEntry) checkout() (precond.Preconditioner, error) {
-	if p, ok := e.pool.Get().(precond.Preconditioner); ok && p != nil {
-		return p, nil
+// checkout takes a preconditioner for m steps from that count's pool,
+// building one when the pool is empty (or the GC emptied it). Rebuilds use
+// the pool's config, so they never re-run an estimate. The first checkout
+// of a count other than the configured one — a tuned plan's M±1 candidate
+// — builds from the configured count's config at m: a pinned estimate
+// carries over, and where the entry fitted on the SSOR bound the new count
+// takes its own interval from core.IntervalFor (the bound again, or an
+// estimate past poly.LeastSquaresStableM). A build failure surfaces its
+// real cause. The caller puts the preconditioner back into the pool.
+func (e *cacheEntry) checkout(m int) (*stepPool, precond.Preconditioner, error) {
+	e.poolMu.Lock()
+	sp, base := e.pools[m], e.pools[e.m]
+	e.poolMu.Unlock()
+	if sp == nil {
+		cfg := base.cfg
+		cfg.M = m
+		return e.addPool(cfg, nil)
 	}
-	np, _, _, err := core.BuildPreconditioner(e.sys, e.cfg)
+	if p, ok := sp.pool.Get().(precond.Preconditioner); ok && p != nil {
+		return sp, p, nil
+	}
+	p, _, _, err := core.BuildPreconditioner(e.sys, sp.cfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return np, nil
+	return sp, p, nil
 }
 
-func (e *cacheEntry) release(p precond.Preconditioner) { e.pool.Put(p) }
-
-// checkoutM takes a preconditioner built for m steps instead of the
-// entry's configured count — how a tuned plan's M±1 candidates execute
-// against a problem cached at another m. The first checkout of each
-// alternate count builds it from the entry's splitting configuration and
-// pinned estimate, if any; where the entry fitted on the SSOR bound, the
-// alternate count takes its own interval from core.IntervalFor (the bound
-// again, or an estimate past poly.LeastSquaresStableM). Later checkouts
-// pool like the main path. The returned release puts the instance back.
-func (e *cacheEntry) checkoutM(m int) (precond.Preconditioner, poly.Alphas, string, func(precond.Preconditioner), error) {
-	if m == e.cfg.M {
-		p, err := e.checkout()
-		return p, e.alphas, e.precond, e.release, err
-	}
-	e.altMu.Lock()
-	alt, ok := e.alts[m]
-	e.altMu.Unlock()
-	if ok {
-		if p, pok := alt.pool.Get().(precond.Preconditioner); pok && p != nil {
-			return p, alt.alphas, alt.name, alt.put, nil
-		}
-	}
-	cfg := e.cfg
-	cfg.M = m
-	if alt != nil {
-		cfg = alt.cfg
-	}
-	p, alphas, iv, err := core.BuildPreconditioner(e.sys, cfg)
+// addPool builds a preconditioner for cfg and files the pool of cfg.M
+// steps, unless a concurrent checkout filed one first (the builds agree).
+// phase is as in build.
+func (e *cacheEntry) addPool(cfg core.Config, phase func(string, ...any) func()) (*stepPool, precond.Preconditioner, error) {
+	p, alphas, iv, err := core.BuildPreconditionerPhased(e.sys, cfg, phase)
 	if err != nil {
-		return nil, poly.Alphas{}, "", nil, err
+		return nil, nil, err
 	}
-	if alt == nil {
-		alt = &altPrecond{cfg: pinEstimate(cfg, iv), alphas: alphas, name: p.Name()}
-		e.altMu.Lock()
-		if prev, ok := e.alts[m]; ok {
-			alt = prev
-		} else {
-			if e.alts == nil {
-				e.alts = make(map[int]*altPrecond)
-			}
-			e.alts[m] = alt
+	if core.RunsEstimate(cfg) {
+		cfg.Interval = &iv
+	}
+	e.poolMu.Lock()
+	defer e.poolMu.Unlock()
+	sp, ok := e.pools[cfg.M]
+	if !ok {
+		sp = &stepPool{cfg: cfg, alphas: alphas, interval: iv, name: p.Name()}
+		if e.pools == nil {
+			e.pools = make(map[int]*stepPool)
 		}
-		e.altMu.Unlock()
+		e.pools[cfg.M] = sp
 	}
-	return p, alt.alphas, alt.name, alt.put, nil
+	return sp, p, nil
 }
 
-func (a *altPrecond) put(p precond.Preconditioner) { a.pool.Put(p) }
-
-// cacheShards caps the number of independently-locked cache segments. Keys
-// hash to a shard, so concurrent batch traffic on distinct problems
-// contends on distinct mutexes instead of serializing on one.
-const cacheShards = 16
-
-// minShardCapacity keeps shards from getting uselessly thin: small
-// configured totals use fewer shards rather than thinner ones (a
-// CacheSize below it degenerates to one shard — exactly the old
-// single-LRU behavior).
-const minShardCapacity = 4
-
-// cache is a keyed LRU of prepared problems, sharded by key hash: each
-// shard owns its own mutex and recency list, so the only cross-shard
-// state is atomic counters. Capacity is a global bound, not a per-shard
-// one — a shard holding many hot keys borrows capacity from idle shards,
-// and eviction (from the inserting shard's LRU tail, an approximation of
-// global LRU that needs no cross-shard lock) only happens once the whole
-// cache is full, so any working set that fit the old single LRU still
-// fits. Concurrent misses on the same key still share one build — the
-// losers block on the entry's once.
+// cache is a keyed LRU of prepared problems under one mutex, which covers
+// a map lookup and a list move per job and never a build. Concurrent
+// misses on the same key share one build — the losers block on the
+// entry's once.
 type cache struct {
-	shards []cacheShard
-	max    int
-	size   atomic.Int64
+	mu      sync.Mutex
+	max     int
+	lru     *list.List // front = most recently used; values are *cacheEntry
+	entries map[string]*list.Element
 
 	hits, misses atomic.Int64
 }
 
-type cacheShard struct {
-	mu      sync.Mutex
-	lru     *list.List // front = most recently used; values are *cacheEntry
-	entries map[string]*list.Element
-}
-
-// newCache builds a cache holding max entries in total over
-// min(cacheShards, max/minShardCapacity) shards (at least one).
-func newCache(max int) *cache {
-	if max < 1 {
-		max = 1
-	}
-	nshards := max / minShardCapacity
-	if nshards > cacheShards {
-		nshards = cacheShards
-	}
-	if nshards < 1 {
-		nshards = 1
-	}
-	c := &cache{shards: make([]cacheShard, nshards), max: max}
-	for i := range c.shards {
-		c.shards[i] = cacheShard{
-			lru:     list.New(),
-			entries: make(map[string]*list.Element),
-		}
-	}
-	return c
-}
-
-// shard picks the key's segment by inline FNV-1a (allocation-free — the
-// stdlib hash escapes to the heap through its interface, and this runs on
-// every cached request).
-func (c *cache) shard(key string) *cacheShard {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	return &c.shards[h%uint32(len(c.shards))]
+// newCache builds a cache holding at most capacity entries (at least one).
+func newCache(capacity int) *cache {
+	return &cache{max: max(capacity, 1), lru: list.New(), entries: make(map[string]*list.Element)}
 }
 
 // get returns the entry for key, creating it on miss, and whether the entry
-// already existed. The caller must run entry.once before using the fields.
+// already existed. An insert past capacity evicts the least recently used
+// entry. The caller must run entry.once before using the fields.
 func (c *cache) get(key string) (*cacheEntry, bool) {
-	s := c.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.entries[key]; ok {
-		s.lru.MoveToFront(el)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[key]; ok {
+		c.lru.MoveToFront(el)
 		c.hits.Add(1)
 		return el.Value.(*cacheEntry), true
 	}
 	e := &cacheEntry{key: key}
-	s.entries[key] = s.lru.PushFront(e)
-	// Evict only when the cache as a whole is over capacity, and only
-	// from this shard (never the entry just inserted). The total can
-	// transiently exceed max by at most one entry per single-entry shard.
-	if c.size.Add(1) > int64(c.max) && s.lru.Len() > 1 {
-		oldest := s.lru.Back()
-		s.lru.Remove(oldest)
-		delete(s.entries, oldest.Value.(*cacheEntry).key)
-		c.size.Add(-1)
+	c.entries[key] = c.lru.PushFront(e)
+	if c.lru.Len() > c.max {
+		c.remove(c.lru.Back())
 	}
 	c.misses.Add(1)
 	return e, false
 }
 
-// peek returns the entry for key without creating one, touching the LRU
-// order, or counting a hit/miss (read-only callers like request planning
-// must not perturb the cache they are describing). An empty key — an
-// uncacheable request — never matches.
-func (c *cache) peek(key string) (*cacheEntry, bool) {
-	if key == "" {
-		return nil, false
-	}
-	s := c.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.entries[key]
-	if !ok {
-		return nil, false
-	}
-	return el.Value.(*cacheEntry), true
-}
-
 // built returns the entry for key when its build has finished without
-// error: what a by-reference request resolves against. It never creates an
-// entry or counts a miss, and an entry still building counts as absent.
-// touch marks the entry most recently used and counts a hit, as any warm
-// solve does; planning passes false so it never perturbs the cache.
+// error: what a by-reference request resolves against and what planning
+// reads. It never creates an entry or counts a miss, and an entry still
+// building counts as absent. touch marks the entry most recently used and
+// counts a hit, as any warm solve does; planning passes false so it never
+// perturbs the cache.
 func (c *cache) built(key string, touch bool) (*cacheEntry, bool) {
 	if key == "" {
 		return nil, false
 	}
-	s := c.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.entries[key]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.entries[key]
 	if !ok || !el.Value.(*cacheEntry).ready.Load() {
 		return nil, false
 	}
 	if touch {
-		s.lru.MoveToFront(el)
+		c.lru.MoveToFront(el)
 		c.hits.Add(1)
 	}
 	return el.Value.(*cacheEntry), true
 }
 
-// drop removes e from its shard (used when its build fails, so the error
+// drop removes e from the cache (used when its build fails, so the error
 // is not cached forever). It compares identity: if the key has already
 // been replaced by a newer — possibly healthy — entry, that entry stays.
 func (c *cache) drop(e *cacheEntry) {
-	s := c.shard(e.key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.entries[e.key]; ok && el.Value.(*cacheEntry) == e {
-		s.lru.Remove(el)
-		delete(s.entries, e.key)
-		c.size.Add(-1)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[e.key]; ok && el.Value.(*cacheEntry) == e {
+		c.remove(el)
 	}
 }
 
+func (c *cache) remove(el *list.Element) {
+	c.lru.Remove(el)
+	delete(c.entries, el.Value.(*cacheEntry).key)
+}
+
 func (c *cache) len() int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += s.lru.Len()
-		s.mu.Unlock()
-	}
-	return n
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.lru.Len()
 }

@@ -292,13 +292,13 @@ func (s *Engine) Solve(ctx context.Context, req Request) (JobView, error) {
 	}
 }
 
-// SolveOnce runs one prebuilt problem to completion on a throwaway
-// one-worker engine, whose kernels run serially unless pb.Config pins
-// Workers: the executor the library's one-shot solves share with the
-// service (repro.Solve and SolveBatch, the commands, the paper's
-// experiments and the CYBER simulation). pb.Config, when set, is the full
-// solver configuration. It returns one Result per right-hand side (pb.Fs,
-// or pb.Sys.F when Fs is empty) and the job's error; a column that failed
+// SolveOnce runs one prebuilt problem under its full solver configuration
+// (pb.Config) to completion on a throwaway one-worker engine, whose
+// kernels run serially unless pb.Config pins Workers: the executor the
+// library's one-shot solves share with the service (repro.Solve and
+// SolveBatch, the commands, the paper's experiments and the CYBER
+// simulation). It returns one Result per right-hand side (pb.Fs, or
+// pb.Sys.F when Fs is empty) and the job's error; a column that failed
 // still returns its result beside the joined error.
 func SolveOnce(pb Prebuilt) ([]core.Result, error) {
 	eng := New(Config{
@@ -354,7 +354,7 @@ func (s *Engine) Cancel(id string) bool {
 // PlanRequest resolves the execution plan the service would run req with —
 // backend, batch tiles, kernel fan-out, step count — without solving
 // anything, through the planning call the solve itself makes. When the
-// request's problem is already cached it plans from that entry (its
+// request's problem is cached and built it plans from that entry (its
 // memoized structure probe answers immediately); otherwise from a throwaway
 // entry that is only assembled: never inserted into the cache, and no
 // preconditioner or spectral interval is built — planning must stay far
@@ -370,24 +370,21 @@ func (s *Engine) PlanRequest(req Request) (PlanInfo, error) {
 	if err != nil {
 		return PlanInfo{}, err
 	}
-	// The peek never creates or touches an entry; an entry only exists if a
-	// solve created it, in which case it is already built (or building —
-	// the once blocks until that build publishes, exactly like a solve
-	// joining the build race). A by-reference request cannot build, so it
-	// plans only from an entry whose build has finished.
+	// Planning reads only an entry whose build has finished, and never
+	// touches it; a by-reference request, which cannot assemble, fails
+	// without one. Otherwise the throwaway entry carries the request's key,
+	// so the tuner's observations, which outlive an evicted entry, still
+	// decide the plan a solve would run.
+	key := req.CacheKey()
 	var entry *cacheEntry
 	if req.System.byReference() {
 		if entry, err = s.resolveByReference(&req, false); err != nil {
 			return PlanInfo{}, err
 		}
-	} else if e, ok := s.cache.peek(req.CacheKey()); ok {
-		e.once.Do(func() { e.build(&req, nil) })
-		if e.err == nil {
-			entry = e
-		}
-	}
-	if entry == nil {
-		entry = &cacheEntry{}
+	} else if e, ok := s.cache.built(key, false); ok {
+		entry = e
+	} else {
+		entry = &cacheEntry{key: key}
 		if err := entry.assemble(&req); err != nil {
 			return PlanInfo{}, err
 		}
@@ -433,7 +430,7 @@ func (s *Engine) planFor(entry *cacheEntry, cfg core.Config, rhs int) (plan.Inpu
 }
 
 // workersFor resolves the kernel fan-out budget for a job: the engine's
-// per-solve worker budget, unless the (in-process, full-config) request
+// per-solve worker budget, unless an in-process prebuilt request's Config
 // pins its own.
 func (s *Engine) workersFor(cfg core.Config) int {
 	if cfg.Workers > 0 {
@@ -775,18 +772,18 @@ func (s *Engine) runJob(job *Job, ws *cg.Workspace, workerID int) {
 	// candidate is recorded as infeasible and the configured M runs.
 	planSp := job.trace.Start("plan").SetWorker(workerID)
 	in, pl, mode, tdec := s.planFor(entry, cfg, len(fs))
-	pc, alphas, name, release, err := entry.checkoutM(pl.M)
+	sp, pc, err := entry.checkout(pl.M)
 	if err != nil && pl.M != cfg.M {
 		s.tuner.Observe(entry.key, pl.Signature(), plan.Observation{})
 		pl.M = cfg.M
-		pc, alphas, name, release, err = entry.checkoutM(pl.M)
+		sp, pc, err = entry.checkout(pl.M)
 	}
 	if err != nil {
 		planSp.End()
 		fail(fmt.Errorf("engine: preconditioner rebuild failed for %s: %w", entry.key, err))
 		return
 	}
-	defer release(pc)
+	defer sp.pool.Put(pc)
 	for k, v := range pl.Attrs() {
 		planSp.SetAttr(k, v)
 	}
@@ -836,7 +833,7 @@ func (s *Engine) runJob(job *Job, ws *cg.Workspace, workerID int) {
 			SetAttr("strategy", "row-strips").
 			SetAttr("halo_fraction", dec.HaloFraction()).
 			End()
-		solve = s.decompSolver(job, dec, fs, pl.M, alphas, opts, workerID)
+		solve = s.decompSolver(job, dec, fs, pl.M, sp.alphas, opts, workerID)
 	case plan.BackendDIA:
 		end := phase("dia_convert")
 		dia, err := entry.getDIA()
@@ -856,13 +853,13 @@ func (s *Engine) runJob(job *Job, ws *cg.Workspace, workerID int) {
 	res, err := s.runTiles(job, pl.Tiles, len(fs), entry.plate, solve)
 	execSeconds := time.Since(execStart).Seconds()
 	emitEnd := phase("emit")
-	res.Precond = name
+	res.Precond = sp.name
 	res.Backend = pl.Backend.String()
 	info := planInfo(pl, mode, tdec)
 	res.Plan = &info
-	res.IntervalLo, res.IntervalHi = entry.interval.Lo, entry.interval.Hi
-	if alphas.M() > 0 {
-		a := alphas
+	res.IntervalLo, res.IntervalHi = sp.interval.Lo, sp.interval.Hi
+	if sp.alphas.M() > 0 {
+		a := sp.alphas
 		res.Alphas = &a
 	}
 	emitEnd()

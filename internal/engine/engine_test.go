@@ -435,32 +435,8 @@ func maxprocs() int {
 	return cfg.Workers
 }
 
-// sameShardKeys returns n distinct keys that all hash to one cache shard,
-// so a test can exercise eviction order inside a single LRU.
-func sameShardKeys(t *testing.T, c *cache, n int) []string {
-	t.Helper()
-	want := c.shard("seed")
-	keys := []string{"seed"}
-	for i := 0; len(keys) < n && i < 10000; i++ {
-		k := fmt.Sprintf("k%d", i)
-		if c.shard(k) == want {
-			keys = append(keys, k)
-		}
-	}
-	if len(keys) < n {
-		t.Fatalf("could not find %d colliding keys", n)
-	}
-	return keys
-}
-
 func TestCacheLRUEvictionSmall(t *testing.T) {
-	// A capacity below minShardCapacity degenerates to one shard, so a
-	// small cache keeps the exact single-LRU semantics it had before
-	// sharding.
 	c := newCache(2)
-	if len(c.shards) != 1 {
-		t.Fatalf("cache of 2 uses %d shards, want 1", len(c.shards))
-	}
 	for _, k := range []string{"a", "b", "c"} {
 		if _, existed := c.get(k); existed {
 			t.Fatalf("fresh key %s existed", k)
@@ -478,75 +454,46 @@ func TestCacheLRUEvictionSmall(t *testing.T) {
 	}
 }
 
-func TestCacheShardBorrowsGlobalCapacity(t *testing.T) {
-	// Capacity is a global bound, not per shard: a hot shard may hold far
-	// more than its even share as long as the cache total fits, and
-	// eviction starts only once the whole cache is over capacity.
-	c := newCache(8) // 2 shards
-	if len(c.shards) != 2 {
-		t.Fatalf("cache of 8 uses %d shards, want 2", len(c.shards))
-	}
-	keys := sameShardKeys(t, c, 9)
-	for _, k := range keys[:8] {
-		if _, existed := c.get(k); existed {
-			t.Fatalf("fresh key %s existed", k)
+// TestCacheEvictsLeastRecentlyUsed: the cache is one exact LRU. At
+// capacity 8, with every key but k3 touched since it was inserted, a ninth
+// key evicts k3 and nothing else.
+func TestCacheEvictsLeastRecentlyUsed(t *testing.T) {
+	c := newCache(8)
+	key := func(i int) string { return fmt.Sprintf("k%d", i) }
+	for i := 0; i < 8; i++ {
+		if _, existed := c.get(key(i)); existed {
+			t.Fatalf("fresh key %s existed", key(i))
 		}
 	}
-	// All 8 colliding keys fit (4× the shard's even share), none evicted.
-	for _, k := range keys[:8] {
-		if _, existed := c.get(k); !existed {
-			t.Fatalf("key %s evicted below global capacity", k)
+	for i := 0; i < 8; i++ {
+		if i == 3 {
+			continue // leave k3 untouched
+		}
+		if _, existed := c.get(key(i)); !existed {
+			t.Fatalf("key %s evicted below capacity", key(i))
 		}
 	}
-	// The 9th pushes the cache over capacity: its shard's LRU tail goes.
-	if _, existed := c.get(keys[8]); existed {
-		t.Fatalf("fresh key %s existed", keys[8])
+	if _, existed := c.get(key(8)); existed {
+		t.Fatalf("fresh key %s existed", key(8))
+	}
+	if h, m := c.hits.Load(), c.misses.Load(); h != 7 || m != 9 {
+		t.Fatalf("hits/misses = %d/%d, want 7/9", h, m)
 	}
 	if c.len() != 8 {
 		t.Fatalf("len = %d, want 8", c.len())
 	}
-	if _, existed := c.get(keys[0]); existed {
-		t.Fatalf("oldest key %s survived past global capacity", keys[0])
-	}
-	// keys[2:] stay resident: the re-miss on keys[0] evicted keys[1].
-	for _, k := range keys[2:] {
-		if _, existed := c.get(k); !existed {
-			t.Fatalf("key %s evicted out of LRU order", k)
+	// Every survivor is still there (hits, so nothing more is evicted)...
+	for i := 0; i <= 8; i++ {
+		if i == 3 {
+			continue
+		}
+		if _, existed := c.get(key(i)); !existed {
+			t.Fatalf("key %s evicted; only k3 was least recently used", key(i))
 		}
 	}
-}
-
-func TestCacheShardingAggregateStats(t *testing.T) {
-	const keys = 40
-	// Capacity sized so no shard can overflow even if every key collided.
-	c := newCache(cacheShards * keys)
-	for i := 0; i < keys; i++ {
-		if _, existed := c.get(fmt.Sprintf("key-%d", i)); existed {
-			t.Fatalf("fresh key %d existed", i)
-		}
-	}
-	for i := 0; i < keys; i++ {
-		if _, existed := c.get(fmt.Sprintf("key-%d", i)); !existed {
-			t.Fatalf("key %d missing on second pass (capacity 64 should hold 40)", i)
-		}
-	}
-	if h, m := c.hits.Load(), c.misses.Load(); h != keys || m != keys {
-		t.Fatalf("hits/misses = %d/%d, want %d/%d", h, m, keys, keys)
-	}
-	if c.len() != keys {
-		t.Fatalf("len = %d, want %d", c.len(), keys)
-	}
-	if rate := float64(c.hits.Load()) / float64(c.hits.Load()+c.misses.Load()); rate != 0.5 {
-		t.Fatalf("aggregate hit rate = %g, want 0.5", rate)
-	}
-	// Entries must be spread over more than one shard, or the sharding is
-	// not actually splitting the lock.
-	shards := map[*cacheShard]bool{}
-	for i := 0; i < keys; i++ {
-		shards[c.shard(fmt.Sprintf("key-%d", i))] = true
-	}
-	if len(shards) < 2 {
-		t.Fatalf("all %d keys landed in one shard", keys)
+	// ...and k3 is not.
+	if _, existed := c.get(key(3)); existed {
+		t.Fatal("least recently used key k3 survived the insert past capacity")
 	}
 }
 

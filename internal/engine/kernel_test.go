@@ -22,20 +22,32 @@ func TestEngineUnknownKernelRejected(t *testing.T) {
 	if _, err := s.Solve(context.Background(), req); err == nil || !strings.Contains(err.Error(), "kernel policy") {
 		t.Fatalf("want kernel-policy rejection, got %v", err)
 	}
-	// A prebuilt problem is checked the same way, whether its solver comes
-	// from the spec or from a full Config.
+	// A prebuilt problem's Config is checked the same way.
 	sys, _, err := core.PlateSystem(6, 6, fem.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := core.Config{M: 1, Kernel: "simd9000"}
-	for _, pre := range []Request{
-		{Prebuilt: &Prebuilt{Sys: sys}, Solver: SolverSpec{M: 1, Kernel: "simd9000"}},
-		{Prebuilt: &Prebuilt{Sys: sys, Config: &cfg}},
-	} {
-		if _, err := s.Solve(context.Background(), pre); err == nil || !strings.Contains(err.Error(), "kernel policy") {
-			t.Fatalf("prebuilt: want kernel-policy rejection, got %v", err)
-		}
+	pre := Request{Prebuilt: &Prebuilt{Sys: sys, Config: core.Config{M: 1, Kernel: "simd9000"}}}
+	if _, err := s.Solve(context.Background(), pre); err == nil || !strings.Contains(err.Error(), "kernel policy") {
+		t.Fatalf("prebuilt: want kernel-policy rejection, got %v", err)
+	}
+}
+
+// TestPrebuiltRejectsSolverSpec: a prebuilt request's Config is its whole
+// solver configuration, so a SolverSpec beside it, which the engine would
+// ignore, fails validation instead.
+func TestPrebuiltRejectsSolverSpec(t *testing.T) {
+	sys, _, err := core.PlateSystem(6, 6, fem.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := Request{Prebuilt: &Prebuilt{Sys: sys, Config: core.Config{M: 1}}, Solver: SolverSpec{Kernel: "portable"}}
+	if err := req.Validate(); err == nil || !strings.Contains(err.Error(), "solver spec") {
+		t.Fatalf("prebuilt with a solver spec: want rejection, got %v", err)
+	}
+	req.Solver = SolverSpec{}
+	if err := req.Validate(); err != nil {
+		t.Fatalf("prebuilt without a solver spec rejected: %v", err)
 	}
 }
 

@@ -1,5 +1,5 @@
 // Package engine is the in-process heart of the solver: a bounded worker
-// pool runs concurrent solves, a sharded problem/preconditioner cache
+// pool runs concurrent solves, an LRU problem/preconditioner cache
 // amortizes assembly and spectral interval estimation across requests (the
 // session-level analogue of the paper amortizing preconditioner
 // construction over many cheap parallel steps), a planner turns every
@@ -22,9 +22,10 @@ import (
 	"repro/internal/vec"
 )
 
-// Prebuilt is an already-assembled problem handed to the engine zero-copy:
-// in-process callers (the repro package's local solver) skip the spec →
-// assembly path entirely. The engine treats Sys as immutable.
+// Prebuilt is an already-assembled problem handed to the engine zero-copy
+// with its full solver configuration: in-process callers (the repro
+// package's local solver and SolveOnce) skip the spec → assembly path
+// entirely. The engine treats Sys as immutable.
 type Prebuilt struct {
 	// Sys is the assembled system. Sys.F is the default right-hand side
 	// when Fs is empty.
@@ -44,11 +45,11 @@ type Prebuilt struct {
 	// Probe, when non-nil, is the caller's memoized structure scan of
 	// Sys.K; the engine plans from it instead of rescanning the pattern.
 	Probe *plan.Probe
-	// Config, when non-nil, is the full solver configuration, overriding
-	// the request's SolverSpec. This is how in-process callers express
-	// knobs the wire vocabulary cannot (a pinned spectral interval,
-	// iteration history, estimation seed, explicit kernel fan-out).
-	Config *core.Config
+	// Config is the full solver configuration; a prebuilt request carries
+	// no SolverSpec. It expresses knobs the wire vocabulary cannot (a
+	// pinned spectral interval, iteration history, estimation seed,
+	// explicit kernel fan-out). The zero Config runs plain CG (M = 0).
+	Config core.Config
 }
 
 // PlateSpec asks for the paper's plane-stress plate problem: a rows×cols
@@ -169,19 +170,13 @@ type Request struct {
 	Prebuilt *Prebuilt `json:"-"`
 }
 
-// isPlate reports whether the request's problem carries a plate mesh (which
-// picks the multicolor-SSOR default splitting and node displacements).
-func (req *Request) isPlate() bool {
-	return req.Plate != nil || (req.Prebuilt != nil && req.Prebuilt.Plate != nil)
-}
-
-// coreConfig resolves the request's solver configuration: a Prebuilt's full
-// Config when present, the named SolverSpec otherwise.
+// coreConfig resolves the request's solver configuration: a Prebuilt's
+// Config, the named SolverSpec otherwise.
 func (req *Request) coreConfig() (core.Config, error) {
-	if req.Prebuilt != nil && req.Prebuilt.Config != nil {
-		return *req.Prebuilt.Config, nil
+	if req.Prebuilt != nil {
+		return req.Prebuilt.Config, nil
 	}
-	return req.Solver.CoreConfig(req.isPlate())
+	return req.Solver.CoreConfig(req.Plate != nil)
 }
 
 // Size caps enforced at validation: the service is network-facing, so a
@@ -204,20 +199,19 @@ const (
 
 // Validate checks request shape without doing any assembly.
 func (req *Request) Validate() error {
-	if sd := req.Solver.Subdomains; sd < 0 || sd > maxSubdomains {
-		return fmt.Errorf("engine: subdomain count %d outside [0, %d]", sd, maxSubdomains)
-	}
 	if err := req.checkFinite(); err != nil {
 		return err
 	}
 	if pb := req.Prebuilt; pb != nil {
 		// Prebuilt problems come from in-process callers, not the network:
-		// only structural integrity is checked here (no resource caps). A
-		// full Config override has its execution policies (kernel, tuning)
-		// checked here, as a spec's are; core validates the rest at build
-		// time.
+		// only structural integrity and the Config's execution policies are
+		// checked here (no resource caps but the subdomain pin's); core
+		// validates the rest of the Config at build time.
 		if req.Plate != nil || req.System != nil {
 			return fmt.Errorf("engine: prebuilt request must not also carry a plate or system spec")
+		}
+		if req.Solver != (SolverSpec{}) {
+			return fmt.Errorf("engine: prebuilt request must not also carry a solver spec (Prebuilt.Config is its whole configuration)")
 		}
 		if pb.Sys.K == nil {
 			return fmt.Errorf("engine: prebuilt system has no matrix")
@@ -234,28 +228,7 @@ func (req *Request) Validate() error {
 				return fmt.Errorf("engine: prebuilt rhs %d length %d != n %d", k, len(f), n)
 			}
 		}
-		if c := pb.Config; c != nil {
-			if !kernel.ValidName(c.Kernel) {
-				return fmt.Errorf("engine: unknown kernel policy %q (want auto or portable)", c.Kernel)
-			}
-			if _, err := plan.ParseTuning(strings.ToLower(c.Tuning)); err != nil {
-				return err
-			}
-			return nil
-		}
-		if _, _, err := req.Solver.kinds(req.isPlate()); err != nil {
-			return err
-		}
-		if _, err := core.ParseBackend(strings.ToLower(req.Solver.Backend)); err != nil {
-			return err
-		}
-		if k := strings.ToLower(req.Solver.Kernel); !kernel.ValidName(k) {
-			return fmt.Errorf("engine: unknown kernel policy %q (want auto or portable)", req.Solver.Kernel)
-		}
-		if _, err := plan.ParseTuning(strings.ToLower(req.Solver.Tuning)); err != nil {
-			return err
-		}
-		return nil
+		return checkPolicies(pb.Config)
 	}
 	if (req.Plate == nil) == (req.System == nil) {
 		return fmt.Errorf("engine: request needs exactly one of plate or system")
@@ -324,19 +297,26 @@ func (req *Request) Validate() error {
 	if o := req.Solver.Omega; o != 0 && (o <= 0 || o >= 2) {
 		return fmt.Errorf("engine: relaxation parameter ω = %g outside (0, 2) (0 selects the default ω = 1)", o)
 	}
-	if _, _, err := req.Solver.kinds(req.Plate != nil); err != nil {
+	cfg, err := req.Solver.CoreConfig(req.Plate != nil)
+	if err != nil {
 		return err
 	}
-	if _, err := core.ParseBackend(strings.ToLower(req.Solver.Backend)); err != nil {
-		return err
+	return checkPolicies(cfg)
+}
+
+// checkPolicies validates the execution knobs of a resolved config, a
+// spec's or a prebuilt request's: the subdomain pin (each subdomain costs
+// a goroutine), the kernel policy and the tuning policy (case-insensitive,
+// as the engine reads it).
+func checkPolicies(cfg core.Config) error {
+	if sd := cfg.Subdomains; sd < 0 || sd > maxSubdomains {
+		return fmt.Errorf("engine: subdomain count %d outside [0, %d]", sd, maxSubdomains)
 	}
-	if k := strings.ToLower(req.Solver.Kernel); !kernel.ValidName(k) {
-		return fmt.Errorf("engine: unknown kernel policy %q (want auto or portable)", req.Solver.Kernel)
+	if !kernel.ValidName(cfg.Kernel) {
+		return fmt.Errorf("engine: unknown kernel policy %q (want auto or portable)", cfg.Kernel)
 	}
-	if _, err := plan.ParseTuning(strings.ToLower(req.Solver.Tuning)); err != nil {
-		return err
-	}
-	return nil
+	_, err := plan.ParseTuning(strings.ToLower(cfg.Tuning))
+	return err
 }
 
 // checkFinite rejects NaN and ±Inf in the request's floating-point
@@ -371,11 +351,10 @@ func (req *Request) checkFinite() error {
 		for k, f := range pb.Fs {
 			fields = append(fields, field{fmt.Sprintf("prebuilt rhs %d", k), f})
 		}
-		if c := pb.Config; c != nil {
-			fields = append(fields, field{"config tol", []float64{c.Tol}},
-				field{"config rel_residual_tol", []float64{c.RelResidualTol}},
-				field{"config omega", []float64{c.Omega}})
-		}
+		c := pb.Config
+		fields = append(fields, field{"config tol", []float64{c.Tol}},
+			field{"config rel_residual_tol", []float64{c.RelResidualTol}},
+			field{"config omega", []float64{c.Omega}})
 	}
 	for _, f := range fields {
 		if !vec.AllFinite(f.x) {
@@ -465,29 +444,17 @@ func (s SolverSpec) CoreConfig(isPlate bool) (core.Config, error) {
 // assembly, no cache — so repeated solves of one problem always land on
 // the node whose cache owns that problem's warm entry.
 func (req *Request) CacheKey() string {
-	var problem string
+	var problem, seed string
 	switch {
 	case req.Prebuilt != nil:
-		pb := req.Prebuilt
-		if pb.Key == "" {
+		if req.Prebuilt.Key == "" {
 			return ""
 		}
-		problem = "prebuilt/" + pb.Key
-		if cfg := pb.Config; cfg != nil {
-			// A full-config request keys on the resolved enums (plus the
-			// estimation seed, which shapes the cached interval); Workers,
-			// tolerances and History are execution knobs, not part of the
-			// prepared problem.
-			omega := cfg.Omega
-			if omega == 0 {
-				omega = 1
-			}
-			seed := cfg.Seed
-			if seed == 0 {
-				seed = 1
-			}
-			return fmt.Sprintf("%s|%s/m=%d/%s/omega=%g/seed=%d", problem, cfg.Splitting, cfg.M, cfg.Coeffs, omega, seed)
-		}
+		// The estimation seed shapes a cached estimate, so it keys a
+		// prebuilt entry too; Workers, tolerances and History are
+		// execution knobs, not part of the prepared problem.
+		problem = "prebuilt/" + req.Prebuilt.Key
+		seed = fmt.Sprintf("/seed=%d", req.Prebuilt.Config.IntervalSeed())
 	case req.Plate != nil:
 		p := req.Plate
 		// Mirror fem.NewPlate's defaulting, so spelling the defaults out
@@ -506,15 +473,15 @@ func (req *Request) CacheKey() string {
 	default:
 		return ""
 	}
-	sk, ck, err := req.Solver.kinds(req.isPlate())
+	cfg, err := req.coreConfig()
 	if err != nil {
 		return ""
 	}
-	omega := req.Solver.Omega
+	omega := cfg.Omega
 	if omega == 0 {
 		omega = 1
 	}
-	return fmt.Sprintf("%s|%s/m=%d/%s/omega=%g", problem, sk, req.Solver.M, ck, omega)
+	return fmt.Sprintf("%s|%s/m=%d/%s/omega=%g%s", problem, cfg.Splitting, cfg.M, cfg.Coeffs, omega, seed)
 }
 
 // batchSize reports the number of right-hand sides the request solves.
@@ -539,71 +506,39 @@ func (req *Request) batchSize() int {
 // requests. Every returned column is freshly allocated (never aliasing the
 // cached system).
 func (req *Request) rhsCols(sys core.System) ([][]float64, error) {
-	n := sys.K.Rows
-	check := func(f []float64, which string) error {
-		if len(f) != n {
-			return fmt.Errorf("engine: %s length %d != system size %d (cache key reused for a different matrix?)", which, len(f), n)
-		}
-		return nil
-	}
-	if pb := req.Prebuilt; pb != nil {
-		if len(pb.Fs) == 0 {
-			out := make([]float64, n)
-			copy(out, sys.F)
-			return [][]float64{out}, nil
-		}
-		cols := make([][]float64, len(pb.Fs))
-		for k, f := range pb.Fs {
-			if err := check(f, fmt.Sprintf("rhs %d", k)); err != nil {
-				return nil, err
-			}
-			col := make([]float64, n)
-			copy(col, f)
-			cols[k] = col
-		}
-		return cols, nil
-	}
-	if p := req.Plate; p != nil {
-		base := sys.F
-		if len(p.Tractions) == 0 {
-			out := make([]float64, n)
-			copy(out, base)
-			return [][]float64{out}, nil
-		}
-		baseTraction := p.Traction
+	fs := [][]float64{sys.F}
+	switch {
+	case req.Prebuilt != nil && len(req.Prebuilt.Fs) > 0:
+		fs = req.Prebuilt.Fs
+	case req.System != nil && len(req.System.Fs) > 0:
+		fs = req.System.Fs
+	case req.System != nil:
+		fs = [][]float64{req.System.F}
+	case req.Plate != nil && len(req.Plate.Tractions) > 0:
+		baseTraction := req.Plate.Traction
 		if baseTraction == 0 {
 			baseTraction = 1
 		}
-		cols := make([][]float64, len(p.Tractions))
-		for k, tr := range p.Tractions {
+		cols := make([][]float64, len(req.Plate.Tractions))
+		for k, tr := range req.Plate.Tractions {
 			scale := tr / baseTraction
-			col := make([]float64, n)
-			for i, v := range base {
+			col := make([]float64, len(sys.F))
+			for i, v := range sys.F {
 				col[i] = scale * v
 			}
 			cols[k] = col
 		}
 		return cols, nil
 	}
-	sy := req.System
-	if len(sy.Fs) > 0 {
-		cols := make([][]float64, len(sy.Fs))
-		for k, f := range sy.Fs {
-			if err := check(f, fmt.Sprintf("rhs %d", k)); err != nil {
-				return nil, err
-			}
-			col := make([]float64, n)
-			copy(col, f)
-			cols[k] = col
+	cols := make([][]float64, len(fs))
+	for k, f := range fs {
+		if len(f) != sys.K.Rows {
+			return nil, fmt.Errorf("engine: rhs %d length %d != system size %d (cache key reused for a different matrix?)", k, len(f), sys.K.Rows)
 		}
-		return cols, nil
+		cols[k] = make([]float64, len(f))
+		copy(cols[k], f)
 	}
-	if err := check(sy.F, "rhs"); err != nil {
-		return nil, err
-	}
-	col := make([]float64, n)
-	copy(col, sy.F)
-	return [][]float64{col}, nil
+	return cols, nil
 }
 
 // assemble builds the linear system for the request (the expensive step the

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fem"
 	"repro/internal/plan"
 	"repro/internal/poly"
 )
@@ -247,8 +248,8 @@ func TestCheckoutMIntervalPerStepCount(t *testing.T) {
 	if e.err != nil {
 		t.Fatal(e.err)
 	}
-	if e.cfg.Interval != nil {
-		t.Fatalf("entry pinned the SSOR bound %+v", *e.cfg.Interval)
+	if e.pools[10].cfg.Interval != nil {
+		t.Fatalf("entry pinned the SSOR bound %+v", *e.pools[10].cfg.Interval)
 	}
 	for _, m := range []int{9, 11, 12} {
 		fresh, err := req.coreConfig()
@@ -261,25 +262,120 @@ func TestCheckoutMIntervalPerStepCount(t *testing.T) {
 			t.Fatalf("m=%d: fresh build: %v", m, err)
 		}
 		for round := 0; round < 2; round++ {
-			p, got, _, release, err := e.checkoutM(m)
+			sp, p, err := e.checkout(m)
 			if err != nil {
 				t.Fatalf("m=%d round %d: %v", m, round, err)
 			}
-			if !reflect.DeepEqual(got, want) {
+			if got := sp.alphas; !reflect.DeepEqual(got, want) {
 				t.Fatalf("m=%d round %d: α %+v, fresh build %+v", m, round, got, want)
 			}
 			if round == 0 {
-				release(p) // the second round takes it back from the pool
+				sp.pool.Put(p) // the second round takes it back from the pool
 				continue
 			}
 			// Build past the drained pool: the same α again.
-			if _, again, _, _, err := e.checkoutM(m); err != nil || !reflect.DeepEqual(again, want) {
-				t.Fatalf("m=%d rebuild: α %+v (%v), fresh build %+v", m, again, err, want)
+			if again, _, err := e.checkout(m); err != nil || !reflect.DeepEqual(again.alphas, want) {
+				t.Fatalf("m=%d rebuild: α %+v (%v), fresh build %+v", m, again.alphas, err, want)
 			}
 		}
 		estimated := m > poly.LeastSquaresStableM
-		if pinned := e.alts[m].cfg.Interval != nil; pinned != estimated {
+		if pinned := e.pools[m].cfg.Interval != nil; pinned != estimated {
 			t.Fatalf("m=%d: alternate pool pinned an interval = %v, want %v", m, pinned, estimated)
 		}
+	}
+}
+
+// TestTunedStepCountReportsItsInterval: a job the tuner runs at another
+// step count reports the interval and α of the preconditioner it ran, as
+// a fresh build at that count gets them. A 16² plate at m = 10 least
+// squares fits on the SSOR bound; its explored m = 11 candidate fits on an
+// estimate instead.
+func TestTunedStepCountReportsItsInterval(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	req := plateReq(16, 16, 10)
+	req.Solver.Tuning = "adapt"
+	sys, _, err := core.PlateSystem(16, 16, fem.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type fit struct {
+		alphas poly.Alphas
+		lo, hi float64
+	}
+	fresh := map[int]fit{}
+	for i := 0; i < 30 && len(fresh) < 2; i++ {
+		v, err := s.Solve(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := v.Result.Plan.M
+		if m != 10 && m != 11 {
+			continue
+		}
+		want, ok := fresh[m]
+		if !ok {
+			cfg, err := req.coreConfig()
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.M = m
+			_, alphas, iv, err := core.BuildPreconditioner(sys, cfg)
+			if err != nil {
+				t.Fatalf("m=%d: fresh build: %v", m, err)
+			}
+			want = fit{alphas, iv.Lo, iv.Hi}
+			fresh[m] = want
+		}
+		if lo, hi := v.Result.IntervalLo, v.Result.IntervalHi; lo != want.lo || hi != want.hi {
+			t.Fatalf("solve %d at m=%d reports interval [%g, %g], its α fit [%g, %g]", i, m, lo, hi, want.lo, want.hi)
+		}
+		if v.Result.Alphas == nil || !reflect.DeepEqual(*v.Result.Alphas, want.alphas) {
+			t.Fatalf("solve %d at m=%d reports α %+v, a fresh build %+v", i, m, v.Result.Alphas, want.alphas)
+		}
+	}
+	if _, ok := fresh[11]; !ok {
+		t.Fatal("the tuner never explored m = 11")
+	}
+	if fresh[10].lo == fresh[11].lo {
+		t.Fatalf("m = 10 and m = 11 fit on one interval [%g, %g]; the test needs them apart", fresh[10].lo, fresh[10].hi)
+	}
+}
+
+// TestPlanRequestAfterEviction: the tuner's observations outlive an
+// evicted cache entry, so planning an evicted problem must still take the
+// tuner's decision, the one its next solve runs.
+func TestPlanRequestAfterEviction(t *testing.T) {
+	s := New(Config{Workers: 1, CacheSize: 1})
+	defer s.Close()
+	a := plateReq(12, 12, 2)
+	a.Solver.Tuning = "adapt"
+	for i := 0; i < plan.DefaultMinObservations; i++ {
+		if _, err := s.Solve(context.Background(), a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.Solve(context.Background(), plateReq(10, 10, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.CacheEntries != 1 {
+		t.Fatalf("cache entries = %d, want 1", st.CacheEntries)
+	}
+	planned, err := s.PlanRequest(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := s.Solve(context.Background(), a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.CacheHit {
+		t.Fatal("the evicted problem hit the cache")
+	}
+	if !reflect.DeepEqual(planned, *v.Result.Plan) {
+		t.Fatalf("plan of the evicted problem %+v, its solve ran %+v", planned, *v.Result.Plan)
+	}
+	if planned.Source == "static" || len(planned.Candidates) == 0 {
+		t.Fatalf("plan past the observation gate carries no tuner decision: %+v", planned)
 	}
 }

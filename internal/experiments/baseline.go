@@ -73,7 +73,7 @@ func BaselineStudy(rows, cols int, tol float64) (BaselineResult, error) {
 	sys := core.System{K: kc, F: rhs, GroupStart: start}
 	runPCG := func(m int, coeffs core.CoeffKind, label string) error {
 		cfg := core.Config{M: m, Coeffs: coeffs, Tol: tol, MaxIter: 100000}
-		res, err := engine.SolveOnce(engine.Prebuilt{Sys: sys, Config: &cfg})
+		res, err := engine.SolveOnce(engine.Prebuilt{Sys: sys, Config: cfg})
 		if err != nil {
 			return fmt.Errorf("%s: %w", label, err)
 		}

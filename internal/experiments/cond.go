@@ -41,7 +41,7 @@ func ConditionStudy(rows, cols int, specs []MSpec) (CondResult, error) {
 	kappaOf := func(cfg core.Config) (float64, cg.Stats, error) {
 		cfg.RelResidualTol = 1e-12
 		cfg.MaxIter = 100000
-		res, err := engine.SolveOnce(engine.Prebuilt{Sys: sys, Config: &cfg})
+		res, err := engine.SolveOnce(engine.Prebuilt{Sys: sys, Config: cfg})
 		if err != nil {
 			return 0, cg.Stats{}, err
 		}

@@ -69,7 +69,7 @@ func IrregularStudy(size int, specs []MSpec) (IrregularResult, error) {
 			if s.Param {
 				cfg.Coeffs, cfg.Interval = core.LeastSquaresCoeffs, &iv
 			}
-			res, err := engine.SolveOnce(engine.Prebuilt{Sys: sys, Config: &cfg})
+			res, err := engine.SolveOnce(engine.Prebuilt{Sys: sys, Config: cfg})
 			if err != nil {
 				return IrregularResult{}, fmt.Errorf("%s %s: %w", sh.name, s.Label(), err)
 			}

@@ -41,13 +41,13 @@ func OmegaStudy(rows, cols, m int, omegas []float64) (OmegaResult, error) {
 	for _, w := range omegas {
 		row := OmegaRow{Omega: w}
 		mcCfg := core.Config{M: m, Splitting: core.SSORMulticolor, Omega: w, Tol: 1e-7, MaxIter: 100000}
-		mc, err := engine.SolveOnce(engine.Prebuilt{Sys: coloredSys, Config: &mcCfg})
+		mc, err := engine.SolveOnce(engine.Prebuilt{Sys: coloredSys, Config: mcCfg})
 		if err != nil {
 			return OmegaResult{}, fmt.Errorf("ω=%g multicolor: %w", w, err)
 		}
 		row.Multicolor = mc[0].Stats.Iterations
 		natCfg := core.Config{M: m, Splitting: core.SSORNatural, Omega: w, Tol: 1e-7, MaxIter: 100000}
-		nat, err := engine.SolveOnce(engine.Prebuilt{Sys: naturalSys, Config: &natCfg})
+		nat, err := engine.SolveOnce(engine.Prebuilt{Sys: naturalSys, Config: natCfg})
 		if err != nil {
 			return OmegaResult{}, fmt.Errorf("ω=%g natural: %w", w, err)
 		}

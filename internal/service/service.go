@@ -2,7 +2,7 @@
 // m-step PCG library into a resident daemon by exposing submission, job
 // status, per-case result streams and operational statistics over an
 // HTTP/JSON API. All solving mechanics — the bounded worker pool, the
-// sharded problem/preconditioner cache, the execution planner, tile
+// LRU problem/preconditioner cache, the execution planner, tile
 // execution and the column-done fan-out — live in internal/engine; the
 // service is a thin adapter that maps requests, streams and errors onto
 // the wire. The same engine backs the embeddable repro.NewLocal solver,

@@ -55,7 +55,7 @@ func SimulatePlateWithInterval(model Model, rows, cols, m int, param bool, tol f
 		}
 		cfg.Coeffs = core.LeastSquaresCoeffs
 	}
-	res, err := engine.SolveOnce(engine.Prebuilt{Sys: sys, Config: &cfg})
+	res, err := engine.SolveOnce(engine.Prebuilt{Sys: sys, Config: cfg})
 	if err != nil {
 		return Run{}, fmt.Errorf("vectorsim: solve (m=%d, param=%v): %w", m, param, err)
 	}

@@ -237,7 +237,7 @@ func (p *Problem) prebuilt(cfg core.Config, fs [][]float64) engine.Prebuilt {
 	if iv, ok := p.intervalFor(cfg); ok {
 		cfg.Interval = &iv
 	}
-	return engine.Prebuilt{Sys: p.sys, Plate: p.plate, Key: p.id, Fs: fs, Probe: p.probeRef(), Config: &cfg}
+	return engine.Prebuilt{Sys: p.sys, Plate: p.plate, Key: p.id, Fs: fs, Probe: p.probeRef(), Config: cfg}
 }
 
 // Solve runs the configured m-step PCG method through engine.SolveOnce,

@@ -87,10 +87,10 @@ type Solver interface {
 type LocalConfig = engine.Config
 
 // Local is the in-process Solver: the same engine the HTTP daemon serves —
-// worker pool, sharded problem cache, planner memoization, streaming
-// column fan-out — embedded in the calling process, so embedders get
-// warm-cache throughput, batch tiling and per-case streaming without
-// running a daemon.
+// worker pool, LRU problem cache, planner memoization, streaming column
+// fan-out — embedded in the calling process, so embedders get warm-cache
+// throughput, batch tiling and per-case streaming without running a
+// daemon.
 type Local struct {
 	eng *engine.Engine
 }
@@ -188,19 +188,14 @@ func (l *Local) submit(req Request) (*engine.Job, error) {
 
 // engineRequest lowers the public request onto the engine's vocabulary:
 // spec requests pass through, and a prebuilt problem becomes its Prebuilt
-// payload (Problem.prebuilt) under the config its SolverSpec names.
+// payload alone (Problem.prebuilt), carrying the config its SolverSpec
+// names.
 func (r Request) engineRequest() (engine.Request, error) {
-	ereq := engine.Request{
-		Plate:        r.Plate,
-		System:       r.System,
-		Solver:       r.Solver,
-		OmitSolution: r.OmitSolution,
-	}
 	if r.Problem == nil {
 		if len(r.Fs) > 0 {
 			return engine.Request{}, fmt.Errorf("repro: Request.Fs needs Request.Problem (spec requests batch via PlateSpec.Tractions or SystemSpec.Fs)")
 		}
-		return ereq, nil
+		return engine.Request{Plate: r.Plate, System: r.System, Solver: r.Solver, OmitSolution: r.OmitSolution}, nil
 	}
 	if r.Plate != nil || r.System != nil {
 		return engine.Request{}, fmt.Errorf("repro: request needs exactly one of Problem, Plate or System")
@@ -210,8 +205,7 @@ func (r Request) engineRequest() (engine.Request, error) {
 		return engine.Request{}, err
 	}
 	pb := r.Problem.prebuilt(cfg, r.Fs)
-	ereq.Prebuilt = &pb
-	return ereq, nil
+	return engine.Request{Prebuilt: &pb, OmitSolution: r.OmitSolution}, nil
 }
 
 // Wire returns the declarative (JSON-serializable) form of the request:

@@ -65,7 +65,7 @@ func TestProblemSetupMemoization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ereq.Prebuilt == nil || ereq.Prebuilt.Config == nil || ereq.Prebuilt.Config.Interval == nil {
+	if ereq.Prebuilt == nil || ereq.Prebuilt.Config.Interval == nil {
 		t.Fatal("engine request missing the pinned interval")
 	}
 	if *ereq.Prebuilt.Config.Interval != first {
