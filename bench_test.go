@@ -610,7 +610,8 @@ func BenchmarkTiledBlockSolve(b *testing.B) {
 			f.Col(j)[i] = scale * v
 		}
 	}
-	pl := plan.Planner{}.Plan(plan.Inputs{K: sys.K, Policy: plan.BackendCSR, RHS: s, M: cfg.M})
+	probe := plan.NewProbe(sys.K)
+	pl := plan.Static(plan.Inputs{Probe: &probe, Policy: plan.BackendCSR, RHS: s, M: cfg.M})
 	b.Run("untiled/s=32", func(b *testing.B) {
 		bws := cg.NewWorkspace(n)
 		u := vec.NewMulti(n, s)
@@ -754,8 +755,10 @@ func BenchmarkKernelSpMM(b *testing.B) {
 // BenchmarkKernelSweep times the m-step preconditioner sweep, the largest
 // phase of a warm plate batch iteration: m = 3 Conrad–Wallach multicolor
 // SSOR steps on the 100×100 plate at s = 8, run on row-interleaved panels
-// (ApplyMStepInterleaved → SweepCSRI) under both kernel sets and on
-// column-contiguous blocks (ApplyMStepBlock → kernel.SweepCSRCols).
+// (ApplyMStepInterleaved → SweepCSRI) under both kernel sets and on the
+// column layout the planner uses with interleave off: eight scalar
+// ApplyMStep sweeps, one per column. The column row keeps measured the
+// panel-versus-column gap the tuner's interleave toggle weighs.
 func BenchmarkKernelSweep(b *testing.B) {
 	sys, _, err := core.PlateSystem(100, 100, fem.Options{})
 	if err != nil {
@@ -777,7 +780,9 @@ func BenchmarkKernelSweep(b *testing.B) {
 	irhat := vec.NewIMulti(n, s)
 	b.Run("column/s=8", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			mc.ApplyMStepBlock(rhat, r, alphas)
+			for j := 0; j < s; j++ {
+				mc.ApplyMStep(rhat.Col(j), r.Col(j), alphas)
+			}
 		}
 	})
 	for _, set := range []struct {

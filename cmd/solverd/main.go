@@ -7,7 +7,7 @@
 // Usage:
 //
 //	solverd -addr :8080 [-node-id n1] [-workers 4] [-worker-budget 0]
-//	        [-queue 256] [-cache 64] [-tile-budget 8388608] [-tuning adapt]
+//	        [-queue 256] [-cache 64] [-tuning adapt] [-history 512]
 //	        [-drain 30s] [-log-format text] [-debug-addr :6060]
 //
 // API:
@@ -81,18 +81,17 @@ import (
 
 func main() {
 	var (
-		addr       = flag.String("addr", ":8080", "listen address")
-		nodeID     = flag.String("node-id", "", "fleet node identity: prefixes job IDs so a fleet router can route job lookups back here (must match the router's member name; empty = standalone)")
-		debugAddr  = flag.String("debug-addr", "", "debug listen address serving /debug/pprof and /debug/vars (empty = disabled)")
-		logFormat  = flag.String("log-format", "text", "log output format: text or json")
-		workers    = flag.Int("workers", 0, "concurrent solves (0 = GOMAXPROCS)")
-		budget     = flag.Int("worker-budget", 0, "kernel goroutines per solve (0 = GOMAXPROCS/workers)")
-		tileBudget = flag.Int("tile-budget", 0, "batch tile cache budget in bytes (0 = planner default)")
-		queue      = flag.Int("queue", 256, "job queue depth (further submissions get 503)")
-		cache      = flag.Int("cache", 64, "problem/preconditioner cache entries")
-		tuning     = flag.String("tuning", "adapt", "plan feedback default for requests that don't pin solver.tuning: off, observe or adapt")
-		history    = flag.Int("history", 512, "finished jobs kept for /v1/jobs lookups")
-		drain      = flag.Duration("drain", 30*time.Second, "shutdown drain deadline for in-flight jobs and streams")
+		addr      = flag.String("addr", ":8080", "listen address")
+		nodeID    = flag.String("node-id", "", "fleet node identity: prefixes job IDs so a fleet router can route job lookups back here (must match the router's member name; empty = standalone)")
+		debugAddr = flag.String("debug-addr", "", "debug listen address serving /debug/pprof and /debug/vars (empty = disabled)")
+		logFormat = flag.String("log-format", "text", "log output format: text or json")
+		workers   = flag.Int("workers", 0, "concurrent solves (0 = GOMAXPROCS)")
+		budget    = flag.Int("worker-budget", 0, "kernel goroutines per solve (0 = GOMAXPROCS/workers)")
+		queue     = flag.Int("queue", 256, "job queue depth (further submissions get 503)")
+		cache     = flag.Int("cache", 64, "problem/preconditioner cache entries")
+		tuning    = flag.String("tuning", "adapt", "plan feedback default for requests that don't pin solver.tuning: off, observe or adapt")
+		history   = flag.Int("history", 512, "finished jobs kept for /v1/jobs lookups")
+		drain     = flag.Duration("drain", 30*time.Second, "shutdown drain deadline for in-flight jobs and streams")
 	)
 	flag.Parse()
 
@@ -114,15 +113,14 @@ func main() {
 	}
 
 	svc := service.New(service.Config{
-		NodeID:          *nodeID,
-		Workers:         *workers,
-		WorkerBudget:    *budget,
-		TileBudgetBytes: *tileBudget,
-		QueueDepth:      *queue,
-		CacheSize:       *cache,
-		HistoryLimit:    *history,
-		Tuning:          strings.ToLower(*tuning),
-		Logger:          logger,
+		NodeID:       *nodeID,
+		Workers:      *workers,
+		WorkerBudget: *budget,
+		QueueDepth:   *queue,
+		CacheSize:    *cache,
+		HistoryLimit: *history,
+		Tuning:       strings.ToLower(*tuning),
+		Logger:       logger,
 	})
 
 	if *debugAddr != "" {

@@ -39,9 +39,9 @@
 // solve runs the same recurrence over a layout of its own. The fused inner
 // loops (SpMM, block dot/axpy, the multicolor sweep) dispatch through
 // internal/kernel: CPU feature detection selects an accelerated
-// implementation set at startup, and REPRO_KERNEL=portable (or
-// Config.Kernel) forces the portable reference set — bit-identical results
-// either way, so the knob only changes speed.
+// implementation set at startup, and REPRO_KERNEL=portable forces the
+// portable reference set for the whole process — bit-identical results
+// either way, so the switch only changes speed.
 //
 // Solve and SolveBatch run the engine every Solver session runs, on a
 // throwaway one-worker instance, and so do the commands and the paper's

@@ -110,13 +110,9 @@ type Options struct {
 	// preconditioner can serve panels (sparse.InterleavedOperator and
 	// precond.CanApplyInterleaved); otherwise the column-contiguous layout
 	// runs and BlockStats.Interleaved reports false. Column iterates are
-	// bit-identical either way.
+	// bit-identical either way. Both layouts run the startup-selected
+	// kernel set (kernel.Active).
 	Interleave bool
-	// Kernel selects the kernel set of the panel layout: "" or "auto" for
-	// the startup-selected set, "portable" for the reference set
-	// (kernel.Select). The column-contiguous layout always runs the
-	// startup-selected set; the sets are bit-identical.
-	Kernel string
 }
 
 // Observer receives per-iteration convergence telemetry. col is the

@@ -204,8 +204,8 @@ func SolveBlockInto(u *vec.Multi, k Operator, f *vec.Multi, m precond.Preconditi
 
 // SolveLayout runs the recurrence of SolveBlockInto over a caller's layout
 // of s right-hand sides, which must hold the zero start: u = 0 and r = f.
-// The layout owns the matrix, the preconditioner and the iterate, so
-// Workers, Interleave and Kernel do not apply and VerifyResidual is not
+// The layout owns the matrix, the preconditioner, the iterate and its
+// kernels, so Workers and Interleave do not apply and VerifyResidual is not
 // available; MaxIter must be set, since the driver never sees the system's
 // size. Every option is otherwise honored as in SolveBlockInto. ws may be
 // nil.
@@ -445,7 +445,7 @@ func (ws *Workspace) run(lay Layout, st BlockStats, s int, opt Options, verify f
 func (ws *Workspace) begin(k Operator, m precond.Preconditioner, u, f *vec.Multi, opt Options, w int) (Layout, BlockStats) {
 	if opt.Interleave {
 		if ik, ok := k.(sparse.InterleavedOperator); ok && precond.CanApplyInterleaved(m) {
-			impl := kernel.Select(opt.Kernel)
+			impl := kernel.Active()
 			ws.pans.begin(ik, m, u, f, w, impl)
 			return &ws.pans, BlockStats{Interleaved: true, Kernel: impl.Name}
 		}

@@ -234,8 +234,10 @@ func TestInterleavedFallback(t *testing.T) {
 	}
 }
 
-// TestInterleavedKernelPortable: forcing the portable set produces the same
-// bits and reports the set by name.
+// TestInterleavedKernelPortable: the panel layout run on the portable
+// reference set produces the same bits as a solve, which runs the
+// startup-selected set and reports it by name. The portable run loads the
+// panels with its set directly.
 func TestInterleavedKernelPortable(t *testing.T) {
 	k, f, p := interleavedFixture(t, 8, 2)
 	n, _ := k.Dims()
@@ -245,17 +247,16 @@ func TestInterleavedKernelPortable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt.Kernel = "portable"
 	uPort := vec.NewMulti(n, f.S)
-	stPort, err := SolveBlockInto(uPort, k, f, p, opt, NewWorkspace(n))
+	ws := NewWorkspace(n)
+	ws.ensure(f.S)
+	ws.pans.begin(k, p, uPort, f, 1, kernel.Portable())
+	stPort, err := ws.run(&ws.pans, BlockStats{Interleaved: true}, f.S, opt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stPort.Kernel != "portable" {
-		t.Fatalf("portable solve reports kernel %q", stPort.Kernel)
-	}
-	if stAuto.Kernel != kernel.Active().Name {
-		t.Fatalf("auto solve reports kernel %q, active is %q", stAuto.Kernel, kernel.Active().Name)
+	if stAuto.Kernel != kernel.Active().Name || !stAuto.Interleaved {
+		t.Fatalf("solve reports kernel %q (interleaved %v), active is %q", stAuto.Kernel, stAuto.Interleaved, kernel.Active().Name)
 	}
 	if stAuto.Iterations != stPort.Iterations {
 		t.Fatalf("iteration counts differ across kernel sets: %d vs %d", stAuto.Iterations, stPort.Iterations)

@@ -1,10 +1,12 @@
 package core_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/fem"
 )
 
@@ -40,29 +42,34 @@ func TestBuildSplittingRejectsBadOmega(t *testing.T) {
 	}
 }
 
-// TestSolveWorkersMatchesSerial checks the Workers knob changes only the
-// execution strategy, not the method: iteration counts agree and solutions
-// coincide to rounding.
+// TestSolveWorkersMatchesSerial checks that a session's kernel fan-out
+// (engine.Config.WorkerBudget) changes only the execution strategy, not the
+// method: iteration counts agree and solutions coincide with the one-shot
+// serial solve.
 func TestSolveWorkersMatchesSerial(t *testing.T) {
 	sys, _, err := core.PlateSystem(10, 10, fem.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := solveOnce(sys, core.Config{M: 2, Tol: 1e-8})
+	cfg := core.Config{M: 2, Tol: 1e-8}
+	serial, err := solveOnce(sys, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := solveOnce(sys, core.Config{M: 2, Tol: 1e-8, Workers: 4})
+	eng := engine.New(engine.Config{Workers: 1, WorkerBudget: 4})
+	defer eng.Close()
+	v, err := eng.Solve(context.Background(), engine.Request{Prebuilt: &engine.Prebuilt{Sys: sys, Config: cfg}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !serial.Stats.Converged || !par.Stats.Converged {
+	par := v.Result
+	if !serial.Stats.Converged || !par.Converged {
 		t.Fatal("not converged")
 	}
 	// n < the parallel threshold here, so the kernels fall back to serial
-	// and the runs must be bitwise identical — the knob is safe by default.
-	if serial.Stats.Iterations != par.Stats.Iterations {
-		t.Fatalf("iterations %d vs %d", serial.Stats.Iterations, par.Stats.Iterations)
+	// and the runs must be bitwise identical — the budget is safe by default.
+	if serial.Stats.Iterations != par.Iterations {
+		t.Fatalf("iterations %d vs %d", serial.Stats.Iterations, par.Iterations)
 	}
 	for i := range serial.U {
 		if serial.U[i] != par.U[i] {

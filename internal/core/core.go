@@ -111,21 +111,10 @@ type Config struct {
 	MaxIter int
 	// History records per-iteration convergence data.
 	History bool
-	// Seed drives the deterministic interval estimation (default 1).
-	Seed int64
-	// Workers caps the goroutine fan-out of the CG kernels (≤ 1 serial);
-	// see cg.Options.Workers.
-	Workers int
 	// Backend selects the matvec storage for K (the preconditioner always
 	// works from the CSR form). The zero value is BackendAuto: probe the
 	// structure and pick DIA for banded-diagonal systems, CSR otherwise.
 	Backend Backend
-	// Kernel selects the kernel set the fused solver loops run through:
-	// "" or "auto" uses the set CPU feature detection picked at startup,
-	// "portable" forces the reference implementations (the same override
-	// REPRO_KERNEL=portable applies process-wide). Any other value is
-	// rejected. Column iterates are bit-identical across kernel sets.
-	Kernel string
 	// Subdomains pins the processor count of a decomposed solve (0 = the
 	// planner picks from the worker budget and mesh shape). Only
 	// meaningful for mesh-backed problems routed through the engine.
@@ -152,7 +141,8 @@ type Result struct {
 	// "dia") — the resolved form of Config.Backend.
 	Backend string
 	// Kernel is the kernel set the solve's fused loops ran through
-	// ("portable", "avx2", "neon") — the resolved form of Config.Kernel.
+	// ("portable", "avx2", "neon"): the one selected at startup
+	// (REPRO_KERNEL=portable forces the reference set).
 	Kernel string
 }
 
@@ -189,14 +179,8 @@ func BuildSplitting(sys System, cfg Config) (splitting.Splitting, error) {
 // eigenvalues of P⁻¹K.
 const intervalPad = 0.02
 
-// IntervalSeed returns the seed the spectral estimate runs with: Seed, or
-// 1 when unset.
-func (c Config) IntervalSeed() int64 {
-	if c.Seed == 0 {
-		return 1
-	}
-	return c.Seed
-}
+// estimateSeed is the seed of the spectral estimate's start vector.
+const estimateSeed = 1
 
 // ssorBound is the fixed interval least-squares coefficients fit on where
 // fitsOnSSORBound holds. Its lower end is any positive value far below
@@ -263,7 +247,7 @@ func IntervalFor(sp splitting.Splitting, cfg Config) (eigen.Interval, error) {
 	case SourceSSORBound:
 		return ssorBound, nil
 	}
-	return eigen.EstimateInterval(sp, intervalPad, cfg.IntervalSeed())
+	return eigen.EstimateInterval(sp, intervalPad, estimateSeed)
 }
 
 // BuildCoefficients computes the α for the configured criterion on the

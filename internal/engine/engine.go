@@ -44,10 +44,6 @@ type Config struct {
 	// SpMV/dot/axpy kernels. The default divides GOMAXPROCS by Workers
 	// (min 1), so Workers × WorkerBudget never oversubscribes the machine.
 	WorkerBudget int
-	// TileBudgetBytes bounds the multivector working set of one batch
-	// tile: the planner splits wide batches (s ≫ 8) into cache-sized
-	// column tiles executed sequentially (0 = plan.DefaultBudgetBytes).
-	TileBudgetBytes int
 	// QueueDepth bounds the job queue (default 256); submissions beyond it
 	// fail fast with ErrQueueFull.
 	QueueDepth int
@@ -99,13 +95,12 @@ func (c Config) withDefaults() Config {
 }
 
 // Engine runs solves on a bounded worker pool with a problem cache. Every
-// job follows the plan → execute → emit pipeline: the planner (one shared
-// instance of plan.Planner) resolves the request into an execution plan,
-// the worker runs the plan's tiles, and per-case completions are emitted to
-// the job's state table and stream subscribers as they happen.
+// job follows the plan → execute → emit pipeline: the planner resolves the
+// request into an execution plan, the worker runs the plan's tiles, and
+// per-case completions are emitted to the job's state table and stream
+// subscribers as they happen.
 type Engine struct {
 	cfg      Config
-	planner  plan.Planner
 	queue    chan *Job
 	cache    *cache
 	lat      *latencyRing
@@ -170,12 +165,11 @@ func New(cfg Config) *Engine {
 		logger = slog.New(slog.DiscardHandler)
 	}
 	s := &Engine{
-		cfg:     cfg,
-		planner: plan.Planner{BudgetBytes: cfg.TileBudgetBytes},
-		queue:   make(chan *Job, cfg.QueueDepth),
-		cache:   newCache(cfg.CacheSize),
-		lat:     newLatencyRing(cfg.LatencyWindow),
-		logger:  logger,
+		cfg:    cfg,
+		queue:  make(chan *Job, cfg.QueueDepth),
+		cache:  newCache(cfg.CacheSize),
+		lat:    newLatencyRing(cfg.LatencyWindow),
+		logger: logger,
 		latByBackend: map[string]*latencyRing{
 			"csr":        newLatencyRing(cfg.LatencyWindow),
 			"dia":        newLatencyRing(cfg.LatencyWindow),
@@ -294,12 +288,12 @@ func (s *Engine) Solve(ctx context.Context, req Request) (JobView, error) {
 
 // SolveOnce runs one prebuilt problem under its full solver configuration
 // (pb.Config) to completion on a throwaway one-worker engine, whose
-// kernels run serially unless pb.Config pins Workers: the executor the
-// library's one-shot solves share with the service (repro.Solve and
-// SolveBatch, the commands, the paper's experiments and the CYBER
-// simulation). It returns one Result per right-hand side (pb.Fs, or
-// pb.Sys.F when Fs is empty) and the job's error; a column that failed
-// still returns its result beside the joined error.
+// kernels run serially: the executor the library's one-shot solves share
+// with the service (repro.Solve and SolveBatch, the commands, the paper's
+// experiments and the CYBER simulation). It returns one Result per
+// right-hand side (pb.Fs, or pb.Sys.F when Fs is empty) and the job's
+// error; a column that failed still returns its result beside the joined
+// error.
 func SolveOnce(pb Prebuilt) ([]core.Result, error) {
 	eng := New(Config{
 		Workers: 1, WorkerBudget: 1, QueueDepth: 1,
@@ -394,22 +388,21 @@ func (s *Engine) PlanRequest(req Request) (PlanInfo, error) {
 }
 
 // planFor is the one planning call, shared by runJob and PlanRequest so an
-// offline plan always matches the plan the solve runs. The planner turns
-// the entry's structure probe, the batch width and the budgets into the
-// static plan; the preconditioner decides whether panels and the decomposed
-// backend are open to it, and a plate gives the mesh facts the decomposed
-// backend partitions. Under a tuning policy a cached problem then takes the
-// tuner's decision: adapt may re-plan from measured throughput, observe
-// only explains and keeps the static plan. A throwaway entry (empty key)
-// has no observations and keeps the static plan.
+// offline plan always matches the plan the solve runs. plan.Static turns
+// the entry's structure probe, the batch width and the worker budget into
+// the static plan; the preconditioner decides whether panels and the
+// decomposed backend are open to it, and a plate gives the mesh facts the
+// decomposed backend partitions. Under a tuning policy a cached problem
+// then takes the tuner's decision: adapt may re-plan from measured
+// throughput, observe only explains and keeps the static plan. A throwaway
+// entry (empty key) has no observations and keeps the static plan.
 func (s *Engine) planFor(entry *cacheEntry, cfg core.Config, rhs int) (plan.Inputs, plan.Plan, plan.TuningMode, plan.Decision) {
 	in := plan.Inputs{
 		Probe:      entry.structureProbe(),
 		Policy:     cfg.Backend,
 		RHS:        rhs,
 		M:          cfg.M,
-		Workers:    s.workersFor(cfg),
-		Kernel:     cfg.Kernel,
+		Workers:    s.cfg.WorkerBudget,
 		PanelSweep: cfg.Splitting == core.SSORMulticolor && (cfg.Omega == 0 || cfg.Omega == 1),
 	}
 	if p := entry.plate; p != nil && in.FusedSweep(cfg.M) {
@@ -420,23 +413,13 @@ func (s *Engine) planFor(entry *cacheEntry, cfg core.Config, rhs int) (plan.Inpu
 			MaxProcs:  in.Workers,
 		}
 	}
-	pl := s.planner.Plan(in)
+	pl := plan.Static(in)
 	mode := s.tuningFor(cfg)
 	var dec plan.Decision
 	if mode != plan.TuningOff && entry.key != "" {
 		pl, dec = s.tuner.Decide(entry.key, in, pl, mode == plan.TuningAdapt)
 	}
 	return in, pl, mode, dec
-}
-
-// workersFor resolves the kernel fan-out budget for a job: the engine's
-// per-solve worker budget, unless an in-process prebuilt request's Config
-// pins its own.
-func (s *Engine) workersFor(cfg core.Config) int {
-	if cfg.Workers > 0 {
-		return cfg.Workers
-	}
-	return s.cfg.WorkerBudget
 }
 
 // tuningFor resolves a solve's feedback policy: the request's knob, then
@@ -483,7 +466,6 @@ func planInfo(pl plan.Plan, mode plan.TuningMode, d plan.Decision) PlanInfo {
 				Workers:             c.Signature.Workers,
 				M:                   c.Signature.M,
 				Interleave:          c.Signature.Interleave,
-				Kernel:              c.Signature.Kernel,
 				MeasuredRHSPerSec:   c.Measured,
 				Observations:        c.Observations,
 				SecondsPerIteration: c.IterSeconds,
@@ -802,7 +784,6 @@ func (s *Engine) runJob(job *Job, ws *cg.Workspace, workerID int) {
 		Workers:        pl.Workers,
 		Ctx:            job.ctx,
 		Interleave:     pl.Interleave,
-		Kernel:         cfg.Kernel,
 	}
 	if opts.Tol <= 0 && opts.RelResidualTol <= 0 {
 		opts.Tol = 1e-6
@@ -1010,7 +991,9 @@ func (s *Engine) runTiles(job *Job, tiles [][]int, rhs int, plate *fem.Plate, so
 			}
 			if !job.req.OmitSolution {
 				cr.U = u
-				cr.Nodes, cr.NodeU, cr.NodeV = plateDisplacements(plate, u)
+				if plate != nil {
+					cr.Nodes, cr.NodeU, cr.NodeV = plate.NodeDisplacements(u)
+				}
 			}
 			job.caseFinished(cases[col], cr)
 		})
@@ -1142,21 +1125,4 @@ func recordSubSpans(tr *obs.Trace, ci int, start time.Time, subs []decomp.SubSta
 		tr.Record("local_sweep", start, dur(ss.SweepSeconds)).SetAttr("subdomain", ss.Rank).SetAttr("case", ci)
 		tr.Record("reduce", start, dur(ss.ReduceSeconds)).SetAttr("subdomain", ss.Rank).SetAttr("case", ci)
 	}
-}
-
-// plateDisplacements maps a colored-ordering solution back to per-node
-// displacements; nil for non-plate problems.
-func plateDisplacements(plate *fem.Plate, u []float64) (nodes []int, nu, nv []float64) {
-	if plate == nil {
-		return nil, nil, nil
-	}
-	natural := plate.UncolorSolution(u)
-	nodes = plate.Free
-	nu = make([]float64, len(plate.Free))
-	nv = make([]float64, len(plate.Free))
-	for k := range plate.Free {
-		nu[k] = natural[2*k]
-		nv[k] = natural[2*k+1]
-	}
-	return nodes, nu, nv
 }

@@ -66,14 +66,13 @@ type PlanInfo struct {
 // PlanCandidate is one plan the self-tuning planner considered, with the
 // evidence it was ranked by.
 type PlanCandidate struct {
-	// Backend, TileWidth, Workers, M, Interleave, Kernel summarize the
-	// candidate plan (TileWidth is the widest tile; tiling is balanced).
+	// Backend, TileWidth, Workers, M, Interleave summarize the candidate
+	// plan (TileWidth is the widest tile; tiling is balanced).
 	Backend    string `json:"backend"`
 	TileWidth  int    `json:"tile_width"`
 	Workers    int    `json:"workers"`
 	M          int    `json:"m"`
 	Interleave bool   `json:"interleave,omitempty"`
-	Kernel     string `json:"kernel,omitempty"`
 	// MeasuredRHSPerSec is the mean realized throughput of Observations
 	// executed solves with this plan (0 when unmeasured).
 	MeasuredRHSPerSec float64 `json:"measured_rhs_per_second,omitempty"`

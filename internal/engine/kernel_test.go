@@ -12,27 +12,6 @@ import (
 	"repro/internal/kernel"
 )
 
-// TestEngineUnknownKernelRejected: the kernel policy is validated at the
-// request boundary, before any work is queued.
-func TestEngineUnknownKernelRejected(t *testing.T) {
-	s := New(Config{Workers: 1})
-	defer s.Close()
-	req := laplaceBatch(20, 2, "")
-	req.Solver.Kernel = "simd9000"
-	if _, err := s.Solve(context.Background(), req); err == nil || !strings.Contains(err.Error(), "kernel policy") {
-		t.Fatalf("want kernel-policy rejection, got %v", err)
-	}
-	// A prebuilt problem's Config is checked the same way.
-	sys, _, err := core.PlateSystem(6, 6, fem.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pre := Request{Prebuilt: &Prebuilt{Sys: sys, Config: core.Config{M: 1, Kernel: "simd9000"}}}
-	if _, err := s.Solve(context.Background(), pre); err == nil || !strings.Contains(err.Error(), "kernel policy") {
-		t.Fatalf("prebuilt: want kernel-policy rejection, got %v", err)
-	}
-}
-
 // TestPrebuiltRejectsSolverSpec: a prebuilt request's Config is its whole
 // solver configuration, so a SolverSpec beside it, which the engine would
 // ignore, fails validation instead.
@@ -41,7 +20,7 @@ func TestPrebuiltRejectsSolverSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := Request{Prebuilt: &Prebuilt{Sys: sys, Config: core.Config{M: 1}}, Solver: SolverSpec{Kernel: "portable"}}
+	req := Request{Prebuilt: &Prebuilt{Sys: sys, Config: core.Config{M: 1}}, Solver: SolverSpec{M: 1}}
 	if err := req.Validate(); err == nil || !strings.Contains(err.Error(), "solver spec") {
 		t.Fatalf("prebuilt with a solver spec: want rejection, got %v", err)
 	}
@@ -52,15 +31,14 @@ func TestPrebuiltRejectsSolverSpec(t *testing.T) {
 }
 
 // TestEnginePlanReportsKernel: the job's recorded plan carries the kernel
-// set and layout decision; a wide plate batch interleaves, and forcing the
-// portable set round-trips into the plan. Case-insensitive like the rest of
-// the spec fields.
+// set and layout decision; a wide plate batch interleaves on the startup
+// set.
 func TestEnginePlanReportsKernel(t *testing.T) {
 	s := New(Config{Workers: 2})
 	defer s.Close()
 	req := Request{
 		Plate:  &PlateSpec{Rows: 8, Cols: 8, Tractions: []float64{1, 2, 3, 4, 5, 6, 7, 8}},
-		Solver: SolverSpec{M: 2, RelResidualTol: 1e-9, Kernel: "Portable"},
+		Solver: SolverSpec{M: 2, RelResidualTol: 1e-9},
 	}
 	v, err := s.Solve(context.Background(), req)
 	if err != nil {
@@ -72,23 +50,8 @@ func TestEnginePlanReportsKernel(t *testing.T) {
 	if !v.Result.Plan.Interleave {
 		t.Fatalf("8-wide plate batch did not interleave: %+v", v.Result.Plan)
 	}
-	if v.Result.Plan.Kernel != "portable" {
-		t.Fatalf("plan kernel %q, want portable", v.Result.Plan.Kernel)
-	}
-
-	req.Solver.Kernel = ""
-	v2, err := s.Solve(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v2.Result.Plan.Kernel != kernel.Active().Name {
-		t.Fatalf("auto plan kernel %q, want %q", v2.Result.Plan.Kernel, kernel.Active().Name)
-	}
-	// The kernel policy is an execution knob, not an identity: both solves
-	// must have shared one cache entry.
-	st := s.Stats()
-	if st.CacheMisses != 1 || st.CacheHits < 1 {
-		t.Fatalf("kernel policy split the cache: hits=%d misses=%d", st.CacheHits, st.CacheMisses)
+	if v.Result.Plan.Kernel != kernel.Active().Name {
+		t.Fatalf("plan kernel %q, want %q", v.Result.Plan.Kernel, kernel.Active().Name)
 	}
 }
 

@@ -44,11 +44,12 @@ func checkIntervalSource(t *testing.T, ti TraceInfo, want string, res *JobResult
 // and precond_build names the source; a Chebyshev job of the same plate
 // estimates, and traces the estimate.
 func TestTraceTiledJobTimeline(t *testing.T) {
-	// Tile budget sized so the 20×20 plate (n=760) tiles the 20 cases.
-	s := New(Config{Workers: 1, TileBudgetBytes: 8 * 760 * 48})
+	s := New(Config{Workers: 1})
 	defer s.Close()
 
-	const cases = 20
+	// More cases than plan.DefaultMaxTile, so the 20×20 plate's batch runs
+	// as two tiles.
+	const cases = 40
 	tr := make([]float64, cases)
 	for i := range tr {
 		tr[i] = float64(i+1) / 4

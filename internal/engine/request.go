@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fem"
-	"repro/internal/kernel"
 	"repro/internal/plan"
 	"repro/internal/sparse"
 	"repro/internal/vec"
@@ -47,8 +46,8 @@ type Prebuilt struct {
 	Probe *plan.Probe
 	// Config is the full solver configuration; a prebuilt request carries
 	// no SolverSpec. It expresses knobs the wire vocabulary cannot (a
-	// pinned spectral interval, iteration history, estimation seed,
-	// explicit kernel fan-out). The zero Config runs plain CG (M = 0).
+	// pinned spectral interval, iteration history). The zero Config runs
+	// plain CG (M = 0).
 	Config core.Config
 }
 
@@ -141,11 +140,6 @@ type SolverSpec struct {
 	// goroutine). 0 lets the planner pick from the session's worker budget;
 	// ignored by the single-matrix backends.
 	Subdomains int `json:"subdomains,omitempty"`
-	// Kernel selects the kernel set the fused solver loops run through:
-	// "auto" (or empty) uses the set CPU feature detection picked at
-	// startup, "portable" forces the reference implementations. The plan
-	// reports the set actually used.
-	Kernel string `json:"kernel,omitempty"`
 	// Tuning is the self-tuning planner's feedback policy: "adapt" (or
 	// empty, deferring to the session default) records realized throughput
 	// per executed plan and re-plans warm problems from the measurements,
@@ -306,14 +300,11 @@ func (req *Request) Validate() error {
 
 // checkPolicies validates the execution knobs of a resolved config, a
 // spec's or a prebuilt request's: the subdomain pin (each subdomain costs
-// a goroutine), the kernel policy and the tuning policy (case-insensitive,
-// as the engine reads it).
+// a goroutine) and the tuning policy (case-insensitive, as the engine
+// reads it).
 func checkPolicies(cfg core.Config) error {
 	if sd := cfg.Subdomains; sd < 0 || sd > maxSubdomains {
 		return fmt.Errorf("engine: subdomain count %d outside [0, %d]", sd, maxSubdomains)
-	}
-	if !kernel.ValidName(cfg.Kernel) {
-		return fmt.Errorf("engine: unknown kernel policy %q (want auto or portable)", cfg.Kernel)
 	}
 	_, err := plan.ParseTuning(strings.ToLower(cfg.Tuning))
 	return err
@@ -404,9 +395,9 @@ func (s SolverSpec) backend() (core.Backend, error) {
 	return core.ParseBackend(strings.ToLower(s.Backend))
 }
 
-// CoreConfig translates the spec into a core.Config (Workers and Interval
-// are filled in by the scheduler). Exported so the repro package can derive
-// the config a spec names when building prebuilt requests.
+// CoreConfig translates the spec into a core.Config. Exported so the repro
+// package can derive the config a spec names when building prebuilt
+// requests.
 func (s SolverSpec) CoreConfig(isPlate bool) (core.Config, error) {
 	sk, ck, err := s.kinds(isPlate)
 	if err != nil {
@@ -426,7 +417,6 @@ func (s SolverSpec) CoreConfig(isPlate bool) (core.Config, error) {
 		MaxIter:        s.MaxIter,
 		Backend:        b,
 		Subdomains:     s.Subdomains,
-		Kernel:         strings.ToLower(s.Kernel),
 		Tuning:         strings.ToLower(s.Tuning),
 	}, nil
 }
@@ -444,17 +434,13 @@ func (s SolverSpec) CoreConfig(isPlate bool) (core.Config, error) {
 // assembly, no cache — so repeated solves of one problem always land on
 // the node whose cache owns that problem's warm entry.
 func (req *Request) CacheKey() string {
-	var problem, seed string
+	var problem string
 	switch {
 	case req.Prebuilt != nil:
 		if req.Prebuilt.Key == "" {
 			return ""
 		}
-		// The estimation seed shapes a cached estimate, so it keys a
-		// prebuilt entry too; Workers, tolerances and History are
-		// execution knobs, not part of the prepared problem.
 		problem = "prebuilt/" + req.Prebuilt.Key
-		seed = fmt.Sprintf("/seed=%d", req.Prebuilt.Config.IntervalSeed())
 	case req.Plate != nil:
 		p := req.Plate
 		// Mirror fem.NewPlate's defaulting, so spelling the defaults out
@@ -481,7 +467,7 @@ func (req *Request) CacheKey() string {
 	if omega == 0 {
 		omega = 1
 	}
-	return fmt.Sprintf("%s|%s/m=%d/%s/omega=%g%s", problem, cfg.Splitting, cfg.M, cfg.Coeffs, omega, seed)
+	return fmt.Sprintf("%s|%s/m=%d/%s/omega=%g", problem, cfg.Splitting, cfg.M, cfg.Coeffs, omega)
 }
 
 // batchSize reports the number of right-hand sides the request solves.

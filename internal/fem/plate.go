@@ -151,6 +151,19 @@ func (p *Plate) UncolorSolution(x []float64) []float64 {
 	return p.Ordering.Perm.UnapplyVec(x)
 }
 
+// NodeDisplacements maps a solution of the colored system back to per-node
+// displacements: nodes is Free, and u[k], v[k] are free node k's two
+// components.
+func (p *Plate) NodeDisplacements(x []float64) (nodes []int, u, v []float64) {
+	natural := p.UncolorSolution(x)
+	u = make([]float64, len(p.Free))
+	v = make([]float64, len(p.Free))
+	for k := range p.Free {
+		u[k], v[k] = natural[2*k], natural[2*k+1]
+	}
+	return p.Free, u, v
+}
+
 // StencilOffsets returns the set of (di, dj, comp-pair) offsets with
 // nonzero coupling for an interior node — the paper's Figure 2 stencil.
 // The returned map keys are [3]int{di, dj, comp} where comp encodes the

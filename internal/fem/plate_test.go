@@ -170,6 +170,26 @@ func TestPlateDOFMapping(t *testing.T) {
 	}
 }
 
+// TestPlateNodeDisplacements: a colored solution whose every unknown names
+// its node and component maps back to each free node's own u and v.
+func TestPlateNodeDisplacements(t *testing.T) {
+	p := mustPlate(t, 5, 4)
+	natural := make([]float64, p.N())
+	for _, id := range p.Free {
+		natural[p.DOF(id, 0)] = float64(id)
+		natural[p.DOF(id, 1)] = -float64(id) - 0.5
+	}
+	nodes, u, v := p.NodeDisplacements(p.Ordering.Perm.ApplyVec(natural))
+	if len(nodes) != len(p.Free) || len(u) != len(nodes) || len(v) != len(nodes) {
+		t.Fatalf("lengths %d/%d/%d, want %d", len(nodes), len(u), len(v), len(p.Free))
+	}
+	for k, id := range nodes {
+		if id != p.Free[k] || u[k] != float64(id) || v[k] != -float64(id)-0.5 {
+			t.Fatalf("free node %d: node %d u %g v %g", k, id, u[k], v[k])
+		}
+	}
+}
+
 func TestPlateErrors(t *testing.T) {
 	if _, err := NewPlate(1, 5, Options{}); err == nil {
 		t.Fatal("1-row plate accepted")

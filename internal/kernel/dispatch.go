@@ -136,21 +136,13 @@ func Portable() *Impl { return &portableImpl }
 // (amd64 without AVX2+FMA, or an architecture without a tuned variant).
 func Accelerated() *Impl { return acceleratedImpl }
 
-// Select resolves a per-solve kernel policy: "" and "auto" return the
-// startup-selected set, "portable" the reference set. Unknown names resolve
-// to the active set (the policy is validated upstream in core.Config).
+// Select resolves a kernel set by the name a plan reports: "portable"
+// returns the reference set, any other name the startup-selected one.
+// Solves always run the startup set (REPRO_KERNEL=portable makes that the
+// reference set); Select lets a benchmark map a plan back to its kernels.
 func Select(name string) *Impl {
 	if name == "portable" {
 		return &portableImpl
 	}
 	return activeImpl
-}
-
-// ValidName reports whether name is an accepted kernel policy.
-func ValidName(name string) bool {
-	switch name {
-	case "", "auto", "portable":
-		return true
-	}
-	return false
 }

@@ -29,9 +29,8 @@
 // amd64 with AVX2+FMA (and OS-enabled YMM state) selects the "avx2" set,
 // arm64 the "neon" set (NEON is baseline there), everything else the
 // "portable" set. Setting REPRO_KERNEL=portable in the environment forces
-// the portable set process-wide; per-solve, core.Config.Kernel — threaded
-// down to the cg block solver — selects the set for one solve's interleaved
-// path.
+// the portable set process-wide; it is the one switch, and every solve runs
+// the set selected at startup.
 //
 // # Numerical contract
 //

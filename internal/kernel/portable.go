@@ -167,8 +167,8 @@ func portableSpMMDIAI(offsets []int, diags [][]float64, n int, x []float64, xs i
 // the backward half-sweep and vice versa, the backward sweep skips the last
 // color (identical re-solve), and the backward color-1 solve is elided on
 // steps 1..m−1. Each block sum scans one side of the row's diagonal entry
-// (SweepArgs.DiagPos). Per-column arithmetic order matches the
-// column-contiguous SweepCSRCols exactly; only the memory layout differs —
+// (SweepArgs.DiagPos). Per-column arithmetic order matches the scalar
+// sweep (splitting's ApplyMStep) exactly; only the memory layout differs —
 // the s per-column block sums of one gathered row read from adjacent
 // elements.
 func portableSweepCSRI(a *SweepArgs, rhat, r, y []float64, st, n, s int) {

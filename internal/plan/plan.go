@@ -130,8 +130,8 @@ func NewProbe(k *sparse.CSR) Probe {
 // DIA pass through, and Auto picks DIA exactly when diagonal storage is in
 // the regime it wins in — few distinct diagonals, each more than half
 // filled (so DIA streams fewer bytes than CSR) — and CSR otherwise. This
-// is the per-column choice; Planner.Plan overrides it with CSR for tiles
-// run on row-interleaved panels.
+// is the per-column choice; Static overrides it with CSR for tiles run on
+// row-interleaved panels.
 func (p Probe) Choose(policy Backend) Backend {
 	switch policy {
 	case BackendCSR, BackendDIA:
@@ -154,14 +154,14 @@ func (p Probe) Choose(policy Backend) Backend {
 	return BackendDIA
 }
 
-// Planner defaults. The tile budget bounds the block solve's per-iteration
+// Planner constants. The tile budget bounds the block solve's per-iteration
 // multivector working set (the four CG scratch blocks plus the iterate and
 // right-hand side — six n-vectors per column at 8 bytes each); sequential
 // tiles each re-stream the matrix, so the budget trades matrix-traversal
 // amortization against multivector cache residency.
 const (
-	// DefaultBudgetBytes is the default tile cache budget: a conservative
-	// share of a contemporary L3 slice.
+	// DefaultBudgetBytes is the tile cache budget: a conservative share of
+	// a contemporary L3 slice.
 	DefaultBudgetBytes = 8 << 20
 	// DefaultMaxTile caps a tile's width even when the budget would allow
 	// more — beyond it the SpMM row-scan fusion has already amortized the
@@ -184,16 +184,6 @@ const (
 	DefaultWideBlockThreshold = 4
 )
 
-// Planner turns solve inputs into execution plans. The zero value uses the
-// defaults above; it is pure (no internal state), so equal Inputs always
-// produce equal Plans — a cache hit re-planning a warm request decides
-// exactly what the cold request decided.
-type Planner struct {
-	// BudgetBytes bounds the multivector working set of one tile
-	// (default DefaultBudgetBytes).
-	BudgetBytes int
-}
-
 // DecompInputs describes the mesh behind a solve — present only when the
 // problem is mesh-backed (a plate), which is what the decomposed backend
 // needs to partition. Nil Decomp means the backend is unavailable.
@@ -212,10 +202,8 @@ type DecompInputs struct {
 
 // Inputs describes one solve to the planner.
 type Inputs struct {
-	// K is the assembled matrix; probed when Probe is nil. Callers with a
-	// memoized Probe (the service cache) may leave K nil.
-	K *sparse.CSR
-	// Probe, when non-nil, is the memoized structure scan of K.
+	// Probe is the structure scan of the system matrix (NewProbe); nil
+	// plans structure-blind.
 	Probe *Probe
 	// Policy is the requested backend (Auto probes the structure).
 	Policy Backend
@@ -225,10 +213,6 @@ type Inputs struct {
 	M int
 	// Workers is the kernel goroutine budget available to the solve.
 	Workers int
-	// Kernel is the kernel-set policy for the solve: "" or "auto" for the
-	// startup-selected set, "portable" to force the reference set
-	// (kernel.Select resolves it).
-	Kernel string
 	// PanelSweep reports that the preconditioner's splitting is the
 	// multicolor SSOR at ω = 1, whose m-step sweep the fused kernels run on
 	// row-interleaved panels and on decomposed subdomains (see FusedSweep).
@@ -272,7 +256,8 @@ type Plan struct {
 	// them).
 	Interleave bool
 	// Kernel names the kernel set the solve's fused loops run through
-	// ("portable", "avx2", "neon") — the resolved form of Inputs.Kernel.
+	// ("portable", "avx2", "neon"): the one selected at startup
+	// (kernel.Active).
 	Kernel string
 }
 
@@ -323,27 +308,18 @@ func (p Probe) Attrs() map[string]any {
 // an effective fan-out of 1.
 const minParallelRows = 4096
 
-// Plan resolves in into an execution plan. It never fails: missing probes
-// are computed from K, and a nil K with a forced policy plans structure-
-// blind (tiling then assumes nothing about n and uses DefaultMaxTile).
-func (pl Planner) Plan(in Inputs) Plan {
-	budget := pl.BudgetBytes
-	if budget <= 0 {
-		budget = DefaultBudgetBytes
-	}
-
-	probe := in.Probe
-	if probe == nil && in.K != nil {
-		p := NewProbe(in.K)
-		probe = &p
-	}
-
+// Static resolves in into the static execution plan, the one the tuner
+// starts from. It is pure, so equal Inputs always produce equal Plans — a
+// cache hit re-planning a warm request decides exactly what the cold
+// request decided. It never fails: a nil Probe plans structure-blind
+// (tiling then assumes nothing about n and uses DefaultMaxTile).
+func Static(in Inputs) Plan {
 	var backend Backend
 	switch {
 	case in.Policy != BackendAuto:
 		backend = in.Policy
-	case probe != nil:
-		backend = probe.Choose(BackendAuto)
+	case in.Probe != nil:
+		backend = in.Probe.Choose(BackendAuto)
 	default:
 		backend = BackendCSR
 	}
@@ -354,8 +330,8 @@ func (pl Planner) Plan(in Inputs) Plan {
 	}
 
 	rows := 0
-	if probe != nil {
-		rows = probe.Rows
+	if in.Probe != nil {
+		rows = in.Probe.Rows
 	}
 
 	s := in.RHS
@@ -368,7 +344,7 @@ func (pl Planner) Plan(in Inputs) Plan {
 	// optimistically at DefaultMaxTile.
 	width := DefaultMaxTile
 	if rows > 0 {
-		width = min(max(budget/(rows*bytesPerColumn), DefaultMinTile), DefaultMaxTile)
+		width = min(max(DefaultBudgetBytes/(rows*bytesPerColumn), DefaultMinTile), DefaultMaxTile)
 	}
 
 	workers := in.Workers
@@ -384,8 +360,7 @@ func (pl Planner) Plan(in Inputs) Plan {
 	if backend == BackendDecomposed {
 		// The subdomain goroutines are the parallelism: kernel fan-out per
 		// case is 1 and every case is a tile of its own (each case occupies
-		// all P processors). Local sweeps dispatch through the
-		// startup-selected kernel set.
+		// all P processors).
 		return Plan{
 			Backend:    backend,
 			Tiles:      tile(s, 1),
@@ -411,7 +386,7 @@ func (pl Planner) Plan(in Inputs) Plan {
 		Workers:    workers,
 		M:          in.M,
 		Interleave: interleave,
-		Kernel:     kernelFor(interleave, in.Kernel),
+		Kernel:     kernel.Active().Name,
 	}
 }
 

@@ -11,8 +11,7 @@ import (
 // splitting) and every tile clears DefaultWideBlockThreshold (balanced
 // tiling makes the last tile the narrowest); s = 1 never interleaves.
 func TestPlanInterleave(t *testing.T) {
-	const rows, width = 1000, 16
-	probe := &Probe{Rows: rows, Cols: rows, NNZ: 5 * rows, MaxRowNNZ: 5, NumDiags: 5, Fill: 1}
+	probe := tiled(16)
 	for _, tc := range []struct {
 		name  string
 		s     int
@@ -28,7 +27,7 @@ func TestPlanInterleave(t *testing.T) {
 		{"m-step without panel sweep stays columnar", 8, 2, false, false},
 		{"m-step with panel sweep", 8, 2, true, true},
 	} {
-		p := pinned(rows, width).Plan(Inputs{Probe: probe, RHS: tc.s, M: tc.m, PanelSweep: tc.sweep})
+		p := Static(Inputs{Probe: probe, RHS: tc.s, M: tc.m, PanelSweep: tc.sweep})
 		if p.Interleave != tc.want {
 			t.Errorf("%s (s=%d): Interleave=%v want %v", tc.name, tc.s, p.Interleave, tc.want)
 		}
@@ -42,47 +41,37 @@ func TestPlanInterleave(t *testing.T) {
 func TestPlanAutoPanelsRunCSR(t *testing.T) {
 	const rows = 48 * 48
 	probe := &Probe{Rows: rows, Cols: rows, NNZ: 5*rows - 4*48, MaxRowNNZ: 5, NumDiags: 5, Fill: 0.983}
-	pl := Planner{}
-	if p := pl.Plan(Inputs{Probe: probe, RHS: 8, M: 0}); !p.Interleave || p.Backend != BackendCSR {
+	if p := Static(Inputs{Probe: probe, RHS: 8, M: 0}); !p.Interleave || p.Backend != BackendCSR {
 		t.Errorf("auto s=8 m=0: Interleave=%v Backend=%v, want true/csr", p.Interleave, p.Backend)
 	}
-	if p := pl.Plan(Inputs{Probe: probe, RHS: 8, M: 2, PanelSweep: true}); !p.Interleave || p.Backend != BackendCSR {
+	if p := Static(Inputs{Probe: probe, RHS: 8, M: 2, PanelSweep: true}); !p.Interleave || p.Backend != BackendCSR {
 		t.Errorf("auto s=8 panel sweep: Interleave=%v Backend=%v, want true/csr", p.Interleave, p.Backend)
 	}
-	if p := pl.Plan(Inputs{Probe: probe, RHS: 3, M: 0}); p.Interleave || p.Backend != BackendDIA {
+	if p := Static(Inputs{Probe: probe, RHS: 3, M: 0}); p.Interleave || p.Backend != BackendDIA {
 		t.Errorf("auto s=3: Interleave=%v Backend=%v, want false/dia", p.Interleave, p.Backend)
 	}
-	if p := pl.Plan(Inputs{Probe: probe, RHS: 8, M: 2}); p.Interleave || p.Backend != BackendDIA {
+	if p := Static(Inputs{Probe: probe, RHS: 8, M: 2}); p.Interleave || p.Backend != BackendDIA {
 		t.Errorf("auto s=8 without panel sweep: Interleave=%v Backend=%v, want false/dia", p.Interleave, p.Backend)
 	}
-	if p := pl.Plan(Inputs{Probe: probe, Policy: BackendDIA, RHS: 8, M: 0}); !p.Interleave || p.Backend != BackendDIA {
+	if p := Static(Inputs{Probe: probe, Policy: BackendDIA, RHS: 8, M: 0}); !p.Interleave || p.Backend != BackendDIA {
 		t.Errorf("forced dia s=8: Interleave=%v Backend=%v, want true/dia", p.Interleave, p.Backend)
 	}
 }
 
 // TestPlanKernel pins what the plan reports as the running kernel set: the
-// per-solve policy only reaches the interleaved panel path, so portable shows
-// up exactly when the plan interleaves; every other path runs the startup set.
+// startup set on every path — panels, a scalar solve and a decomposed plan.
 func TestPlanKernel(t *testing.T) {
-	const rows, width = 1000, 16
+	const rows = 1000
 	probe := &Probe{Rows: rows, Cols: rows, NNZ: 5 * rows, MaxRowNNZ: 5, NumDiags: 5, Fill: 1}
 	active := kernel.Active().Name
-	pl := pinned(rows, width)
-
-	if p := pl.Plan(Inputs{Probe: probe, RHS: 8, Kernel: "portable"}); !p.Interleave || p.Kernel != "portable" {
-		t.Errorf("wide block with portable policy: Interleave=%v Kernel=%q", p.Interleave, p.Kernel)
+	if p := Static(Inputs{Probe: probe, RHS: 8}); !p.Interleave || p.Kernel != active {
+		t.Errorf("wide block: Interleave=%v Kernel=%q want true/%q", p.Interleave, p.Kernel, active)
 	}
-	if p := pl.Plan(Inputs{Probe: probe, RHS: 8}); p.Kernel != active {
-		t.Errorf("wide block auto policy: Kernel=%q want %q", p.Kernel, active)
-	}
-	// A scalar solve never takes the interleaved path, so even a portable
-	// policy runs — and must report — the startup set.
-	if p := pl.Plan(Inputs{Probe: probe, RHS: 1, Kernel: "portable"}); p.Interleave || p.Kernel != active {
+	if p := Static(Inputs{Probe: probe, RHS: 1}); p.Interleave || p.Kernel != active {
 		t.Errorf("scalar solve: Interleave=%v Kernel=%q want false/%q", p.Interleave, p.Kernel, active)
 	}
-	// Decomposed plans run local sweeps through the startup set.
 	dc := &DecompInputs{Rows: rows, FreeNodes: rows, Requested: 4}
-	if p := pl.Plan(Inputs{Probe: probe, RHS: 4, Policy: BackendDecomposed, Decomp: dc, Kernel: "portable"}); p.Kernel != active {
+	if p := Static(Inputs{Probe: probe, RHS: 4, Policy: BackendDecomposed, Decomp: dc}); p.Kernel != active {
 		t.Errorf("decomposed plan: Kernel=%q want %q", p.Kernel, active)
 	}
 }
@@ -91,7 +80,7 @@ func TestPlanKernel(t *testing.T) {
 // choices.
 func TestPlanAttrsKernel(t *testing.T) {
 	probe := &Probe{Rows: 1000, Cols: 1000, NNZ: 5000, MaxRowNNZ: 5, NumDiags: 5, Fill: 1}
-	p := pinned(1000, 16).Plan(Inputs{Probe: probe, RHS: 8})
+	p := Static(Inputs{Probe: probe, RHS: 8})
 	a := p.Attrs()
 	if a["interleave"] != true {
 		t.Errorf("attrs interleave = %v", a["interleave"])

@@ -7,11 +7,12 @@ import (
 	"repro/internal/sparse"
 )
 
-// pinned returns a planner whose tile width resolves to exactly `width`
-// for a `rows`-dimensional system: budget = width·rows·bytesPerColumn, for
-// a width within [DefaultMinTile, DefaultMaxTile].
-func pinned(rows, width int) Planner {
-	return Planner{BudgetBytes: width * rows * bytesPerColumn}
+// tiled returns a 5-diagonal probe whose size makes DefaultBudgetBytes
+// resolve to a tile width of exactly `width`, for a width within
+// [DefaultMinTile, DefaultMaxTile].
+func tiled(width int) *Probe {
+	rows := DefaultBudgetBytes / (width * bytesPerColumn)
+	return &Probe{Rows: rows, Cols: rows, NNZ: 5 * rows, MaxRowNNZ: 5, NumDiags: 5, Fill: 1}
 }
 
 func checkTiles(t *testing.T, tiles [][]int, s, maxWidth int) {
@@ -46,9 +47,8 @@ func checkTiles(t *testing.T, tiles [][]int, s, maxWidth int) {
 }
 
 func TestTileBoundaries(t *testing.T) {
-	const rows, width = 1000, 16
-	pl := pinned(rows, width)
-	probe := &Probe{Rows: rows, Cols: rows, NNZ: 5 * rows, MaxRowNNZ: 5, NumDiags: 5, Fill: 1}
+	const width = 16
+	probe := tiled(width)
 	for _, tc := range []struct {
 		s         int
 		wantTiles int
@@ -60,7 +60,7 @@ func TestTileBoundaries(t *testing.T) {
 		{63, 4},  // 16+16+16+15
 		{129, 9}, // ⌈129/16⌉ = 9 balanced tiles
 	} {
-		p := pl.Plan(Inputs{Probe: probe, RHS: tc.s, M: 3, Workers: 2})
+		p := Static(Inputs{Probe: probe, RHS: tc.s, M: 3, Workers: 2})
 		if len(p.Tiles) != tc.wantTiles {
 			t.Errorf("s=%d: got %d tiles (widths %v), want %d", tc.s, len(p.Tiles), p.TileWidths(), tc.wantTiles)
 		}
@@ -74,11 +74,11 @@ func TestTileBoundaries(t *testing.T) {
 func TestTileWidthClamps(t *testing.T) {
 	probe := &Probe{Rows: 1 << 20, Cols: 1 << 20, NNZ: 5 << 20, NumDiags: 5, MaxRowNNZ: 5, Fill: 1}
 	// A huge system would compute a sub-1 width; DefaultMinTile floors it.
-	p := Planner{}.Plan(Inputs{Probe: probe, RHS: 64})
+	p := Static(Inputs{Probe: probe, RHS: 64})
 	checkTiles(t, p.Tiles, 64, DefaultMinTile)
 	// A tiny system would compute an enormous width; DefaultMaxTile caps it.
 	small := &Probe{Rows: 10, Cols: 10, NNZ: 30, NumDiags: 3, MaxRowNNZ: 3, Fill: 1}
-	p = Planner{}.Plan(Inputs{Probe: small, RHS: 200})
+	p = Static(Inputs{Probe: small, RHS: 200})
 	for _, tile := range p.Tiles {
 		if len(tile) > DefaultMaxTile {
 			t.Fatalf("tile width %d exceeds DefaultMaxTile %d", len(tile), DefaultMaxTile)
@@ -91,32 +91,26 @@ func TestTileWidthClamps(t *testing.T) {
 // twice — the warm-path replan of a cached problem — yields identical
 // plans, including tile boundaries and backend.
 func TestPlanStability(t *testing.T) {
-	k := banded(500)
-	probe := NewProbe(k)
-	pl := Planner{}
+	probe := NewProbe(banded(500))
 	in := Inputs{Probe: &probe, Policy: BackendAuto, RHS: 63, M: 4, Workers: 3}
-	first := pl.Plan(in)
+	first := Static(in)
 	for i := 0; i < 5; i++ {
-		if got := pl.Plan(in); !reflect.DeepEqual(got, first) {
+		if got := Static(in); !reflect.DeepEqual(got, first) {
 			t.Fatalf("plan %d differs from first:\n got %+v\nwant %+v", i, got, first)
 		}
-	}
-	// The memoized-probe path and the direct-K path must also agree.
-	if got := pl.Plan(Inputs{K: k, Policy: BackendAuto, RHS: 63, M: 4, Workers: 3}); !reflect.DeepEqual(got, first) {
-		t.Fatalf("probe-path and K-path plans differ:\n got %+v\nwant %+v", got, first)
 	}
 }
 
 func TestPlanWorkers(t *testing.T) {
 	big := &Probe{Rows: 1 << 16, Cols: 1 << 16, NNZ: 5 << 16, NumDiags: 5, MaxRowNNZ: 5, Fill: 1}
-	if got := (Planner{}).Plan(Inputs{Probe: big, RHS: 1, Workers: 4}).Workers; got != 4 {
+	if got := Static(Inputs{Probe: big, RHS: 1, Workers: 4}).Workers; got != 4 {
 		t.Errorf("large system: workers = %d, want 4", got)
 	}
 	small := &Probe{Rows: 100, Cols: 100, NNZ: 300, NumDiags: 3, MaxRowNNZ: 3, Fill: 1}
-	if got := (Planner{}).Plan(Inputs{Probe: small, RHS: 1, Workers: 4}).Workers; got != 1 {
+	if got := Static(Inputs{Probe: small, RHS: 1, Workers: 4}).Workers; got != 1 {
 		t.Errorf("sub-parallel system: workers = %d, want 1 (serial fallback)", got)
 	}
-	if got := (Planner{}).Plan(Inputs{Probe: big, RHS: 1, Workers: 0}).Workers; got != 1 {
+	if got := Static(Inputs{Probe: big, RHS: 1, Workers: 0}).Workers; got != 1 {
 		t.Errorf("zero budget: workers = %d, want 1", got)
 	}
 }
@@ -124,18 +118,18 @@ func TestPlanWorkers(t *testing.T) {
 func TestPlanBackendResolution(t *testing.T) {
 	k := banded(300)
 	probe := NewProbe(k)
-	if got := (Planner{}).Plan(Inputs{Probe: &probe, Policy: BackendCSR}).Backend; got != BackendCSR {
+	if got := Static(Inputs{Probe: &probe, Policy: BackendCSR}).Backend; got != BackendCSR {
 		t.Errorf("forced CSR resolved to %v", got)
 	}
-	if got := (Planner{}).Plan(Inputs{Probe: &probe, Policy: BackendDIA}).Backend; got != BackendDIA {
+	if got := Static(Inputs{Probe: &probe, Policy: BackendDIA}).Backend; got != BackendDIA {
 		t.Errorf("forced DIA resolved to %v", got)
 	}
-	if got := (Planner{}).Plan(Inputs{Probe: &probe, Policy: BackendAuto}).Backend; got != BackendDIA {
+	if got := Static(Inputs{Probe: &probe, Policy: BackendAuto}).Backend; got != BackendDIA {
 		t.Errorf("auto on a banded system resolved to %v, want dia", got)
 	}
 	// Structure-blind (no K, no probe): auto falls back to CSR, tiling
 	// still covers the batch.
-	p := (Planner{}).Plan(Inputs{Policy: BackendAuto, RHS: 40})
+	p := Static(Inputs{Policy: BackendAuto, RHS: 40})
 	if p.Backend != BackendCSR {
 		t.Errorf("blind auto resolved to %v, want csr", p.Backend)
 	}
@@ -229,12 +223,12 @@ func TestPlanDecomposedAuto(t *testing.T) {
 		{Probe: big, Policy: BackendAuto},
 		{Probe: small, Policy: BackendAuto, Decomp: dc},
 	} {
-		if p := (Planner{}).Plan(in); p.Backend == BackendDecomposed || p.Subdomains != 0 {
+		if p := Static(in); p.Backend == BackendDecomposed || p.Subdomains != 0 {
 			t.Errorf("auto on %d rows resolved to %v with %d subdomains", in.Probe.Rows, p.Backend, p.Subdomains)
 		}
 	}
 	// Forced on the same big probe, the mesh facts size the partition.
-	p := (Planner{}).Plan(Inputs{Probe: big, Policy: BackendDecomposed, RHS: 3, Decomp: dc, Workers: 8})
+	p := Static(Inputs{Probe: big, Policy: BackendDecomposed, RHS: 3, Decomp: dc, Workers: 8})
 	if p.Backend != BackendDecomposed || p.Subdomains != 8 {
 		t.Fatalf("forced plan = %v/%d, want decomposed/8 (MaxProcs)", p.Backend, p.Subdomains)
 	}
@@ -251,26 +245,26 @@ func TestPlanDecomposedForcedAndClamped(t *testing.T) {
 	probe := &Probe{Rows: 288, Cols: 288, NNZ: 5000, MaxRowNNZ: 18, NumDiags: 47, Fill: 0.37}
 	// Forcing the backend works at any size; the requested pin wins over
 	// MaxProcs.
-	p := (Planner{}).Plan(Inputs{Probe: probe, Policy: BackendDecomposed,
+	p := Static(Inputs{Probe: probe, Policy: BackendDecomposed,
 		Decomp: &DecompInputs{Rows: 13, FreeNodes: 144, Requested: 4, MaxProcs: 16}})
 	if p.Backend != BackendDecomposed || p.Subdomains != 4 {
 		t.Fatalf("forced plan = %v/%d, want decomposed/4", p.Backend, p.Subdomains)
 	}
 	// The subdomain count clamps to what the mesh can feed: node rows and
 	// free nodes both bound P.
-	p = (Planner{}).Plan(Inputs{Probe: probe, Policy: BackendDecomposed,
+	p = Static(Inputs{Probe: probe, Policy: BackendDecomposed,
 		Decomp: &DecompInputs{Rows: 3, FreeNodes: 144, Requested: 64}})
 	if p.Subdomains != 3 {
 		t.Errorf("row clamp: subdomains = %d, want 3", p.Subdomains)
 	}
-	p = (Planner{}).Plan(Inputs{Probe: probe, Policy: BackendDecomposed,
+	p = Static(Inputs{Probe: probe, Policy: BackendDecomposed,
 		Decomp: &DecompInputs{Rows: 100, FreeNodes: 2, Requested: 64}})
 	if p.Subdomains != 2 {
 		t.Errorf("free-node clamp: subdomains = %d, want 2", p.Subdomains)
 	}
 	// Forced without mesh facts plans a single subdomain (the engine then
 	// fails with the real reason).
-	p = (Planner{}).Plan(Inputs{Probe: probe, Policy: BackendDecomposed})
+	p = Static(Inputs{Probe: probe, Policy: BackendDecomposed})
 	if p.Subdomains != 1 {
 		t.Errorf("meshless forced plan: subdomains = %d, want 1", p.Subdomains)
 	}

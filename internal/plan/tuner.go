@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-
-	"repro/internal/kernel"
 )
 
 // TuningMode is the planner's feedback policy: what a session does with the
@@ -61,7 +59,6 @@ type Signature struct {
 	Workers    int
 	M          int
 	Interleave bool
-	Kernel     string
 }
 
 // Signature reduces the plan to its observation-store identity.
@@ -76,7 +73,6 @@ func (p Plan) Signature() Signature {
 		Workers:    p.Workers,
 		M:          p.M,
 		Interleave: p.Interleave,
-		Kernel:     p.Kernel,
 	}
 }
 
@@ -95,10 +91,7 @@ func (s Signature) less(o Signature) bool {
 	if s.M != o.M {
 		return s.M < o.M
 	}
-	if s.Interleave != o.Interleave {
-		return !s.Interleave
-	}
-	return s.Kernel < o.Kernel
+	return !s.Interleave && o.Interleave
 }
 
 // Observation is one executed plan's realized performance: right-hand
@@ -371,17 +364,6 @@ func batchSize(p Plan) int {
 	return s
 }
 
-// kernelFor resolves the kernel set a plan runs through: only the
-// interleaved panel path threads the per-solve policy; every other path
-// dispatches through the process-wide startup set (kernel.Active), so the
-// plan records the set that will actually run.
-func kernelFor(interleave bool, policy string) string {
-	if interleave {
-		return kernel.Select(policy).Name
-	}
-	return kernel.Active().Name
-}
-
 // withM proposes base with m preconditioner steps (invalid m: no plan),
 // leaving the panel layout when the m-step preconditioner cannot sweep it.
 func withM(in Inputs, base Plan, m int) (Plan, bool) {
@@ -392,13 +374,12 @@ func withM(in Inputs, base Plan, m int) (Plan, bool) {
 	out.M = m
 	if out.Interleave && !in.FusedSweep(m) {
 		out.Interleave = false
-		out.Kernel = kernelFor(false, in.Kernel)
 	}
 	return out, true
 }
 
 // retiled proposes base re-partitioned at the given tile width, with the
-// interleave legality and kernel resolution the static planner applies.
+// interleave legality the static planner applies.
 func retiled(in Inputs, base Plan, width int) (Plan, bool) {
 	s := batchSize(base)
 	if s <= 1 || width < 1 || width > s || width == tileWidth(base) {
@@ -407,7 +388,6 @@ func retiled(in Inputs, base Plan, width int) (Plan, bool) {
 	out := base
 	out.Tiles = tile(s, width)
 	out.Interleave = interleaves(in, out.Tiles, out.M)
-	out.Kernel = kernelFor(out.Interleave, in.Kernel)
 	if tileWidth(out) == tileWidth(base) && out.Interleave == base.Interleave {
 		return Plan{}, false
 	}
@@ -445,7 +425,6 @@ func withInterleave(in Inputs, base Plan, on bool) (Plan, bool) {
 	}
 	out := base
 	out.Interleave = on
-	out.Kernel = kernelFor(on, in.Kernel)
 	return out, true
 }
 

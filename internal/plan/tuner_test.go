@@ -25,8 +25,7 @@ func TestParseTuning(t *testing.T) {
 }
 
 func TestPlanSignature(t *testing.T) {
-	probe := &Probe{Rows: 1000, Cols: 1000, NNZ: 5000, NumDiags: 5, MaxRowNNZ: 5, Fill: 1}
-	p := pinned(1000, 8).Plan(Inputs{Probe: probe, RHS: 20, M: 3, Workers: 2})
+	p := Static(Inputs{Probe: tiled(8), RHS: 20, M: 3, Workers: 2})
 	sig := p.Signature()
 	// Tiling is balanced, so the signature width is the widest tile's.
 	if sig.TileWidth != len(p.Tiles[0]) || sig.M != 3 || sig.Workers != p.Workers || sig.Backend != p.Backend {
@@ -39,11 +38,10 @@ func TestPlanSignature(t *testing.T) {
 // The tuner must return each static plan byte-for-byte when the problem is
 // below the observation gate (and, trivially, when tuning is off — the
 // engine never calls Decide then).
-func tunerInputs() (Planner, []Inputs) {
-	big := &Probe{Rows: 1000, Cols: 1000, NNZ: 5000, NumDiags: 5, MaxRowNNZ: 5, Fill: 1}
+func tunerInputs() []Inputs {
+	big := tiled(16)
 	small := &Probe{Rows: 100, Cols: 100, NNZ: 300, NumDiags: 3, MaxRowNNZ: 3, Fill: 1}
-	pl := pinned(1000, 16)
-	return pl, []Inputs{
+	return []Inputs{
 		{Probe: big, RHS: 1, M: 3, Workers: 2},   // scalar solve
 		{Probe: big, RHS: 16, M: 3, Workers: 2},  // exactly one tile
 		{Probe: big, RHS: 17, M: 3, Workers: 2},  // just over: 9+8 split
@@ -55,10 +53,9 @@ func tunerInputs() (Planner, []Inputs) {
 
 func TestDecideBelowGateIsStatic(t *testing.T) {
 	tu := &Tuner{}
-	pl, table := tunerInputs()
-	for i, in := range table {
+	for i, in := range tunerInputs() {
 		key := fmt.Sprintf("problem-%d", i)
-		base := pl.Plan(in)
+		base := Static(in)
 		// Fewer observations than the gate: static plan, no evidence.
 		for j := 0; j < DefaultMinObservations-1; j++ {
 			tu.Observe(key, base.Signature(), Observation{RHSPerSec: 100})
@@ -89,9 +86,8 @@ func TestDecideDecomposedUntouched(t *testing.T) {
 
 func TestDecideObserveModeKeepsStatic(t *testing.T) {
 	tu := &Tuner{}
-	pl, table := tunerInputs()
-	in := table[2]
-	base := pl.Plan(in)
+	in := tunerInputs()[2]
+	base := Static(in)
 	for i := 0; i < 2*DefaultMinObservations; i++ {
 		tu.Observe("k", base.Signature(), Observation{RHSPerSec: 100})
 	}
@@ -146,10 +142,9 @@ func runTuningLoop(tu *Tuner, in Inputs, base Plan, n int) []int {
 // neighborhood (m 1 → 2 → 3), settle on the best of the seeded candidates,
 // and report the winner as a measured decision.
 func TestTunerConvergesToBestCandidate(t *testing.T) {
-	probe := &Probe{Rows: 1000, Cols: 1000, NNZ: 5000, NumDiags: 5, MaxRowNNZ: 5, Fill: 1}
-	pl := pinned(1000, 8)
+	probe := tiled(8)
 	in := Inputs{Probe: probe, RHS: 16, M: 1, Workers: 2}
-	base := pl.Plan(in)
+	base := Static(in)
 	tu := &Tuner{}
 
 	runTuningLoop(tu, in, base, 80)
@@ -177,10 +172,9 @@ func TestTunerConvergesToBestCandidate(t *testing.T) {
 // TestTunerDeterministic pins the clock- and randomness-free contract: two
 // tuners fed the identical sequence make the identical decisions.
 func TestTunerDeterministic(t *testing.T) {
-	probe := &Probe{Rows: 1000, Cols: 1000, NNZ: 5000, NumDiags: 5, MaxRowNNZ: 5, Fill: 1}
-	pl := pinned(1000, 8)
+	probe := tiled(8)
 	in := Inputs{Probe: probe, RHS: 16, M: 1, Workers: 2}
-	base := pl.Plan(in)
+	base := Static(in)
 	a := runTuningLoop(&Tuner{}, in, base, 40)
 	b := runTuningLoop(&Tuner{}, in, base, 40)
 	if !reflect.DeepEqual(a, b) {
@@ -228,11 +222,10 @@ func TestObserveBounds(t *testing.T) {
 // interleave toggle, not a retiled plan, not a step-count change away from
 // plain CG.
 func TestTunerCandidatesNeedPanelSweep(t *testing.T) {
-	probe := &Probe{Rows: 1000, Cols: 1000, NNZ: 5000, NumDiags: 5, MaxRowNNZ: 5, Fill: 1}
-	pl := pinned(1000, 8)
+	probe := tiled(8)
 	for _, m := range []int{0, 2} {
 		in := Inputs{Probe: probe, RHS: 16, M: m, Workers: 2}
-		base := pl.Plan(in)
+		base := Static(in)
 		tu := &Tuner{}
 		for i := 0; i < DefaultMinObservations; i++ {
 			tu.Observe("k", base.Signature(), Observation{RHSPerSec: 100})

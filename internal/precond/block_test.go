@@ -11,7 +11,7 @@ import (
 	"repro/internal/vec"
 )
 
-// TestApplyBlockIdentity: the identity block path is a plain copy.
+// TestApplyBlockIdentity: the identity block apply is a plain copy.
 func TestApplyBlockIdentity(t *testing.T) {
 	r := vec.MultiFromCols([][]float64{{1, 2}, {3, 4}})
 	z := vec.NewMulti(2, 2)
@@ -23,8 +23,9 @@ func TestApplyBlockIdentity(t *testing.T) {
 	}
 }
 
-// TestApplyBlockFallbackMatchesApply: a splitting without a block fast path
-// (Jacobi) must fall back to the per-column Apply loop and agree exactly.
+// TestApplyBlockFallbackMatchesApply: a splitting without a fused m-step
+// fast path (Jacobi) runs m parametrized steps per column, and the block
+// apply agrees with Apply exactly.
 func TestApplyBlockFallbackMatchesApply(t *testing.T) {
 	k := model.Laplacian1D(12)
 	j, err := splitting.NewJacobi(k)
@@ -53,8 +54,9 @@ func TestApplyBlockFallbackMatchesApply(t *testing.T) {
 	}
 }
 
-// TestApplyBlockMulticolorFastPath: the multicolor SSOR fused block sweep,
-// reached through the MStep preconditioner, must equal per-column Apply.
+// TestApplyBlockMulticolorFastPath: the block apply of the multicolor SSOR
+// m-step preconditioner runs the splitting's fused Conrad–Wallach sweep
+// (its MStepApplier fast path) on every column and equals ApplyMStep.
 func TestApplyBlockMulticolorFastPath(t *testing.T) {
 	plate, err := fem.NewPlate(6, 6, fem.Options{})
 	if err != nil {
@@ -68,8 +70,8 @@ func TestApplyBlockMulticolorFastPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.fastBlock == nil {
-		t.Fatal("multicolor SSOR should provide the block fast path")
+	if p.fast == nil {
+		t.Fatal("multicolor SSOR should provide the fused m-step fast path")
 	}
 	n := plate.N()
 	rng := rand.New(rand.NewSource(6))
@@ -81,7 +83,7 @@ func TestApplyBlockMulticolorFastPath(t *testing.T) {
 	ApplyBlock(p, z, r)
 	for col := 0; col < 5; col++ {
 		want := make([]float64, n)
-		p.Apply(want, r.Col(col))
+		mc.ApplyMStep(want, r.Col(col), p.Alphas.Coeffs)
 		for i := range want {
 			if z.Col(col)[i] != want[i] {
 				t.Fatalf("fast path col %d row %d: %g != %g", col, i, z.Col(col)[i], want[i])

@@ -151,6 +151,16 @@ func TestHTTPErrors(t *testing.T) {
 		t.Fatalf("unknown field status %d: %s", resp.StatusCode, body)
 	}
 
+	// The solver spec has no kernel field: the kernel set is the
+	// process-wide REPRO_KERNEL switch, not a per-request knob.
+	resp, body = postJSON(t, srv, "/v1/solve", map[string]any{
+		"plate":  map[string]int{"rows": 4, "cols": 4},
+		"solver": map[string]any{"m": 1, "kernel": "portable"},
+	})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("solver.kernel status %d: %s", resp.StatusCode, body)
+	}
+
 	// Invalid request shape.
 	resp, body = postJSON(t, srv, "/v1/solve", map[string]any{})
 	if resp.StatusCode != http.StatusBadRequest {

@@ -223,13 +223,14 @@ func TestWatchChunkedJSONFallback(t *testing.T) {
 // will run with, and the executed job both matches it and solves every
 // case correctly across tile boundaries.
 func TestPlanEndpointAndTiling(t *testing.T) {
-	// A tile budget sized so the 20×20 plate (n=760) tiles at width 8.
-	s := New(Config{Workers: 1, TileBudgetBytes: 8 * 760 * 48})
+	s := New(Config{Workers: 1})
 	defer s.Close()
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
-	const cases = 20
+	// More cases than plan.DefaultMaxTile, so the 20×20 plate's batch runs
+	// as two tiles.
+	const cases = 40
 	tr := make([]float64, cases)
 	for i := range tr {
 		tr[i] = float64(i+1) / 4

@@ -63,22 +63,12 @@ type MStepApplier interface {
 	ApplyMStep(rhat, r []float64, alphas []float64)
 }
 
-// MStepBlockApplier is the multi-right-hand-side fast path: splittings
-// that can run one fused m-step sweep over a whole column block implement
-// it, so s right-hand sides cost one traversal of K's rows per half-sweep
-// instead of s. Column j of the result must equal ApplyMStep on column j
-// exactly (same arithmetic order), so block and single-vector solves agree
-// bit for bit.
-type MStepBlockApplier interface {
-	// ApplyMStepBlock computes r̂_j = M_m⁻¹·r_j for every column j, with
-	// m = len(alphas).
-	ApplyMStepBlock(rhat, r *vec.Multi, alphas []float64)
-}
-
-// MStepInterleavedApplier is the row-interleaved-panel fast path: the fused
-// block sweep over vec.IMulti panels, dispatched through internal/kernel.
-// Column j of the result must equal ApplyMStep on column j exactly, the same
-// contract as MStepBlockApplier.
+// MStepInterleavedApplier is the multi-right-hand-side fast path: one fused
+// m-step sweep over the row-interleaved vec.IMulti panels of a whole block,
+// dispatched through internal/kernel, so s right-hand sides cost one
+// traversal of K's rows per half-sweep instead of s. Column j of the result
+// must equal ApplyMStep on column j exactly (same arithmetic order), so
+// block and single-vector solves agree bit for bit.
 type MStepInterleavedApplier interface {
 	// CanApplyMStepInterleaved reports whether the interleaved sweep is
 	// available for this splitting's configuration (the multicolor SSOR's

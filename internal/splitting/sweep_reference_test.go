@@ -168,9 +168,9 @@ func sameBits(got, want float64) bool {
 
 // TestSweepsMatchGroupBoundReference pins every m-step sweep form to the
 // group-bound reference, bitwise and column by column: the scalar
-// ApplyMStep, the column-block ApplyMStepBlock and the interleaved
-// ApplyMStepInterleaved under both kernel sets, on panels whose stride is
-// the width or one more (a panel after one column retired).
+// ApplyMStep and the interleaved ApplyMStepInterleaved under both kernel
+// sets, on panels whose stride is the width or one more (a panel after one
+// column retired).
 func TestSweepsMatchGroupBoundReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	type system struct {
@@ -225,11 +225,6 @@ func TestSweepsMatchGroupBoundReference(t *testing.T) {
 				for j := 0; j < cols; j++ {
 					s.ApplyMStep(got, r.Col(j), alphas)
 					check("ApplyMStep", j, got)
-				}
-				block := vec.NewMulti(n, cols)
-				s.ApplyMStepBlock(block, r, alphas)
-				for j := 0; j < cols; j++ {
-					check("ApplyMStepBlock", j, block.Col(j))
 				}
 				for _, stride := range []int{cols, cols + 1} {
 					ir := vec.NewIMulti(n, stride).Prefix(cols)

@@ -78,9 +78,8 @@ const (
 //
 // A Problem memoizes its own setup artifacts: the planner's structure
 // probe and the spectral-interval estimates the parametrized coefficient
-// criteria need where core.IntervalFor estimates (one per splitting/ω/seed
-// combination; SSOR least squares at ω = 1 fits on a fixed bound
-// instead). Repeated solves of the same *Problem — through Solve,
+// criteria need where core.IntervalFor estimates (one per splitting and ω;
+// SSOR least squares at ω = 1 fits on a fixed bound instead). Repeated solves of the same *Problem — through Solve,
 // SolveBatch, or any local Solver session — therefore never redo that
 // work, even across sessions or after an engine cache eviction. A Problem
 // is safe for concurrent use.
@@ -103,16 +102,14 @@ type Problem struct {
 }
 
 // intervalMemoKey is the part of a Config a spectral estimate of P⁻¹K
-// depends on: the splitting (with its relaxation parameter) and the
-// estimation seed. The coefficient kind and step count decide whether an
-// estimate runs at all (core.IntervalSource), not its value, so the memo
-// holds estimates only: a config fitted on the SSOR bound never reads or
-// writes it, and a later Chebyshev solve of the same problem still gets an
-// estimate.
+// depends on: the splitting with its relaxation parameter. The coefficient
+// kind and step count decide whether an estimate runs at all
+// (core.IntervalSource), not its value, so the memo holds estimates only: a
+// config fitted on the SSOR bound never reads or writes it, and a later
+// Chebyshev solve of the same problem still gets an estimate.
 type intervalMemoKey struct {
 	splitting core.SplittingKind
 	omega     float64
-	seed      int64
 }
 
 // problemSeq numbers Problems for cache identity.
@@ -149,7 +146,7 @@ func (p *Problem) intervalFor(cfg core.Config) (eigen.Interval, bool) {
 	if omega == 0 {
 		omega = 1
 	}
-	key := intervalMemoKey{splitting: cfg.Splitting, omega: omega, seed: cfg.IntervalSeed()}
+	key := intervalMemoKey{splitting: cfg.Splitting, omega: omega}
 	p.ivMu.Lock()
 	defer p.ivMu.Unlock()
 	if iv, ok := p.ivMemo[key]; ok {
@@ -294,14 +291,7 @@ func (p *Problem) NodeDisplacements(res Result) (nodes []int, u, v []float64, er
 	if p.plate == nil {
 		return nil, nil, nil, fmt.Errorf("repro: not a plate problem")
 	}
-	natural := p.plate.UncolorSolution(res.U)
-	nodes = p.plate.Free
-	u = make([]float64, len(nodes))
-	v = make([]float64, len(nodes))
-	for k := range nodes {
-		u[k] = natural[2*k]
-		v[k] = natural[2*k+1]
-	}
+	nodes, u, v = p.plate.NodeDisplacements(res.U)
 	return nodes, u, v, nil
 }
 

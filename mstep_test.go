@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"slices"
-	"strings"
 	"testing"
 
 	"repro"
@@ -231,29 +230,6 @@ func TestPublicSolveRejectsBadOmega(t *testing.T) {
 	for _, omega := range []float64{-0.5, 2, 3} {
 		if _, err := repro.Solve(p, repro.Config{M: 2, Omega: omega, Tol: 1e-6}); err == nil {
 			t.Fatalf("ω = %g accepted", omega)
-		}
-	}
-}
-
-// TestPublicSolveRejectsUnknownKernel: a full Config names its kernel set
-// as "", "auto" or "portable"; any other name fails before solving, in
-// Solve and SolveBatch alike, instead of running on the startup set.
-func TestPublicSolveRejectsUnknownKernel(t *testing.T) {
-	p, err := repro.NewPlateProblem(8, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := repro.Config{M: 2, Tol: 1e-6, Kernel: "avx512"}
-	if res, err := repro.Solve(p, cfg); err == nil || !strings.Contains(err.Error(), "kernel policy") || res.Stats.Iterations != 0 {
-		t.Fatalf("Solve: want a kernel-policy error before any iteration, got %v (%d iterations)", err, res.Stats.Iterations)
-	}
-	if _, err := repro.SolveBatch(p, [][]float64{p.F(), p.F()}, cfg); err == nil || !strings.Contains(err.Error(), "kernel policy") {
-		t.Fatalf("SolveBatch: want a kernel-policy error, got %v", err)
-	}
-	for _, name := range []string{"", "auto", "portable"} {
-		cfg.Kernel = name
-		if _, err := repro.Solve(p, cfg); err != nil {
-			t.Fatalf("kernel %q rejected: %v", name, err)
 		}
 	}
 }

@@ -81,8 +81,8 @@ type Solver interface {
 	Close() error
 }
 
-// LocalConfig sizes an in-process solver session: worker pool, queue,
-// cache, tile budget. The zero value picks the same defaults as the
+// LocalConfig sizes an in-process solver session: worker pool, kernel
+// budget, queue, cache. The zero value picks the same defaults as the
 // daemon.
 type LocalConfig = engine.Config
 

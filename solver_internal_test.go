@@ -38,8 +38,8 @@ func TestProblemSetupMemoization(t *testing.T) {
 		t.Fatalf("memoized interval changed: %+v vs %+v", first, again)
 	}
 	// Tolerances, coefficient criteria and step counts share the memo
-	// entry (least squares past m = 10 estimates too); a different seed
-	// does not.
+	// entry (least squares past m = 10 estimates too); a different ω does
+	// not.
 	other := cfg
 	other.Coeffs = core.LeastSquaresCoeffs
 	other.M = 11
@@ -50,13 +50,13 @@ func TestProblemSetupMemoization(t *testing.T) {
 	if len(p.ivMemo) != 1 {
 		t.Fatalf("memo holds %d entries, want 1", len(p.ivMemo))
 	}
-	seeded := cfg
-	seeded.Seed = 7
-	if _, ok := p.intervalFor(seeded); !ok {
-		t.Fatal("seeded config ran no estimate")
+	relaxed := cfg
+	relaxed.Omega = 1.5
+	if _, ok := p.intervalFor(relaxed); !ok {
+		t.Fatal("relaxed config ran no estimate")
 	}
 	if len(p.ivMemo) != 2 {
-		t.Fatalf("seed change did not get its own memo entry: %d", len(p.ivMemo))
+		t.Fatalf("ω change did not get its own memo entry: %d", len(p.ivMemo))
 	}
 
 	// The engine request carries the memoized interval pre-pinned.
