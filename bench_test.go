@@ -689,8 +689,8 @@ func BenchmarkSpMM(b *testing.B) {
 // column-contiguous (MulMatTo) and row-interleaved (MulMatITo) under both
 // kernel sets, in CSR and DIA storage. In the interleaved layout one
 // gathered row index feeds all eight columns from one cache line; the
-// interleaved/accelerated CSR variant is the one the planner schedules for
-// wide tiles. The poisson112/ rows repeat the ablation on the 112×112
+// interleaved/active CSR variant is the one the planner schedules for wide
+// tiles. The poisson112/ rows repeat the ablation on the 112×112
 // 5-point stencil (fill ≈ 1, where DIA's SpMV wins): even there CSR wins
 // on panels, which is why Auto plans CSR for every interleaved tile.
 func BenchmarkKernelSpMM(b *testing.B) {
@@ -717,12 +717,12 @@ func BenchmarkKernelSpMM(b *testing.B) {
 			name string
 			impl *kernel.Impl
 		}{{"portable", kernel.Portable()}, {"active", kernel.Active()}} {
-			// MulMatTo dispatches through the global active set; pin it so
-			// every row of the ablation is honest.
-			columnSkip := set.name == "portable" && kernel.Active().Name != "portable"
+			// MulMatTo runs the active set, so only its rows time the
+			// column path.
+			columnSkip := set.impl != kernel.Active()
 			b.Run(tc.prefix+"csr/column/s=8/"+set.name, func(b *testing.B) {
 				if columnSkip {
-					b.Skip("column path always runs the startup-selected set")
+					b.Skip("column path always runs the active set")
 				}
 				for i := 0; i < b.N; i++ {
 					k.MulMatTo(dst, x)
@@ -731,7 +731,7 @@ func BenchmarkKernelSpMM(b *testing.B) {
 			})
 			b.Run(tc.prefix+"dia/column/s=8/"+set.name, func(b *testing.B) {
 				if columnSkip {
-					b.Skip("column path always runs the startup-selected set")
+					b.Skip("column path always runs the active set")
 				}
 				for i := 0; i < b.N; i++ {
 					dia.MulMatTo(dst, x)

@@ -89,7 +89,7 @@ func main() {
 		budget    = flag.Int("worker-budget", 0, "kernel goroutines per solve (0 = GOMAXPROCS/workers)")
 		queue     = flag.Int("queue", 256, "job queue depth (further submissions get 503)")
 		cache     = flag.Int("cache", 64, "problem/preconditioner cache entries")
-		tuning    = flag.String("tuning", "adapt", "plan feedback default for requests that don't pin solver.tuning: off, observe or adapt")
+		tuning    = flag.String("tuning", "adapt", "plan feedback default for requests that don't pin solver.tuning: off or adapt")
 		history   = flag.Int("history", 512, "finished jobs kept for /v1/jobs lookups")
 		drain     = flag.Duration("drain", 30*time.Second, "shutdown drain deadline for in-flight jobs and streams")
 	)
@@ -108,7 +108,7 @@ func main() {
 	logger := slog.New(handler)
 
 	if _, err := plan.ParseTuning(strings.ToLower(*tuning)); err != nil {
-		slog.Error("invalid -tuning (want off, observe or adapt)", "got", *tuning)
+		slog.Error("invalid -tuning (want off or adapt)", "got", *tuning)
 		os.Exit(2)
 	}
 

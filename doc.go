@@ -37,11 +37,10 @@
 // multicolor SSOR at ω = 1). A column's iterates are the same bits in
 // either layout and at any batch width; each processor of a decomposed
 // solve runs the same recurrence over a layout of its own. The fused inner
-// loops (SpMM, block dot/axpy, the multicolor sweep) dispatch through
-// internal/kernel: CPU feature detection selects an accelerated
-// implementation set at startup, and REPRO_KERNEL=portable forces the
-// portable reference set for the whole process — bit-identical results
-// either way, so the switch only changes speed.
+// loops (SpMM, block dot/axpy, the multicolor sweep) run through
+// internal/kernel's one unrolled set on every architecture; its portable
+// reference set, which the kernel tests compare against, gives the same
+// bits.
 //
 // Solve and SolveBatch run the engine every Solver session runs, on a
 // throwaway one-worker instance, and so do the commands and the paper's
@@ -67,9 +66,9 @@
 // workers, interleave — scored by measured throughput plus an exploration
 // bonus that gets every unmeasured neighbor tried, with the decision's
 // full candidate table attached to Solver.Plan, POST /v1/plan and
-// JobResult.Plan. The solver spec's "tuning" field selects the policy:
-// "adapt" (default), "observe" (collect evidence, execute statically),
-// or "off" (the static plan bit-for-bit, for reproducibility).
+// JobResult.Plan. The solver spec's "tuning" field selects one of two
+// policies: "adapt" (default) or "off" (the static plan bit-for-bit, for
+// reproducibility).
 //
 // The session is observable end to end: every job records a stage
 // timeline (queue wait, cache checkout, assembly, preconditioner build,

@@ -6,8 +6,7 @@
 // with the evidence it used (the paper's point, live: the best m is
 // measured, not assumed).
 //
-// Turn the loop off with Tuning: "off" for bit-identical static plans,
-// or "observe" to collect the evidence without changing execution.
+// Turn the loop off with Tuning: "off" for bit-identical static plans.
 package main
 
 import (

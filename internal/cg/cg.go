@@ -110,8 +110,8 @@ type Options struct {
 	// preconditioner can serve panels (sparse.InterleavedOperator and
 	// precond.CanApplyInterleaved); otherwise the column-contiguous layout
 	// runs and BlockStats.Interleaved reports false. Column iterates are
-	// bit-identical either way. Both layouts run the startup-selected
-	// kernel set (kernel.Active).
+	// bit-identical either way. Both layouts run the one kernel set
+	// (kernel.Active).
 	Interleave bool
 }
 

@@ -88,12 +88,11 @@ func referenceSolve(k sparse.Operator, f []float64, m precond.Preconditioner, op
 
 // TestRecurrenceMatchesReference runs the one recurrence through every
 // entry point, layout, storage and preconditioner, at batch widths 1, 2, 3
-// and 8, under the startup kernel set (REPRO_KERNEL=portable runs it on the
-// reference set), and requires every column to reproduce the
-// reference loop bit for bit: iterate, iteration count, recurrence
-// coefficients and final stopping quantities. The columns' scales differ
-// by decades, so under the absolute tolerance they converge at different
-// iterations and deflation runs in every block.
+// and 8, under the active kernel set, and requires every column to
+// reproduce the reference loop bit for bit: iterate, iteration count,
+// recurrence coefficients and final stopping quantities. The columns'
+// scales differ by decades, so under the absolute tolerance they converge
+// at different iterations and deflation runs in every block.
 func TestRecurrenceMatchesReference(t *testing.T) {
 	plate, err := fem.NewPlate(7, 6, fem.Options{})
 	if err != nil {

@@ -35,9 +35,6 @@ type BlockStats struct {
 	// layout (Options.Interleave honored by both operator and
 	// preconditioner).
 	Interleaved bool
-	// Kernel names the kernel set the solve's fused loops ran through
-	// ("portable", "avx2", "neon").
-	Kernel string
 	// Cols holds per-column statistics indexed by right-hand side. Cols
 	// and the recordings inside it alias the workspace; copy what must
 	// survive the workspace's next solve.
@@ -445,13 +442,12 @@ func (ws *Workspace) run(lay Layout, st BlockStats, s int, opt Options, verify f
 func (ws *Workspace) begin(k Operator, m precond.Preconditioner, u, f *vec.Multi, opt Options, w int) (Layout, BlockStats) {
 	if opt.Interleave {
 		if ik, ok := k.(sparse.InterleavedOperator); ok && precond.CanApplyInterleaved(m) {
-			impl := kernel.Active()
-			ws.pans.begin(ik, m, u, f, w, impl)
-			return &ws.pans, BlockStats{Interleaved: true, Kernel: impl.Name}
+			ws.pans.begin(ik, m, u, f, w, kernel.Active())
+			return &ws.pans, BlockStats{Interleaved: true}
 		}
 	}
 	ws.cols.begin(k, m, u, f, ws.perm, w)
-	return &ws.cols, BlockStats{Kernel: kernel.Active().Name}
+	return &ws.cols, BlockStats{}
 }
 
 // release drops the finished solve's references to caller data, keeping

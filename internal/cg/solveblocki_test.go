@@ -75,9 +75,6 @@ func TestInterleavedMatchesColumnBitwise(t *testing.T) {
 			if stInt.Interleaved != true || stCol.Interleaved != false {
 				t.Fatalf("m=%d s=%d: Interleaved flags %v/%v", m, s, stCol.Interleaved, stInt.Interleaved)
 			}
-			if stInt.Kernel == "" {
-				t.Fatalf("m=%d s=%d: interleaved stats carry no kernel name", m, s)
-			}
 			if stCol.Iterations != stInt.Iterations || stCol.SpMMs != stInt.SpMMs ||
 				stCol.InnerProducts != stInt.InnerProducts || stCol.BlockPrecondApps != stInt.BlockPrecondApps {
 				t.Fatalf("m=%d s=%d: counters differ: %+v vs %+v", m, s, stCol, stInt)
@@ -235,9 +232,8 @@ func TestInterleavedFallback(t *testing.T) {
 }
 
 // TestInterleavedKernelPortable: the panel layout run on the portable
-// reference set produces the same bits as a solve, which runs the
-// startup-selected set and reports it by name. The portable run loads the
-// panels with its set directly.
+// reference set produces the same bits as a solve, which runs the active
+// set. The portable run loads the panels with its set directly.
 func TestInterleavedKernelPortable(t *testing.T) {
 	k, f, p := interleavedFixture(t, 8, 2)
 	n, _ := k.Dims()
@@ -255,8 +251,8 @@ func TestInterleavedKernelPortable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stAuto.Kernel != kernel.Active().Name || !stAuto.Interleaved {
-		t.Fatalf("solve reports kernel %q (interleaved %v), active is %q", stAuto.Kernel, stAuto.Interleaved, kernel.Active().Name)
+	if !stAuto.Interleaved {
+		t.Fatal("solve did not run the panel layout")
 	}
 	if stAuto.Iterations != stPort.Iterations {
 		t.Fatalf("iteration counts differ across kernel sets: %d vs %d", stAuto.Iterations, stPort.Iterations)

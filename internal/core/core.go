@@ -119,10 +119,10 @@ type Config struct {
 	// planner picks from the worker budget and mesh shape). Only
 	// meaningful for mesh-backed problems routed through the engine.
 	Subdomains int
-	// Tuning is the self-tuning planner's feedback policy: "" or "adapt"
-	// lets warm engine sessions re-plan from measured throughput,
-	// "observe" records evidence without adapting, "off" pins the static
-	// plan bit-for-bit. Any other value is rejected. A one-shot solve
+	// Tuning is the self-tuning planner's feedback policy, one of two:
+	// "adapt" lets warm engine sessions re-plan from measured throughput,
+	// "off" pins the static plan bit-for-bit; "" defers to the session
+	// default. Any other value is rejected. A one-shot solve
 	// (engine.SolveOnce) runs on a throwaway engine that never collects
 	// the observations a re-plan needs, so the knob only gates validation
 	// there. Deliberately excluded from the engine's problem cache key —
@@ -140,10 +140,6 @@ type Result struct {
 	// Backend is the matvec storage the solve actually ran on ("csr" or
 	// "dia") — the resolved form of Config.Backend.
 	Backend string
-	// Kernel is the kernel set the solve's fused loops ran through
-	// ("portable", "avx2", "neon"): the one selected at startup
-	// (REPRO_KERNEL=portable forces the reference set).
-	Kernel string
 }
 
 // BuildSplitting constructs the configured splitting for a system.

@@ -61,9 +61,10 @@ type Config struct {
 	// a router can steer job lookups straight to the owning node by prefix.
 	NodeID string
 	// Tuning is the session default feedback policy for requests that do
-	// not pin their own ("off", "observe" or "adapt"; empty means adapt):
-	// whether the engine folds each executed plan's realized throughput
-	// back into later plan decisions. See plan.TuningMode.
+	// not pin their own ("off" or "adapt"; empty means adapt): whether the
+	// engine folds each executed plan's realized throughput back into later
+	// plan decisions. See plan.TuningMode. A request that defers to a
+	// malformed default fails at Submit and PlanRequest.
 	Tuning string
 	// Logger receives structured job-lifecycle logs (submitted, started,
 	// finished, failed) with job ids attached. nil discards them — the
@@ -198,7 +199,7 @@ func New(cfg Config) *Engine {
 // submissions learn of a miss (ErrNotCached) too; the job then holds the
 // entry it resolved, and a later eviction cannot fail it in the queue.
 func (s *Engine) Submit(req Request) (*Job, error) {
-	if err := req.Validate(); err != nil {
+	if err := s.validate(&req); err != nil {
 		return nil, err
 	}
 	var entry *cacheEntry
@@ -313,7 +314,6 @@ func SolveOnce(pb Prebuilt) ([]core.Result, error) {
 		Precond:  jr.Precond,
 		Backend:  jr.Backend,
 		Interval: eigen.Interval{Lo: jr.IntervalLo, Hi: jr.IntervalHi},
-		Kernel:   jr.Plan.Kernel,
 	}
 	if jr.Alphas != nil {
 		shell.Alphas = *jr.Alphas
@@ -357,7 +357,7 @@ func (s *Engine) Cancel(id string) bool {
 // evidence: a warm problem past the observation gate explains its decision
 // with every candidate's measured throughput and score.
 func (s *Engine) PlanRequest(req Request) (PlanInfo, error) {
-	if err := req.Validate(); err != nil {
+	if err := s.validate(&req); err != nil {
 		return PlanInfo{}, err
 	}
 	cfg, err := req.coreConfig()
@@ -392,10 +392,10 @@ func (s *Engine) PlanRequest(req Request) (PlanInfo, error) {
 // the entry's structure probe, the batch width and the worker budget into
 // the static plan; the preconditioner decides whether panels and the
 // decomposed backend are open to it, and a plate gives the mesh facts the
-// decomposed backend partitions. Under a tuning policy a cached problem
-// then takes the tuner's decision: adapt may re-plan from measured
-// throughput, observe only explains and keeps the static plan. A throwaway
-// entry (empty key) has no observations and keeps the static plan.
+// decomposed backend partitions. Under adapt a cached problem then takes
+// the tuner's decision, which may re-plan from measured throughput. A
+// throwaway entry (empty key) has no observations and keeps the static
+// plan.
 func (s *Engine) planFor(entry *cacheEntry, cfg core.Config, rhs int) (plan.Inputs, plan.Plan, plan.TuningMode, plan.Decision) {
 	in := plan.Inputs{
 		Probe:      entry.structureProbe(),
@@ -416,25 +416,41 @@ func (s *Engine) planFor(entry *cacheEntry, cfg core.Config, rhs int) (plan.Inpu
 	pl := plan.Static(in)
 	mode := s.tuningFor(cfg)
 	var dec plan.Decision
-	if mode != plan.TuningOff && entry.key != "" {
-		pl, dec = s.tuner.Decide(entry.key, in, pl, mode == plan.TuningAdapt)
+	if mode == plan.TuningAdapt && entry.key != "" {
+		pl, dec = s.tuner.Decide(entry.key, in, pl)
 	}
 	return in, pl, mode, dec
 }
 
-// tuningFor resolves a solve's feedback policy: the request's knob, then
-// the engine's session default, then adapt. Unknown names are rejected at
-// Validate, so parsing cannot fail on the request path; a malformed
-// programmatic engine default falls back to off (the static planner).
+// validate checks req and the session default it would run under: a
+// request that leaves its tuning policy empty takes Config.Tuning, which New
+// cannot reject, so a malformed default fails every request that would use
+// it.
+func (s *Engine) validate(req *Request) error {
+	if err := req.Validate(); err != nil {
+		return err
+	}
+	tuning := req.Solver.Tuning
+	if req.Prebuilt != nil {
+		tuning = req.Prebuilt.Config.Tuning
+	}
+	if tuning == "" {
+		if _, err := plan.ParseTuning(strings.ToLower(s.cfg.Tuning)); err != nil {
+			return fmt.Errorf("engine: the session's Tuning setting: %w", err)
+		}
+	}
+	return nil
+}
+
+// tuningFor resolves a solve's feedback policy: the request's knob, else
+// the engine's session default (empty means adapt). Submit and PlanRequest
+// reject both malformed names, so parsing cannot fail here.
 func (s *Engine) tuningFor(cfg core.Config) plan.TuningMode {
 	name := cfg.Tuning
 	if name == "" {
 		name = s.cfg.Tuning
 	}
-	mode, err := plan.ParseTuning(strings.ToLower(name))
-	if err != nil {
-		return plan.TuningOff
-	}
+	mode, _ := plan.ParseTuning(strings.ToLower(name))
 	return mode
 }
 
@@ -850,7 +866,7 @@ func (s *Engine) runJob(job *Job, ws *cg.Workspace, workerID int) {
 	// — errors and cancellations would poison the estimates, a throwaway
 	// entry has no store to feed, and a decomposed plan's execution shape is
 	// owned by the mesh partition, not the tuner.
-	if mode != plan.TuningOff && err == nil && entry.key != "" && pl.Backend != plan.BackendDecomposed {
+	if mode == plan.TuningAdapt && err == nil && entry.key != "" && pl.Backend != plan.BackendDecomposed {
 		rhsPerSec := 0.0
 		if execSeconds > 0 {
 			rhsPerSec = float64(len(fs)) / execSeconds
@@ -1065,7 +1081,7 @@ func (s *Engine) matrixSolver(job *Job, op sparse.Operator, pc precond.Precondit
 				SetAttr("case_last", cases[len(cases)-1])
 		}
 		st, err := cg.SolveBlockInto(u, op, vec.MultiFromCols(cols), pc, topts, ws)
-		sp.SetAttr("kernel", st.Kernel).SetAttr("interleaved", st.Interleaved).SetAttr("converged", st.Converged)
+		sp.SetAttr("interleaved", st.Interleaved).SetAttr("converged", st.Converged)
 		sp.SetIterations(st.Iterations).End()
 		return st, err
 	}

@@ -41,14 +41,14 @@ type PlanInfo struct {
 	// partitioned this many ways, each subdomain run by a dedicated
 	// goroutine (0 for the single-matrix backends).
 	Subdomains int `json:"subdomains,omitempty"`
-	// Kernel names the kernel set the solve's fused loops ran through
-	// ("portable", "avx2", "neon").
+	// Kernel names the kernel set the solve's fused loops ran through:
+	// "unrolled", the one set every solve runs.
 	Kernel string `json:"kernel,omitempty"`
 	// Interleave reports that the tiles ran on the row-interleaved panel
 	// layout.
 	Interleave bool `json:"interleave,omitempty"`
-	// Tuning is the resolved feedback policy the plan was made under
-	// ("off", "observe" or "adapt").
+	// Tuning is the resolved feedback policy the plan was made under, one
+	// of two: "off" or "adapt".
 	Tuning string `json:"tuning,omitempty"`
 	// Source reports how the plan was chosen: "static" for the planner's
 	// structure heuristic (cold problems, tuning off, or a measured

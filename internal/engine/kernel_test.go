@@ -31,7 +31,7 @@ func TestPrebuiltRejectsSolverSpec(t *testing.T) {
 }
 
 // TestEnginePlanReportsKernel: the job's recorded plan carries the kernel
-// set and layout decision; a wide plate batch interleaves on the startup
+// set and layout decision; a wide plate batch interleaves on the active
 // set.
 func TestEnginePlanReportsKernel(t *testing.T) {
 	s := New(Config{Workers: 2})

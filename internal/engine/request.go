@@ -140,13 +140,12 @@ type SolverSpec struct {
 	// goroutine). 0 lets the planner pick from the session's worker budget;
 	// ignored by the single-matrix backends.
 	Subdomains int `json:"subdomains,omitempty"`
-	// Tuning is the self-tuning planner's feedback policy: "adapt" (or
-	// empty, deferring to the session default) records realized throughput
-	// per executed plan and re-plans warm problems from the measurements,
-	// "observe" records and reports the evidence but always runs the
-	// static plan, "off" disables the loop (bit-for-bit static plans). Not
-	// part of the problem cache key — it is an execution policy, like the
-	// backend.
+	// Tuning is the self-tuning planner's feedback policy, one of two:
+	// "adapt" records realized throughput per executed plan and re-plans
+	// warm problems from the measurements, "off" disables the loop
+	// (bit-for-bit static plans); empty defers to the session default.
+	// Not part of the problem cache key — it is an execution policy, like
+	// the backend.
 	Tuning string `json:"tuning,omitempty"`
 }
 

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -67,7 +68,7 @@ func TestTuningFeedbackRecorded(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Close()
 
-	req := tuningReq("tuning-fb", "observe")
+	req := tuningReq("tuning-fb", "adapt")
 	var last JobView
 	const solves = 3
 	for i := 0; i < solves; i++ {
@@ -95,35 +96,31 @@ func TestTuningFeedbackRecorded(t *testing.T) {
 	}
 }
 
-// TestTuningObserveEvidenceKeepsStatic: past the gate, observe mode attaches
-// the candidate table to results and offline plans while still executing
-// the static plan.
-func TestTuningObserveEvidenceKeepsStatic(t *testing.T) {
+// TestTuningAdaptEvidence: past the gate, adapt mode attaches the candidate
+// table to results and offline plans. A cold problem's plan carries none;
+// a warm one carries exactly one chosen candidate, and every measured
+// candidate its throughput.
+func TestTuningAdaptEvidence(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Close()
 
-	req := tuningReq("tuning-observe", "observe")
-	var static *PlanInfo
-	var warm *PlanInfo
+	req := tuningReq("tuning-evidence", "adapt")
+	var cold, warm *PlanInfo
 	for i := 0; i < plan.DefaultMinObservations+2; i++ {
 		v, err := s.Solve(context.Background(), req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if i == 0 {
-			static = v.Result.Plan
+			cold = v.Result.Plan
 		}
 		warm = v.Result.Plan
 	}
-	if warm.Tuning != "observe" || len(warm.Candidates) == 0 {
-		t.Fatalf("warm observe-mode plan has no evidence: %+v", warm)
+	if cold.Source != "static" || len(cold.Candidates) != 0 {
+		t.Fatalf("cold adapt-mode plan carries evidence: %+v", cold)
 	}
-	if warm.Source != "static" {
-		t.Fatalf("observe mode source = %q, want static", warm.Source)
-	}
-	// Execution stayed on the static structure decision.
-	if !reflect.DeepEqual(warm.Tiles, static.Tiles) || warm.M != static.M || warm.Workers != static.Workers {
-		t.Fatalf("observe mode changed the executed plan:\n got %+v\nwant %+v", warm, static)
+	if warm.Tuning != "adapt" || len(warm.Candidates) == 0 {
+		t.Fatalf("warm adapt-mode plan has no evidence: %+v", warm)
 	}
 	chosen := 0
 	for _, c := range warm.Candidates {
@@ -142,7 +139,7 @@ func TestTuningObserveEvidenceKeepsStatic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pi.Candidates) == 0 || pi.Tuning != "observe" {
+	if len(pi.Candidates) == 0 || pi.Tuning != "adapt" {
 		t.Fatalf("offline plan missing evidence: %+v", pi)
 	}
 }
@@ -206,10 +203,42 @@ func TestTuningValidation(t *testing.T) {
 	if _, err := s.PlanRequest(req); err == nil {
 		t.Fatal("unknown tuning policy accepted by PlanRequest")
 	}
+	// "observe" names no policy either.
+	if _, err := s.Submit(tuningReq("tuning-observe", "observe")); err == nil {
+		t.Fatal(`policy "observe" accepted by Submit`)
+	}
 	// Policy names are case-insensitive on the wire.
-	ok := tuningReq("tuning-case", "OBSERVE")
+	ok := tuningReq("tuning-case", "ADAPT")
 	if _, err := s.Solve(context.Background(), ok); err != nil {
 		t.Fatalf("case-insensitive policy rejected: %v", err)
+	}
+}
+
+// TestTuningMalformedSessionDefault: a request that defers to a session
+// default that names no policy fails at Submit and PlanRequest, naming the
+// engine's Tuning setting, instead of silently solving with tuning off. A
+// request that pins its own policy never reads the default.
+func TestTuningMalformedSessionDefault(t *testing.T) {
+	s := New(Config{Workers: 1, Tuning: "adaptive"})
+	defer s.Close()
+
+	req := Request{Plate: &PlateSpec{Rows: 6, Cols: 6}, Solver: SolverSpec{M: 1}}
+	if _, err := s.Submit(req); err == nil || !strings.Contains(err.Error(), "Tuning setting") {
+		t.Fatalf("Submit under a malformed session default: err = %v", err)
+	}
+	if _, err := s.PlanRequest(req); err == nil || !strings.Contains(err.Error(), "Tuning setting") {
+		t.Fatalf("PlanRequest under a malformed session default: err = %v", err)
+	}
+	sys, _, err := core.PlateSystem(6, 6, fem.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Submit(Request{Prebuilt: &Prebuilt{Sys: sys, Config: core.Config{M: 1}}}); err == nil {
+		t.Fatal("prebuilt request deferring to a malformed session default accepted")
+	}
+	req.Solver.Tuning = "off"
+	if _, err := s.Solve(context.Background(), req); err != nil {
+		t.Fatalf("request pinning its own policy failed: %v", err)
 	}
 }
 

@@ -67,11 +67,10 @@ func SpMMCSRCols(rowptr, colidx []int, val []float64, x []float64, xn int, dst [
 }
 
 // MultiDotCols computes dst[j] = (x_j, y_j) for column-contiguous n-row
-// multivectors through the dispatched Dot — vec.MultiDot's fused body, so
-// the per-column reduction shares one implementation with the scalar path.
+// multivectors through the active Dot — vec.MultiDot's fused body, so the
+// per-column reduction shares one implementation with the scalar path.
 func MultiDotCols(x, y []float64, n, s int, dst []float64) {
-	impl := activeImpl
 	for j := 0; j < s; j++ {
-		dst[j] = impl.Dot(x[j*n:(j+1)*n], y[j*n:(j+1)*n])
+		dst[j] = unrolledDot(x[j*n:(j+1)*n], y[j*n:(j+1)*n])
 	}
 }

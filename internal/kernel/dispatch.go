@@ -1,12 +1,5 @@
 package kernel
 
-import "os"
-
-// EnvVar is the environment variable that forces a kernel set at startup:
-// REPRO_KERNEL=portable selects the portable reference implementations
-// process-wide regardless of detected CPU features.
-const EnvVar = "REPRO_KERNEL"
-
 // SweepArgs bundles the matrix-side inputs of the Conrad–Wallach m-step
 // multicolor SSOR sweep: the CSR pattern/values, the color-group boundaries
 // (group c spans rows [Start[c], Start[c+1])), the main diagonal, the
@@ -36,8 +29,8 @@ type SweepArgs struct {
 // Interleaved panels pass as raw slices: element (i, j) of an n-row, s-live-
 // column panel with row stride st lives at data[i*st+j].
 type Impl struct {
-	// Name identifies the set in plans, stats and logs: "portable", "avx2"
-	// (amd64 with AVX2+FMA) or "neon" (arm64).
+	// Name identifies the set in plans and benchmarks: "unrolled" (the set
+	// every solve runs) or "portable" (the reference).
 	Name string
 
 	// Dot returns Σ x[i]·y[i] accumulated in index order.
@@ -88,61 +81,41 @@ type Impl struct {
 	SweepCSRI func(a *SweepArgs, rhat, r, y []float64, st, n, s int)
 }
 
-// portableImpl is the reference set; acceleratedImpl is built by the
-// per-arch detect() (nil when the CPU has no accelerated set).
-var (
-	portableImpl = Impl{
-		Name:         "portable",
-		Dot:          portableDot,
-		Axpy:         portableAxpy,
-		Xpay:         portableXpay,
-		GatherDot32:  portableGatherDot32,
-		Interleave:   portableInterleave,
-		Deinterleave: portableDeinterleave,
-		DotI:         portableDotI,
-		AxpyI:        portableAxpyI,
-		XpayI:        portableXpayI,
-		Norm2I:       norm2I,
-		NormInfI:     normInfI,
-		SpMMCSRI:     portableSpMMCSRI,
-		SpMMDIAI:     portableSpMMDIAI,
-		SweepCSRI:    portableSweepCSRI,
-	}
-	acceleratedImpl *Impl
-	activeImpl      *Impl
-)
-
-func init() {
-	acceleratedImpl = detect()
-	activeImpl = &portableImpl
-	if acceleratedImpl != nil {
-		activeImpl = acceleratedImpl
-	}
-	if os.Getenv(EnvVar) == "portable" {
-		activeImpl = &portableImpl
-	}
+// portableImpl is the reference set the agreement tests compare against;
+// unrolledImpl (unrolled.go) is the set every solve runs.
+var portableImpl = Impl{
+	Name:         "portable",
+	Dot:          portableDot,
+	Axpy:         portableAxpy,
+	Xpay:         portableXpay,
+	GatherDot32:  portableGatherDot32,
+	Interleave:   portableInterleave,
+	Deinterleave: portableDeinterleave,
+	DotI:         portableDotI,
+	AxpyI:        portableAxpyI,
+	XpayI:        portableXpayI,
+	Norm2I:       norm2I,
+	NormInfI:     normInfI,
+	SpMMCSRI:     portableSpMMCSRI,
+	SpMMDIAI:     portableSpMMDIAI,
+	SweepCSRI:    portableSweepCSRI,
 }
 
-// Active returns the kernel set selected at startup: the accelerated set
-// when CPU feature detection found one (and REPRO_KERNEL did not override),
-// the portable set otherwise.
-func Active() *Impl { return activeImpl }
+// Active returns the set every solve runs: the unrolled set, on every
+// architecture.
+func Active() *Impl { return &unrolledImpl }
 
-// Portable returns the reference set. It is always available — the fallback
-// every CPU can run — and is what REPRO_KERNEL=portable selects.
+// Portable returns the reference set: plain loops in the order every other
+// set must reproduce bit for bit.
 func Portable() *Impl { return &portableImpl }
 
-// Accelerated returns the CPU-specific set, or nil when the host has none
-// (amd64 without AVX2+FMA, or an architecture without a tuned variant).
-func Accelerated() *Impl { return acceleratedImpl }
-
 // Select resolves a kernel set by the name a plan reports: "portable"
-// returns the reference set, any other name the startup-selected one.
-// Solves always run the startup set (REPRO_KERNEL=portable makes that the
-// reference set); Select lets a benchmark map a plan back to its kernels.
+// returns the reference set, any other name the active one. Solves always
+// run the active set; Select lets a benchmark map a plan back to its
+// kernels.
 func Select(name string) *Impl {
 	if name == "portable" {
 		return &portableImpl
 	}
-	return activeImpl
+	return &unrolledImpl
 }

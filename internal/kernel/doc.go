@@ -19,22 +19,20 @@
 // # Dispatch
 //
 // Every kernel has a portable pure-Go reference implementation and an
-// accelerated variant (column-direction unrolled loops with s = 8
+// unrolled variant (column-direction unrolled loops with s = 8
 // specializations — SIMD-shaped code the compiler turns into vector
 // instructions under GOAMD64=v3, and a NEON-friendly form on arm64). The
 // specializations cover the panel dots and updates, the CSR SpMM and the
 // m-step sweep; the sweep runs its register-blocked body on every full
-// 8-column tile of a wider panel too. One
-// implementation set is selected at package init by CPU feature detection:
-// amd64 with AVX2+FMA (and OS-enabled YMM state) selects the "avx2" set,
-// arm64 the "neon" set (NEON is baseline there), everything else the
-// "portable" set. Setting REPRO_KERNEL=portable in the environment forces
-// the portable set process-wide; it is the one switch, and every solve runs
-// the set selected at startup.
+// 8-column tile of a wider panel too. The unrolled set is pure Go and wins
+// on every kernel measured, on every architecture, so it is the one set
+// solves run (Active): there is no CPU detection and no switch. The
+// portable set (Portable) stays as the reference the agreement tests and
+// fuzz targets compare against bit for bit.
 //
 // # Numerical contract
 //
-// Accelerated kernels never reassociate a per-column reduction: dot products
+// The unrolled kernels never reassociate a per-column reduction: dot products
 // and SpMM row sums accumulate in exactly the portable order (unrolling runs
 // across columns, where accumulators are independent, not along the
 // reduction). Axpy/xpay are elementwise and exact by construction. Solver

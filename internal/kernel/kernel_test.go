@@ -19,17 +19,13 @@ var (
 	testS = []int{1, 2, 3, 8, 16}
 )
 
-// sets returns every kernel set the host can run: the portable reference,
-// the generic unrolled set, and the CPU-detected set when present.
+// sets returns every kernel set: the portable reference and the unrolled
+// set every solve runs.
 func sets() map[string]*Impl {
-	m := map[string]*Impl{
+	return map[string]*Impl{
 		"portable": Portable(),
 		"unrolled": &unrolledImpl,
 	}
-	if a := Accelerated(); a != nil {
-		m[a.Name] = a
-	}
-	return m
 }
 
 func randSlice(rng *rand.Rand, n int) []float64 {
@@ -570,11 +566,8 @@ func TestSelectAndValidName(t *testing.T) {
 	if Select("") != Active() {
 		t.Error("Select of an empty name is not the active set")
 	}
-	if a := Accelerated(); a != nil && a.Name == "portable" {
-		t.Error("accelerated set must not be named portable")
-	}
-	if Active() != Portable() && Active() != Accelerated() {
-		t.Error("active set is neither portable nor accelerated")
+	if Active() != &unrolledImpl || Active().Name != "unrolled" {
+		t.Errorf("active set is %q, want the unrolled set", Active().Name)
 	}
 }
 

@@ -3,7 +3,7 @@ package kernel
 import "math"
 
 // The portable set: straightforward loops in the exact arithmetic order the
-// rest of the library is specified against. Every accelerated variant must
+// rest of the library is specified against. The unrolled set must
 // reproduce these bit for bit (see the package comment).
 
 func portableDot(x, y []float64) float64 {

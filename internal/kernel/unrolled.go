@@ -1,15 +1,16 @@
 package kernel
 
-// The unrolled set: SIMD-shaped loops the compiler can vectorize under
-// GOAMD64=v3 (AVX2+FMA) or arm64's baseline NEON. Per the package contract,
-// no per-column reduction is reassociated — unrolling runs either across
-// columns (independent accumulators) or along the vector in left-associated
-// chains (s + a + b + c + d ≡ the sequential order), so every function here
-// is bit-identical to its portable counterpart. The wide-block hot path is
-// s == 8 (the planner's default tile width): those specializations hold the
-// eight per-column accumulators in scalars and read each panel row as one
-// bounds-check-free 64-byte slice. The sweep runs that body on every full
-// 8-column tile, so 16–32-wide panels take it too.
+// The unrolled set, the one every solve runs (Active): SIMD-shaped loops the
+// compiler can vectorize under GOAMD64=v3 (AVX2+FMA) or arm64's baseline
+// NEON. Per the package contract, no per-column reduction is reassociated —
+// unrolling runs either across columns (independent accumulators) or along
+// the vector in left-associated chains (s + a + b + c + d ≡ the sequential
+// order), so every function here is bit-identical to its portable
+// counterpart. The wide-block hot path is s == 8 (the planner's default tile
+// width): those specializations hold the eight per-column accumulators in
+// scalars and read each panel row as one bounds-check-free 64-byte slice.
+// The sweep runs that body on every full 8-column tile, so 16–32-wide panels
+// take it too.
 
 var unrolledImpl = Impl{
 	Name:         "unrolled",

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/kernel"
 	"repro/internal/sparse"
+	"repro/internal/vec"
 )
 
 // Backend selects the matrix storage the CG matvec path runs on. The
@@ -255,9 +256,9 @@ type Plan struct {
 	// wide and the preconditioner sweeps panels; both backends serve
 	// them).
 	Interleave bool
-	// Kernel names the kernel set the solve's fused loops run through
-	// ("portable", "avx2", "neon"): the one selected at startup
-	// (kernel.Active).
+	// Kernel names the kernel set the solve's fused loops run through:
+	// kernel.Active, the one set every solve runs. The plan is where a job
+	// reports it (PlanInfo.Kernel and the plan span's attributes).
 	Kernel string
 }
 
@@ -303,11 +304,6 @@ func (p Probe) Attrs() map[string]any {
 	}
 }
 
-// minParallelRows mirrors vec's serial-fallback threshold: below it the
-// parallel kernels run serially regardless of budget, so the plan records
-// an effective fan-out of 1.
-const minParallelRows = 4096
-
 // Static resolves in into the static execution plan, the one the tuner
 // starts from. It is pure, so equal Inputs always produce equal Plans — a
 // cache hit re-planning a warm request decides exactly what the cold
@@ -351,7 +347,7 @@ func Static(in Inputs) Plan {
 	if workers < 1 {
 		workers = 1
 	}
-	if rows > 0 && rows < minParallelRows {
+	if rows > 0 && rows < vec.MinParallelLen {
 		// The vec kernels fall back to serial below this size; record the
 		// fan-out the solve will actually use.
 		workers = 1

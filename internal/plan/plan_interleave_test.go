@@ -59,7 +59,7 @@ func TestPlanAutoPanelsRunCSR(t *testing.T) {
 }
 
 // TestPlanKernel pins what the plan reports as the running kernel set: the
-// startup set on every path — panels, a scalar solve and a decomposed plan.
+// active set on every path — panels, a scalar solve and a decomposed plan.
 func TestPlanKernel(t *testing.T) {
 	const rows = 1000
 	probe := &Probe{Rows: rows, Cols: rows, NNZ: 5 * rows, MaxRowNNZ: 5, NumDiags: 5, Fill: 1}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"sync"
+
+	"repro/internal/vec"
 )
 
 // TuningMode is the planner's feedback policy: what a session does with the
@@ -16,9 +18,6 @@ const (
 	// prefers measured winners and explores neighboring plans, the paper's
 	// machine-dependent-m result closed into a live loop.
 	TuningAdapt TuningMode = iota
-	// TuningObserve records measurements and reports them as plan evidence
-	// but always executes the static plan.
-	TuningObserve
 	// TuningOff disables the loop entirely: plans are the planner's static
 	// structure decision, bit-for-bit, with no observation store.
 	TuningOff
@@ -28,8 +27,6 @@ func (m TuningMode) String() string {
 	switch m {
 	case TuningAdapt:
 		return "adapt"
-	case TuningObserve:
-		return "observe"
 	case TuningOff:
 		return "off"
 	}
@@ -41,12 +38,10 @@ func ParseTuning(name string) (TuningMode, error) {
 	switch name {
 	case "", "adapt":
 		return TuningAdapt, nil
-	case "observe":
-		return TuningObserve, nil
 	case "off":
 		return TuningOff, nil
 	}
-	return 0, fmt.Errorf("plan: unknown tuning policy %q (want off, observe or adapt)", name)
+	return 0, fmt.Errorf("plan: unknown tuning policy %q (want off or adapt)", name)
 }
 
 // Signature is the identity of a plan for the observation store: two solves
@@ -245,11 +240,10 @@ func (t *Tuner) Observations(key string) int {
 // Until the problem has DefaultMinObservations executed solves — or when
 // the base plan is decomposed, whose execution shape the mesh partition
 // owns — the static plan returns untouched with an empty Decision. Past
-// the gate every candidate is scored; with adapt true the winner's plan is
-// returned, otherwise the static plan is (observe mode: evidence without
-// adaptation). Decide never mutates the store, so offline planning
-// (POST /v1/plan) can call it freely.
-func (t *Tuner) Decide(key string, in Inputs, base Plan, adapt bool) (Plan, Decision) {
+// the gate every candidate is scored and the winner's plan is returned.
+// Decide never mutates the store, so offline planning (POST /v1/plan) can
+// call it freely.
+func (t *Tuner) Decide(key string, in Inputs, base Plan) (Plan, Decision) {
 	if key == "" || base.Backend == BackendDecomposed || len(base.Tiles) == 0 {
 		return base, Decision{}
 	}
@@ -294,12 +288,8 @@ func (t *Tuner) Decide(key string, in Inputs, base Plan, adapt bool) (Plan, Deci
 		}
 	}
 
-	d := Decision{Source: "static", Candidates: cands}
-	if !adapt {
-		cands[0].Chosen = true // the static plan is what will run
-		return base, d
-	}
 	cands[best].Chosen = true
+	d := Decision{Candidates: cands}
 	switch {
 	case best == 0 && cands[0].Observations == 0:
 		d.Source = "static"
@@ -402,7 +392,7 @@ func withWorkers(in Inputs, base Plan, w int) (Plan, bool) {
 	if budget < 1 {
 		budget = 1
 	}
-	if in.Probe != nil && in.Probe.Rows > 0 && in.Probe.Rows < minParallelRows {
+	if in.Probe != nil && in.Probe.Rows > 0 && in.Probe.Rows < vec.MinParallelLen {
 		return Plan{}, false
 	}
 	if w < 1 || w > budget || w == base.Workers {

@@ -8,8 +8,7 @@ import (
 
 func TestParseTuning(t *testing.T) {
 	for name, want := range map[string]TuningMode{
-		"": TuningAdapt, "adapt": TuningAdapt,
-		"observe": TuningObserve, "off": TuningOff,
+		"": TuningAdapt, "adapt": TuningAdapt, "off": TuningOff,
 	} {
 		got, err := ParseTuning(name)
 		if err != nil || got != want {
@@ -19,8 +18,10 @@ func TestParseTuning(t *testing.T) {
 			t.Errorf("String() round-trip: %q != %q", got.String(), name)
 		}
 	}
-	if _, err := ParseTuning("aggressive"); err == nil {
-		t.Fatal("unknown policy accepted")
+	for _, name := range []string{"aggressive", "observe"} {
+		if _, err := ParseTuning(name); err == nil {
+			t.Fatalf("unknown policy %q accepted", name)
+		}
 	}
 }
 
@@ -60,14 +61,12 @@ func TestDecideBelowGateIsStatic(t *testing.T) {
 		for j := 0; j < DefaultMinObservations-1; j++ {
 			tu.Observe(key, base.Signature(), Observation{RHSPerSec: 100})
 		}
-		for _, adapt := range []bool{false, true} {
-			got, d := tu.Decide(key, in, base, adapt)
-			if !reflect.DeepEqual(got, base) {
-				t.Errorf("input %d adapt=%v: below-gate plan differs:\n got %+v\nwant %+v", i, adapt, got, base)
-			}
-			if len(d.Candidates) != 0 || d.Source != "" {
-				t.Errorf("input %d: below-gate decision not empty: %+v", i, d)
-			}
+		got, d := tu.Decide(key, in, base)
+		if !reflect.DeepEqual(got, base) {
+			t.Errorf("input %d: below-gate plan differs:\n got %+v\nwant %+v", i, got, base)
+		}
+		if len(d.Candidates) != 0 || d.Source != "" {
+			t.Errorf("input %d: below-gate decision not empty: %+v", i, d)
 		}
 	}
 }
@@ -78,25 +77,37 @@ func TestDecideDecomposedUntouched(t *testing.T) {
 	for i := 0; i < 3*DefaultMinObservations; i++ {
 		tu.Observe("k", base.Signature(), Observation{RHSPerSec: 10})
 	}
-	got, d := tu.Decide("k", Inputs{}, base, true)
+	got, d := tu.Decide("k", Inputs{}, base)
 	if !reflect.DeepEqual(got, base) || len(d.Candidates) != 0 {
 		t.Fatalf("decomposed plan was tuned: %+v / %+v", got, d)
 	}
 }
 
-func TestDecideObserveModeKeepsStatic(t *testing.T) {
+// TestDecidePastGateEvidence: past the gate a decision carries every
+// candidate, exactly one of them chosen, and the executed base plan with
+// its measured throughput.
+func TestDecidePastGateEvidence(t *testing.T) {
 	tu := &Tuner{}
 	in := tunerInputs()[2]
 	base := Static(in)
 	for i := 0; i < 2*DefaultMinObservations; i++ {
 		tu.Observe("k", base.Signature(), Observation{RHSPerSec: 100})
 	}
-	got, d := tu.Decide("k", in, base, false)
-	if !reflect.DeepEqual(got, base) {
-		t.Fatalf("observe mode changed the plan:\n got %+v\nwant %+v", got, base)
+	_, d := tu.Decide("k", in, base)
+	if len(d.Candidates) < 2 {
+		t.Fatalf("no candidates past the gate: %+v", d)
 	}
-	if len(d.Candidates) == 0 || !d.Candidates[0].Chosen || d.Source != "static" {
-		t.Fatalf("observe mode evidence wrong: %+v", d)
+	chosen := 0
+	for _, c := range d.Candidates {
+		if c.Chosen {
+			chosen++
+		}
+	}
+	if chosen != 1 {
+		t.Fatalf("%d chosen candidates, want 1: %+v", chosen, d)
+	}
+	if c := d.Candidates[0]; c.Signature != base.Signature() || c.Measured != 100 || c.Observations != 2*DefaultMinObservations {
+		t.Fatalf("base candidate evidence wrong: %+v", c)
 	}
 }
 
@@ -129,7 +140,7 @@ func syntheticSpeed(base Signature, sig Signature) float64 {
 func runTuningLoop(tu *Tuner, in Inputs, base Plan, n int) []int {
 	ms := make([]int, 0, n)
 	for i := 0; i < n; i++ {
-		p, _ := tu.Decide("k", in, base, true)
+		p, _ := tu.Decide("k", in, base)
 		sig := p.Signature()
 		tu.Observe("k", sig, Observation{RHSPerSec: syntheticSpeed(base.Signature(), sig), IterSeconds: 0.01})
 		ms = append(ms, sig.M)
@@ -149,7 +160,7 @@ func TestTunerConvergesToBestCandidate(t *testing.T) {
 
 	runTuningLoop(tu, in, base, 80)
 
-	final, d := tu.Decide("k", in, base, true)
+	final, d := tu.Decide("k", in, base)
 	if got := final.Signature().M; got != 3 {
 		t.Fatalf("converged to m = %d, want 3 (decision %+v)", got, d)
 	}
@@ -230,7 +241,7 @@ func TestTunerCandidatesNeedPanelSweep(t *testing.T) {
 		for i := 0; i < DefaultMinObservations; i++ {
 			tu.Observe("k", base.Signature(), Observation{RHSPerSec: 100})
 		}
-		_, d := tu.Decide("k", in, base, false)
+		_, d := tu.Decide("k", in, base)
 		if len(d.Candidates) < 2 {
 			t.Fatalf("m=%d: no candidates past the gate", m)
 		}

@@ -46,8 +46,8 @@ type InterleavedApplier interface {
 	// per-apply fallback.
 	CanApplyInterleaved() bool
 	// ApplyInterleaved computes z_j = M⁻¹·r_j for every live column of the
-	// panels; impl selects the kernel set (nil means the startup-selected
-	// one). z must not alias r; z and r must share one stride.
+	// panels; impl selects the kernel set (nil means the active one). z must
+	// not alias r; z and r must share one stride.
 	ApplyInterleaved(z, r *vec.IMulti, impl *kernel.Impl)
 }
 

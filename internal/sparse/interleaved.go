@@ -14,10 +14,10 @@ import (
 // column-contiguous block product — so adding the capability never breaks
 // the Operator contract.
 //
-// impl selects the kernel set for the product (nil means the
-// startup-selected set); the same Par contract as Operator applies: workers
-// == 1 is serial and allocation-free, and every parallel product is bitwise
-// identical to its serial form.
+// impl selects the kernel set for the product (nil means the active set);
+// the same Par contract as Operator applies: workers == 1 is serial and
+// allocation-free, and every parallel product is bitwise identical to its
+// serial form.
 type InterleavedOperator interface {
 	Operator
 	// MulMatITo computes dst = A·X over interleaved panels.

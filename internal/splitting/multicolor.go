@@ -284,8 +284,8 @@ func (s *SixColorSSOR) CanApplyMStepInterleaved() bool { return s.omega == 1 }
 // row-interleaved panels in one fused sweep: the s per-column block sums of
 // a gathered row read from adjacent memory, so K's rows are traversed once
 // per half-sweep, not once per right-hand side. impl selects the kernel set
-// (nil means the startup-selected one). Column j reproduces ApplyMStep on
-// column j exactly. Callers must check CanApplyMStepInterleaved first; rhat
+// (nil means the active one). Column j reproduces ApplyMStep on column j
+// exactly. Callers must check CanApplyMStepInterleaved first; rhat
 // and r must share one stride. Like ApplyMStep it mutates per-splitting
 // scratch, so each job gets its own instance from the engine's pool.
 func (s *SixColorSSOR) ApplyMStepInterleaved(rhat, r *vec.IMulti, alphas []float64, impl *kernel.Impl) {

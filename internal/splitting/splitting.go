@@ -77,7 +77,7 @@ type MStepInterleavedApplier interface {
 	CanApplyMStepInterleaved() bool
 	// ApplyMStepInterleaved computes r̂_j = M_m⁻¹·r_j for every live column
 	// of the panels, with m = len(alphas); impl selects the kernel set (nil
-	// means the startup-selected one). rhat and r must share one stride.
+	// means the active one). rhat and r must share one stride.
 	ApplyMStepInterleaved(rhat, r *vec.IMulti, alphas []float64, impl *kernel.Impl)
 }
 

@@ -186,10 +186,7 @@ func TestSweepsMatchGroupBoundReference(t *testing.T) {
 	bk, bstart := bandedMulticolor(rng, 6, 40)
 	systems = append(systems, system{"banded multicolor", bk, bstart})
 
-	impls := []*kernel.Impl{kernel.Portable()}
-	if a := kernel.Active(); a != kernel.Portable() {
-		impls = append(impls, a)
-	}
+	impls := []*kernel.Impl{kernel.Portable(), kernel.Active()}
 	for _, sys := range systems {
 		s, err := NewSixColorSSOR(sys.k, sys.start)
 		if err != nil {

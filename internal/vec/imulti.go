@@ -87,7 +87,7 @@ func (m *Multi) Interleaved() *IMulti {
 
 // InterleaveFrom fills m from the column-contiguous src — the tile-boundary
 // conversion into panel form. impl selects the kernel set (nil means the
-// startup-selected one). The shapes must match; allocation-free.
+// active one). The shapes must match; allocation-free.
 func (m *IMulti) InterleaveFrom(src *Multi, impl *kernel.Impl) {
 	m.checkShapeMulti("InterleaveFrom", src)
 	resolveImpl(impl).Interleave(m.Data, m.Stride, src.Data, m.N, m.S)
@@ -113,7 +113,7 @@ func (m *IMulti) checkShape(op string, o *IMulti) {
 	}
 }
 
-// resolveImpl maps the nil kernel policy to the startup-selected set.
+// resolveImpl maps the nil kernel policy to the active set.
 func resolveImpl(impl *kernel.Impl) *kernel.Impl {
 	if impl == nil {
 		return kernel.Active()
@@ -167,7 +167,7 @@ func ParIMultiDot(x, y *IMulti, workers int, dst []float64, impl *kernel.Impl) {
 	checkScalars("ParIMultiDot", len(dst), x.S)
 	k := resolveImpl(impl)
 	w := Workers(workers)
-	if x.N < minParallelLen || w <= 1 {
+	if x.N < MinParallelLen || w <= 1 {
 		k.DotI(x.Data, y.Data, x.Stride, x.N, x.S, dst)
 		return
 	}
@@ -200,7 +200,7 @@ func ParIMultiAxpy(alphas []float64, x, y *IMulti, workers int, impl *kernel.Imp
 	checkScalars("ParIMultiAxpy", len(alphas), x.S)
 	k := resolveImpl(impl)
 	s, st := x.S, x.Stride
-	if x.N < minParallelLen || Workers(workers) <= 1 {
+	if x.N < MinParallelLen || Workers(workers) <= 1 {
 		k.AxpyI(alphas, x.Data, y.Data, st, x.N, s)
 		return
 	}
@@ -215,7 +215,7 @@ func ParIMultiXpay(x *IMulti, betas []float64, y *IMulti, workers int, impl *ker
 	checkScalars("ParIMultiXpay", len(betas), x.S)
 	k := resolveImpl(impl)
 	s, st := x.S, x.Stride
-	if x.N < minParallelLen || Workers(workers) <= 1 {
+	if x.N < MinParallelLen || Workers(workers) <= 1 {
 		k.XpayI(x.Data, betas, y.Data, st, x.N, s)
 		return
 	}

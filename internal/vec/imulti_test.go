@@ -8,8 +8,8 @@ import (
 	"repro/internal/kernel"
 )
 
-// kernelSets runs a check under both the portable and the startup-selected
-// kernel sets.
+// kernelSets runs a check under both the portable and the active kernel
+// sets.
 func kernelSets(t *testing.T, f func(t *testing.T, impl *kernel.Impl)) {
 	t.Helper()
 	for _, im := range []*kernel.Impl{kernel.Portable(), kernel.Active()} {
@@ -140,7 +140,7 @@ func TestIMultiKernelsMatchColumns(t *testing.T) {
 // the serial-fallback threshold.
 func TestParIMultiDotMatchesParDot(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	for _, n := range []int{100, minParallelLen + 37} {
+	for _, n := range []int{100, MinParallelLen + 37} {
 		for _, w := range []int{1, 3, 4} {
 			x, y := randMulti(rng, n, 8), randMulti(rng, n, 8)
 			ix, iy := x.Interleaved(), y.Interleaved()

@@ -156,7 +156,7 @@ func ParMultiDot(x, y *Multi, workers int, dst []float64) {
 	x.checkShape("ParMultiDot", y)
 	checkScalars("ParMultiDot", len(dst), x.S)
 	w := Workers(workers)
-	if x.N < minParallelLen || w <= 1 {
+	if x.N < MinParallelLen || w <= 1 {
 		MultiDot(x, y, dst)
 		return
 	}
@@ -172,7 +172,7 @@ func ParMultiAxpy(alphas []float64, x, y *Multi, workers int) {
 	x.checkShape("ParMultiAxpy", y)
 	checkScalars("ParMultiAxpy", len(alphas), x.S)
 	w := Workers(workers)
-	if x.N < minParallelLen || w <= 1 {
+	if x.N < MinParallelLen || w <= 1 {
 		MultiAxpy(alphas, x, y)
 		return
 	}
@@ -192,7 +192,7 @@ func ParMultiXpay(x *Multi, betas []float64, y *Multi, workers int) {
 	x.checkShape("ParMultiXpay", y)
 	checkScalars("ParMultiXpay", len(betas), x.S)
 	w := Workers(workers)
-	if x.N < minParallelLen || w <= 1 {
+	if x.N < MinParallelLen || w <= 1 {
 		MultiXpay(x, betas, y)
 		return
 	}

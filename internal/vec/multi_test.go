@@ -65,7 +65,7 @@ func TestMultiPrefixAndSwap(t *testing.T) {
 // single-vector counterpart applied per column, serially and in parallel.
 func TestMultiKernelsMatchScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	for _, n := range []int{1, 7, 5000} { // 5000 crosses minParallelLen
+	for _, n := range []int{1, 7, 5000} { // 5000 crosses MinParallelLen
 		for _, s := range []int{1, 3, 8} {
 			x := randMulti(rng, n, s)
 			y := randMulti(rng, n, s)

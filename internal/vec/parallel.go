@@ -5,10 +5,11 @@ import (
 	"sync"
 )
 
-// minParallelLen is the vector length below which the parallel kernels fall
+// MinParallelLen is the vector length below which the parallel kernels fall
 // back to the serial ones; goroutine fan-out is pure overhead for short
 // vectors, the same observation the paper makes about CYBER vector startup.
-const minParallelLen = 4096
+// The planner records a fan-out of 1 below it.
+const MinParallelLen = 4096
 
 // Workers returns the worker count used by the parallel kernels when the
 // caller passes workers <= 0.
@@ -42,7 +43,7 @@ func ParDot(x, y []float64, workers int) float64 {
 	checkLen("ParDot", len(x), len(y))
 	n := len(x)
 	w := Workers(workers)
-	if n < minParallelLen || w <= 1 {
+	if n < MinParallelLen || w <= 1 {
 		return Dot(x, y)
 	}
 	cs := chunks(n, w)
@@ -72,7 +73,7 @@ func ParAxpy(a float64, x, y []float64, workers int) {
 	checkLen("ParAxpy", len(x), len(y))
 	n := len(x)
 	w := Workers(workers)
-	if n < minParallelLen || w <= 1 {
+	if n < MinParallelLen || w <= 1 {
 		Axpy(a, x, y)
 		return
 	}
@@ -94,7 +95,7 @@ func ParAxpy(a float64, x, y []float64, workers int) {
 // SpMV kernels in internal/sparse.
 func ParRange(n, workers int, fn func(lo, hi int)) {
 	w := Workers(workers)
-	if n < minParallelLen || w <= 1 {
+	if n < MinParallelLen || w <= 1 {
 		fn(0, n)
 		return
 	}

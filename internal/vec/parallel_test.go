@@ -16,7 +16,7 @@ func TestParDotMatchesSerialSmall(t *testing.T) {
 
 func TestParDotMatchesSerialLarge(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	n := 3 * minParallelLen
+	n := 3 * MinParallelLen
 	x, y := randVec(rng, n), randVec(rng, n)
 	got := ParDot(x, y, 8)
 	want := Dot(x, y)
@@ -27,7 +27,7 @@ func TestParDotMatchesSerialLarge(t *testing.T) {
 
 func TestParDotDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	n := 2*minParallelLen + 37
+	n := 2*MinParallelLen + 37
 	x, y := randVec(rng, n), randVec(rng, n)
 	first := ParDot(x, y, 7)
 	for i := 0; i < 10; i++ {
@@ -39,7 +39,7 @@ func TestParDotDeterministic(t *testing.T) {
 
 func TestParAxpyMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	n := 2 * minParallelLen
+	n := 2 * MinParallelLen
 	x := randVec(rng, n)
 	y1 := randVec(rng, n)
 	y2 := Clone(y1)
@@ -53,7 +53,7 @@ func TestParAxpyMatchesSerial(t *testing.T) {
 }
 
 func TestParRangeCoversAll(t *testing.T) {
-	n := 3*minParallelLen + 11
+	n := 3*MinParallelLen + 11
 	seen := make([]int32, n)
 	ParRange(n, 5, func(lo, hi int) {
 		for i := lo; i < hi; i++ {

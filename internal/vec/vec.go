@@ -15,9 +15,8 @@ import (
 	"repro/internal/kernel"
 )
 
-// Dot returns the inner product (x, y) = xᵀy, through the startup-selected
-// kernel set (both sets accumulate in index order, so the result is
-// set-independent).
+// Dot returns the inner product (x, y) = xᵀy, through the active kernel set
+// (both sets accumulate in index order, so the result is set-independent).
 // It panics if the lengths differ; a length mismatch is a programming error,
 // not a runtime condition, everywhere in this library.
 func Dot(x, y []float64) float64 {
