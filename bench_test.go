@@ -758,7 +758,7 @@ func BenchmarkKernelSpMM(b *testing.B) {
 // (ApplyMStepInterleaved → SweepCSRI) under both kernel sets and on the
 // column layout the planner uses with interleave off: eight scalar
 // ApplyMStep sweeps, one per column. The column row keeps measured the
-// panel-versus-column gap the tuner's interleave toggle weighs.
+// panel-versus-column gap plan.DefaultWideBlockThreshold weighs.
 func BenchmarkKernelSweep(b *testing.B) {
 	sys, _, err := core.PlateSystem(100, 100, fem.Options{})
 	if err != nil {

@@ -62,9 +62,10 @@
 // The execution planner is self-tuning: every warm solve feeds its
 // realized throughput back into a per-problem tuner, and once enough
 // observations accumulate the engine executes the best-scored candidate
-// from a bounded neighborhood around the static plan — m, tile width,
-// workers, interleave — scored by measured throughput plus an exploration
-// bonus that gets every unmeasured neighbor tried, with the decision's
+// among the static planner's plans at neighbouring step counts (m ± 1 of
+// the static plan and of the best measured plan of the request's own batch
+// shape), scored by measured throughput plus an exploration bonus that
+// gets every unmeasured step count tried, with the decision's
 // full candidate table attached to Solver.Plan, POST /v1/plan and
 // JobResult.Plan. The solver spec's "tuning" field selects one of two
 // policies: "adapt" (default) or "off" (the static plan bit-for-bit, for

@@ -1,10 +1,11 @@
 // Self-tuning example: run the same batched problem repeatedly and watch
 // the planner close the loop — the cold plan is the planner's static
 // decision; every warm solve feeds its realized rhs/s back into the
-// tuner; past the observation gate the planner explores neighboring plans
-// and executes the best measured candidate, and the plan explains itself
-// with the evidence it used (the paper's point, live: the best m is
-// measured, not assumed).
+// tuner; past the observation gate the planner explores the static plans
+// at neighbouring step counts and executes the best measured candidate
+// (tile width, fan-out, layout and backend stay the static planner's), and
+// the plan explains itself with the evidence it used (the paper's point,
+// live: the best m is measured, not assumed).
 //
 // Turn the loop off with Tuning: "off" for bit-identical static plans.
 package main

@@ -64,13 +64,6 @@ type Subdomain struct {
 	ColoredIdx []int // own flat dof -> global colored index
 }
 
-// RowSeg returns row flat's NumGroups+1 group boundaries (absolute offsets
-// into Cols/Vals).
-func (sd *Subdomain) RowSeg(flat int) []int32 {
-	s := flat * (sd.NumGroups + 1)
-	return sd.Seg[s : s+sd.NumGroups+1]
-}
-
 // Decomposition is the full per-processor layout of one colored problem
 // over one mesh partition. It is immutable after New and safe to share:
 // one cached Decomposition serves concurrent Solve calls, from the engine's
@@ -290,6 +283,3 @@ func (d *Decomposition) HaloFraction() float64 {
 	}
 	return float64(halo) / float64(own)
 }
-
-// ColorSet returns the preallocated one-color slice {c}.
-func (d *Decomposition) ColorSet(c int) []int { return d.colorSets[c] }

@@ -392,10 +392,10 @@ func (s *Engine) PlanRequest(req Request) (PlanInfo, error) {
 // the entry's structure probe, the batch width and the worker budget into
 // the static plan; the preconditioner decides whether panels and the
 // decomposed backend are open to it, and a plate gives the mesh facts the
-// decomposed backend partitions. Under adapt a cached problem then takes
-// the tuner's decision, which may re-plan from measured throughput. A
-// throwaway entry (empty key) has no observations and keeps the static
-// plan.
+// decomposed backend partitions. Under adapt a cached problem takes the
+// tuner's decision, which may move the static plan to a neighbouring step
+// count on measured throughput. A throwaway entry (empty key) has no
+// observations and keeps the static plan.
 func (s *Engine) planFor(entry *cacheEntry, cfg core.Config, rhs int) (plan.Inputs, plan.Plan, plan.TuningMode, plan.Decision) {
 	in := plan.Inputs{
 		Probe:      entry.structureProbe(),
@@ -413,12 +413,11 @@ func (s *Engine) planFor(entry *cacheEntry, cfg core.Config, rhs int) (plan.Inpu
 			MaxProcs:  in.Workers,
 		}
 	}
-	pl := plan.Static(in)
 	mode := s.tuningFor(cfg)
-	var dec plan.Decision
-	if mode == plan.TuningAdapt && entry.key != "" {
-		pl, dec = s.tuner.Decide(entry.key, in, pl)
+	if mode == plan.TuningOff {
+		return in, plan.Static(in), mode, plan.Decision{}
 	}
+	pl, dec := s.tuner.Decide(entry.key, in)
 	return in, pl, mode, dec
 }
 
@@ -767,13 +766,13 @@ func (s *Engine) runJob(job *Job, ws *cg.Workspace, workerID int) {
 	// Plan: the plan span carries the full decision and its structural
 	// evidence as attributes, and covers the one preconditioner checkout,
 	// at the planned step count. If a tuned step count's build fails, the
-	// candidate is recorded as infeasible and the configured M runs.
+	// candidate is recorded as infeasible and the static plan runs.
 	planSp := job.trace.Start("plan").SetWorker(workerID)
 	in, pl, mode, tdec := s.planFor(entry, cfg, len(fs))
 	sp, pc, err := entry.checkout(pl.M)
-	if err != nil && pl.M != cfg.M {
+	if err != nil && pl.M != in.M {
 		s.tuner.Observe(entry.key, pl.Signature(), plan.Observation{})
-		pl.M = cfg.M
+		pl = plan.Static(in)
 		sp, pc, err = entry.checkout(pl.M)
 	}
 	if err != nil {

@@ -51,20 +51,21 @@ type PlanInfo struct {
 	// of two: "off" or "adapt".
 	Tuning string `json:"tuning,omitempty"`
 	// Source reports how the plan was chosen: "static" for the planner's
-	// structure heuristic (cold problems, tuning off, or a measured
-	// confirmation that the static plan wins), "measured" for a candidate
-	// promoted on observed throughput, "explore" for an unmeasured
+	// structure heuristic (cold problems, tuning off, or an unmeasured
+	// static plan that outscored the other candidates), "measured" for a
+	// candidate chosen on observed throughput, "explore" for an unmeasured
 	// candidate promoted by the exploration bonus.
 	Source string `json:"plan_source,omitempty"`
 	// Candidates is the evidence trail of a tuned decision: every plan the
-	// selector considered, with measured rhs/s where the signature has
-	// executed before. Empty until the problem crosses the tuner's
-	// observation gate.
+	// selector considered — the static plan and the static plans at
+	// neighbouring step counts — with measured rhs/s where the signature
+	// has executed before. Empty until the request's own batch shape
+	// crosses the tuner's observation gate.
 	Candidates []PlanCandidate `json:"candidates,omitempty"`
 }
 
-// PlanCandidate is one plan the self-tuning planner considered, with the
-// evidence it was ranked by.
+// PlanCandidate is one plan the self-tuning planner considered, the static
+// plan at one step count, with the evidence it was ranked by.
 type PlanCandidate struct {
 	// Backend, TileWidth, Workers, M, Interleave summarize the candidate
 	// plan (TileWidth is the widest tile; tiling is balanced).

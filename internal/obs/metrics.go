@@ -68,31 +68,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Gauge is a value that can go up and down.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add adds d (CAS loop; fine for low-rate gauges).
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
-			return
-		}
-	}
-}
-
-// Inc adds one; Dec subtracts one.
-func (g *Gauge) Inc() { g.Add(1) }
-func (g *Gauge) Dec() { g.Add(-1) }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
 // Histogram counts observations into fixed buckets (upper bounds,
 // inclusive, ascending; an implicit +Inf bucket catches the rest). All
 // updates are atomic — Observe never locks and never allocates.
@@ -133,7 +108,6 @@ func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()
 type series struct {
 	labels []Label
 	c      *Counter
-	g      *Gauge
 	h      *Histogram
 	fn     func() float64
 }
@@ -150,7 +124,7 @@ type family struct {
 }
 
 // Registry holds metric families and renders them in Prometheus text
-// exposition format. Construction (the Counter/Gauge/Histogram calls)
+// exposition format. Registration (the Counter, Histogram and *Func calls)
 // locks; the returned instruments are lock-free. A Registry is safe for
 // concurrent use.
 type Registry struct {
@@ -225,19 +199,6 @@ func (r *Registry) LabeledCounter(name, help string, labels ...Label) *Counter {
 func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...Label) {
 	f := r.family(name, help, TypeCounter, nil)
 	f.add(&series{labels: labels, fn: fn})
-}
-
-// Gauge registers (or returns) the unlabeled gauge name.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	return r.LabeledGauge(name, help)
-}
-
-// LabeledGauge registers (or returns) the gauge series with the given
-// labels.
-func (r *Registry) LabeledGauge(name, help string, labels ...Label) *Gauge {
-	f := r.family(name, help, TypeGauge, nil)
-	s := f.add(&series{labels: labels, g: &Gauge{}})
-	return s.g
 }
 
 // GaugeFunc registers a func-backed gauge series, read at exposition time.
@@ -376,9 +337,6 @@ func writeSeries(w io.Writer, f *family, s *series) error {
 		return err
 	case s.c != nil:
 		_, err := fmt.Fprintf(w, "%s%s %d\n", f.name, renderLabels(s.labels), s.c.Value())
-		return err
-	case s.g != nil:
-		_, err := fmt.Fprintf(w, "%s%s %s\n", f.name, renderLabels(s.labels), formatValue(s.g.Value()))
 		return err
 	}
 	return nil

@@ -8,9 +8,9 @@ import (
 )
 
 // TestRegistryConcurrent hammers one registry from many goroutines — mixed
-// registration (same names, so instruments are shared) and updates — while
-// a reader renders the exposition. Run under -race this is the memory-model
-// guarantee for the whole package.
+// registration (same names, so instruments and series are shared) and
+// updates — while a reader renders the exposition. Run under -race this is
+// the memory-model guarantee for the whole package.
 func TestRegistryConcurrent(t *testing.T) {
 	r := NewRegistry()
 	const (
@@ -23,11 +23,10 @@ func TestRegistryConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			c := r.Counter("test_ops_total", "ops")
-			ga := r.Gauge("test_temp", "temp")
+			r.GaugeFunc("test_temp", "temp", func() float64 { return 1 })
 			h := r.Histogram("test_lat_seconds", "lat", []float64{0.1, 1, 10})
 			for i := 0; i < perG; i++ {
 				c.Inc()
-				ga.Add(1)
 				h.Observe(float64(i%20) / 2)
 				if i%100 == 0 {
 					var sb strings.Builder
@@ -44,8 +43,12 @@ func TestRegistryConcurrent(t *testing.T) {
 	if got := r.Counter("test_ops_total", "ops").Value(); got != goroutines*perG {
 		t.Errorf("counter = %d, want %d", got, goroutines*perG)
 	}
-	if got := r.Gauge("test_temp", "temp").Value(); got != goroutines*perG {
-		t.Errorf("gauge = %g, want %d", got, goroutines*perG)
+	var sb strings.Builder
+	if err := r.WriteProm(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Count(sb.String(), "\ntest_temp 1\n"); got != 1 {
+		t.Errorf("%d test_temp series, want 1:\n%s", got, sb.String())
 	}
 	h := r.Histogram("test_lat_seconds", "lat", []float64{0.1, 1, 10})
 	if got := h.Count(); got != goroutines*perG {
@@ -123,10 +126,10 @@ func TestWritePromGolden(t *testing.T) {
 	r := NewRegistry()
 	r.LabeledCounter("zz_jobs_total", "Finished jobs.", Label{Key: "state", Value: "done"}).Add(3)
 	r.LabeledCounter("zz_jobs_total", "Finished jobs.", Label{Key: "state", Value: "failed"}).Add(1)
-	r.Gauge("aa_queue_depth", "Jobs waiting.").Set(2)
+	r.GaugeFunc("aa_queue_depth", "Jobs waiting.", func() float64 { return 2 })
 	r.GaugeFunc("mm_uptime_seconds", "Uptime.", func() float64 { return 1.5 })
-	r.LabeledGauge("esc_gauge", `Help with \ and newline
-end.`, Label{Key: "path", Value: `a"b\c`}).Set(1)
+	r.GaugeFunc("esc_gauge", `Help with \ and newline
+end.`, func() float64 { return 1 }, Label{Key: "path", Value: `a"b\c`})
 	// Exactly-representable binary fractions, so the rendered _sum is
 	// byte-stable.
 	h := r.Histogram("hh_latency_seconds", "Latency.", []float64{0.25, 0.5})
@@ -174,5 +177,5 @@ func TestRegistryTypeConflictPanics(t *testing.T) {
 			t.Fatal("re-registering a counter as a gauge did not panic")
 		}
 	}()
-	r.Gauge("x_total", "x")
+	r.GaugeFunc("x_total", "x", func() float64 { return 0 })
 }

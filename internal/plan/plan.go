@@ -304,8 +304,10 @@ func (p Probe) Attrs() map[string]any {
 	}
 }
 
-// Static resolves in into the static execution plan, the one the tuner
-// starts from. It is pure, so equal Inputs always produce equal Plans — a
+// Static resolves in into the static execution plan. It is the one plan
+// function: the tuner only chooses among Static's plans at neighbouring
+// step counts, so backend, tiling, fan-out and layout are decided here on
+// every path. It is pure, so equal Inputs always produce equal Plans — a
 // cache hit re-planning a warm request decides exactly what the cold
 // request decided. It never fails: a nil Probe plans structure-blind
 // (tiling then assumes nothing about n and uses DefaultMaxTile).
@@ -367,8 +369,12 @@ func Static(in Inputs) Plan {
 		}
 	}
 
+	// Panels only when the preconditioner can sweep them and every tile
+	// clears the threshold. Balanced tiling keeps widths within one of each
+	// other, so the last tile is the narrowest (s = 1 scalar solves never
+	// clear it).
 	tiles := tile(s, width)
-	interleave := interleaves(in, tiles, in.M)
+	interleave := in.FusedSweep(in.M) && len(tiles[len(tiles)-1]) >= DefaultWideBlockThreshold
 	if interleave && in.Policy == BackendAuto {
 		// DIA's panel kernel re-reads and rewrites every destination row
 		// once per stored diagonal, where CSR's holds a row's sums in
@@ -384,15 +390,6 @@ func Static(in Inputs) Plan {
 		Interleave: interleave,
 		Kernel:     kernel.Active().Name,
 	}
-}
-
-// interleaves decides the layout of tiles run with an m-step
-// preconditioner: panels only when the preconditioner can sweep them and
-// every tile clears the threshold. Balanced tiling keeps widths within one
-// of each other, so the last tile is the narrowest (s = 1 scalar solves
-// never clear it).
-func interleaves(in Inputs, tiles [][]int, m int) bool {
-	return in.FusedSweep(m) && len(tiles[len(tiles)-1]) >= DefaultWideBlockThreshold
 }
 
 // subdomainCount resolves a decomposed plan's processor count: the

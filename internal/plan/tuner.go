@@ -3,9 +3,8 @@ package plan
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
-
-	"repro/internal/vec"
 )
 
 // TuningMode is the planner's feedback policy: what a session does with the
@@ -15,8 +14,8 @@ type TuningMode int
 const (
 	// TuningAdapt (the default) records realized throughput per executed
 	// plan and re-plans warm problems from the measurements: the selector
-	// prefers measured winners and explores neighboring plans, the paper's
-	// machine-dependent-m result closed into a live loop.
+	// prefers measured winners and explores neighbouring step counts, the
+	// paper's machine-dependent-m result closed into a live loop.
 	TuningAdapt TuningMode = iota
 	// TuningOff disables the loop entirely: plans are the planner's static
 	// structure decision, bit-for-bit, with no observation store.
@@ -71,24 +70,6 @@ func (p Plan) Signature() Signature {
 	}
 }
 
-// less orders signatures deterministically (tie-breaks in selection must
-// not depend on map iteration order).
-func (s Signature) less(o Signature) bool {
-	if s.Backend != o.Backend {
-		return s.Backend < o.Backend
-	}
-	if s.TileWidth != o.TileWidth {
-		return s.TileWidth < o.TileWidth
-	}
-	if s.Workers != o.Workers {
-		return s.Workers < o.Workers
-	}
-	if s.M != o.M {
-		return s.M < o.M
-	}
-	return !s.Interleave && o.Interleave
-}
-
 // Observation is one executed plan's realized performance: right-hand
 // sides retired per second of execute time, and the execute seconds per
 // block iteration (the per-iteration cost the m in m-step trades against).
@@ -124,13 +105,13 @@ type Decision struct {
 
 // Tuner constants.
 const (
-	// DefaultMinObservations is how many executed solves a problem needs
-	// before the selector starts considering alternatives: below it plans
-	// stay static, so short-lived sessions (and tests) see exactly the
-	// static planner.
+	// DefaultMinObservations is how many executed solves of a request's own
+	// static plans a problem needs before the selector starts considering
+	// alternatives: below it plans stay static, so short-lived sessions
+	// (and tests) see exactly the static planner.
 	DefaultMinObservations = 5
 	// DefaultExplore scales the UCB exploration bonus, in units of the
-	// best measured throughput.
+	// incumbent's measured throughput.
 	DefaultExplore = 0.25
 	// DefaultMaxProblems bounds the distinct problems (cache keys) the
 	// store tracks.
@@ -138,8 +119,6 @@ const (
 	// DefaultMaxSignatures bounds the plan signatures tracked per problem;
 	// observations for further signatures are dropped.
 	DefaultMaxSignatures = 32
-	// maxCandidates caps the plans one decision examines.
-	maxCandidates = 12
 )
 
 // Tuner is the measurement side of the self-tuning planner: a bounded
@@ -148,13 +127,14 @@ const (
 // selector that re-plans warm problems from the estimates. The zero value
 // is ready to use; all methods are safe for concurrent use.
 //
-// Selection is UCB-style over the neighborhood of the static plan and the
-// best measured plan (M±1, halved/doubled tile widths, halved/doubled
-// worker counts, interleave toggled): each candidate scores its measured
-// mean throughput — or, when unmeasured, the best measured signature's —
-// plus an exploration bonus that shrinks as the candidate accumulates
-// observations. The arithmetic is deliberately clock- and randomness-free:
-// equal stores produce equal decisions.
+// The selector tunes only the paper's parameter, the step count m: its
+// candidates are Static's plans at neighbouring step counts (see Decide),
+// so tile width, fan-out, layout and backend always come from Static.
+// Selection is UCB-style: each candidate scores its measured mean
+// throughput — or, when unmeasured, the incumbent's — plus an exploration
+// bonus that shrinks as the candidate accumulates observations. The
+// arithmetic is deliberately clock- and randomness-free: equal stores
+// produce equal decisions.
 type Tuner struct {
 	mu       sync.Mutex
 	problems map[string]*problemStats
@@ -235,54 +215,70 @@ func (t *Tuner) Observations(key string) int {
 	return 0
 }
 
-// Decide chooses the plan a warm problem should run: base is the planner's
-// static decision for in, from which the candidate plans are derived.
-// Until the problem has DefaultMinObservations executed solves — or when
-// the base plan is decomposed, whose execution shape the mesh partition
-// owns — the static plan returns untouched with an empty Decision. Past
-// the gate every candidate is scored and the winner's plan is returned.
-// Decide never mutates the store, so offline planning (POST /v1/plan) can
-// call it freely.
-func (t *Tuner) Decide(key string, in Inputs, base Plan) (Plan, Decision) {
-	if key == "" || base.Backend == BackendDecomposed || len(base.Tiles) == 0 {
-		return base, Decision{}
+// Decide chooses the plan a warm problem should run for in. Every plan it
+// considers is Static's: the static plan for in, and Static with in.M set
+// to a neighbouring step count (m ± 1 of the static plan, and the
+// incumbent with its m ± 1). The incumbent is the best measured of in's
+// own static plans: a stored signature counts only if Static at its m
+// reproduces it, so solves at another batch width never steer this one.
+// Until in's own plans have DefaultMinObservations executed solves — or
+// when the static plan is decomposed, whose execution shape the mesh
+// partition owns — the static plan returns untouched with an empty
+// Decision. Past the gate every candidate is scored and the winner's plan
+// is returned. Decide never mutates the store, so offline planning
+// (POST /v1/plan) can call it freely.
+func (t *Tuner) Decide(key string, in Inputs) (Plan, Decision) {
+	static := Static(in)
+	if key == "" || static.Backend == BackendDecomposed {
+		return static, Decision{}
+	}
+	at := func(m int) Plan {
+		in := in
+		in.M = m
+		return Static(in)
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	p := t.problems[key]
-	if p == nil || p.total < DefaultMinObservations {
-		return base, Decision{}
+	if p == nil {
+		return static, Decision{}
 	}
 
-	// Anchor: the best measured signature, the value of every unmeasured
-	// candidate and the unit of the exploration bonus.
-	var anchorSig Signature
-	anchor := 0.0
-	found := false
+	// Incumbent: the best measured of in's own static plans (ties to the
+	// lower m), the value of every unmeasured candidate and the unit of
+	// the exploration bonus.
+	total, incM, incMean := 0, 0, 0.0
 	for sig, st := range p.sigs {
-		if st.n == 0 {
+		if at(sig.M).Signature() != sig {
 			continue
 		}
-		if !found || st.mean > anchor || (st.mean == anchor && sig.less(anchorSig)) {
-			anchorSig, anchor, found = sig, st.mean, true
+		if total == 0 || st.mean > incMean || (st.mean == incMean && sig.M < incM) {
+			incM, incMean = sig.M, st.mean
 		}
+		total += st.n
 	}
-	if !found || anchor <= 0 {
-		return base, Decision{}
+	if total < DefaultMinObservations || incMean <= 0 {
+		return static, Decision{}
 	}
 
-	cands := t.candidates(in, base, anchorSig)
-	total := float64(p.total)
+	cands := []Candidate{{Plan: static, Signature: static.Signature()}}
+	for _, m := range []int{static.M + 1, static.M - 1, incM, incM + 1, incM - 1} {
+		if m < 0 || slices.ContainsFunc(cands, func(c Candidate) bool { return c.Plan.M == m }) {
+			continue
+		}
+		pl := at(m)
+		cands = append(cands, Candidate{Plan: pl, Signature: pl.Signature()})
+	}
+
 	best := 0
 	for i := range cands {
 		c := &cands[i]
-		value := anchor
-		n := 0
-		if st := p.sigs[c.Signature]; st != nil && st.n > 0 {
+		value, n := incMean, 0
+		if st := p.sigs[c.Signature]; st != nil {
 			c.Measured, c.Observations, c.IterSeconds = st.mean, st.n, st.iterSeconds
 			value, n = st.mean, st.n
 		}
-		c.Score = value + DefaultExplore*anchor*math.Sqrt(math.Log(total+1)/float64(n+1))
+		c.Score = value + DefaultExplore*incMean*math.Sqrt(math.Log(float64(total)+1)/float64(n+1))
 		if c.Score > cands[best].Score {
 			best = i
 		}
@@ -299,161 +295,4 @@ func (t *Tuner) Decide(key string, in Inputs, base Plan) (Plan, Decision) {
 		d.Source = "explore"
 	}
 	return cands[best].Plan, d
-}
-
-// candidates builds the deterministic candidate list: the static base plan
-// first, then the neighborhoods of the base and of the incumbent best
-// measured plan, deduplicated by signature. Caller holds t.mu.
-func (t *Tuner) candidates(in Inputs, base Plan, anchorSig Signature) []Candidate {
-	seen := map[Signature]bool{base.Signature(): true}
-	out := []Candidate{{Plan: base, Signature: base.Signature()}}
-	add := func(p Plan, ok bool) {
-		if !ok || len(out) >= maxCandidates {
-			return
-		}
-		sig := p.Signature()
-		if seen[sig] {
-			return
-		}
-		seen[sig] = true
-		out = append(out, Candidate{Plan: p, Signature: sig})
-	}
-	expand := func(from Plan) {
-		add(withM(in, from, from.M+1))
-		add(withM(in, from, from.M-1))
-		add(retiled(in, from, 2*tileWidth(from)))
-		add(retiled(in, from, tileWidth(from)/2))
-		add(withWorkers(in, from, from.Workers*2))
-		add(withWorkers(in, from, from.Workers/2))
-		add(withInterleave(in, from, !from.Interleave))
-	}
-	expand(base)
-	// Walk the neighborhood of the incumbent too, so adaptation can climb
-	// more than one step away from the static plan (m 1 → 2 → 3 …).
-	if inc, ok := fromSignature(in, base, anchorSig); ok {
-		add(inc, true)
-		expand(inc)
-	}
-	return out
-}
-
-// tileWidth is the plan's widest tile (its signature width).
-func tileWidth(p Plan) int {
-	if len(p.Tiles) == 0 {
-		return 0
-	}
-	return len(p.Tiles[0])
-}
-
-// batchSize is the plan's total column count.
-func batchSize(p Plan) int {
-	s := 0
-	for _, t := range p.Tiles {
-		s += len(t)
-	}
-	return s
-}
-
-// withM proposes base with m preconditioner steps (invalid m: no plan),
-// leaving the panel layout when the m-step preconditioner cannot sweep it.
-func withM(in Inputs, base Plan, m int) (Plan, bool) {
-	if m < 0 || m == base.M {
-		return Plan{}, false
-	}
-	out := base
-	out.M = m
-	if out.Interleave && !in.FusedSweep(m) {
-		out.Interleave = false
-	}
-	return out, true
-}
-
-// retiled proposes base re-partitioned at the given tile width, with the
-// interleave legality the static planner applies.
-func retiled(in Inputs, base Plan, width int) (Plan, bool) {
-	s := batchSize(base)
-	if s <= 1 || width < 1 || width > s || width == tileWidth(base) {
-		return Plan{}, false
-	}
-	out := base
-	out.Tiles = tile(s, width)
-	out.Interleave = interleaves(in, out.Tiles, out.M)
-	if tileWidth(out) == tileWidth(base) && out.Interleave == base.Interleave {
-		return Plan{}, false
-	}
-	return out, true
-}
-
-// withWorkers proposes base at a different kernel fan-out, bounded by the
-// session's worker budget. Systems below the parallel-kernel threshold run
-// serially regardless, so no variant is proposed for them.
-func withWorkers(in Inputs, base Plan, w int) (Plan, bool) {
-	budget := in.Workers
-	if budget < 1 {
-		budget = 1
-	}
-	if in.Probe != nil && in.Probe.Rows > 0 && in.Probe.Rows < vec.MinParallelLen {
-		return Plan{}, false
-	}
-	if w < 1 || w > budget || w == base.Workers {
-		return Plan{}, false
-	}
-	out := base
-	out.Workers = w
-	return out, true
-}
-
-// withInterleave proposes base with the panel layout toggled. Turning it
-// on needs a preconditioner that sweeps panels and every tile at least two
-// columns wide (a one-column panel is the scalar path).
-func withInterleave(in Inputs, base Plan, on bool) (Plan, bool) {
-	if on == base.Interleave || len(base.Tiles) == 0 {
-		return Plan{}, false
-	}
-	if on && (!in.FusedSweep(base.M) || len(base.Tiles[len(base.Tiles)-1]) < 2) {
-		return Plan{}, false
-	}
-	out := base
-	out.Interleave = on
-	return out, true
-}
-
-// fromSignature reconstructs the plan a signature describes by applying
-// its fields to the static base (the inverse of the candidate modifiers).
-// It reports false when the signature is not reachable from base — a
-// different backend, or a shape the current inputs cannot express — so a
-// stale store entry can never smuggle in an inconsistent plan.
-func fromSignature(in Inputs, base Plan, sig Signature) (Plan, bool) {
-	if sig.Backend != base.Backend {
-		return Plan{}, false
-	}
-	out := base
-	if sig.M != out.M {
-		var ok bool
-		if out, ok = withM(in, out, sig.M); !ok {
-			return Plan{}, false
-		}
-	}
-	if sig.TileWidth != tileWidth(out) {
-		var ok bool
-		if out, ok = retiled(in, out, sig.TileWidth); !ok {
-			return Plan{}, false
-		}
-	}
-	if sig.Workers != out.Workers {
-		var ok bool
-		if out, ok = withWorkers(in, out, sig.Workers); !ok {
-			return Plan{}, false
-		}
-	}
-	if sig.Interleave != out.Interleave {
-		var ok bool
-		if out, ok = withInterleave(in, out, sig.Interleave); !ok {
-			return Plan{}, false
-		}
-	}
-	if out.Signature() != sig {
-		return Plan{}, false
-	}
-	return out, true
 }

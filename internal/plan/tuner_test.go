@@ -61,7 +61,7 @@ func TestDecideBelowGateIsStatic(t *testing.T) {
 		for j := 0; j < DefaultMinObservations-1; j++ {
 			tu.Observe(key, base.Signature(), Observation{RHSPerSec: 100})
 		}
-		got, d := tu.Decide(key, in, base)
+		got, d := tu.Decide(key, in)
 		if !reflect.DeepEqual(got, base) {
 			t.Errorf("input %d: below-gate plan differs:\n got %+v\nwant %+v", i, got, base)
 		}
@@ -73,11 +73,12 @@ func TestDecideBelowGateIsStatic(t *testing.T) {
 
 func TestDecideDecomposedUntouched(t *testing.T) {
 	tu := &Tuner{}
-	base := Plan{Backend: BackendDecomposed, Subdomains: 4, M: 3}
+	in := Inputs{Policy: BackendDecomposed, M: 3, Decomp: &DecompInputs{Requested: 4}}
+	base := Static(in)
 	for i := 0; i < 3*DefaultMinObservations; i++ {
 		tu.Observe("k", base.Signature(), Observation{RHSPerSec: 10})
 	}
-	got, d := tu.Decide("k", Inputs{}, base)
+	got, d := tu.Decide("k", in)
 	if !reflect.DeepEqual(got, base) || len(d.Candidates) != 0 {
 		t.Fatalf("decomposed plan was tuned: %+v / %+v", got, d)
 	}
@@ -93,7 +94,7 @@ func TestDecidePastGateEvidence(t *testing.T) {
 	for i := 0; i < 2*DefaultMinObservations; i++ {
 		tu.Observe("k", base.Signature(), Observation{RHSPerSec: 100})
 	}
-	_, d := tu.Decide("k", in, base)
+	_, d := tu.Decide("k", in)
 	if len(d.Candidates) < 2 {
 		t.Fatalf("no candidates past the gate: %+v", d)
 	}
@@ -140,7 +141,7 @@ func syntheticSpeed(base Signature, sig Signature) float64 {
 func runTuningLoop(tu *Tuner, in Inputs, base Plan, n int) []int {
 	ms := make([]int, 0, n)
 	for i := 0; i < n; i++ {
-		p, _ := tu.Decide("k", in, base)
+		p, _ := tu.Decide("k", in)
 		sig := p.Signature()
 		tu.Observe("k", sig, Observation{RHSPerSec: syntheticSpeed(base.Signature(), sig), IterSeconds: 0.01})
 		ms = append(ms, sig.M)
@@ -160,7 +161,7 @@ func TestTunerConvergesToBestCandidate(t *testing.T) {
 
 	runTuningLoop(tu, in, base, 80)
 
-	final, d := tu.Decide("k", in, base)
+	final, d := tu.Decide("k", in)
 	if got := final.Signature().M; got != 3 {
 		t.Fatalf("converged to m = %d, want 3 (decision %+v)", got, d)
 	}
@@ -241,13 +242,83 @@ func TestTunerCandidatesNeedPanelSweep(t *testing.T) {
 		for i := 0; i < DefaultMinObservations; i++ {
 			tu.Observe("k", base.Signature(), Observation{RHSPerSec: 100})
 		}
-		_, d := tu.Decide("k", in, base)
+		_, d := tu.Decide("k", in)
 		if len(d.Candidates) < 2 {
 			t.Fatalf("m=%d: no candidates past the gate", m)
 		}
 		for _, c := range d.Candidates {
 			if c.Signature.Interleave && c.Signature.M > 0 {
 				t.Fatalf("m=%d: candidate %+v interleaves a preconditioner without a panel sweep", m, c.Signature)
+			}
+		}
+	}
+}
+
+// TestDecideIgnoresOtherBatchWidths: a request is scored against its own
+// static plans only. Five s = 8 solves of the same key at 60 rhs/s must
+// leave an s = 1 request's next six picks exactly as they are without
+// them.
+func TestDecideIgnoresOtherBatchWidths(t *testing.T) {
+	scalar := Inputs{Probe: tiled(16), RHS: 1, M: 3}
+	static := Static(scalar).Signature()
+	picks := func(wide bool) []Signature {
+		tu := &Tuner{}
+		if wide {
+			in := scalar
+			in.RHS = 8
+			for i := 0; i < 5; i++ {
+				tu.Observe("k", Static(in).Signature(), Observation{RHSPerSec: 60})
+			}
+		}
+		for i := 0; i < 10; i++ {
+			tu.Observe("k", static, Observation{RHSPerSec: 20})
+		}
+		var out []Signature
+		for round := 0; round < 6; round++ {
+			p, d := tu.Decide("k", scalar)
+			for _, c := range d.Candidates {
+				if c.Observations == 0 {
+					tu.Observe("k", c.Signature, Observation{RHSPerSec: 15})
+				}
+			}
+			speed := 15.0
+			if p.Signature() == static {
+				speed = 20
+			}
+			tu.Observe("k", p.Signature(), Observation{RHSPerSec: speed})
+			out = append(out, p.Signature())
+		}
+		return out
+	}
+	if alone, after := picks(false), picks(true); !reflect.DeepEqual(alone, after) {
+		t.Fatalf("s = 8 solves steered the s = 1 picks:\nalone: %+v\nafter: %+v", alone, after)
+	}
+}
+
+// TestCandidatesAreStaticPlans: past the gate every candidate is Static's
+// plan at its step count. On the stencil, Jacobi at m = 1 plans DIA
+// columns while m = 0 plans CSR panels; on three columns no step count
+// plans panels.
+func TestCandidatesAreStaticPlans(t *testing.T) {
+	const rows = 48 * 48
+	stencil := &Probe{Rows: rows, Cols: rows, NNZ: 5*rows - 4*48, MaxRowNNZ: 5, NumDiags: 5, Fill: 0.983}
+	for _, in := range []Inputs{
+		{Probe: stencil, RHS: 8, M: 1},
+		{Probe: tiled(16), RHS: 3, M: 0},
+	} {
+		tu := &Tuner{}
+		for i := 0; i < DefaultMinObservations; i++ {
+			tu.Observe("k", Static(in).Signature(), Observation{RHSPerSec: 100})
+		}
+		_, d := tu.Decide("k", in)
+		if len(d.Candidates) < 2 {
+			t.Fatalf("s=%d m=%d: no candidates past the gate", in.RHS, in.M)
+		}
+		for _, c := range d.Candidates {
+			at := in
+			at.M = c.Plan.M
+			if want := Static(at); !reflect.DeepEqual(c.Plan, want) {
+				t.Errorf("s=%d m=%d: candidate\n%+v\nis not Static at m=%d:\n%+v", in.RHS, in.M, c.Plan, at.M, want)
 			}
 		}
 	}

@@ -33,12 +33,6 @@ func NewIMulti(n, s int) *IMulti {
 	return &IMulti{N: n, S: s, Stride: s, Data: make([]float64, n*s)}
 }
 
-// Row returns the live entries of row i as a slice sharing the backing
-// storage.
-func (m *IMulti) Row(i int) []float64 {
-	return m.Data[i*m.Stride : i*m.Stride+m.S]
-}
-
 // Prefix returns a view with the first s columns live, sharing the backing
 // storage and keeping the allocation stride.
 func (m *IMulti) Prefix(s int) *IMulti {
