@@ -153,11 +153,12 @@ func TestEstimateConditionLargeShift(t *testing.T) {
 	}
 }
 
-// A Problem's interval memo holds estimates only: least squares (fitted on
-// the SSOR bound), then Chebyshev (estimated), then least squares again on
-// one problem give each solve the iterations and α of the same config on a
-// fresh problem. Were the bound memoized, the Chebyshev solve would fit on
-// [1e-9, 1.02] and take several times the iterations.
+// A Problem carries no interval from one solve to the next: least squares
+// (fitted on the SSOR bound), then Chebyshev (estimated), then least
+// squares again on one problem give each solve the iterations and α of the
+// same config on a fresh problem. Were the bound carried over, the
+// Chebyshev solve would fit on [1e-9, 1.02] and take several times the
+// iterations.
 func TestProblemIntervalMemoAcrossCoefficients(t *testing.T) {
 	for _, m := range []int{3, 4} {
 		shared, err := repro.NewPlateProblem(16, 16)

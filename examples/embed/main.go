@@ -1,8 +1,8 @@
 // Example embed: the in-process solver session. One repro.NewLocal
 // session serves repeated solves of one assembled problem the way the
-// solverd daemon would — the first request pays for assembly reuse,
-// structure probing and spectral-interval estimation; every later request
-// hits the session cache and only iterates — and streams a batch's
+// solverd daemon would — the first request pays for structure probing, the
+// spectral interval and the preconditioner build; every later request hits
+// the session cache and only iterates — and streams a batch's
 // per-case results as the columns converge, all without running a daemon.
 package main
 
@@ -20,8 +20,8 @@ func main() {
 	defer solver.Close()
 	ctx := context.Background()
 
-	// Assemble once; the *Problem memoizes its structure probe and
-	// spectral interval, and the session caches the prepared problem.
+	// Assemble once; the session caches the prepared problem (structure
+	// probe, spectral interval, preconditioners) under its identity.
 	problem, err := repro.NewPlateProblem(60, 60)
 	if err != nil {
 		log.Fatal(err)
@@ -38,8 +38,8 @@ func main() {
 	}
 	fmt.Printf("plan: backend=%s workers=%d m=%d\n", plan.Backend, plan.Workers, plan.M)
 
-	// Cold solve: builds the preconditioner (the interval estimate is
-	// already memoized on the problem). Warm solves reuse everything.
+	// Cold solve: builds the interval and the preconditioner (planning
+	// built neither). Warm solves reuse everything.
 	for i := 0; i < 3; i++ {
 		start := time.Now()
 		res, err := solver.Solve(ctx, req)

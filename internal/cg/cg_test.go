@@ -307,6 +307,5 @@ func (negDefinite) Apply(z, r []float64) {
 	}
 }
 func (negDefinite) Name() string { return "neg" }
-func (negDefinite) Steps() int   { return 1 }
 
 var _ = la.NewMatrix // reserved for future dense cross-checks

@@ -19,17 +19,17 @@ import (
 )
 
 // pcgEstimate is the estimator EstimateInterval replaced, kept as the
-// reference: PCG on K with the one-step preconditioner P from right-hand
-// side f, run to relative residual 1e-6, with λ₁ and λₙ read off the PCG
-// Lanczos tridiagonal and padded. EstimateInterval used the seeded vector
-// (seeded) as f.
-func pcgEstimate(t *testing.T, sp splitting.Splitting, pad float64, f []float64) Interval {
+// reference: PCG on K (the matrix sp splits) with the one-step
+// preconditioner P from right-hand side f, run to relative residual 1e-6,
+// with λ₁ and λₙ read off the PCG Lanczos tridiagonal and padded.
+// EstimateInterval used the seeded vector (seeded) as f.
+func pcgEstimate(t *testing.T, k *sparse.CSR, sp splitting.Splitting, pad float64, f []float64) Interval {
 	t.Helper()
 	p, err := precond.NewMStep(sp, poly.Ones(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, st, err := cg.Solve(sp.Matrix(), f, p, cg.Options{RelResidualTol: 1e-6, MaxIter: 3000})
+	_, st, err := cg.Solve(k, f, p, cg.Options{RelResidualTol: 1e-6, MaxIter: 3000})
 	if err != nil && !errors.Is(err, cg.ErrMaxIterations) {
 		t.Fatal(err)
 	}
@@ -81,6 +81,7 @@ func mulW(k *sparse.CSR, omega float64, f []float64) []float64 {
 func TestEstimateIntervalMatchesPCGEstimate(t *testing.T) {
 	type tc struct {
 		name string
+		k    *sparse.CSR
 		sp   splitting.Splitting
 	}
 	var cases []tc
@@ -97,7 +98,7 @@ func TestEstimateIntervalMatchesPCGEstimate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cases = append(cases, tc{fmt.Sprintf("plate %d²", n), sp})
+		cases = append(cases, tc{fmt.Sprintf("plate %d²", n), p.KColored, sp})
 	}
 	d, err := fem.NewDomainProblem(mesh.LShapedDomain(mesh.NewGrid(17, 17)), nil, fem.Material{})
 	if err != nil {
@@ -107,10 +108,10 @@ func TestEstimateIntervalMatchesPCGEstimate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases = append(cases, tc{"L-shape 17²", l})
+	cases = append(cases, tc{"L-shape 17²", d.KColored, l})
 	for _, c := range cases {
 		for _, seed := range []int64{1, 2} {
-			checkAgainstPCG(t, c.name, c.sp, seed, seeded(c.sp.N(), seed))
+			checkAgainstPCG(t, c.name, c.k, c.sp, seed, seeded(c.sp.N(), seed))
 		}
 	}
 }
@@ -136,20 +137,20 @@ func TestEstimateIntervalMatchesPCGEstimateRandomSPD(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, seed := range []int64{1, 2, 3} {
-			checkAgainstPCG(t, "randomspd-400 "+sp.Name(), sp, seed, mulW(k, omega, seeded(k.Rows, seed)))
+			checkAgainstPCG(t, "randomspd-400 "+sp.Name(), k, sp, seed, mulW(k, omega, seeded(k.Rows, seed)))
 		}
 	}
 }
 
 // checkAgainstPCG compares EstimateInterval(sp, 0.02, seed) with the
-// PCG-with-P estimate from right-hand side f.
-func checkAgainstPCG(t *testing.T, name string, sp splitting.Splitting, seed int64, f []float64) {
+// PCG-with-P estimate on k, the matrix sp splits, from right-hand side f.
+func checkAgainstPCG(t *testing.T, name string, k *sparse.CSR, sp splitting.Splitting, seed int64, f []float64) {
 	t.Helper()
 	got, err := EstimateInterval(sp, 0.02, seed)
 	if err != nil {
 		t.Fatalf("%s seed %d: %v", name, seed, err)
 	}
-	want := pcgEstimate(t, sp, 0.02, f)
+	want := pcgEstimate(t, k, sp, 0.02, f)
 	dlo := math.Abs(got.Lo-want.Lo) / want.Lo
 	dhi := math.Abs(got.Hi-want.Hi) / want.Hi
 	if dlo > 5e-3 || dhi > 5e-3 {

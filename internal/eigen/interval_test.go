@@ -59,13 +59,13 @@ func TestEstimateIntervalRejectsNonSPD(t *testing.T) {
 	}
 }
 
-// denseSplitting forms K and the splitting matrix P densely. Column j of
-// P⁻¹ is one step from r̂ = 0 with r = e_j; P is its inverse, symmetrized
-// against round-off.
-func denseSplitting(t *testing.T, sp splitting.Splitting) (k, p *la.Matrix) {
+// denseSplitting forms K = a, the matrix sp splits, and the splitting
+// matrix P densely. Column j of P⁻¹ is one step from r̂ = 0 with r = e_j;
+// P is its inverse, symmetrized against round-off.
+func denseSplitting(t *testing.T, a *sparse.CSR, sp splitting.Splitting) (k, p *la.Matrix) {
 	t.Helper()
 	n := sp.N()
-	k = la.FromRows(sp.Matrix().Dense())
+	k = la.FromRows(a.Dense())
 	pinv := la.NewMatrix(n, n)
 	e := make([]float64, n)
 	for j := 0; j < n; j++ {
@@ -97,11 +97,14 @@ func denseSplitting(t *testing.T, sp splitting.Splitting) (k, p *la.Matrix) {
 // K − Lo·P and Hi·P − K are positive definite. Checked against dense P for
 // each splitting kind, including ω ≠ 1.
 func TestEstimateIntervalContainsSpectrum(t *testing.T) {
-	type build func() (splitting.Splitting, error)
+	type build struct {
+		k  *sparse.CSR
+		mk func(k *sparse.CSR) (splitting.Splitting, error)
+	}
 	cases := map[string]build{
-		"jacobi/laplacian1d-40": func() (splitting.Splitting, error) {
-			return splitting.NewJacobi(model.Laplacian1D(40))
-		},
+		"jacobi/laplacian1d-40": {model.Laplacian1D(40), func(k *sparse.CSR) (splitting.Splitting, error) {
+			return splitting.NewJacobi(k)
+		}},
 	}
 	for _, size := range []int{6, 8} {
 		plate, err := fem.NewPlate(size, size, fem.Options{})
@@ -109,20 +112,20 @@ func TestEstimateIntervalContainsSpectrum(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, omega := range []float64{1, 1.5} {
-			cases[fmt.Sprintf("multicolor(ω=%g)/plate%d", omega, size)] = func() (splitting.Splitting, error) {
-				return splitting.NewMulticolorSSOR(plate.KColored, plate.Ordering.GroupStart[:], omega)
-			}
-			cases[fmt.Sprintf("natural(ω=%g)/plate%d", omega, size)] = func() (splitting.Splitting, error) {
-				return splitting.NewNaturalSSOR(plate.K, omega)
-			}
+			cases[fmt.Sprintf("multicolor(ω=%g)/plate%d", omega, size)] = build{plate.KColored, func(k *sparse.CSR) (splitting.Splitting, error) {
+				return splitting.NewMulticolorSSOR(k, plate.Ordering.GroupStart[:], omega)
+			}}
+			cases[fmt.Sprintf("natural(ω=%g)/plate%d", omega, size)] = build{plate.K, func(k *sparse.CSR) (splitting.Splitting, error) {
+				return splitting.NewNaturalSSOR(k, omega)
+			}}
 		}
 	}
-	for name, mk := range cases {
-		sp, err := mk()
+	for name, c := range cases {
+		sp, err := c.mk(c.k)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		k, p := denseSplitting(t, sp)
+		k, p := denseSplitting(t, c.k, sp)
 		for seed := int64(1); seed <= 3; seed++ {
 			iv, err := EstimateInterval(sp, 0.02, seed)
 			if err != nil {
@@ -190,9 +193,12 @@ func TestSSORSpectrumBound(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, sp := range []splitting.Splitting{mc, nat} {
-				name := fmt.Sprintf("%s ω=%g %s", sp.Name(), omega, sys.name)
-				k, p := denseSplitting(t, sp)
+			for _, c := range []struct {
+				k  *sparse.CSR
+				sp splitting.Splitting
+			}{{sys.colored, mc}, {sys.k, nat}} {
+				name := fmt.Sprintf("%s ω=%g %s", c.sp.Name(), omega, sys.name)
+				k, p := denseSplitting(t, c.k, c.sp)
 				if omega != 1 {
 					if !pd(k, p, 1-1e-6, -1) {
 						t.Errorf("%s: (1 − 1e-6)·P − K not positive definite: λmax ≥ 1 − 1e-6", name)

@@ -119,11 +119,6 @@ func (e *cacheEntry) assemble(req *Request) error {
 		return err
 	}
 	e.sys, e.plate = sys, plate
-	if pb := req.Prebuilt; pb != nil && pb.Probe != nil {
-		// Seed the structure-probe memo from the caller's own memo: a
-		// prebuilt problem's pattern is never rescanned, not even once.
-		e.probeOnce.Do(func() { e.probeVal = *pb.Probe })
-	}
 	return nil
 }
 

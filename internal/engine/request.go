@@ -41,9 +41,6 @@ type Prebuilt struct {
 	// Fs, when non-empty, is the batch of right-hand sides solved against
 	// Sys.K in one block job (Sys.F is ignored).
 	Fs [][]float64
-	// Probe, when non-nil, is the caller's memoized structure scan of
-	// Sys.K; the engine plans from it instead of rescanning the pattern.
-	Probe *plan.Probe
 	// Config is the full solver configuration; a prebuilt request carries
 	// no SolverSpec. It expresses knobs the wire vocabulary cannot (a
 	// pinned spectral interval, iteration history). The zero Config runs

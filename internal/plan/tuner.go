@@ -142,7 +142,6 @@ type Tuner struct {
 }
 
 type problemStats struct {
-	total    int
 	lastUsed int64
 	sigs     map[Signature]*sigStat
 }
@@ -184,7 +183,6 @@ func (t *Tuner) Observe(key string, sig Signature, obs Observation) {
 		st = &sigStat{}
 		p.sigs[sig] = st
 	}
-	p.total++
 	st.n++
 	st.mean += (obs.RHSPerSec - st.mean) / float64(st.n)
 	st.iterSeconds += (obs.IterSeconds - st.iterSeconds) / float64(st.n)
@@ -202,17 +200,6 @@ func (t *Tuner) evictColdest() {
 	if coldKey != "" {
 		delete(t.problems, coldKey)
 	}
-}
-
-// Observations reports how many executed solves the store has folded in
-// for the problem (0 for unknown keys).
-func (t *Tuner) Observations(key string) int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if p := t.problems[key]; p != nil {
-		return p.total
-	}
-	return 0
 }
 
 // Decide chooses the plan a warm problem should run for in. Every plan it

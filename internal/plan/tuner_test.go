@@ -200,8 +200,8 @@ func TestObserveBounds(t *testing.T) {
 	// Rejected observations never create state.
 	tu.Observe("", sig, Observation{RHSPerSec: 1})
 	tu.Observe("k", sig, Observation{RHSPerSec: -1})
-	if n := tu.Observations("k"); n != 0 {
-		t.Fatalf("invalid observations stored: %d", n)
+	if len(tu.problems) != 0 {
+		t.Fatalf("invalid observations stored: %d problems", len(tu.problems))
 	}
 	// Per-problem signature cap: the signature past the cap is dropped.
 	for m := 1; m <= DefaultMaxSignatures+1; m++ {
@@ -209,22 +209,27 @@ func TestObserveBounds(t *testing.T) {
 		s.M = m
 		tu.Observe("k", s, Observation{RHSPerSec: float64(m)})
 	}
-	if n := tu.Observations("k"); n != DefaultMaxSignatures {
-		t.Fatalf("signature cap leaked: %d observations", n)
+	over := sig
+	over.M = DefaultMaxSignatures + 1
+	if sigs := tu.problems["k"].sigs; len(sigs) != DefaultMaxSignatures || sigs[over] != nil {
+		t.Fatalf("signature cap leaked: %d signatures", len(sigs))
 	}
 	// Problem cap: the coldest problem is evicted, the hot ones survive.
 	for i := 2; i <= DefaultMaxProblems; i++ {
 		tu.Observe(fmt.Sprintf("k%d", i), sig, Observation{RHSPerSec: 1})
 	}
-	if tu.Observations("k") == 0 {
+	if tu.problems["k"] == nil {
 		t.Fatal("a problem evicted below the cap")
 	}
 	last := fmt.Sprintf("k%d", DefaultMaxProblems+1)
 	tu.Observe(last, sig, Observation{RHSPerSec: 1})
-	if tu.Observations("k") != 0 {
+	if len(tu.problems) != DefaultMaxProblems {
+		t.Fatalf("problem cap leaked: %d problems", len(tu.problems))
+	}
+	if tu.problems["k"] != nil {
 		t.Fatal("LRU eviction kept the coldest problem")
 	}
-	if tu.Observations(last) == 0 {
+	if tu.problems[last] == nil {
 		t.Fatal("newest problem evicted")
 	}
 }

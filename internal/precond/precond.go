@@ -21,9 +21,6 @@ type Preconditioner interface {
 	Apply(z, r []float64)
 	// Name identifies the preconditioner in reports.
 	Name() string
-	// Steps returns m, the number of inner stationary steps per
-	// application (0 for the identity).
-	Steps() int
 }
 
 // ApplyBlock computes z = M⁻¹·r column by column (the column-contiguous
@@ -78,9 +75,6 @@ func (Identity) ApplyInterleaved(z, r *vec.IMulti, _ *kernel.Impl) { copy(z.Data
 
 // Name identifies the preconditioner.
 func (Identity) Name() string { return "none" }
-
-// Steps returns 0.
-func (Identity) Steps() int { return 0 }
 
 // MStep is the m-step preconditioner over a splitting. When the splitting
 // implements splitting.MStepApplier (the multicolor SSOR does, via the
@@ -141,6 +135,3 @@ func (m *MStep) ApplyInterleaved(z, r *vec.IMulti, impl *kernel.Impl) {
 func (m *MStep) Name() string {
 	return fmt.Sprintf("%d-step %s (%s)", m.Alphas.M(), m.Split.Name(), m.Alphas.Kind)
 }
-
-// Steps returns m.
-func (m *MStep) Steps() int { return m.Alphas.M() }

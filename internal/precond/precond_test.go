@@ -23,7 +23,7 @@ func TestIdentity(t *testing.T) {
 			t.Fatal("identity changed vector")
 		}
 	}
-	if id.Steps() != 0 || id.Name() != "none" {
+	if id.Name() != "none" {
 		t.Fatal("identity metadata wrong")
 	}
 }
@@ -121,9 +121,6 @@ func TestMStepName(t *testing.T) {
 	if !strings.Contains(name, "2-step") || !strings.Contains(name, "jacobi") {
 		t.Fatalf("name = %q", name)
 	}
-	if p.Steps() != 2 {
-		t.Fatalf("Steps = %d", p.Steps())
-	}
 }
 
 func TestValidateAcceptsSSORMStep(t *testing.T) {
@@ -215,7 +212,6 @@ func (asym) Apply(z, r []float64) {
 	}
 }
 func (asym) Name() string { return "asym" }
-func (asym) Steps() int   { return 1 }
 
 // negate is symmetric but negative definite.
 type negate struct{}
@@ -226,4 +222,3 @@ func (negate) Apply(z, r []float64) {
 	}
 }
 func (negate) Name() string { return "negate" }
-func (negate) Steps() int   { return 1 }

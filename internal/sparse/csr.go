@@ -226,18 +226,6 @@ func (a *CSR) Dense() [][]float64 {
 	return out
 }
 
-// ScaleRows multiplies row i by s[i] in place (used to form D⁻¹·A etc.).
-func (a *CSR) ScaleRows(s []float64) {
-	if len(s) != a.Rows {
-		panic("sparse: ScaleRows length mismatch")
-	}
-	for i := 0; i < a.Rows; i++ {
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			a.Val[k] *= s[i]
-		}
-	}
-}
-
 // Identity returns the n×n identity in CSR form.
 func Identity(n int) *CSR {
 	a := &CSR{Rows: n, Cols: n, RowPtr: make([]int, n+1), ColIdx: make([]int, n), Val: make([]float64, n)}

@@ -186,14 +186,6 @@ func TestMaxRowNNZ(t *testing.T) {
 	}
 }
 
-func TestScaleRows(t *testing.T) {
-	a := small()
-	a.ScaleRows([]float64{1, 0.5, 2})
-	if a.At(1, 1) != 1 || a.At(2, 1) != -2 {
-		t.Fatalf("ScaleRows: %v", a.Dense())
-	}
-}
-
 func TestIdentity(t *testing.T) {
 	id := Identity(4)
 	x := []float64{1, 2, 3, 4}

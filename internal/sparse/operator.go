@@ -85,19 +85,3 @@ func (a *CSR) DiagStats() (numDiags, bandwidth int) {
 	}
 	return numDiags, bandwidth
 }
-
-// DIAFillRatio reports NNZ / (numDiags·n): the fraction of a DIA
-// conversion's stored slots that would hold actual nonzeros. 1 means every
-// stored diagonal is full (the ideal vector-triad regime); small values
-// mean diagonal storage would mostly stream padding zeros. This is the
-// quantity plan.Probe thresholds when resolving the Auto backend (stored
-// on the probe from its own DiagStats scan, not by calling this helper);
-// the helper itself serves reports and benchmarks.
-func (a *CSR) DIAFillRatio() float64 {
-	nd, _ := a.DiagStats()
-	if nd == 0 {
-		return 0
-	}
-	n := max(a.Rows, a.Cols)
-	return float64(a.NNZ()) / (float64(nd) * float64(n))
-}

@@ -69,22 +69,3 @@ func TestDiagStats(t *testing.T) {
 		t.Fatalf("empty DiagStats = (%d, %d), want (0, 0)", nd, bw)
 	}
 }
-
-func TestDIAFillRatio(t *testing.T) {
-	// Full tridiagonal except the two corner slots of the off-diagonals:
-	// nnz = 3n−2 over 3 stored diagonals of length n.
-	n := 10
-	c := NewCOO(n, n)
-	for i := 0; i < n; i++ {
-		c.Add(i, i, 2)
-		if i > 0 {
-			c.Add(i, i-1, -1)
-			c.Add(i-1, i, -1)
-		}
-	}
-	got := c.ToCSR().DIAFillRatio()
-	want := float64(3*n-2) / float64(3*n)
-	if got != want {
-		t.Fatalf("DIAFillRatio = %v, want %v", got, want)
-	}
-}

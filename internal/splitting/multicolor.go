@@ -121,9 +121,6 @@ func (s *SixColorSSOR) Name() string {
 	return fmt.Sprintf("ssor-multicolor(ω=%g)", s.omega)
 }
 
-// Matrix returns K.
-func (s *SixColorSSOR) Matrix() *sparse.CSR { return s.K }
-
 // numGroups returns the number of color groups.
 func (s *SixColorSSOR) numGroups() int { return len(s.Start) - 1 }
 
@@ -310,14 +307,4 @@ func (s *SixColorSSOR) ApplyMStepInterleaved(rhat, r *vec.IMulti, alphas []float
 	}
 	s.ka.Alphas = alphas
 	impl.SweepCSRI(&s.ka, rhat.Data, r.Data, s.yb[:n*st], st, n, rhat.S)
-}
-
-// GroupLengths returns the size of each color group — the vector lengths of
-// the per-color diagonal solves, which the CYBER simulator charges time for.
-func (s *SixColorSSOR) GroupLengths() []int {
-	out := make([]int, s.numGroups())
-	for c := range out {
-		out[c] = s.Start[c+1] - s.Start[c]
-	}
-	return out
 }

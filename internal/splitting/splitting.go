@@ -36,8 +36,6 @@ type Splitting interface {
 	N() int
 	// Name identifies the splitting in reports.
 	Name() string
-	// Matrix returns K, the matrix the splitting splits.
-	Matrix() *sparse.CSR
 	// Step performs r̂ ← G·r̂ + α·P⁻¹·r in place. r is read-only and must
 	// not alias r̂.
 	Step(rhat, r []float64, alpha float64)
@@ -115,9 +113,6 @@ func (j *Jacobi) N() int { return j.K.Rows }
 // Name identifies the splitting.
 func (j *Jacobi) Name() string { return "jacobi" }
 
-// Matrix returns K.
-func (j *Jacobi) Matrix() *sparse.CSR { return j.K }
-
 // Step performs r̂ ← r̂ + D⁻¹(α·r − K·r̂).
 func (j *Jacobi) Step(rhat, r []float64, alpha float64) {
 	j.K.MulVecTo(j.work, rhat)
@@ -185,9 +180,6 @@ func (s *NaturalSSOR) Name() string {
 	}
 	return fmt.Sprintf("ssor-natural(ω=%g)", s.omega)
 }
-
-// Matrix returns K.
-func (s *NaturalSSOR) Matrix() *sparse.CSR { return s.K }
 
 // Step performs one SSOR sweep (forward then backward SOR) with right-hand
 // side α·r, the component form of r̂ ← G·r̂ + α·P_ω⁻¹·r.

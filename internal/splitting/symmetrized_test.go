@@ -59,23 +59,29 @@ func symEigenvalues(a *la.Matrix) []float64 {
 	return ev
 }
 
+// symCase is a splitting with the matrix it splits.
+type symCase struct {
+	k  *sparse.CSR
+	sp Splitting
+}
+
 // symmetrizedCases lists splittings of every kind: multicolor SSOR at
 // ω ∈ {1, 1.5} on 6² and 8² plates, and natural SSOR at ω ∈ {1, 1.3} and
 // Jacobi on a random SPD matrix and a Laplacian.
-func symmetrizedCases(t *testing.T) map[string]Splitting {
+func symmetrizedCases(t *testing.T) map[string]symCase {
 	t.Helper()
-	cases := map[string]Splitting{}
-	add := func(name string, sp Splitting, err error) {
+	cases := map[string]symCase{}
+	add := func(name string, k *sparse.CSR, sp Splitting, err error) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		cases[name] = sp
+		cases[name] = symCase{k, sp}
 	}
 	for _, size := range []int{6, 8} {
 		k, start, _ := coloredPlate(t, size, size)
 		for _, omega := range []float64{1, 1.5} {
 			sp, err := NewMulticolorSSOR(k, start, omega)
-			add(fmt.Sprintf("multicolor(ω=%g)/plate%d", omega, size), sp, err)
+			add(fmt.Sprintf("multicolor(ω=%g)/plate%d", omega, size), k, sp, err)
 		}
 	}
 	mats := map[string]*sparse.CSR{
@@ -85,10 +91,10 @@ func symmetrizedCases(t *testing.T) map[string]Splitting {
 	for name, k := range mats {
 		for _, omega := range []float64{1, 1.3} {
 			sp, err := NewNaturalSSOR(k, omega)
-			add(fmt.Sprintf("natural(ω=%g)/%s", omega, name), sp, err)
+			add(fmt.Sprintf("natural(ω=%g)/%s", omega, name), k, sp, err)
 		}
 		sp, err := NewJacobi(k)
-		add("jacobi/"+name, sp, err)
+		add("jacobi/"+name, k, sp, err)
 	}
 	return cases
 }
@@ -98,7 +104,8 @@ func symmetrizedCases(t *testing.T) map[string]Splitting {
 // with r = e_j, and with K = RRᵀ (Cholesky), P⁻¹K is similar to the
 // symmetric RᵀP⁻¹R.
 func TestMulSymmetrizedIsospectral(t *testing.T) {
-	for name, sp := range symmetrizedCases(t) {
+	for name, c := range symmetrizedCases(t) {
+		sp := c.sp
 		n := sp.N()
 		khat, pinv := la.NewMatrix(n, n), la.NewMatrix(n, n)
 		e, col, work := make([]float64, n), make([]float64, n), make([]float64, n)
@@ -136,7 +143,7 @@ func TestMulSymmetrizedIsospectral(t *testing.T) {
 				pinv.Set(j, i, v)
 			}
 		}
-		r, err := la.Cholesky(la.FromRows(sp.Matrix().Dense()))
+		r, err := la.Cholesky(la.FromRows(c.k.Dense()))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -155,7 +162,8 @@ func TestMulSymmetrizedIsospectral(t *testing.T) {
 // MulSymmetrized reads nothing but its arguments and the matrix: repeated
 // calls with dirty scratch give the same bits, and it allocates nothing.
 func TestMulSymmetrizedStateless(t *testing.T) {
-	for name, sp := range symmetrizedCases(t) {
+	for name, c := range symmetrizedCases(t) {
+		sp := c.sp
 		n := sp.N()
 		x := model.RandomVec(rand.New(rand.NewSource(7)), n)
 		a, b, work := make([]float64, n), make([]float64, n), make([]float64, n)

@@ -2,7 +2,6 @@ package vec
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/kernel"
 )
@@ -205,17 +204,4 @@ func ParMultiXpay(x *Multi, betas []float64, y *Multi, workers int) {
 			}
 		}
 	})
-}
-
-// MultiMaxAbsDiff returns max_j ‖x_j − y_j‖_∞, the block form of the
-// paper's convergence-test quantity.
-func MultiMaxAbsDiff(x, y *Multi) float64 {
-	x.checkShape("MultiMaxAbsDiff", y)
-	var m float64
-	for i, xi := range x.Data {
-		if d := math.Abs(xi - y.Data[i]); d > m {
-			m = d
-		}
-	}
-	return m
 }

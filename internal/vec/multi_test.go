@@ -144,14 +144,6 @@ func TestMultiKernelsMatchScalar(t *testing.T) {
 	}
 }
 
-func TestMultiMaxAbsDiff(t *testing.T) {
-	x := MultiFromCols([][]float64{{1, 2}, {3, 4}})
-	y := MultiFromCols([][]float64{{1, 2.5}, {3, 4}})
-	if d := MultiMaxAbsDiff(x, y); d != 0.5 {
-		t.Fatalf("MultiMaxAbsDiff = %g, want 0.5", d)
-	}
-}
-
 func TestMultiShapePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -30,16 +30,6 @@ func Axpy(a float64, x, y []float64) {
 	kernel.Active().Axpy(a, x, y)
 }
 
-// AxpyTo computes dst = y + a*x without touching x or y.
-// dst may alias x or y.
-func AxpyTo(dst []float64, a float64, x, y []float64) {
-	checkLen("AxpyTo", len(x), len(y))
-	checkLen("AxpyTo dst", len(dst), len(y))
-	for i := range dst {
-		dst[i] = y[i] + a*x[i]
-	}
-}
-
 // Xpay computes y = x + a*y in place (note: scales y, then adds x).
 // This is the CG direction update p = r̂ + β p.
 func Xpay(x []float64, a float64, y []float64) {
@@ -89,24 +79,6 @@ func Sub(dst, x, y []float64) {
 	checkLen("Sub dst", len(dst), len(x))
 	for i := range dst {
 		dst[i] = x[i] - y[i]
-	}
-}
-
-// MulElem computes dst = x .* y elementwise.
-func MulElem(dst, x, y []float64) {
-	checkLen("MulElem", len(x), len(y))
-	checkLen("MulElem dst", len(dst), len(x))
-	for i := range dst {
-		dst[i] = x[i] * y[i]
-	}
-}
-
-// DivElem computes dst = x ./ y elementwise.
-func DivElem(dst, x, y []float64) {
-	checkLen("DivElem", len(x), len(y))
-	checkLen("DivElem dst", len(dst), len(x))
-	for i := range dst {
-		dst[i] = x[i] / y[i]
 	}
 }
 

@@ -46,35 +46,6 @@ func TestAxpy(t *testing.T) {
 	}
 }
 
-func TestAxpyTo(t *testing.T) {
-	x := []float64{1, 2, 3}
-	y := []float64{10, 20, 30}
-	dst := make([]float64, 3)
-	AxpyTo(dst, -1, x, y)
-	want := []float64{9, 18, 27}
-	for i := range want {
-		if dst[i] != want[i] {
-			t.Fatalf("AxpyTo: dst = %v, want %v", dst, want)
-		}
-	}
-	// x and y untouched
-	if x[0] != 1 || y[0] != 10 {
-		t.Fatal("AxpyTo modified inputs")
-	}
-}
-
-func TestAxpyToAliasing(t *testing.T) {
-	x := []float64{1, 2, 3}
-	y := []float64{10, 20, 30}
-	AxpyTo(y, 2, x, y) // y = y + 2x
-	want := []float64{12, 24, 36}
-	for i := range want {
-		if y[i] != want[i] {
-			t.Fatalf("AxpyTo aliased: y = %v, want %v", y, want)
-		}
-	}
-}
-
 func TestXpay(t *testing.T) {
 	x := []float64{1, 2, 3}
 	y := []float64{10, 20, 30}
@@ -119,14 +90,6 @@ func TestAddSubMulDivElem(t *testing.T) {
 	Sub(dst, x, y)
 	if dst[0] != 1 || dst[2] != 4 {
 		t.Fatalf("Sub: %v", dst)
-	}
-	MulElem(dst, x, y)
-	if dst[1] != 8 {
-		t.Fatalf("MulElem: %v", dst)
-	}
-	DivElem(dst, x, y)
-	if dst[2] != 2 {
-		t.Fatalf("DivElem: %v", dst)
 	}
 }
 

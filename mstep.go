@@ -2,7 +2,6 @@ package repro
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/cg"
@@ -12,7 +11,6 @@ import (
 	"repro/internal/fem"
 	"repro/internal/femachine"
 	"repro/internal/mesh"
-	"repro/internal/plan"
 	"repro/internal/service"
 	"repro/internal/sparse"
 	"repro/internal/vec"
@@ -76,13 +74,11 @@ const (
 // carry their mesh so solutions can be mapped back to nodes and the
 // parallel-machine simulators can partition them.
 //
-// A Problem memoizes its own setup artifacts: the planner's structure
-// probe and the spectral-interval estimates the parametrized coefficient
-// criteria need where core.IntervalFor estimates (one per splitting and ω;
-// SSOR least squares at ω = 1 fits on a fixed bound instead). Repeated solves of the same *Problem — through Solve,
-// SolveBatch, or any local Solver session — therefore never redo that
-// work, even across sessions or after an engine cache eviction. A Problem
-// is safe for concurrent use.
+// A Problem holds the assembled system and nothing else: its structure
+// probe, spectral interval and preconditioners are built by the engine
+// that solves it, cached per session under the problem's identity. Hold a
+// NewLocal session to reuse that setup across solves. A Problem is safe
+// for concurrent use.
 type Problem struct {
 	sys   core.System
 	plate *fem.Plate
@@ -93,23 +89,6 @@ type Problem struct {
 	// Problems never share an entry, and a Problem never collides with a
 	// declarative-spec key.
 	id string
-
-	probeOnce sync.Once
-	probeVal  plan.Probe
-
-	ivMu   sync.Mutex
-	ivMemo map[intervalMemoKey]eigen.Interval
-}
-
-// intervalMemoKey is the part of a Config a spectral estimate of P⁻¹K
-// depends on: the splitting with its relaxation parameter. The coefficient
-// kind and step count decide whether an estimate runs at all
-// (core.IntervalSource), not its value, so the memo holds estimates only: a
-// config fitted on the SSOR bound never reads or writes it, and a later
-// Chebyshev solve of the same problem still gets an estimate.
-type intervalMemoKey struct {
-	splitting core.SplittingKind
-	omega     float64
 }
 
 // problemSeq numbers Problems for cache identity.
@@ -122,49 +101,6 @@ func newProblem(sys core.System, plate *fem.Plate, spec PlateSpec) *Problem {
 		plateSpec: spec,
 		id:        fmt.Sprintf("problem-%d", problemSeq.Add(1)),
 	}
-}
-
-// probeRef returns the problem's memoized structure probe, scanning the
-// matrix pattern on first use.
-func (p *Problem) probeRef() *plan.Probe {
-	p.probeOnce.Do(func() { p.probeVal = plan.NewProbe(p.sys.K) })
-	return &p.probeVal
-}
-
-// intervalFor returns the problem's memoized spectral estimate for the
-// splitting cfg selects, running it on first use through core.IntervalFor,
-// the estimator the engine runs. It reports false, and leaves the memo
-// alone, when a preconditioner build of cfg runs no estimate
-// (core.RunsEstimate) — so the memo holds estimates only. An estimation
-// failure also reports false: the engine's preconditioner build reports it
-// with full context.
-func (p *Problem) intervalFor(cfg core.Config) (eigen.Interval, bool) {
-	if !core.RunsEstimate(cfg) {
-		return eigen.Interval{}, false
-	}
-	omega := cfg.Omega
-	if omega == 0 {
-		omega = 1
-	}
-	key := intervalMemoKey{splitting: cfg.Splitting, omega: omega}
-	p.ivMu.Lock()
-	defer p.ivMu.Unlock()
-	if iv, ok := p.ivMemo[key]; ok {
-		return iv, true
-	}
-	sp, err := core.BuildSplitting(p.sys, cfg)
-	if err != nil {
-		return eigen.Interval{}, false
-	}
-	iv, err := core.IntervalFor(sp, cfg)
-	if err != nil {
-		return eigen.Interval{}, false
-	}
-	if p.ivMemo == nil {
-		p.ivMemo = make(map[intervalMemoKey]eigen.Interval)
-	}
-	p.ivMemo[key] = iv
-	return iv, true
 }
 
 // NewPlateProblem assembles the paper's plane-stress test problem on a
@@ -224,26 +160,18 @@ func (b *MatrixBuilder) Problem(f []float64) (*Problem, error) {
 func (p *Problem) N() int { return p.sys.K.Rows }
 
 // prebuilt is the engine payload that solves p with cfg against fs (p's own
-// right-hand side when fs is empty): zero-copy, keyed by problem identity,
-// and carrying the problem's memoized structure probe and spectral
-// estimate, so a warm problem never redoes setup — not even across solver
-// sessions or cache evictions.
+// right-hand side when fs is empty): zero-copy and keyed by problem
+// identity.
 func (p *Problem) prebuilt(cfg core.Config, fs [][]float64) engine.Prebuilt {
-	// Pin the problem's memoized spectral estimate (running it on first
-	// use): repeated solves — and engine cache misses — never re-run it.
-	if iv, ok := p.intervalFor(cfg); ok {
-		cfg.Interval = &iv
-	}
-	return engine.Prebuilt{Sys: p.sys, Plate: p.plate, Key: p.id, Fs: fs, Probe: p.probeRef(), Config: cfg}
+	return engine.Prebuilt{Sys: p.sys, Plate: p.plate, Key: p.id, Fs: fs, Config: cfg}
 }
 
 // Solve runs the configured m-step PCG method through engine.SolveOnce,
 // the one-shot form of the engine every Solver session runs, so it shares
-// the Solver pipeline — planner, backends, tiling — and the problem's
-// memoized setup (structure probe, spectral interval): repeated Solve
-// calls on one *Problem skip interval estimation entirely. Long-lived
+// the Solver pipeline — planner, backends, tiling. Each call builds its
+// setup (structure probe, spectral interval, preconditioner) afresh;
 // callers solving many requests should hold a NewLocal session instead,
-// which additionally pools preconditioners and caches across problems.
+// which caches that setup per problem.
 func Solve(p *Problem, cfg Config) (Result, error) {
 	res, err := engine.SolveOnce(p.prebuilt(cfg, nil))
 	if len(res) == 0 {
@@ -273,9 +201,8 @@ func (p *Problem) F() []float64 {
 // The returned error is nil only when every column converged; partial
 // results are still returned alongside a joined per-column error.
 //
-// Like Solve, SolveBatch runs through engine.SolveOnce and shares the
-// problem's memoized setup; hold a NewLocal session for sustained batch
-// traffic.
+// Like Solve, SolveBatch runs through engine.SolveOnce and builds its setup
+// afresh; hold a NewLocal session for sustained batch traffic.
 func SolveBatch(p *Problem, fs [][]float64, cfg Config) ([]Result, error) {
 	if len(fs) == 0 {
 		return nil, fmt.Errorf("repro: batch solve needs at least one right-hand side")

@@ -342,9 +342,9 @@ func TestLocalWarmCachePath(t *testing.T) {
 		t.Fatal("warm solve diverged from the cold solve")
 	}
 
-	// A fresh session has a cold cache, but the *Problem's own memo still
-	// skips re-estimation: the interval (and hence the method) is
-	// identical, pinned before the engine ever sees the request.
+	// A fresh session has a cold cache and builds the problem's setup
+	// again; the build is deterministic, so the interval (and hence the
+	// method) is identical.
 	l2 := repro.NewLocal(repro.LocalConfig{Workers: 1})
 	defer l2.Close()
 	third, err := l2.Solve(ctx, req)
@@ -352,7 +352,60 @@ func TestLocalWarmCachePath(t *testing.T) {
 		t.Fatal(err)
 	}
 	if third.IntervalLo != first.IntervalLo || third.IntervalHi != first.IntervalHi {
-		t.Fatal("problem memo did not carry the interval across sessions")
+		t.Fatal("a fresh session built a different interval")
+	}
+}
+
+// TestProblemSetupTracedLikeSpec: a prebuilt Problem's spectral estimate is
+// built by the engine's cache-entry build alone, so planning a fresh
+// Problem builds no interval, and its first Chebyshev solve traces the
+// estimate the way a spec request's does: a spectral_estimate span, and
+// precond_build reading interval_source "estimate" on the interval a
+// PlateSpec request for the same plate reports.
+func TestProblemSetupTracedLikeSpec(t *testing.T) {
+	p, err := repro.NewPlateProblem(16, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solver := repro.SolverSpec{M: 3, Coeffs: "chebyshev", Tuning: "off"}
+	l := repro.NewLocal(repro.LocalConfig{Workers: 1})
+	defer l.Close()
+	ctx := context.Background()
+	if _, err := l.Plan(ctx, repro.Request{Problem: p, Solver: solver}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := l.Solve(ctx, repro.Request{Problem: p, Solver: solver, OmitSolution: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ti, err := l.Trace(ctx, res.JobID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stages []string
+	var build map[string]any
+	estimated := false
+	for _, sp := range ti.Spans {
+		stages = append(stages, sp.Name)
+		switch sp.Name {
+		case "spectral_estimate":
+			estimated = true
+		case "precond_build":
+			build = sp.Attrs
+		}
+	}
+	if !estimated {
+		t.Fatalf("stages %v, want a spectral_estimate span", stages)
+	}
+	if build["interval_source"] != "estimate" || build["interval_lo"] != res.IntervalLo || build["interval_hi"] != res.IntervalHi {
+		t.Fatalf("precond_build attrs %v, want interval_source estimate on [%g, %g]", build, res.IntervalLo, res.IntervalHi)
+	}
+	spec, err := l.Solve(ctx, repro.Request{Plate: &repro.PlateSpec{Rows: 16, Cols: 16}, Solver: solver, OmitSolution: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spec.IntervalLo != res.IntervalLo || spec.IntervalHi != res.IntervalHi {
+		t.Fatalf("Problem interval [%g, %g], PlateSpec interval [%g, %g]", res.IntervalLo, res.IntervalHi, spec.IntervalLo, spec.IntervalHi)
 	}
 }
 
