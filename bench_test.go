@@ -632,7 +632,7 @@ func BenchmarkTiledBlockSolve(b *testing.B) {
 				for t, c := range tileCols {
 					cols[t] = f.Col(c)
 				}
-				ut := u.Prefix(len(tileCols))
+				ut := &vec.Multi{N: n, S: len(tileCols), Data: u.Data[:n*len(tileCols)]}
 				if _, err := cg.SolveBlockInto(ut, sys.K, vec.MultiFromCols(cols), pc, opt, bws); err != nil {
 					b.Fatal(err)
 				}

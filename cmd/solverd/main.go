@@ -7,7 +7,7 @@
 // Usage:
 //
 //	solverd -addr :8080 [-node-id n1] [-workers 4] [-worker-budget 0]
-//	        [-queue 256] [-cache 64] [-tuning adapt] [-history 512]
+//	        [-queue 256] [-cache 64] [-history 512]
 //	        [-drain 30s] [-log-format text] [-debug-addr :6060]
 //
 // API:
@@ -35,13 +35,16 @@
 //	GET    /v1/healthz   readiness: 200 with queue depth and uptime while
 //	                     serving, 503 once draining — what a load balancer
 //	                     or the solverfleet router health-checks
-//	GET    /v1/stats     queue depth, cache hit rate, p50/p99 latency
-//	                     (overall and split by matvec backend), per-backend
-//	                     solve counts, tiles executed, live stream
-//	                     subscribers
+//	GET    /v1/stats     queue depth, cache hit rate, p50/p99 latency,
+//	                     per-backend solve counts, tiles executed, live
+//	                     stream subscribers
 //	GET    /metrics      Prometheus text exposition: job/solve/cache
-//	                     counters, queue and subscriber gauges, latency and
-//	                     iteration histograms
+//	                     counters, queue and subscriber gauges, queue-wait,
+//	                     per-backend job-duration and iteration histograms
+//
+// Self-tuning is set per request: "solver":{"tuning":"off"} pins the
+// static plan, and empty or "adapt" lets a warm problem re-plan its step
+// count from measured throughput.
 //
 // -log-format selects text (default, human-readable) or json structured
 // logs; every log line carries the job or request id it concerns. When
@@ -71,11 +74,9 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strings"
 	"syscall"
 	"time"
 
-	"repro/internal/plan"
 	"repro/internal/service"
 )
 
@@ -89,7 +90,6 @@ func main() {
 		budget    = flag.Int("worker-budget", 0, "kernel goroutines per solve (0 = GOMAXPROCS/workers)")
 		queue     = flag.Int("queue", 256, "job queue depth (further submissions get 503)")
 		cache     = flag.Int("cache", 64, "problem/preconditioner cache entries")
-		tuning    = flag.String("tuning", "adapt", "plan feedback default for requests that don't pin solver.tuning: off or adapt")
 		history   = flag.Int("history", 512, "finished jobs kept for /v1/jobs lookups")
 		drain     = flag.Duration("drain", 30*time.Second, "shutdown drain deadline for in-flight jobs and streams")
 	)
@@ -107,11 +107,6 @@ func main() {
 	}
 	logger := slog.New(handler)
 
-	if _, err := plan.ParseTuning(strings.ToLower(*tuning)); err != nil {
-		slog.Error("invalid -tuning (want off or adapt)", "got", *tuning)
-		os.Exit(2)
-	}
-
 	svc := service.New(service.Config{
 		NodeID:       *nodeID,
 		Workers:      *workers,
@@ -119,7 +114,6 @@ func main() {
 		QueueDepth:   *queue,
 		CacheSize:    *cache,
 		HistoryLimit: *history,
-		Tuning:       strings.ToLower(*tuning),
 		Logger:       logger,
 	})
 

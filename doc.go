@@ -77,8 +77,8 @@
 // curve, served by Solver.Trace and GET /v1/jobs/{id}/trace; the engine
 // exposes its counters and latency/iteration histograms in Prometheus
 // text format on GET /metrics; and solverd adds structured logs and an
-// optional pprof/expvar debug listener. The telemetry tap is
-// allocation-free on the solve path.
+// optional pprof/expvar debug listener. The convergence log allocates
+// only while it grows to its bound of 1024 samples.
 //
 // See README.md and the examples/ directory (examples/quickstart,
 // examples/embed, examples/batch, examples/stream, examples/service,

@@ -159,7 +159,7 @@ func TestEstimateConditionLargeShift(t *testing.T) {
 // same config on a fresh problem. Were the bound carried over, the
 // Chebyshev solve would fit on [1e-9, 1.02] and take several times the
 // iterations.
-func TestProblemIntervalMemoAcrossCoefficients(t *testing.T) {
+func TestSharedProblemMatchesFreshAcrossCoefficients(t *testing.T) {
 	for _, m := range []int{3, 4} {
 		shared, err := repro.NewPlateProblem(16, 16)
 		if err != nil {

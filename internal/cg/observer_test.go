@@ -73,7 +73,8 @@ func TestSolveIntoObserverPerIteration(t *testing.T) {
 
 // TestSolveIntoObserverZeroAllocations is the telemetry acceptance guard:
 // wiring a per-iteration observer — including the engine's real
-// ConvergenceLog — onto a warm scalar solve adds zero allocations.
+// ConvergenceLog, once it has grown to its bound — onto a warm scalar
+// solve adds zero allocations.
 func TestSolveIntoObserverZeroAllocations(t *testing.T) {
 	k := model.Poisson2D(12, 12)
 	f := make([]float64, k.Rows)
@@ -90,13 +91,17 @@ func TestSolveIntoObserverZeroAllocations(t *testing.T) {
 	}
 	u := make([]float64, k.Rows)
 	ws := NewWorkspace(k.Rows)
+	full := obs.NewConvergenceLog()
+	for i := 1; i <= obs.ConvergenceSamples; i++ {
+		full.ObserveIteration(0, i, 0, 0)
+	}
 
 	for _, tc := range []struct {
 		name string
 		obs  Observer
 	}{
 		{"countObserver", &countObserver{}},
-		{"ConvergenceLog", obs.NewConvergenceLog(64)},
+		{"ConvergenceLog", full},
 	} {
 		opt := Options{RelResidualTol: 1e-8, MaxIter: 2000, Observer: tc.obs}
 		if _, err := SolveInto(u, k, f, p, opt, ws); err != nil {

@@ -120,13 +120,13 @@ type Config struct {
 	// meaningful for mesh-backed problems routed through the engine.
 	Subdomains int
 	// Tuning is the self-tuning planner's feedback policy, one of two:
-	// "adapt" lets warm engine sessions re-plan from measured throughput,
-	// "off" pins the static plan bit-for-bit; "" defers to the session
-	// default. Any other value is rejected. A one-shot solve
-	// (engine.SolveOnce) runs on a throwaway engine that never collects
-	// the observations a re-plan needs, so the knob only gates validation
-	// there. Deliberately excluded from the engine's problem cache key —
-	// it is an execution policy, not part of the prepared problem.
+	// "adapt" (or "") lets warm engine sessions re-plan from measured
+	// throughput, "off" pins the static plan bit-for-bit. Any other value
+	// is rejected. A one-shot solve (engine.SolveOnce) runs on a throwaway
+	// engine that never collects the observations a re-plan needs, so the
+	// knob only gates validation there. Deliberately excluded from the
+	// engine's problem cache key — it is an execution policy, not part of
+	// the prepared problem.
 	Tuning string
 }
 

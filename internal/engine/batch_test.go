@@ -198,7 +198,7 @@ func TestBatchValidation(t *testing.T) {
 // TestQuantileNearestRank pins the ceil-based nearest-rank definition:
 // p99 of 50 samples is the maximum (rank ⌈0.99·50⌉ = 50), not index 48.
 func TestQuantileNearestRank(t *testing.T) {
-	r := newLatencyRing(64)
+	var r latencyRing
 	for i := 1; i <= 50; i++ {
 		r.add(float64(i))
 	}
@@ -217,7 +217,7 @@ func TestQuantileNearestRank(t *testing.T) {
 			t.Fatalf("quantile(%g) = %g, want %g", c.q, got, c.want)
 		}
 	}
-	single := newLatencyRing(16)
+	var single latencyRing
 	single.add(7)
 	if got := single.quantile(0.99); got != 7 {
 		t.Fatalf("single-sample p99 = %g", got)

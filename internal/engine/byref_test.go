@@ -171,12 +171,13 @@ func TestByReferenceRacesFirstBuild(t *testing.T) {
 	ctx := context.Background()
 	misses, hits := 0, 0
 	for round := 0; round < 10; round++ {
-		// Tuning off: under the default adapt policy a round with five or
-		// more by-reference solves re-plans later ones to another m, so
-		// their iterates no longer match the full-body solve bit for bit.
-		// This test is about build races, not plans.
-		s := New(Config{Workers: 2, Tuning: "off"})
+		// Tuning off on every request: under the default adapt policy a
+		// round with five or more by-reference solves re-plans later ones
+		// to another m, so their iterates no longer match the full-body
+		// solve bit for bit. This test is about build races, not plans.
+		s := New(Config{Workers: 2})
 		full := laplace1D(200, "race")
+		full.Solver.Tuning = "off"
 		done := make(chan struct{})
 		var fullView JobView
 		var fullErr error

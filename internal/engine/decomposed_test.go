@@ -96,8 +96,8 @@ func TestDecomposedBackendMatchesCSR(t *testing.T) {
 	if st.SolvesDecomposed != 1 {
 		t.Errorf("solves_decomposed = %d, want 1", st.SolvesDecomposed)
 	}
-	if st.LatencyP99Decomposed <= 0 {
-		t.Errorf("decomposed latency quantile not recorded")
+	if n := s.hJobDuration["decomposed"].Count(); n != 1 {
+		t.Errorf("repro_job_duration_seconds{backend=\"decomposed\"} counts %d jobs, want 1", n)
 	}
 }
 

@@ -36,7 +36,9 @@ var ErrClosed = errors.New("engine: closed")
 // resends the system with its triplets; HTTP maps it to 409 Conflict.
 var ErrNotCached = errors.New("engine: by-reference system not cached")
 
-// Config sizes the engine. Zero values pick sensible defaults.
+// Config sizes the engine. Zero values pick sensible defaults. It holds no
+// solver policy: tuning, like every other solver setting, travels with each
+// request.
 type Config struct {
 	// Workers is the number of concurrent solves (default GOMAXPROCS).
 	Workers int
@@ -53,19 +55,11 @@ type Config struct {
 	// HistoryLimit bounds retained finished jobs (default 512); older
 	// finished jobs are forgotten and their IDs return 404.
 	HistoryLimit int
-	// LatencyWindow sizes the latency sample for p50/p99 (default 1024).
-	LatencyWindow int
 	// NodeID, when non-empty, names this engine instance and prefixes every
 	// job ID it mints ("n1-j-000042" instead of "j-000042"). Fleet members
 	// set it (solverd -node-id) so job IDs are unique across the cluster and
 	// a router can steer job lookups straight to the owning node by prefix.
 	NodeID string
-	// Tuning is the session default feedback policy for requests that do
-	// not pin their own ("off" or "adapt"; empty means adapt): whether the
-	// engine folds each executed plan's realized throughput back into later
-	// plan decisions. See plan.TuningMode. A request that defers to a
-	// malformed default fails at Submit and PlanRequest.
-	Tuning string
 	// Logger receives structured job-lifecycle logs (submitted, started,
 	// finished, failed) with job ids attached. nil discards them — the
 	// engine never logs to a default destination a library caller didn't
@@ -89,9 +83,6 @@ func (c Config) withDefaults() Config {
 	if c.HistoryLimit <= 0 {
 		c.HistoryLimit = 512
 	}
-	if c.LatencyWindow <= 0 {
-		c.LatencyWindow = 1024
-	}
 	return c
 }
 
@@ -104,14 +95,9 @@ type Engine struct {
 	cfg      Config
 	queue    chan *Job
 	cache    *cache
-	lat      *latencyRing
+	lat      latencyRing
 	logger   *slog.Logger
 	idPrefix string // NodeID + "-" when configured; "" otherwise
-
-	// latByBackend splits the latency window by resolved matvec backend
-	// (keys "csr", "dia" and "decomposed"), feeding the per-backend
-	// quantiles in Stats.
-	latByBackend map[string]*latencyRing
 
 	// metrics is the engine's instrument registry (GET /metrics); the
 	// histogram instruments below are registered once at construction and
@@ -125,7 +111,7 @@ type Engine struct {
 	// tuner closes the plan → execute → measure loop: every cached solve's
 	// realized rhs/s is folded into its per-problem observation store, and
 	// warm problems re-plan from the measurements (policy per request via
-	// SolverSpec.Tuning, session default via Config.Tuning).
+	// SolverSpec.Tuning).
 	tuner *plan.Tuner
 
 	mu       sync.Mutex
@@ -166,16 +152,10 @@ func New(cfg Config) *Engine {
 		logger = slog.New(slog.DiscardHandler)
 	}
 	s := &Engine{
-		cfg:    cfg,
-		queue:  make(chan *Job, cfg.QueueDepth),
-		cache:  newCache(cfg.CacheSize),
-		lat:    newLatencyRing(cfg.LatencyWindow),
-		logger: logger,
-		latByBackend: map[string]*latencyRing{
-			"csr":        newLatencyRing(cfg.LatencyWindow),
-			"dia":        newLatencyRing(cfg.LatencyWindow),
-			"decomposed": newLatencyRing(cfg.LatencyWindow),
-		},
+		cfg:     cfg,
+		queue:   make(chan *Job, cfg.QueueDepth),
+		cache:   newCache(cfg.CacheSize),
+		logger:  logger,
 		jobs:    make(map[string]*Job),
 		tuner:   &plan.Tuner{},
 		started: time.Now(),
@@ -199,7 +179,7 @@ func New(cfg Config) *Engine {
 // submissions learn of a miss (ErrNotCached) too; the job then holds the
 // entry it resolved, and a later eviction cannot fail it in the queue.
 func (s *Engine) Submit(req Request) (*Job, error) {
-	if err := s.validate(&req); err != nil {
+	if err := req.Validate(); err != nil {
 		return nil, err
 	}
 	var entry *cacheEntry
@@ -230,7 +210,7 @@ func (s *Engine) Submit(req Request) (*Job, error) {
 	// queue or the lookup map, so workers and trace readers never see a
 	// partially-instrumented job.
 	job.trace = obs.NewTrace(job.id)
-	job.conv = obs.NewConvergenceLog(0)
+	job.conv = obs.NewConvergenceLog()
 	job.queueSpan = job.trace.Start("queue")
 	select {
 	case s.queue <- job:
@@ -266,10 +246,10 @@ func (s *Engine) resolveByReference(req *Request, touch bool) (*cacheEntry, erro
 	return nil, fmt.Errorf("%w: no entry for %s; resend the system with its triplets (system.i/j/v)", ErrNotCached, key)
 }
 
-// Solve submits req and waits for completion (or ctx cancellation — the
-// solve itself keeps running; only the wait is abandoned). A job-level
-// failure is returned as a non-nil error alongside the finished view,
-// which still carries any partial result.
+// Solve submits req and waits for completion. If ctx ends first, Solve
+// cancels the job, which only its caller could name, and returns
+// ctx.Err(). A job-level failure is returned as a non-nil error alongside
+// the finished view, which still carries any partial result.
 func (s *Engine) Solve(ctx context.Context, req Request) (JobView, error) {
 	job, err := s.Submit(req)
 	if err != nil {
@@ -283,6 +263,7 @@ func (s *Engine) Solve(ctx context.Context, req Request) (JobView, error) {
 		}
 		return v, nil
 	case <-ctx.Done():
+		job.Cancel()
 		return JobView{}, ctx.Err()
 	}
 }
@@ -296,10 +277,7 @@ func (s *Engine) Solve(ctx context.Context, req Request) (JobView, error) {
 // error; a column that failed still returns its result beside the joined
 // error.
 func SolveOnce(pb Prebuilt) ([]core.Result, error) {
-	eng := New(Config{
-		Workers: 1, WorkerBudget: 1, QueueDepth: 1,
-		CacheSize: 1, HistoryLimit: 1, LatencyWindow: 16,
-	})
+	eng := New(Config{Workers: 1, WorkerBudget: 1, QueueDepth: 1, CacheSize: 1, HistoryLimit: 1})
 	defer eng.Close()
 	job, err := eng.Submit(Request{Prebuilt: &pb})
 	if err != nil {
@@ -357,7 +335,7 @@ func (s *Engine) Cancel(id string) bool {
 // evidence: a warm problem past the observation gate explains its decision
 // with every candidate's measured throughput and score.
 func (s *Engine) PlanRequest(req Request) (PlanInfo, error) {
-	if err := s.validate(&req); err != nil {
+	if err := req.Validate(); err != nil {
 		return PlanInfo{}, err
 	}
 	cfg, err := req.coreConfig()
@@ -413,44 +391,13 @@ func (s *Engine) planFor(entry *cacheEntry, cfg core.Config, rhs int) (plan.Inpu
 			MaxProcs:  in.Workers,
 		}
 	}
-	mode := s.tuningFor(cfg)
+	// Validate accepted the policy, so parsing cannot fail here.
+	mode, _ := plan.ParseTuning(strings.ToLower(cfg.Tuning))
 	if mode == plan.TuningOff {
 		return in, plan.Static(in), mode, plan.Decision{}
 	}
 	pl, dec := s.tuner.Decide(entry.key, in)
 	return in, pl, mode, dec
-}
-
-// validate checks req and the session default it would run under: a
-// request that leaves its tuning policy empty takes Config.Tuning, which New
-// cannot reject, so a malformed default fails every request that would use
-// it.
-func (s *Engine) validate(req *Request) error {
-	if err := req.Validate(); err != nil {
-		return err
-	}
-	tuning := req.Solver.Tuning
-	if req.Prebuilt != nil {
-		tuning = req.Prebuilt.Config.Tuning
-	}
-	if tuning == "" {
-		if _, err := plan.ParseTuning(strings.ToLower(s.cfg.Tuning)); err != nil {
-			return fmt.Errorf("engine: the session's Tuning setting: %w", err)
-		}
-	}
-	return nil
-}
-
-// tuningFor resolves a solve's feedback policy: the request's knob, else
-// the engine's session default (empty means adapt). Submit and PlanRequest
-// reject both malformed names, so parsing cannot fail here.
-func (s *Engine) tuningFor(cfg core.Config) plan.TuningMode {
-	name := cfg.Tuning
-	if name == "" {
-		name = s.cfg.Tuning
-	}
-	mode, _ := plan.ParseTuning(strings.ToLower(name))
-	return mode
 }
 
 // planInfo shapes a resolved plan for job results and the HTTP API,
@@ -555,22 +502,16 @@ func (s *Engine) addStreamSubs(d int64) {
 func (s *Engine) Stats() Stats {
 	hits, misses := s.cache.hits.Load(), s.cache.misses.Load()
 	st := Stats{
-		Workers:              s.cfg.Workers,
-		WorkerBudget:         s.cfg.WorkerBudget,
-		QueueDepth:           len(s.queue),
-		QueueCap:             s.cfg.QueueDepth,
-		CacheHits:            hits,
-		CacheMisses:          misses,
-		CacheEntries:         s.cache.len(),
-		LatencyP50:           s.lat.quantile(0.50),
-		LatencyP99:           s.lat.quantile(0.99),
-		LatencyP50CSR:        s.latByBackend["csr"].quantile(0.50),
-		LatencyP99CSR:        s.latByBackend["csr"].quantile(0.99),
-		LatencyP50DIA:        s.latByBackend["dia"].quantile(0.50),
-		LatencyP99DIA:        s.latByBackend["dia"].quantile(0.99),
-		LatencyP50Decomposed: s.latByBackend["decomposed"].quantile(0.50),
-		LatencyP99Decomposed: s.latByBackend["decomposed"].quantile(0.99),
-		UptimeSeconds:        time.Since(s.started).Seconds(),
+		Workers:       s.cfg.Workers,
+		WorkerBudget:  s.cfg.WorkerBudget,
+		QueueDepth:    len(s.queue),
+		QueueCap:      s.cfg.QueueDepth,
+		CacheHits:     hits,
+		CacheMisses:   misses,
+		CacheEntries:  s.cache.len(),
+		LatencyP50:    s.lat.quantile(0.50),
+		LatencyP99:    s.lat.quantile(0.99),
+		UptimeSeconds: time.Since(s.started).Seconds(),
 	}
 	s.cmu.Lock()
 	st.Running = int(s.running)
@@ -705,9 +646,8 @@ func (s *Engine) transition(job *Job, state JobState, result *JobResult, err err
 		if result != nil {
 			backend = result.Backend
 		}
-		if ring, ok := s.latByBackend[backend]; ok {
-			ring.add(lat)
-			s.hJobDuration[backend].Observe(lat)
+		if h, ok := s.hJobDuration[backend]; ok {
+			h.Observe(lat)
 		}
 		job.trace.Finish()
 		if state == JobDone {
@@ -757,17 +697,20 @@ func (s *Engine) runJob(job *Job, ws *cg.Workspace, workerID int) {
 		fail(err)
 		return
 	}
+
+	// Plan: the plan span carries the full decision and its structural
+	// evidence as attributes, and covers resolving the right-hand sides
+	// (their count is the plan's batch width) and the one preconditioner
+	// checkout, at the planned step count. If a tuned step count's build
+	// fails, the candidate is recorded as infeasible and the static plan
+	// runs.
+	planSp := job.trace.Start("plan").SetWorker(workerID)
 	fs, err := job.req.rhsCols(entry.sys)
 	if err != nil {
+		planSp.End()
 		fail(err)
 		return
 	}
-
-	// Plan: the plan span carries the full decision and its structural
-	// evidence as attributes, and covers the one preconditioner checkout,
-	// at the planned step count. If a tuned step count's build fails, the
-	// candidate is recorded as infeasible and the static plan runs.
-	planSp := job.trace.Start("plan").SetWorker(workerID)
 	in, pl, mode, tdec := s.planFor(entry, cfg, len(fs))
 	sp, pc, err := entry.checkout(pl.M)
 	if err != nil && pl.M != in.M {
@@ -1054,6 +997,17 @@ func (s *Engine) matrixSolver(job *Job, op sparse.Operator, pc precond.Precondit
 	n, _ := op.Dims()
 	scalar := len(fs) == 1
 	return func(ti int, cases []int, done caseDone) (cg.BlockStats, error) {
+		// The span opens first, so it also covers the tile's allocations.
+		span := "tile"
+		if scalar {
+			span = "solve"
+		}
+		sp := job.trace.Start(span).SetWorker(workerID)
+		if !scalar {
+			sp.SetAttr("tile", ti).
+				SetAttr("case_first", cases[0]).
+				SetAttr("case_last", cases[len(cases)-1])
+		}
 		cols := make([][]float64, len(cases))
 		for i, c := range cases {
 			cols[i] = fs[c]
@@ -1068,16 +1022,6 @@ func (s *Engine) matrixSolver(job *Job, op sparse.Operator, pc precond.Precondit
 			// A retired column is never written again; the capped slice
 			// keeps an append from reaching the next column.
 			done(col, u.Data[col*n:(col+1)*n:(col+1)*n], cs.Stats, cs.Err)
-		}
-		span := "tile"
-		if scalar {
-			span = "solve"
-		}
-		sp := job.trace.Start(span).SetWorker(workerID)
-		if !scalar {
-			sp.SetAttr("tile", ti).
-				SetAttr("case_first", cases[0]).
-				SetAttr("case_last", cases[len(cases)-1])
 		}
 		st, err := cg.SolveBlockInto(u, op, vec.MultiFromCols(cols), pc, topts, ws)
 		sp.SetAttr("interleaved", st.Interleaved).SetAttr("converged", st.Converged)

@@ -498,7 +498,7 @@ func TestCacheEvictsLeastRecentlyUsed(t *testing.T) {
 }
 
 func TestStatsLatencyQuantiles(t *testing.T) {
-	r := newLatencyRing(100)
+	var r latencyRing
 	for i := 1; i <= 100; i++ {
 		r.add(float64(i))
 	}
@@ -508,12 +508,16 @@ func TestStatsLatencyQuantiles(t *testing.T) {
 	if p99 := r.quantile(0.99); math.Abs(p99-99) > 2 {
 		t.Fatalf("p99 = %g", p99)
 	}
-	// Overwrite wraps: only the latest window counts.
-	for i := 0; i < 100; i++ {
+	// Overwrite wraps: only the latest window counts, and the ring never
+	// holds more than it.
+	for i := 0; i < latencyWindow; i++ {
 		r.add(1000)
 	}
-	if p50 := r.quantile(0.5); p50 != 1000 {
-		t.Fatalf("post-wrap p50 = %g", p50)
+	if lo := r.quantile(0); lo != 1000 {
+		t.Fatalf("post-wrap minimum = %g, want every older sample overwritten", lo)
+	}
+	if len(r.buf) != latencyWindow {
+		t.Fatalf("ring holds %d samples, window %d", len(r.buf), latencyWindow)
 	}
 }
 
@@ -568,6 +572,21 @@ func TestEngineSolveContextCancel(t *testing.T) {
 	cancel()
 	if _, err := s.Solve(ctx, plateReq(20, 20, 0)); err != context.Canceled {
 		t.Fatalf("cancelled solve returned %v", err)
+	}
+}
+
+// TestSolveCancelsAbandonedJob: a Solve whose context ends first cancels
+// its job, which nobody else could: the caller never learned its ID.
+func TestSolveCancelsAbandonedJob(t *testing.T) {
+	s := New(Config{Workers: 1})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := s.Solve(ctx, laplace1D(2000, "")); err != context.Canceled {
+		t.Fatalf("cancelled solve returned %v", err)
+	}
+	s.Close()
+	if st := s.Stats(); st.JobsFailed != 1 || st.JobsDone != 0 {
+		t.Fatalf("after Close: %d jobs done, %d failed; want the abandoned job failed", st.JobsDone, st.JobsFailed)
 	}
 }
 

@@ -138,11 +138,10 @@ type SolverSpec struct {
 	// ignored by the single-matrix backends.
 	Subdomains int `json:"subdomains,omitempty"`
 	// Tuning is the self-tuning planner's feedback policy, one of two:
-	// "adapt" records realized throughput per executed plan and re-plans
-	// warm problems from the measurements, "off" disables the loop
-	// (bit-for-bit static plans); empty defers to the session default.
-	// Not part of the problem cache key — it is an execution policy, like
-	// the backend.
+	// "adapt" (or empty) records realized throughput per executed plan and
+	// re-plans warm problems from the measurements, "off" disables the loop
+	// (bit-for-bit static plans). Not part of the problem cache key — it is
+	// an execution policy, like the backend.
 	Tuning string `json:"tuning,omitempty"`
 }
 

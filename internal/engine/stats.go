@@ -6,28 +6,27 @@ import (
 	"sync"
 )
 
+// latencyWindow is how many of the most recent job latencies the p50/p99
+// in Stats are taken over.
+const latencyWindow = 1024
+
 // latencyRing keeps the most recent solve latencies for on-demand quantile
-// estimation: fixed memory, O(n log n) only when /v1/stats is asked.
+// estimation: it appends until it holds latencyWindow samples, then
+// overwrites the oldest, and sorts only when /v1/stats is asked. The zero
+// value is ready to use.
 type latencyRing struct {
 	mu   sync.Mutex
 	buf  []float64
-	next int
-	n    int
-}
-
-func newLatencyRing(size int) *latencyRing {
-	if size < 16 {
-		size = 16
-	}
-	return &latencyRing{buf: make([]float64, size)}
+	next int // the oldest sample, once buf is full
 }
 
 func (r *latencyRing) add(v float64) {
 	r.mu.Lock()
-	r.buf[r.next] = v
-	r.next = (r.next + 1) % len(r.buf)
-	if r.n < len(r.buf) {
-		r.n++
+	if len(r.buf) < latencyWindow {
+		r.buf = append(r.buf, v)
+	} else {
+		r.buf[r.next] = v
+		r.next = (r.next + 1) % latencyWindow
 	}
 	r.mu.Unlock()
 }
@@ -39,7 +38,7 @@ func (r *latencyRing) add(v float64) {
 // read index 48, which is the p96.
 func (r *latencyRing) quantile(q float64) float64 {
 	r.mu.Lock()
-	sample := append([]float64(nil), r.buf[:r.n]...)
+	sample := append([]float64(nil), r.buf...)
 	r.mu.Unlock()
 	if len(sample) == 0 {
 		return 0
@@ -98,21 +97,11 @@ type Stats struct {
 	// matrices: entries are being evicted or keys re-sharded.
 	ByRefMisses int64 `json:"by_ref_misses"`
 
-	// LatencyP50/P99 are solve latencies (enqueue→finish) in seconds over
-	// the recent-job window.
+	// LatencyP50/P99 are job latencies (enqueue→finish) in seconds over
+	// the last 1024 finished jobs. Split by resolved backend, latencies are
+	// the repro_job_duration_seconds{backend} histogram on /metrics.
 	LatencyP50 float64 `json:"latency_p50_seconds"`
 	LatencyP99 float64 `json:"latency_p99_seconds"`
-
-	// LatencyP50CSR/…DIA split the latency quantiles by the matvec backend
-	// the job resolved to (jobs that failed before planning count in
-	// neither): the per-backend view the planner's auto-selection is judged
-	// by. 0 until a job has finished on that backend.
-	LatencyP50CSR        float64 `json:"latency_p50_csr_seconds"`
-	LatencyP99CSR        float64 `json:"latency_p99_csr_seconds"`
-	LatencyP50DIA        float64 `json:"latency_p50_dia_seconds"`
-	LatencyP99DIA        float64 `json:"latency_p99_dia_seconds"`
-	LatencyP50Decomposed float64 `json:"latency_p50_decomposed_seconds"`
-	LatencyP99Decomposed float64 `json:"latency_p99_decomposed_seconds"`
 
 	UptimeSeconds float64 `json:"uptime_seconds"`
 }

@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -211,34 +210,6 @@ func TestTuningValidation(t *testing.T) {
 	ok := tuningReq("tuning-case", "ADAPT")
 	if _, err := s.Solve(context.Background(), ok); err != nil {
 		t.Fatalf("case-insensitive policy rejected: %v", err)
-	}
-}
-
-// TestTuningMalformedSessionDefault: a request that defers to a session
-// default that names no policy fails at Submit and PlanRequest, naming the
-// engine's Tuning setting, instead of silently solving with tuning off. A
-// request that pins its own policy never reads the default.
-func TestTuningMalformedSessionDefault(t *testing.T) {
-	s := New(Config{Workers: 1, Tuning: "adaptive"})
-	defer s.Close()
-
-	req := Request{Plate: &PlateSpec{Rows: 6, Cols: 6}, Solver: SolverSpec{M: 1}}
-	if _, err := s.Submit(req); err == nil || !strings.Contains(err.Error(), "Tuning setting") {
-		t.Fatalf("Submit under a malformed session default: err = %v", err)
-	}
-	if _, err := s.PlanRequest(req); err == nil || !strings.Contains(err.Error(), "Tuning setting") {
-		t.Fatalf("PlanRequest under a malformed session default: err = %v", err)
-	}
-	sys, _, err := core.PlateSystem(6, 6, fem.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Submit(Request{Prebuilt: &Prebuilt{Sys: sys, Config: core.Config{M: 1}}}); err == nil {
-		t.Fatal("prebuilt request deferring to a malformed session default accepted")
-	}
-	req.Solver.Tuning = "off"
-	if _, err := s.Solve(context.Background(), req); err != nil {
-		t.Fatalf("request pinning its own policy failed: %v", err)
 	}
 }
 

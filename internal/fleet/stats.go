@@ -96,12 +96,6 @@ func (r *Router) Stats(ctx context.Context) Stats {
 		agg.ByRefMisses += st.ByRefMisses
 		maxf(&agg.LatencyP50, st.LatencyP50)
 		maxf(&agg.LatencyP99, st.LatencyP99)
-		maxf(&agg.LatencyP50CSR, st.LatencyP50CSR)
-		maxf(&agg.LatencyP99CSR, st.LatencyP99CSR)
-		maxf(&agg.LatencyP50DIA, st.LatencyP50DIA)
-		maxf(&agg.LatencyP99DIA, st.LatencyP99DIA)
-		maxf(&agg.LatencyP50Decomposed, st.LatencyP50Decomposed)
-		maxf(&agg.LatencyP99Decomposed, st.LatencyP99Decomposed)
 	}
 	if total := agg.CacheHits + agg.CacheMisses; total > 0 {
 		agg.CacheHitRate = float64(agg.CacheHits) / float64(total)

@@ -69,23 +69,6 @@ func (m *Matrix) T() *Matrix {
 	return out
 }
 
-// MulVec returns m · x.
-func (m *Matrix) MulVec(x []float64) []float64 {
-	if len(x) != m.Cols {
-		panic(fmt.Sprintf("la: MulVec dimension mismatch %d vs %d", len(x), m.Cols))
-	}
-	y := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		var s float64
-		for j, v := range row {
-			s += v * x[j]
-		}
-		y[i] = s
-	}
-	return y
-}
-
 // Mul returns m · b.
 func (m *Matrix) Mul(b *Matrix) *Matrix {
 	if m.Cols != b.Rows {
@@ -104,31 +87,6 @@ func (m *Matrix) Mul(b *Matrix) *Matrix {
 		}
 	}
 	return out
-}
-
-// IsSymmetric reports whether |m - mᵀ| is elementwise below tol relative to
-// the largest entry magnitude.
-func (m *Matrix) IsSymmetric(tol float64) bool {
-	if m.Rows != m.Cols {
-		return false
-	}
-	var maxAbs float64
-	for _, v := range m.Data {
-		if a := math.Abs(v); a > maxAbs {
-			maxAbs = a
-		}
-	}
-	if maxAbs == 0 {
-		return true
-	}
-	for i := 0; i < m.Rows; i++ {
-		for j := i + 1; j < m.Cols; j++ {
-			if math.Abs(m.At(i, j)-m.At(j, i)) > tol*maxAbs {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // ErrNotSPD is returned by Cholesky when a non-positive pivot appears.
@@ -283,16 +241,6 @@ func (f *LU) Solve(b []float64) []float64 {
 		x[i] = s / f.lu.At(i, i)
 	}
 	return x
-}
-
-// Det returns the determinant from the factorization.
-func (f *LU) Det() float64 {
-	d := float64(f.sign)
-	n := f.lu.Rows
-	for i := 0; i < n; i++ {
-		d *= f.lu.At(i, i)
-	}
-	return d
 }
 
 // Solve solves A x = b for general square A via LU with partial pivoting.

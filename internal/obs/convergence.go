@@ -13,54 +13,53 @@ type Sample struct {
 }
 
 // ConvergenceLog records per-iteration convergence samples in bounded
-// memory with no steady-state allocation: the sample buffer is allocated
-// once at construction, and when it fills the log decimates in place —
+// memory: the sample buffer grows as samples arrive, up to
+// ConvergenceSamples, and when it is full the log decimates in place —
 // keeping only samples whose iteration is a multiple of a doubled stride —
-// so a run of any length fits the buffer while preserving the overall
+// so a run of any length fits the bound while preserving the overall
 // curve shape (early iterations thin out first; the per-case terminal
 // values live in the job result regardless).
 //
 // It implements the solver's per-iteration observer contract
 // (cg.Options.Observer): ObserveIteration is called from the solve hot
-// loop and must not allocate, which it doesn't — one uncontended mutex and
-// an in-capacity append.
+// loop. It allocates only while the buffer grows to its bound; after that
+// it is one uncontended mutex and an in-capacity append.
 type ConvergenceLog struct {
 	mu      sync.Mutex
 	samples []Sample
 	stride  int
 }
 
-// DefaultConvergenceSamples is the per-job sample capacity used when the
-// caller doesn't size the log.
-const DefaultConvergenceSamples = 1024
+// ConvergenceSamples bounds the samples one log holds.
+const ConvergenceSamples = 1024
 
-// NewConvergenceLog returns a log holding at most capacity samples
-// (minimum 16; 0 picks DefaultConvergenceSamples). All memory is allocated
-// here.
-func NewConvergenceLog(capacity int) *ConvergenceLog {
-	if capacity <= 0 {
-		capacity = DefaultConvergenceSamples
-	}
-	if capacity < 16 {
-		capacity = 16
-	}
-	return &ConvergenceLog{samples: make([]Sample, 0, capacity), stride: 1}
+// NewConvergenceLog returns an empty log. It allocates no sample buffer
+// until the first sample arrives.
+func NewConvergenceLog() *ConvergenceLog {
+	return &ConvergenceLog{stride: 1}
 }
 
 // ObserveIteration records one sample (dropping iterations off the current
-// stride). Safe for concurrent use with Samples; zero allocations.
+// stride). Safe for concurrent use with Samples; allocation-free once the
+// buffer has reached ConvergenceSamples.
 func (l *ConvergenceLog) ObserveIteration(col, iter int, udiff, relres float64) {
 	l.mu.Lock()
 	if iter%l.stride != 0 {
 		l.mu.Unlock()
 		return
 	}
-	for len(l.samples) == cap(l.samples) {
+	for len(l.samples) == ConvergenceSamples {
 		l.decimate()
 	}
 	if iter%l.stride != 0 {
 		l.mu.Unlock()
 		return
+	}
+	if len(l.samples) == cap(l.samples) {
+		// Double the buffer, never past the bound.
+		grown := make([]Sample, len(l.samples), min(max(2*cap(l.samples), 16), ConvergenceSamples))
+		copy(grown, l.samples)
+		l.samples = grown
 	}
 	l.samples = append(l.samples, Sample{Case: col, Iter: iter, UDiff: udiff, RelRes: relres})
 	l.mu.Unlock()
@@ -80,7 +79,7 @@ func (l *ConvergenceLog) decimate() {
 	}
 	if len(kept) == len(l.samples) {
 		kept = l.samples[:0]
-		for i := 0; i < cap(l.samples); i += 2 {
+		for i := 0; i < len(l.samples); i += 2 {
 			kept = append(kept, l.samples[i])
 		}
 	}

@@ -7,7 +7,7 @@ import (
 // TestConvergenceLogRecordsAll: under capacity, every sample is kept at
 // stride 1 in observation order.
 func TestConvergenceLogRecordsAll(t *testing.T) {
-	l := NewConvergenceLog(64)
+	l := NewConvergenceLog()
 	for i := 1; i <= 10; i++ {
 		l.ObserveIteration(0, i, 1.0/float64(i), 0.5/float64(i))
 	}
@@ -25,18 +25,18 @@ func TestConvergenceLogRecordsAll(t *testing.T) {
 	}
 }
 
-// TestConvergenceLogDecimates: a run longer than capacity doubles the
-// stride and stays within the fixed buffer while keeping the curve's span —
-// first iterations thin out, the tail keeps arriving.
+// TestConvergenceLogDecimates: a run longer than the bound doubles the
+// stride and stays within ConvergenceSamples while keeping the curve's
+// span — first iterations thin out, the tail keeps arriving.
 func TestConvergenceLogDecimates(t *testing.T) {
-	l := NewConvergenceLog(16)
-	const iters = 200
+	l := NewConvergenceLog()
+	const iters = 5000
 	for i := 1; i <= iters; i++ {
 		l.ObserveIteration(0, i, 0, 0)
 	}
 	s := l.Samples()
-	if len(s) > 16 {
-		t.Fatalf("log exceeded capacity: %d", len(s))
+	if len(s) > ConvergenceSamples || cap(l.samples) != ConvergenceSamples {
+		t.Fatalf("log holds %d samples in a buffer of %d, bound %d", len(s), cap(l.samples), ConvergenceSamples)
 	}
 	stride := l.Stride()
 	if stride < 2 {
@@ -54,10 +54,69 @@ func TestConvergenceLogDecimates(t *testing.T) {
 	}
 }
 
+// TestConvergenceLogGrowsOnDemand: a new log holds no sample buffer, so a
+// job that never iterates costs none; the buffer grows with the samples
+// and the log first decimates when sample 1025 arrives, as a log
+// allocated whole at 1024 did.
+func TestConvergenceLogGrowsOnDemand(t *testing.T) {
+	l := NewConvergenceLog()
+	if l.samples != nil {
+		t.Fatalf("new log holds a buffer of %d samples", cap(l.samples))
+	}
+	l.ObserveIteration(0, 1, 0, 0)
+	if c := cap(l.samples); c == 0 || c >= ConvergenceSamples {
+		t.Fatalf("buffer after one sample holds %d, want a small one", c)
+	}
+	for i := 2; i <= ConvergenceSamples; i++ {
+		l.ObserveIteration(0, i, 0, 0)
+	}
+	if n, c := len(l.Samples()), cap(l.samples); n != ConvergenceSamples || c != ConvergenceSamples || l.Stride() != 1 {
+		t.Fatalf("after %d samples: %d kept in a buffer of %d, stride %d", ConvergenceSamples, n, c, l.Stride())
+	}
+	l.ObserveIteration(0, ConvergenceSamples+1, 0, 0)
+	s := l.Samples()
+	if l.Stride() != 2 || len(s) != ConvergenceSamples/2 || s[0].Iter != 2 || s[len(s)-1].Iter != ConvergenceSamples {
+		t.Fatalf("after sample %d: stride %d, %d kept (iterations %d…%d), want stride 2 and the %d even ones",
+			ConvergenceSamples+1, l.Stride(), len(s), s[0].Iter, s[len(s)-1].Iter, ConvergenceSamples/2)
+	}
+}
+
+// TestConvergenceLogConcurrentGrowth: a trace reader snapshots a job's
+// log while the solve goroutine grows and decimates it (run under -race).
+func TestConvergenceLogConcurrentGrowth(t *testing.T) {
+	l := NewConvergenceLog()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 1; i <= 4*ConvergenceSamples; i++ {
+			l.ObserveIteration(0, i, 0, 0)
+		}
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		s := l.Samples()
+		if len(s) > ConvergenceSamples {
+			t.Fatalf("snapshot of %d samples, bound %d", len(s), ConvergenceSamples)
+		}
+		for i := 1; i < len(s); i++ {
+			if s[i].Iter <= s[i-1].Iter {
+				t.Fatalf("snapshot out of order at %d: iterations %d, %d", i, s[i-1].Iter, s[i].Iter)
+			}
+		}
+	}
+	if last := l.Samples(); last[len(last)-1].Iter != 4*ConvergenceSamples {
+		t.Fatalf("last sample at iteration %d, want %d", last[len(last)-1].Iter, 4*ConvergenceSamples)
+	}
+}
+
 // TestConvergenceLogMultiCase: block solves interleave cases; each case's
 // samples keep their own iteration sequence.
 func TestConvergenceLogMultiCase(t *testing.T) {
-	l := NewConvergenceLog(256)
+	l := NewConvergenceLog()
 	for iter := 1; iter <= 20; iter++ {
 		for c := 0; c < 4; c++ {
 			l.ObserveIteration(c, iter, 0, 0)
@@ -83,12 +142,15 @@ func TestConvergenceLogMultiCase(t *testing.T) {
 }
 
 // TestObserveIterationZeroAlloc is the telemetry-tap contract: the solve
-// hot loop calls ObserveIteration every iteration, so it must never
-// allocate — including when the buffer is full and decimation compacts in
-// place.
+// hot loop calls ObserveIteration every iteration, so once the log has
+// grown to its bound it must never allocate — including when the buffer is
+// full and decimation compacts in place.
 func TestObserveIterationZeroAlloc(t *testing.T) {
-	l := NewConvergenceLog(32)
+	l := NewConvergenceLog()
 	iter := 0
+	for ; iter < ConvergenceSamples; iter++ {
+		l.ObserveIteration(0, iter+1, 1e-3, 1e-4)
+	}
 	allocs := testing.AllocsPerRun(5000, func() {
 		iter++
 		l.ObserveIteration(0, iter, 1e-3, 1e-4)

@@ -160,36 +160,6 @@ func (a *CSR) IsSymmetric(tol float64) bool {
 	return true
 }
 
-// Transpose returns Aᵀ.
-func (a *CSR) Transpose() *CSR {
-	counts := make([]int, a.Cols+1)
-	for _, j := range a.ColIdx {
-		counts[j+1]++
-	}
-	for j := 0; j < a.Cols; j++ {
-		counts[j+1] += counts[j]
-	}
-	t := &CSR{
-		Rows:   a.Cols,
-		Cols:   a.Rows,
-		RowPtr: counts,
-		ColIdx: make([]int, a.NNZ()),
-		Val:    make([]float64, a.NNZ()),
-	}
-	next := make([]int, a.Cols)
-	copy(next, t.RowPtr[:a.Cols])
-	for i := 0; i < a.Rows; i++ {
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			j := a.ColIdx[k]
-			p := next[j]
-			t.ColIdx[p] = i
-			t.Val[p] = a.Val[k]
-			next[j]++
-		}
-	}
-	return t
-}
-
 // Clone returns a deep copy.
 func (a *CSR) Clone() *CSR {
 	return &CSR{
@@ -224,15 +194,4 @@ func (a *CSR) Dense() [][]float64 {
 		}
 	}
 	return out
-}
-
-// Identity returns the n×n identity in CSR form.
-func Identity(n int) *CSR {
-	a := &CSR{Rows: n, Cols: n, RowPtr: make([]int, n+1), ColIdx: make([]int, n), Val: make([]float64, n)}
-	for i := 0; i < n; i++ {
-		a.RowPtr[i+1] = i + 1
-		a.ColIdx[i] = i
-		a.Val[i] = 1
-	}
-	return a
 }

@@ -3,7 +3,6 @@ package sparse
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 // small builds the 3×3 test matrix
@@ -121,42 +120,6 @@ func TestIsSymmetric(t *testing.T) {
 	}
 }
 
-func TestTranspose(t *testing.T) {
-	c := NewCOO(2, 3)
-	c.Add(0, 2, 5)
-	c.Add(1, 0, 7)
-	at := c.ToCSR().Transpose()
-	if at.Rows != 3 || at.Cols != 2 {
-		t.Fatalf("Transpose dims %d×%d", at.Rows, at.Cols)
-	}
-	if at.At(2, 0) != 5 || at.At(0, 1) != 7 {
-		t.Fatalf("Transpose values: %v", at.Dense())
-	}
-}
-
-func TestTransposeInvolution(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(20)
-		a := randCSR(rng, n, 4)
-		b := a.Transpose().Transpose()
-		if a.NNZ() != b.NNZ() {
-			return false
-		}
-		for i := 0; i < n; i++ {
-			for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-				if b.At(i, a.ColIdx[k]) != a.Val[k] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestParMulVecMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	a := randCSR(rng, 5000, 9)
@@ -183,20 +146,6 @@ func TestMaxRowNNZ(t *testing.T) {
 	c.Add(1, 2, 1)
 	if got := c.ToCSR().MaxRowNNZ(); got != 3 {
 		t.Fatalf("MaxRowNNZ = %d, want 3", got)
-	}
-}
-
-func TestIdentity(t *testing.T) {
-	id := Identity(4)
-	x := []float64{1, 2, 3, 4}
-	y := id.MulVec(x)
-	for i := range x {
-		if y[i] != x[i] {
-			t.Fatalf("Identity MulVec = %v", y)
-		}
-	}
-	if id.NNZ() != 4 {
-		t.Fatalf("Identity nnz = %d", id.NNZ())
 	}
 }
 

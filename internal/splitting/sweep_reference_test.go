@@ -224,8 +224,8 @@ func TestSweepsMatchGroupBoundReference(t *testing.T) {
 					check("ApplyMStep", j, got)
 				}
 				for _, stride := range []int{cols, cols + 1} {
-					ir := vec.NewIMulti(n, stride).Prefix(cols)
-					irhat := vec.NewIMulti(n, stride).Prefix(cols)
+					ir := &vec.IMulti{N: n, S: cols, Stride: stride, Data: make([]float64, n*stride)}
+					irhat := &vec.IMulti{N: n, S: cols, Stride: stride, Data: make([]float64, n*stride)}
 					for j := 0; j < cols; j++ {
 						ir.GatherCol(j, r.Col(j))
 					}

@@ -33,15 +33,6 @@ func NewIMulti(n, s int) *IMulti {
 	return &IMulti{N: n, S: s, Stride: s, Data: make([]float64, n*s)}
 }
 
-// Prefix returns a view with the first s columns live, sharing the backing
-// storage and keeping the allocation stride.
-func (m *IMulti) Prefix(s int) *IMulti {
-	if s < 0 || s > m.S {
-		panic(fmt.Sprintf("vec: IMulti.Prefix %d of %d columns", s, m.S))
-	}
-	return &IMulti{N: m.N, S: s, Stride: m.Stride, Data: m.Data}
-}
-
 // SwapCols exchanges columns i and j element by element (a strided walk —
 // the deflation swap on the interleaved form).
 func (m *IMulti) SwapCols(i, j int) {

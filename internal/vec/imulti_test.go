@@ -62,10 +62,6 @@ func TestIMultiSwapScatterGather(t *testing.T) {
 			t.Fatalf("GatherCol: row %d got %v want %v", i, v, src.Col(0)[i])
 		}
 	}
-	p := im.Prefix(2)
-	if p.S != 2 || p.Stride != 5 || p.N != 17 {
-		t.Fatalf("Prefix shape %d×%d/%d", p.N, p.S, p.Stride)
-	}
 }
 
 // TestIMultiKernelsMatchColumns pins the bit-parity contract: every fused

@@ -46,26 +46,6 @@ func (m *Multi) Col(j int) []float64 {
 	return m.Data[j*m.N : (j+1)*m.N]
 }
 
-// Cols returns every column as a shared-storage slice.
-func (m *Multi) Cols() [][]float64 {
-	out := make([][]float64, m.S)
-	for j := range out {
-		out[j] = m.Col(j)
-	}
-	return out
-}
-
-// Prefix returns a view of the first s columns sharing the backing storage.
-// The block CG solver deflates converged columns by swapping them past the
-// active prefix and shrinking it, so every kernel call touches only live
-// columns.
-func (m *Multi) Prefix(s int) *Multi {
-	if s < 0 || s > m.S {
-		panic(fmt.Sprintf("vec: Prefix %d of %d columns", s, m.S))
-	}
-	return &Multi{N: m.N, S: s, Data: m.Data[:s*m.N]}
-}
-
 // SwapCols exchanges columns i and j element by element.
 func (m *Multi) SwapCols(i, j int) {
 	if i == j {

@@ -79,7 +79,7 @@ func TestScaleZeroFillCopy(t *testing.T) {
 	}
 }
 
-func TestAddSubMulDivElem(t *testing.T) {
+func TestAddSub(t *testing.T) {
 	x := []float64{2, 4, 8}
 	y := []float64{1, 2, 4}
 	dst := make([]float64, 3)
