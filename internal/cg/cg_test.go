@@ -18,7 +18,8 @@ import (
 )
 
 func residualInf(k *sparse.CSR, u, f []float64) float64 {
-	r := k.MulVec(u)
+	r := make([]float64, k.Rows)
+	k.MulVecTo(r, u)
 	vec.Sub(r, f, r)
 	return vec.NormInf(r)
 }
@@ -61,7 +62,8 @@ func TestPCGSolvesRandomSPD(t *testing.T) {
 		n := 5 + rng.Intn(40)
 		k := model.RandomSPD(rng, n, 3)
 		want := model.RandomVec(rng, n)
-		b := k.MulVec(want)
+		b := make([]float64, n)
+		k.MulVecTo(b, want)
 
 		j, err := splitting.NewJacobi(k)
 		if err != nil {

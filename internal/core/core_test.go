@@ -194,7 +194,8 @@ func TestGeneralMatrixViaJacobiAndNaturalSSOR(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%+v: %v", cfg, err)
 		}
-		r := k.MulVec(res.U)
+		r := make([]float64, len(res.U))
+		k.MulVecTo(r, res.U)
 		vec.Sub(r, f, r)
 		if vec.NormInf(r) > 1e-7 {
 			t.Fatalf("%+v: residual %g", cfg, vec.NormInf(r))

@@ -232,7 +232,8 @@ func TestRelResidualOnlyWhenAsked(t *testing.T) {
 	if st2.FinalRelRes != last {
 		t.Fatalf("FinalRelRes %g, last callback %g", st2.FinalRelRes, last)
 	}
-	r := plate.KColored.MulVec(u)
+	r := make([]float64, len(u))
+	plate.KColored.MulVecTo(r, u)
 	f := plate.ColoredRHS()
 	var rr, ff float64
 	for i := range r {

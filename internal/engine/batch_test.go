@@ -212,14 +212,15 @@ func TestQuantileNearestRank(t *testing.T) {
 		{0, 1},     // clamped to the first sample
 		{1, 50},
 	}
+	sorted := r.sorted()
 	for _, c := range cases {
-		if got := r.quantile(c.q); got != c.want {
+		if got := quantile(sorted, c.q); got != c.want {
 			t.Fatalf("quantile(%g) = %g, want %g", c.q, got, c.want)
 		}
 	}
 	var single latencyRing
 	single.add(7)
-	if got := single.quantile(0.99); got != 7 {
+	if got := quantile(single.sorted(), 0.99); got != 7 {
 		t.Fatalf("single-sample p99 = %g", got)
 	}
 }

@@ -275,8 +275,10 @@ func (s *Engine) Solve(ctx context.Context, req Request) (JobView, error) {
 // experiments and the CYBER simulation). It returns one Result per
 // right-hand side (pb.Fs, or pb.Sys.F when Fs is empty) and the job's
 // error; a column that failed still returns its result beside the joined
-// error.
+// error. pb.Key is ignored: the engine is gone after this one job, so the
+// job runs keyless, on a throwaway entry the cache and tuner never see.
 func SolveOnce(pb Prebuilt) ([]core.Result, error) {
+	pb.Key = ""
 	eng := New(Config{Workers: 1, WorkerBudget: 1, QueueDepth: 1, CacheSize: 1, HistoryLimit: 1})
 	defer eng.Close()
 	job, err := eng.Submit(Request{Prebuilt: &pb})
@@ -501,6 +503,7 @@ func (s *Engine) addStreamSubs(d int64) {
 // in jobs_done).
 func (s *Engine) Stats() Stats {
 	hits, misses := s.cache.hits.Load(), s.cache.misses.Load()
+	lat := s.lat.sorted()
 	st := Stats{
 		Workers:       s.cfg.Workers,
 		WorkerBudget:  s.cfg.WorkerBudget,
@@ -509,8 +512,8 @@ func (s *Engine) Stats() Stats {
 		CacheHits:     hits,
 		CacheMisses:   misses,
 		CacheEntries:  s.cache.len(),
-		LatencyP50:    s.lat.quantile(0.50),
-		LatencyP99:    s.lat.quantile(0.99),
+		LatencyP50:    quantile(lat, 0.50),
+		LatencyP99:    quantile(lat, 0.99),
 		UptimeSeconds: time.Since(s.started).Seconds(),
 	}
 	s.cmu.Lock()

@@ -502,10 +502,10 @@ func TestStatsLatencyQuantiles(t *testing.T) {
 	for i := 1; i <= 100; i++ {
 		r.add(float64(i))
 	}
-	if p50 := r.quantile(0.50); math.Abs(p50-50) > 2 {
+	if p50 := quantile(r.sorted(), 0.50); math.Abs(p50-50) > 2 {
 		t.Fatalf("p50 = %g", p50)
 	}
-	if p99 := r.quantile(0.99); math.Abs(p99-99) > 2 {
+	if p99 := quantile(r.sorted(), 0.99); math.Abs(p99-99) > 2 {
 		t.Fatalf("p99 = %g", p99)
 	}
 	// Overwrite wraps: only the latest window counts, and the ring never
@@ -513,7 +513,7 @@ func TestStatsLatencyQuantiles(t *testing.T) {
 	for i := 0; i < latencyWindow; i++ {
 		r.add(1000)
 	}
-	if lo := r.quantile(0); lo != 1000 {
+	if lo := quantile(r.sorted(), 0); lo != 1000 {
 		t.Fatalf("post-wrap minimum = %g, want every older sample overwritten", lo)
 	}
 	if len(r.buf) != latencyWindow {

@@ -3,6 +3,7 @@ package engine
 import (
 	"io"
 	"log/slog"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -72,7 +73,7 @@ func (s *Engine) registerMetrics() {
 	r.GaugeFunc("repro_workers", "Worker pool size.",
 		func() float64 { return float64(s.cfg.Workers) })
 	r.GaugeFunc("repro_uptime_seconds", "Engine uptime.",
-		func() float64 { return s.Stats().UptimeSeconds })
+		func() float64 { return time.Since(s.started).Seconds() })
 
 	s.hQueueWait = r.Histogram("repro_queue_wait_seconds",
 		"Enqueue to dequeue wait per job.", durationBuckets)

@@ -12,8 +12,8 @@ const latencyWindow = 1024
 
 // latencyRing keeps the most recent solve latencies for on-demand quantile
 // estimation: it appends until it holds latencyWindow samples, then
-// overwrites the oldest, and sorts only when /v1/stats is asked. The zero
-// value is ready to use.
+// overwrites the oldest, and sorts only when Stats is asked. The zero value
+// is ready to use.
 type latencyRing struct {
 	mu   sync.Mutex
 	buf  []float64
@@ -31,27 +31,27 @@ func (r *latencyRing) add(v float64) {
 	r.mu.Unlock()
 }
 
-// quantile returns the q-th (0..1) latency over the retained window, 0 when
+// sorted returns a sorted copy of the retained window, so one snapshot
+// serves every quantile a caller reads.
+func (r *latencyRing) sorted() []float64 {
+	r.mu.Lock()
+	sample := append([]float64(nil), r.buf...)
+	r.mu.Unlock()
+	sort.Float64s(sample)
+	return sample
+}
+
+// quantile returns the q-th (0..1) value of an ascending sample, 0 when
 // empty, using the ceil-based nearest-rank definition: the smallest sample
 // at or above rank ⌈q·n⌉. Truncating the rank instead (int(q·(n−1)))
 // under-reports tail quantiles on small windows — p99 of 50 samples would
 // read index 48, which is the p96.
-func (r *latencyRing) quantile(q float64) float64 {
-	r.mu.Lock()
-	sample := append([]float64(nil), r.buf...)
-	r.mu.Unlock()
-	if len(sample) == 0 {
+func quantile(sorted []float64, q float64) float64 {
+	if len(sorted) == 0 {
 		return 0
 	}
-	sort.Float64s(sample)
-	idx := int(math.Ceil(q*float64(len(sample)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sample) {
-		idx = len(sample) - 1
-	}
-	return sample[idx]
+	idx := int(math.Ceil(q*float64(len(sorted)))) - 1
+	return sorted[min(max(idx, 0), len(sorted)-1)]
 }
 
 // Stats is the /v1/stats payload: scheduler, cache, and latency health.

@@ -137,8 +137,10 @@ func TestColoredSystemConsistent(t *testing.T) {
 	for i := range x {
 		x[i] = math.Sin(float64(3*i + 1))
 	}
-	lhs := p.KColored.MulVec(p.Ordering.Perm.ApplyVec(x))
-	rhs := p.Ordering.Perm.ApplyVec(p.K.MulVec(x))
+	lhs, kx := make([]float64, p.N()), make([]float64, p.N())
+	p.KColored.MulVecTo(lhs, p.Ordering.Perm.ApplyVec(x))
+	p.K.MulVecTo(kx, x)
+	rhs := p.Ordering.Perm.ApplyVec(kx)
 	for i := range lhs {
 		if math.Abs(lhs[i]-rhs[i]) > 1e-12 {
 			t.Fatalf("colored system inconsistent at %d", i)

@@ -27,7 +27,9 @@ type SweepArgs struct {
 // (see the package comment's numerical contract).
 //
 // Interleaved panels pass as raw slices: element (i, j) of an n-row, s-live-
-// column panel with row stride st lives at data[i*st+j].
+// column panel with row stride st lives at data[i*st+j]. Panels run on CSR
+// only: the one panel product is SpMMCSRI, and diagonal storage keeps its
+// own column loops in sparse.DIA.
 type Impl struct {
 	// Name identifies the set in plans and benchmarks: "unrolled" (the set
 	// every solve runs) or "portable" (the reference).
@@ -69,11 +71,6 @@ type Impl struct {
 	// Per-column accumulation order is the CSR entry order, matching
 	// CSR.MulVecTo.
 	SpMMCSRI func(rowptr, colidx []int, val []float64, x []float64, xs int, dst []float64, ds int, lo, hi, s int)
-	// SpMMDIAI computes rows [lo, hi) of dst = A·X for diagonal storage over
-	// interleaved panels: every stored diagonal is a contiguous triad on
-	// both operands. Per-column order matches DIA.MulVecTo (ascending
-	// stored-diagonal index).
-	SpMMDIAI func(offsets []int, diags [][]float64, n int, x []float64, xs int, dst []float64, ds int, lo, hi, s int)
 	// SweepCSRI runs the full m-step Conrad–Wallach multicolor sweep over
 	// interleaved panels rhat, r with cache panel y (each n rows, stride
 	// st, s live columns; rhat and y are zeroed on entry). Column j
@@ -97,7 +94,6 @@ var portableImpl = Impl{
 	Norm2I:       norm2I,
 	NormInfI:     normInfI,
 	SpMMCSRI:     portableSpMMCSRI,
-	SpMMDIAI:     portableSpMMDIAI,
 	SweepCSRI:    portableSweepCSRI,
 }
 

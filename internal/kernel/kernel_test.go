@@ -317,36 +317,6 @@ func TestSpMMCSRIAgreement(t *testing.T) {
 	}
 }
 
-func TestSpMMDIAIAgreement(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, n := range testN {
-		offsets := []int{-3, -1, 0, 1, 3}
-		if n < 4 {
-			offsets = []int{0}
-		}
-		diags := make([][]float64, len(offsets))
-		for k := range diags {
-			diags[k] = randSlice(rng, n)
-		}
-		for _, s := range testS {
-			for _, st := range []int{s, s + 3} {
-				x := randSlice(rng, n*st)
-				want := make([]float64, n*st)
-				portableSpMMDIAI(offsets, diags, n, x, st, want, st, 0, n, s)
-				for name, im := range sets() {
-					dst := make([]float64, n*st)
-					im.SpMMDIAI(offsets, diags, n, x, st, dst, st, 0, n, s)
-					for i := range dst {
-						if dst[i] != want[i] {
-							t.Fatalf("%s.SpMMDIAI n=%d s=%d st=%d: flat %d got %v want %v", name, n, s, st, i, dst[i], want[i])
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
 // diagPositions returns each row's diagonal entry position — the
 // SweepArgs.DiagPos the splitting computes (randCSR always stores the
 // diagonal).
@@ -523,8 +493,6 @@ func TestDispatchAllocFree(t *testing.T) {
 	for k := range idx {
 		idx[k] = int32(k)
 	}
-	offsets := []int{-1, 0, 1}
-	diags := [][]float64{randSlice(rng, n), randSlice(rng, n), randSlice(rng, n)}
 	spmmY := make([]float64, n*st)
 	sweepY := make([]float64, n*st)
 
@@ -543,7 +511,6 @@ func TestDispatchAllocFree(t *testing.T) {
 			"Norm2I":       func() { im.Norm2I(x, st, n, s, dst) },
 			"NormInfI":     func() { im.NormInfI(x, st, n, s, dst) },
 			"SpMMCSRI":     func() { im.SpMMCSRI(rowptr, colidx, val, x, st, spmmY, st, 0, n, s) },
-			"SpMMDIAI":     func() { im.SpMMDIAI(offsets, diags, n, x, st, spmmY, st, 0, n, s) },
 			"SweepCSRI":    func() { im.SweepCSRI(args, spmmY, x, sweepY, st, n, s) },
 		}
 		for entry, fn := range checks {

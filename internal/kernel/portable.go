@@ -140,28 +140,6 @@ func portableSpMMCSRI(rowptr, colidx []int, val []float64, x []float64, xs int, 
 	}
 }
 
-func portableSpMMDIAI(offsets []int, diags [][]float64, n int, x []float64, xs int, dst []float64, ds int, lo, hi, s int) {
-	for i := lo; i < hi; i++ {
-		dr := dst[i*ds : i*ds+s]
-		for j := range dr {
-			dr[j] = 0
-		}
-	}
-	for k, d := range offsets {
-		diag := diags[k]
-		dlo, dhi := DiagRange(n, d)
-		dlo, dhi = max(dlo, lo), min(dhi, hi)
-		for i := dlo; i < dhi; i++ {
-			v := diag[i]
-			xr := x[(i+d)*xs : (i+d)*xs+s]
-			dr := dst[i*ds : i*ds+s]
-			for j, xv := range xr {
-				dr[j] += v * xv
-			}
-		}
-	}
-}
-
 // portableSweepCSRI is the interleaved Conrad–Wallach m-step sweep
 // (Algorithm 2): forward color sweeps cache the lower block sums in y for
 // the backward half-sweep and vice versa, the backward sweep skips the last
@@ -235,21 +213,4 @@ func zeroRow(a, b []float64) {
 		a[i] = 0
 		b[i] = 0
 	}
-}
-
-// DiagRange returns the half-open row range [lo, hi) over which diagonal d
-// lies inside an n×n matrix — shared with sparse.DIA's triad loops.
-func DiagRange(n, d int) (lo, hi int) {
-	lo = 0
-	if d < 0 {
-		lo = -d
-	}
-	hi = n
-	if d > 0 {
-		hi = n - d
-	}
-	if hi < lo {
-		hi = lo
-	}
-	return lo, hi
 }

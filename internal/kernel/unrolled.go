@@ -26,7 +26,6 @@ var unrolledImpl = Impl{
 	Norm2I:       norm2I,
 	NormInfI:     normInfI,
 	SpMMCSRI:     unrolledSpMMCSRI,
-	SpMMDIAI:     unrolledSpMMDIAI,
 	SweepCSRI:    unrolledSweepCSRI,
 }
 
@@ -225,37 +224,6 @@ func unrolledSpMMCSRI(rowptr, colidx []int, val []float64, x []float64, xs int, 
 			copy(dst[i*ds+c0:i*ds+c0+cw], acc[:cw])
 		}
 	}
-}
-
-func unrolledSpMMDIAI(offsets []int, diags [][]float64, n int, x []float64, xs int, dst []float64, ds int, lo, hi, s int) {
-	if s == 8 {
-		for i := lo; i < hi; i++ {
-			dr := dst[i*ds : i*ds+8 : i*ds+8]
-			dr[0], dr[1], dr[2], dr[3] = 0, 0, 0, 0
-			dr[4], dr[5], dr[6], dr[7] = 0, 0, 0, 0
-		}
-		for k, d := range offsets {
-			diag := diags[k]
-			dlo, dhi := DiagRange(n, d)
-			dlo, dhi = max(dlo, lo), min(dhi, hi)
-			for i := dlo; i < dhi; i++ {
-				v := diag[i]
-				c := (i + d) * xs
-				xr := x[c : c+8 : c+8]
-				dr := dst[i*ds : i*ds+8 : i*ds+8]
-				dr[0] += v * xr[0]
-				dr[1] += v * xr[1]
-				dr[2] += v * xr[2]
-				dr[3] += v * xr[3]
-				dr[4] += v * xr[4]
-				dr[5] += v * xr[5]
-				dr[6] += v * xr[6]
-				dr[7] += v * xr[7]
-			}
-		}
-		return
-	}
-	portableSpMMDIAI(offsets, diags, n, x, xs, dst, ds, lo, hi, s)
 }
 
 // unrolledSweepCSRI is the sweep with unrolledSpMMCSRI's register-blocked

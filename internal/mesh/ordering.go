@@ -43,15 +43,6 @@ type UnknownGroup int
 // displacement components).
 const NumGroups = 2 * NumColors
 
-// GroupOf returns the unknown group of component comp (0 = u, 1 = v) at a
-// node of the given color.
-func GroupOf(c Color, comp int) UnknownGroup {
-	if comp != 0 && comp != 1 {
-		panic(fmt.Sprintf("mesh: component %d not in {0,1}", comp))
-	}
-	return UnknownGroup(2*int(c) + comp)
-}
-
 func (u UnknownGroup) String() string {
 	comp := "u"
 	if u%2 == 1 {
@@ -69,11 +60,6 @@ type MulticolorOrdering struct {
 	// CompOfNew[k] is its displacement component (0=u, 1=v).
 	NodeOfNew []int
 	CompOfNew []int
-}
-
-// GroupSize returns the number of unknowns in group g.
-func (o *MulticolorOrdering) GroupSize(g UnknownGroup) int {
-	return o.GroupStart[g+1] - o.GroupStart[g]
 }
 
 // GroupOfNew returns the group of new-ordered unknown k.

@@ -26,25 +26,12 @@ func TestFreeNodesNoConstraint(t *testing.T) {
 	}
 }
 
-func TestGroupOf(t *testing.T) {
-	if GroupOf(Red, 0) != 0 || GroupOf(Red, 1) != 1 {
-		t.Fatal("Red groups wrong")
-	}
-	if GroupOf(Green, 1) != 5 {
-		t.Fatal("Green v group wrong")
-	}
-	if GroupOf(Black, 0).String() != "Bu" {
-		t.Fatalf("group name = %s", GroupOf(Black, 0))
-	}
-}
-
-func TestGroupOfPanicsOnBadComp(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
+func TestUnknownGroupString(t *testing.T) {
+	for g, want := range map[UnknownGroup]string{0: "Ru", 1: "Rv", 2: "Bu", 5: "Gv"} {
+		if got := g.String(); got != want {
+			t.Fatalf("group %d name = %s, want %s", int(g), got, want)
 		}
-	}()
-	GroupOf(Red, 2)
+	}
 }
 
 func TestMulticolorOrderingIsPermutation(t *testing.T) {
@@ -72,7 +59,7 @@ func TestMulticolorOrderingGroupsSorted(t *testing.T) {
 		for k := lo; k < hi; k++ {
 			node := o.NodeOfNew[k]
 			comp := o.CompOfNew[k]
-			wantGroup := GroupOf(g.ColorOfID(node), comp)
+			wantGroup := UnknownGroup(2*int(g.ColorOfID(node)) + comp)
 			if wantGroup != grp {
 				t.Fatalf("unknown %d in group %v but should be %v", k, grp, wantGroup)
 			}
@@ -85,8 +72,8 @@ func TestMulticolorOrderingGroupSizesEqualUV(t *testing.T) {
 	g := NewGrid(7, 9)
 	o := g.NewMulticolorOrdering(g.FreeNodes(LeftEdgeClamped))
 	for c := 0; c < NumColors; c++ {
-		u := o.GroupSize(UnknownGroup(2 * c))
-		v := o.GroupSize(UnknownGroup(2*c + 1))
+		u := o.GroupStart[2*c+1] - o.GroupStart[2*c]
+		v := o.GroupStart[2*c+2] - o.GroupStart[2*c+1]
 		if u != v {
 			t.Fatalf("color %d: u group %d != v group %d", c, u, v)
 		}

@@ -54,7 +54,8 @@ func TestLaplacian1DEigenvalues(t *testing.T) {
 		for i := range v {
 			v[i] = math.Sin(float64(mode) * math.Pi * float64(i+1) / float64(n+1))
 		}
-		kv := k.MulVec(v)
+		kv := make([]float64, n)
+		k.MulVecTo(kv, v)
 		want := 2 - 2*math.Cos(float64(mode)*math.Pi/float64(n+1))
 		for i := range v {
 			if math.Abs(kv[i]-want*v[i]) > 1e-12 {
@@ -75,7 +76,8 @@ func TestRandomSPDIsSPDAndSymmetric(t *testing.T) {
 		// Diagonal dominance ⇒ positive quadratic forms on probes.
 		for trial := 0; trial < 4; trial++ {
 			x := RandomVec(rng, n)
-			kx := k.MulVec(x)
+			kx := make([]float64, n)
+			k.MulVecTo(kx, x)
 			var q float64
 			for i := range x {
 				q += x[i] * kx[i]

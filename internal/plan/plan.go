@@ -253,8 +253,8 @@ type Plan struct {
 	Subdomains int
 	// Interleave reports that the tiles run on the row-interleaved panel
 	// layout (every tile is at least DefaultWideBlockThreshold columns
-	// wide and the preconditioner sweeps panels; both backends serve
-	// them).
+	// wide, the preconditioner sweeps panels and Backend is CSR, the one
+	// storage that serves them).
 	Interleave bool
 	// Kernel names the kernel set the solve's fused loops run through:
 	// kernel.Active, the one set every solve runs. The plan is where a job
@@ -311,6 +311,12 @@ func (p Probe) Attrs() map[string]any {
 // cache hit re-planning a warm request decides exactly what the cold
 // request decided. It never fails: a nil Probe plans structure-blind
 // (tiling then assumes nothing about n and uses DefaultMaxTile).
+//
+// The layout rule: tiles run on row-interleaved panels when the
+// preconditioner can sweep panels, every tile reaches
+// DefaultWideBlockThreshold, and the storage is CSR, the one backend with
+// a panel product. Auto and a forced CSR policy get CSR panels; a forced
+// DIA policy stays on columns.
 func Static(in Inputs) Plan {
 	var backend Backend
 	switch {
@@ -369,17 +375,12 @@ func Static(in Inputs) Plan {
 		}
 	}
 
-	// Panels only when the preconditioner can sweep them and every tile
-	// clears the threshold. Balanced tiling keeps widths within one of each
-	// other, so the last tile is the narrowest (s = 1 scalar solves never
-	// clear it).
+	// The layout rule (see above). Balanced tiling keeps widths within one
+	// of each other, so the last tile is the narrowest (s = 1 scalar
+	// solves never clear the threshold).
 	tiles := tile(s, width)
-	interleave := in.FusedSweep(in.M) && len(tiles[len(tiles)-1]) >= DefaultWideBlockThreshold
-	if interleave && in.Policy == BackendAuto {
-		// DIA's panel kernel re-reads and rewrites every destination row
-		// once per stored diagonal, where CSR's holds a row's sums in
-		// registers: CSR panels won on every matrix measured, the
-		// fill-≈1 stencils included.
+	interleave := in.FusedSweep(in.M) && len(tiles[len(tiles)-1]) >= DefaultWideBlockThreshold && in.Policy != BackendDIA
+	if interleave {
 		backend = BackendCSR
 	}
 	return Plan{

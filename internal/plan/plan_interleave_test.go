@@ -34,10 +34,10 @@ func TestPlanInterleave(t *testing.T) {
 	}
 }
 
-// TestPlanAutoPanelsRunCSR pins Auto's layout rule: a fill-≈1 stencil
-// (Poisson 48²: 5 diagonals, fill 0.983) plans DIA for columns, but its
-// interleaved tiles run CSR, whose panel kernel beats DIA's on every matrix
-// measured. A forced DIA policy still passes through.
+// TestPlanAutoPanelsRunCSR pins the layout rule on a fill-≈1 stencil
+// (Poisson 48²: 5 diagonals, fill 0.983): Auto plans DIA for columns, but
+// its interleaved tiles run CSR, the one storage with a panel product. A
+// forced DIA policy keeps its storage and stays on columns.
 func TestPlanAutoPanelsRunCSR(t *testing.T) {
 	const rows = 48 * 48
 	probe := &Probe{Rows: rows, Cols: rows, NNZ: 5*rows - 4*48, MaxRowNNZ: 5, NumDiags: 5, Fill: 0.983}
@@ -53,8 +53,37 @@ func TestPlanAutoPanelsRunCSR(t *testing.T) {
 	if p := Static(Inputs{Probe: probe, RHS: 8, M: 2}); p.Interleave || p.Backend != BackendDIA {
 		t.Errorf("auto s=8 without panel sweep: Interleave=%v Backend=%v, want false/dia", p.Interleave, p.Backend)
 	}
-	if p := Static(Inputs{Probe: probe, Policy: BackendDIA, RHS: 8, M: 0}); !p.Interleave || p.Backend != BackendDIA {
-		t.Errorf("forced dia s=8: Interleave=%v Backend=%v, want true/dia", p.Interleave, p.Backend)
+	if p := Static(Inputs{Probe: probe, Policy: BackendDIA, RHS: 8, M: 0}); p.Interleave || p.Backend != BackendDIA {
+		t.Errorf("forced dia s=8: Interleave=%v Backend=%v, want false/dia", p.Interleave, p.Backend)
+	}
+}
+
+// TestPlanPanelsNeverDIA: whatever the policy, probe, width, step count or
+// sweep, Static never plans panels on DIA storage, which has no panel
+// product.
+func TestPlanPanelsNeverDIA(t *testing.T) {
+	const rows = 48 * 48
+	stencil := &Probe{Rows: rows, Cols: rows, NNZ: 5*rows - 4*48, MaxRowNNZ: 5, NumDiags: 5, Fill: 0.983}
+	panels := 0
+	for _, probe := range []*Probe{nil, stencil, tiled(16)} {
+		for _, policy := range []Backend{BackendAuto, BackendCSR, BackendDIA} {
+			for _, s := range []int{1, 3, 4, 8, 17, 40} {
+				for _, m := range []int{0, 1, 3} {
+					for _, sweep := range []bool{false, true} {
+						p := Static(Inputs{Probe: probe, Policy: policy, RHS: s, M: m, PanelSweep: sweep})
+						if p.Interleave && p.Backend == BackendDIA {
+							t.Fatalf("policy %v s=%d m=%d sweep=%v: panels on dia", policy, s, m, sweep)
+						}
+						if p.Interleave {
+							panels++
+						}
+					}
+				}
+			}
+		}
+	}
+	if panels == 0 {
+		t.Fatal("no input planned panels")
 	}
 }
 

@@ -36,9 +36,6 @@ func (p Poly) Trim() Poly {
 	return p[:n]
 }
 
-// Degree returns the degree; the zero polynomial has degree -1.
-func (p Poly) Degree() int { return len(p.Trim()) - 1 }
-
 // Eval evaluates p at x by Horner's rule.
 func (p Poly) Eval(x float64) float64 {
 	var s float64
@@ -110,18 +107,6 @@ func (p Poly) AntiDeriv() Poly {
 	out := make(Poly, len(p)+1)
 	for i, pi := range p {
 		out[i+1] = pi / float64(i+1)
-	}
-	return out
-}
-
-// Deriv returns the derivative p′.
-func (p Poly) Deriv() Poly {
-	if len(p) <= 1 {
-		return Poly{}
-	}
-	out := make(Poly, len(p)-1)
-	for i := 1; i < len(p); i++ {
-		out[i-1] = float64(i) * p[i]
 	}
 	return out
 }

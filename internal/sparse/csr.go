@@ -38,13 +38,6 @@ func (a *CSR) At(i, j int) float64 {
 	return 0
 }
 
-// MulVec returns A·x as a new vector.
-func (a *CSR) MulVec(x []float64) []float64 {
-	y := make([]float64, a.Rows)
-	a.MulVecTo(y, x)
-	return y
-}
-
 // MulVecTo computes dst = A·x. dst must not alias x.
 func (a *CSR) MulVecTo(dst, x []float64) {
 	if len(x) != a.Cols || len(dst) != a.Rows {

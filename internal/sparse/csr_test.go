@@ -81,7 +81,8 @@ func TestCSRSortedInvariant(t *testing.T) {
 
 func TestMulVecKnown(t *testing.T) {
 	a := small()
-	y := a.MulVec([]float64{1, 2, 3})
+	y := make([]float64, 3)
+	a.MulVecTo(y, []float64{1, 2, 3})
 	want := []float64{0, 0, 4}
 	for i := range want {
 		if y[i] != want[i] {

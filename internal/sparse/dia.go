@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/kernel"
 	"repro/internal/vec"
 )
 
@@ -94,13 +93,6 @@ func (a *DIA) MulVecTo(dst, x []float64) {
 			dst[i] += diag[i] * x[i+d]
 		}
 	}
-}
-
-// MulVec returns A·x as a new vector.
-func (a *DIA) MulVec(x []float64) []float64 {
-	y := make([]float64, a.N)
-	a.MulVecTo(y, x)
-	return y
 }
 
 // ParMulVecTo computes dst = A·x with rows partitioned across up to
@@ -207,7 +199,9 @@ func (a *DIA) ToCSR() *CSR {
 }
 
 // diagRange returns the half-open row range [lo, hi) over which diagonal d
-// lies inside an n×n matrix (shared with the interleaved DIA kernels).
+// lies inside an n×n matrix.
 func diagRange(n, d int) (lo, hi int) {
-	return kernel.DiagRange(n, d)
+	lo = max(-d, 0)
+	hi = max(min(n, n-d), lo)
+	return lo, hi
 }

@@ -46,8 +46,9 @@ func TestDIAMulVecMatchesCSR(t *testing.T) {
 		for i := range x {
 			x[i] = rng.NormFloat64()
 		}
-		ya := a.MulVec(x)
-		yd := d.MulVec(x)
+		ya, yd := make([]float64, n), make([]float64, n)
+		a.MulVecTo(ya, x)
+		d.MulVecTo(yd, x)
 		for i := range ya {
 			if math.Abs(ya[i]-yd[i]) > 1e-12*(1+math.Abs(ya[i])) {
 				return false

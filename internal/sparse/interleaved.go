@@ -9,10 +9,12 @@ import (
 
 // InterleavedOperator is the optional fast path of Operator: a backend that
 // can also apply itself to a row-interleaved panel (vec.IMulti), where one
-// gathered row index feeds all live columns from adjacent memory. The
-// solvers type-assert for it — a backend without it simply keeps the
-// column-contiguous block product — so adding the capability never breaks
-// the Operator contract.
+// gathered row index feeds all live columns from adjacent memory. Only CSR
+// implements it: a DIA panel product re-reads and rewrites every
+// destination row once per stored diagonal, where CSR's holds a row's sums
+// in registers, so diagonal storage runs columns. The solvers type-assert
+// for it — a backend without it simply keeps the column-contiguous block
+// product — so the capability never breaks the Operator contract.
 //
 // impl selects the kernel set for the product (nil means the active set);
 // the same Par contract as Operator applies: workers == 1 is serial and
@@ -27,10 +29,7 @@ type InterleavedOperator interface {
 	ParMulMatITo(dst, x *vec.IMulti, workers int, impl *kernel.Impl)
 }
 
-var (
-	_ InterleavedOperator = (*CSR)(nil)
-	_ InterleavedOperator = (*DIA)(nil)
-)
+var _ InterleavedOperator = (*CSR)(nil)
 
 func checkIDims(op string, rows, cols int, dst, x *vec.IMulti) {
 	if x.N != cols || dst.N != rows || dst.S != x.S {
@@ -66,34 +65,5 @@ func (a *CSR) ParMulMatITo(dst, x *vec.IMulti, workers int, impl *kernel.Impl) {
 	checkIDims("ParMulMatITo", a.Rows, a.Cols, dst, x)
 	vec.ParRange(a.Rows, workers, func(lo, hi int) {
 		impl.SpMMCSRI(a.RowPtr, a.ColIdx, a.Val, x.Data, x.Stride, dst.Data, dst.Stride, lo, hi, x.S)
-	})
-}
-
-// MulMatITo computes dst = A·X for row-interleaved panels, one stored
-// diagonal at a time; every triad touches contiguous panel rows on both
-// operands. Per-column arithmetic order matches MulVecTo exactly. dst must
-// not alias x.
-func (a *DIA) MulMatITo(dst, x *vec.IMulti, impl *kernel.Impl) {
-	checkIDims("DIA.MulMatITo", a.N, a.N, dst, x)
-	if impl == nil {
-		impl = kernel.Active()
-	}
-	impl.SpMMDIAI(a.Offsets, a.Diags, a.N, x.Data, x.Stride, dst.Data, dst.Stride, 0, a.N, x.S)
-}
-
-// ParMulMatITo is DIA.MulMatITo with rows partitioned across up to `workers`
-// goroutines; bitwise identical to the serial product, and serial (and
-// allocation-free) at workers == 1.
-func (a *DIA) ParMulMatITo(dst, x *vec.IMulti, workers int, impl *kernel.Impl) {
-	if impl == nil {
-		impl = kernel.Active()
-	}
-	if workers == 1 {
-		a.MulMatITo(dst, x, impl)
-		return
-	}
-	checkIDims("DIA.ParMulMatITo", a.N, a.N, dst, x)
-	vec.ParRange(a.N, workers, func(lo, hi int) {
-		impl.SpMMDIAI(a.Offsets, a.Diags, a.N, x.Data, x.Stride, dst.Data, dst.Stride, lo, hi, x.S)
 	})
 }

@@ -10,7 +10,7 @@ import (
 
 // TestMulMatIToMatchesMulMatTo pins the layout-parity contract: the
 // interleaved SpMM equals the column-contiguous SpMM bit for bit, for both
-// backends and both kernel sets, across shapes straddling the unroll widths.
+// kernel sets, across shapes straddling the unroll widths.
 func TestMulMatIToMatchesMulMatTo(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, impl := range []*kernel.Impl{kernel.Portable(), kernel.Active()} {
@@ -31,21 +31,7 @@ func TestMulMatIToMatchesMulMatTo(t *testing.T) {
 				idst.DeinterleaveInto(got, impl)
 				for i := range got.Data {
 					if got.Data[i] != want.Data[i] {
-						t.Fatalf("%s CSR n=%d s=%d: flat %d got %v want %v", impl.Name, n, s, i, got.Data[i], want.Data[i])
-					}
-				}
-
-				dia, err := NewDIAFromCSR(a)
-				if err != nil {
-					t.Fatal(err)
-				}
-				dia.MulMatTo(want, x)
-				idst.Zero()
-				dia.MulMatITo(idst, ix, impl)
-				idst.DeinterleaveInto(got, impl)
-				for i := range got.Data {
-					if got.Data[i] != want.Data[i] {
-						t.Fatalf("%s DIA n=%d s=%d: flat %d got %v want %v", impl.Name, n, s, i, got.Data[i], want.Data[i])
+						t.Fatalf("%s n=%d s=%d: flat %d got %v want %v", impl.Name, n, s, i, got.Data[i], want.Data[i])
 					}
 				}
 			}
@@ -65,25 +51,12 @@ func TestParMulMatIToMatchesSerial(t *testing.T) {
 	}
 	want := vec.NewIMulti(n, s)
 	a.MulMatITo(want, x, nil)
-	dia, err := NewDIAFromCSR(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantDIA := vec.NewIMulti(n, s)
-	dia.MulMatITo(wantDIA, x, nil)
 	for _, w := range []int{1, 2, 5} {
 		got := vec.NewIMulti(n, s)
 		a.ParMulMatITo(got, x, w, nil)
 		for i := range got.Data {
 			if got.Data[i] != want.Data[i] {
-				t.Fatalf("CSR workers=%d: flat %d differs", w, i)
-			}
-		}
-		got.Zero()
-		dia.ParMulMatITo(got, x, w, nil)
-		for i := range got.Data {
-			if got.Data[i] != wantDIA.Data[i] {
-				t.Fatalf("DIA workers=%d: flat %d differs", w, i)
+				t.Fatalf("workers=%d: flat %d differs", w, i)
 			}
 		}
 	}
@@ -95,10 +68,6 @@ func TestMulMatIToAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	n, s := 128, 8
 	a := randSquareCSR(rng, n, 0.1)
-	dia, err := NewDIAFromCSR(a)
-	if err != nil {
-		t.Fatal(err)
-	}
 	x, dst := vec.NewIMulti(n, s), vec.NewIMulti(n, s)
 	for i := range x.Data {
 		x.Data[i] = rng.NormFloat64()
@@ -108,12 +77,6 @@ func TestMulMatIToAllocFree(t *testing.T) {
 	}
 	if al := testing.AllocsPerRun(20, func() { a.ParMulMatITo(dst, x, 1, nil) }); al != 0 {
 		t.Errorf("CSR.ParMulMatITo(w=1) allocates %.1f per run", al)
-	}
-	if al := testing.AllocsPerRun(20, func() { dia.MulMatITo(dst, x, nil) }); al != 0 {
-		t.Errorf("DIA.MulMatITo allocates %.1f per run", al)
-	}
-	if al := testing.AllocsPerRun(20, func() { dia.ParMulMatITo(dst, x, 1, nil) }); al != 0 {
-		t.Errorf("DIA.ParMulMatITo(w=1) allocates %.1f per run", al)
 	}
 }
 

@@ -9,15 +9,6 @@ import "fmt"
 // groups listed in their new order.
 type Perm []int
 
-// NewIdentityPerm returns the identity permutation of length n.
-func NewIdentityPerm(n int) Perm {
-	p := make(Perm, n)
-	for i := range p {
-		p[i] = i
-	}
-	return p
-}
-
 // Valid reports whether p is a genuine permutation of {0,…,len(p)−1}.
 func (p Perm) Valid() bool {
 	seen := make([]bool, len(p))

@@ -52,7 +52,8 @@ func TestCSRMulMatMatchesMulVec(t *testing.T) {
 		dst := vec.NewMulti(rows, s)
 		a.MulMatTo(dst, x)
 		for j := 0; j < s; j++ {
-			want := a.MulVec(x.Col(j))
+			want := make([]float64, rows)
+			a.MulVecTo(want, x.Col(j))
 			for i := range want {
 				if dst.Col(j)[i] != want[i] {
 					t.Fatalf("trial %d: CSR SpMM col %d row %d: %g != %g", trial, j, i, dst.Col(j)[i], want[i])
@@ -83,7 +84,8 @@ func TestDIAMulMatMatchesMulVec(t *testing.T) {
 		dst := vec.NewMulti(n, s)
 		a.MulMatTo(dst, x)
 		for j := 0; j < s; j++ {
-			want := a.MulVec(x.Col(j))
+			want := make([]float64, n)
+			a.MulVecTo(want, x.Col(j))
 			for i := range want {
 				if dst.Col(j)[i] != want[i] {
 					t.Fatalf("trial %d: DIA SpMM col %d row %d: %g != %g", trial, j, i, dst.Col(j)[i], want[i])
@@ -158,8 +160,8 @@ func TestDIAParMulVec(t *testing.T) {
 	for i := range x {
 		x[i] = rng.NormFloat64()
 	}
-	want := a.MulVec(x)
-	got := make([]float64, 200)
+	want, got := make([]float64, 200), make([]float64, 200)
+	a.MulVecTo(want, x)
 	a.ParMulVecTo(got, x, 3)
 	for i := range want {
 		if got[i] != want[i] {

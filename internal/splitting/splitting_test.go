@@ -47,7 +47,8 @@ func TestJacobiStepMatchesFormula(t *testing.T) {
 	r := model.RandomVec(rng, 20)
 	want := vec.Clone(rhat)
 	// Explicit: r̂ + D⁻¹(αr − K r̂)
-	kr := k.MulVec(rhat)
+	kr := make([]float64, len(rhat))
+	k.MulVecTo(kr, rhat)
 	d := k.Diag()
 	alpha := 1.7
 	for i := range want {

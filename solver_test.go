@@ -411,8 +411,9 @@ func TestProblemSetupTracedLikeSpec(t *testing.T) {
 
 // TestAutoPlateBatchMatchesDIABitwise: on the warm plate batch shape (a 52²
 // plate, 8 tractions, m = 3 least-squares) Auto runs the interleaved tiles
-// on CSR, and the answer is the one forced DIA storage gives, bit for bit:
-// DIA's row sums add the same products in the same order plus zero padding.
+// on CSR, forced DIA storage runs columns, and the answers agree bit for
+// bit: DIA's row sums add the same products in the same order plus zero
+// padding.
 func TestAutoPlateBatchMatchesDIABitwise(t *testing.T) {
 	l := repro.NewLocal(repro.LocalConfig{Workers: 1})
 	defer l.Close()
@@ -437,6 +438,9 @@ func TestAutoPlateBatchMatchesDIABitwise(t *testing.T) {
 	}
 	if auto.Plan == nil || !auto.Plan.Interleave {
 		t.Fatalf("auto plan %+v does not interleave the 8-wide batch", auto.Plan)
+	}
+	if dia.Plan == nil || dia.Plan.Interleave {
+		t.Fatalf("dia plan %+v runs the 8-wide batch on panels, want columns", dia.Plan)
 	}
 	if auto.Iterations != dia.Iterations {
 		t.Fatalf("block iterations auto %d, dia %d", auto.Iterations, dia.Iterations)
