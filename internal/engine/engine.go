@@ -735,7 +735,6 @@ func (s *Engine) runJob(job *Job, ws *cg.Workspace, workerID int) {
 	if tdec.Source != "" {
 		planSp.SetAttr("plan_source", tdec.Source)
 	}
-	planSp.End()
 
 	opts := cg.Options{
 		Tol:            cfg.Tol,
@@ -752,10 +751,12 @@ func (s *Engine) runJob(job *Job, ws *cg.Workspace, workerID int) {
 
 	// Materialize the planned backend, memoized on the entry so setup
 	// failures surface like any other build error: a decomposed plan
-	// partitions the plate P ways, a DIA plan converts the matrix.
+	// partitions the plate P ways, a DIA plan converts the matrix. The plan
+	// span closes where the next span opens.
 	var solve tileSolver
 	switch pl.Backend {
 	case plan.BackendDecomposed:
+		planSp.End()
 		if entry.plate == nil {
 			fail(errors.New("engine: decomposed backend needs a plate-backed problem (general systems carry no mesh to partition)"))
 			return
@@ -777,6 +778,7 @@ func (s *Engine) runJob(job *Job, ws *cg.Workspace, workerID int) {
 			End()
 		solve = s.decompSolver(job, dec, fs, pl.M, sp.alphas, opts, workerID)
 	case plan.BackendDIA:
+		planSp.End()
 		end := phase("dia_convert")
 		dia, err := entry.getDIA()
 		end()
@@ -788,13 +790,16 @@ func (s *Engine) runJob(job *Job, ws *cg.Workspace, workerID int) {
 	default:
 		solve = s.matrixSolver(job, entry.sys.K, pc, fs, opts, ws, workerID)
 	}
+	job.initCases(len(fs))
 	s.countSolve(pl.Backend)
+	planSp.End()
 
-	// Execute + emit.
+	// Execute + emit. The last span stays open until transition finishes
+	// the trace, so publishing the result leaves no gap in it.
 	execStart := time.Now()
 	res, err := s.runTiles(job, pl.Tiles, len(fs), entry.plate, solve)
 	execSeconds := time.Since(execStart).Seconds()
-	emitEnd := phase("emit")
+	last := job.trace.Start("emit").SetWorker(workerID)
 	res.Precond = sp.name
 	res.Backend = pl.Backend.String()
 	info := planInfo(pl, mode, tdec)
@@ -804,7 +809,6 @@ func (s *Engine) runJob(job *Job, ws *cg.Workspace, workerID int) {
 		a := sp.alphas
 		res.Alphas = &a
 	}
-	emitEnd()
 
 	// Feedback: fold the executed plan's realized throughput back into the
 	// tuner's observation store. Only clean solves of cached problems count
@@ -812,6 +816,8 @@ func (s *Engine) runJob(job *Job, ws *cg.Workspace, workerID int) {
 	// entry has no store to feed, and a decomposed plan's execution shape is
 	// owned by the mesh partition, not the tuner.
 	if mode == plan.TuningAdapt && err == nil && entry.key != "" && pl.Backend != plan.BackendDecomposed {
+		last.End()
+		last = job.trace.Start("feedback").SetWorker(workerID)
 		rhsPerSec := 0.0
 		if execSeconds > 0 {
 			rhsPerSec = float64(len(fs)) / execSeconds
@@ -820,10 +826,7 @@ func (s *Engine) runJob(job *Job, ws *cg.Workspace, workerID int) {
 		if res.Iterations > 0 {
 			iterSec = execSeconds / float64(res.Iterations)
 		}
-		job.trace.Start("feedback").SetWorker(workerID).
-			SetAttr("rhs_per_second", rhsPerSec).
-			SetAttr("seconds_per_iteration", iterSec).
-			End()
+		last.SetAttr("rhs_per_second", rhsPerSec).SetAttr("seconds_per_iteration", iterSec)
 		s.tuner.Observe(entry.key, pl.Signature(), plan.Observation{RHSPerSec: rhsPerSec, IterSeconds: iterSec})
 		s.cmu.Lock()
 		s.planFeedback++
@@ -834,6 +837,7 @@ func (s *Engine) runJob(job *Job, ws *cg.Workspace, workerID int) {
 		if cerr := job.ctx.Err(); cerr != nil {
 			// The trace of a cancelled job ends with a terminal marker span,
 			// so a replayed timeline shows where the solve was cut off.
+			last.End()
 			job.trace.Start("cancelled").SetWorker(workerID).SetAttr("reason", cerr.Error()).End()
 		}
 		s.transition(job, JobFailed, res, err)
@@ -865,10 +869,15 @@ func (s *Engine) acquire(job *Job, workerID int, phase func(string, ...any) func
 	waitSp.SetAttr("hit", hit)
 	entry.once.Do(func() {
 		waitSp.SetAttr("built", true)
+		// A stage's span stays open until the next opens or the build
+		// returns, so filing the first preconditioner is no gap.
+		open := waitSp.End
 		entry.build(&job.req, func(stage string, attrs ...any) func() {
-			waitSp.End()
-			return phase(stage, attrs...)
+			open()
+			open = phase(stage, attrs...)
+			return func() {}
 		})
+		open()
 	})
 	if entry.err != nil {
 		s.cache.drop(entry)
@@ -921,7 +930,6 @@ type caseDone func(col int, u []float64, st cg.Stats, err error)
 // its case at the top level instead of a cases array, and the case's own
 // error.
 func (s *Engine) runTiles(job *Job, tiles [][]int, rhs int, plate *fem.Plate, solve tileSolver) (*JobResult, error) {
-	job.initCases(rhs)
 	scalar := rhs == 1
 	res := &JobResult{RHS: rhs, Converged: true}
 	var errs []error

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -126,6 +127,12 @@ func TestTraceTiledJobTimeline(t *testing.T) {
 	}
 	if sum > ti.TotalSeconds*(1+1e-9) {
 		t.Errorf("span durations sum to %gs > job total %gs", sum, ti.TotalSeconds)
+	}
+	// The last span stays open until transition finishes the trace, so
+	// publishing the result leaves no gap: it ends where the job does.
+	last := ti.Spans[len(ti.Spans)-1]
+	if end := last.StartSeconds + last.DurationSeconds; math.Abs(end-ti.TotalSeconds) > 1e-9 {
+		t.Errorf("last span %q ends at %gs, job total %gs", last.Name, end, ti.TotalSeconds)
 	}
 	if ti.TotalSeconds > elapsed {
 		t.Errorf("job total %gs exceeds measured wall time %gs", ti.TotalSeconds, elapsed)

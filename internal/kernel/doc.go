@@ -20,11 +20,12 @@
 //
 // Every kernel has a portable pure-Go reference implementation and an
 // unrolled variant (column-direction unrolled loops with s = 8
-// specializations — SIMD-shaped code the compiler turns into vector
-// instructions under GOAMD64=v3, and a NEON-friendly form on arm64). The
-// specializations cover the panel dots and updates, the CSR SpMM and the
+// specializations that take their slices once, so the compiler drops the
+// per-entry bounds checks; it emits scalar code for them on every GOARCH).
+// The specializations cover the panel dots and updates, the CSR SpMM and the
 // m-step sweep; the sweep runs its register-blocked body on every full
-// 8-column tile of a wider panel too. The unrolled set is pure Go and wins
+// 8-column tile of a wider panel too, and a one-column body for the scalar
+// sweep (SixColorSSOR.ApplyMStep). The unrolled set is pure Go and wins
 // on every kernel measured, on every architecture, so it is the one set
 // solves run (Active): there is no CPU detection and no switch. The
 // portable set (Portable) stays as the reference the agreement tests and

@@ -474,7 +474,9 @@ func TestSweepCSRIAgreement(t *testing.T) {
 }
 
 // TestDispatchAllocFree guards the steady-state zero-allocation property of
-// every dispatch entry in every set, plus the layout conversions.
+// every dispatch entry in every set, plus the layout conversions. The sweep
+// runs on eight columns and on one (s = stride = 1, the body
+// SixColorSSOR.ApplyMStep runs).
 func TestDispatchAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	n, s, st := 64, 8, 8
@@ -512,6 +514,7 @@ func TestDispatchAllocFree(t *testing.T) {
 			"NormInfI":     func() { im.NormInfI(x, st, n, s, dst) },
 			"SpMMCSRI":     func() { im.SpMMCSRI(rowptr, colidx, val, x, st, spmmY, st, 0, n, s) },
 			"SweepCSRI":    func() { im.SweepCSRI(args, spmmY, x, sweepY, st, n, s) },
+			"SweepCSRI/1":  func() { im.SweepCSRI(args, spmmY[:n], x[:n], sweepY[:n], 1, n, 1) },
 		}
 		for entry, fn := range checks {
 			if allocs := testing.AllocsPerRun(20, fn); allocs != 0 {

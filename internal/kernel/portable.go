@@ -145,10 +145,10 @@ func portableSpMMCSRI(rowptr, colidx []int, val []float64, x []float64, xs int, 
 // the backward half-sweep and vice versa, the backward sweep skips the last
 // color (identical re-solve), and the backward color-1 solve is elided on
 // steps 1..m−1. Each block sum scans one side of the row's diagonal entry
-// (SweepArgs.DiagPos). Per-column arithmetic order matches the scalar
-// sweep (splitting's ApplyMStep) exactly; only the memory layout differs —
-// the s per-column block sums of one gathered row read from adjacent
-// elements.
+// (SweepArgs.DiagPos). Per-column arithmetic order is the one every sweep
+// reproduces exactly, the one-column sweep at s = st = 1 (splitting's
+// ApplyMStep) included; only the memory layout differs — the s per-column
+// block sums of one gathered row read from adjacent elements.
 func portableSweepCSRI(a *SweepArgs, rhat, r, y []float64, st, n, s int) {
 	m := len(a.Alphas)
 	ng := len(a.Start) - 1

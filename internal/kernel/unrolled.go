@@ -1,8 +1,10 @@
 package kernel
 
-// The unrolled set, the one every solve runs (Active): SIMD-shaped loops the
-// compiler can vectorize under GOAMD64=v3 (AVX2+FMA) or arm64's baseline
-// NEON. Per the package contract, no per-column reduction is reassociated —
+// The unrolled set, the one every solve runs (Active): scalar loops that
+// take their slices once, so the compiler drops the per-entry bounds checks.
+// Nothing vectorizes (GOAMD64=v3 emits the default build's instructions);
+// on arm64 the compiler fuses multiply-adds, so last bits can differ there.
+// Per the package contract, no per-column reduction is reassociated —
 // unrolling runs either across columns (independent accumulators) or along
 // the vector in left-associated chains (s + a + b + c + d ≡ the sequential
 // order), so every function here is bit-identical to its portable
@@ -10,7 +12,7 @@ package kernel
 // width): those specializations hold the eight per-column accumulators in
 // scalars and read each panel row as one bounds-check-free 64-byte slice.
 // The sweep runs that body on every full 8-column tile, so 16–32-wide panels
-// take it too.
+// take it too; one column at stride 1 has a body of its own.
 
 var unrolledImpl = Impl{
 	Name:         "unrolled",
@@ -235,6 +237,10 @@ func unrolledSpMMCSRI(rowptr, colidx []int, val []float64, x []float64, xs int, 
 // (SweepArgs.DiagPos); per-(step, color, row, k) order per column matches
 // the portable sweep exactly.
 func unrolledSweepCSRI(a *SweepArgs, rhat, r, y []float64, st, n, s int) {
+	if s == 1 && st == 1 {
+		unrolledSweepCSR1(a, rhat, r, y, n)
+		return
+	}
 	m := len(a.Alphas)
 	ng := len(a.Start) - 1
 	full := s - s%colTile // columns covered by full 8-wide tiles
@@ -371,6 +377,57 @@ func unrolledSweepCSRI(a *SweepArgs, rhat, r, y []float64, st, n, s int) {
 						yy[t] = sum
 					}
 				}
+			}
+		}
+	}
+}
+
+// unrolledSweepCSR1 is the one-column sweep (s = st = 1) of
+// SixColorSSOR.ApplyMStep. It takes its slices once per call and each row's
+// values and columns once, so the block sums bounds-check only the gathered
+// r̂. Per-(step, color, row, k) order matches the portable sweep exactly.
+func unrolledSweepCSR1(a *SweepArgs, rhat, r, y []float64, n int) {
+	m := len(a.Alphas)
+	ng := len(a.Start) - 1
+	rhat, r, y = rhat[:n], r[:n], y[:n]
+	rowptr, pos, diag := a.RowPtr[:n+1], a.DiagPos[:n], a.Diag[:n]
+	colidx, val := a.ColIdx, a.Val
+	clear(rhat)
+	clear(y)
+	for step := 1; step <= m; step++ {
+		alpha := a.Alphas[m-step]
+		// Forward half-sweep: lower block sums, entries ascending.
+		for c := 0; c < ng; c++ {
+			lo, hi := a.Start[c], a.Start[c+1]
+			cache := c < ng-1
+			for i := lo; i < hi; i++ {
+				vals, cols := val[rowptr[i]:pos[i]], colidx[rowptr[i]:pos[i]]
+				cols = cols[:len(vals)]
+				var sum float64
+				for k, v := range vals {
+					sum -= v * rhat[cols[k]]
+				}
+				rhat[i] = (sum + y[i] + alpha*r[i]) / diag[i]
+				if cache {
+					y[i] = sum
+				}
+			}
+		}
+		// Backward half-sweep: upper block sums, entries descending.
+		for c := ng - 2; c >= 0; c-- {
+			lo, hi := a.Start[c], a.Start[c+1]
+			solve := c > 0 || step == m
+			for i := lo; i < hi; i++ {
+				vals, cols := val[pos[i]+1:rowptr[i+1]], colidx[pos[i]+1:rowptr[i+1]]
+				cols = cols[:len(vals)]
+				var sum float64
+				for k := len(vals) - 1; k >= 0; k-- {
+					sum -= vals[k] * rhat[cols[k]]
+				}
+				if solve {
+					rhat[i] = (sum + y[i] + alpha*r[i]) / diag[i]
+				}
+				y[i] = sum
 			}
 		}
 	}

@@ -42,9 +42,8 @@ func NewTrace(id string) *Trace {
 // ID returns the trace's identifier.
 func (t *Trace) ID() string { return t.id }
 
-// Start opens a new span. The returned span must be closed with End (or
-// EndWith); an unclosed span snapshots with the current time as its
-// provisional end.
+// Start opens a new span. End closes it, or Finish does at the latest; a
+// span still open snapshots with the current time as its provisional end.
 func (t *Trace) Start(name string) *Span {
 	s := &Span{tr: t, name: name, start: time.Now(), worker: -1}
 	t.mu.Lock()
@@ -67,12 +66,17 @@ func (t *Trace) Record(name string, start time.Time, d time.Duration) *Span {
 	return s
 }
 
-// Finish marks the whole trace complete (sets the total duration's end
-// point). Idempotent.
+// Finish marks the whole trace complete: it sets the total duration's end
+// point and closes every span still open there. Idempotent.
 func (t *Trace) Finish() {
 	t.mu.Lock()
 	if t.ended.IsZero() {
 		t.ended = time.Now()
+		for _, s := range t.spans {
+			if s.end.IsZero() {
+				s.end = t.ended
+			}
+		}
 	}
 	t.mu.Unlock()
 }

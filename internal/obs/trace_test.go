@@ -109,6 +109,29 @@ func TestTraceConcurrent(t *testing.T) {
 	}
 }
 
+// TestFinishClosesOpenSpans: a span still open when the trace finishes ends
+// where the trace does, and its duration stops drifting; a closed span
+// keeps its own end.
+func TestFinishClosesOpenSpans(t *testing.T) {
+	tr := NewTrace("j")
+	tr.Start("closed").End()
+	tr.Start("open")
+	time.Sleep(time.Millisecond)
+	tr.Finish()
+	v := tr.View()
+	open := v.Spans[1]
+	if end := open.StartSeconds + open.DurationSeconds; end < v.TotalSeconds-1e-9 || end > v.TotalSeconds+1e-9 {
+		t.Fatalf("open span ends at %gs, trace total %gs", end, v.TotalSeconds)
+	}
+	if closed := v.Spans[0]; closed.StartSeconds+closed.DurationSeconds >= open.StartSeconds+open.DurationSeconds {
+		t.Fatalf("Finish moved the closed span's end: %+v", closed)
+	}
+	time.Sleep(2 * time.Millisecond)
+	if d := tr.View().Spans[1].DurationSeconds; d != open.DurationSeconds {
+		t.Fatalf("finished span drifted: %g != %g", d, open.DurationSeconds)
+	}
+}
+
 // TestSpanEndIdempotent: End twice keeps the first timestamp.
 func TestSpanEndIdempotent(t *testing.T) {
 	tr := NewTrace("j")

@@ -39,41 +39,38 @@ func (a *CSR) At(i, j int) float64 {
 }
 
 // MulVecTo computes dst = A·x. dst must not alias x.
-func (a *CSR) MulVecTo(dst, x []float64) {
+func (a *CSR) MulVecTo(dst, x []float64) { a.ParMulVecTo(dst, x, 1) }
+
+// ParMulVecTo computes dst = A·x with rows partitioned across up to
+// `workers` goroutines, each running the serial body on a contiguous row
+// block, so the result is bitwise identical to the serial product. workers
+// == 1 is MulVecTo and allocates nothing (the allocation-free cg.SolveInto
+// contract relies on this); workers <= 0 means GOMAXPROCS.
+func (a *CSR) ParMulVecTo(dst, x []float64, workers int) {
 	if len(x) != a.Cols || len(dst) != a.Rows {
 		panic(fmt.Sprintf("sparse: MulVecTo dims: A %d×%d, x %d, dst %d", a.Rows, a.Cols, len(x), len(dst)))
 	}
-	for i := 0; i < a.Rows; i++ {
+	if workers == 1 {
+		a.mulVecRange(dst, x, 0, a.Rows)
+		return
+	}
+	vec.ParRange(a.Rows, workers, func(lo, hi int) { a.mulVecRange(dst, x, lo, hi) })
+}
+
+// mulVecRange computes rows [lo, hi) of dst = A·x, the one body behind
+// MulVecTo and ParMulVecTo. It takes the slices once and each row's values
+// and columns once, so the entry loop bounds-checks only the gathered x.
+func (a *CSR) mulVecRange(dst, x []float64, lo, hi int) {
+	rowptr, col, val := a.RowPtr[:a.Rows+1], a.ColIdx, a.Val
+	for i := lo; i < hi; i++ {
+		vals, cols := val[rowptr[i]:rowptr[i+1]], col[rowptr[i]:rowptr[i+1]]
+		cols = cols[:len(vals)]
 		var s float64
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			s += a.Val[k] * x[a.ColIdx[k]]
+		for k, v := range vals {
+			s += v * x[cols[k]]
 		}
 		dst[i] = s
 	}
-}
-
-// ParMulVecTo computes dst = A·x with rows partitioned across up to
-// `workers` goroutines. Each goroutine owns a contiguous row block, so the
-// result is bitwise identical to the serial product. workers == 1 takes
-// the serial path without allocating (the allocation-free cg.SolveInto
-// contract relies on this); workers <= 0 means GOMAXPROCS.
-func (a *CSR) ParMulVecTo(dst, x []float64, workers int) {
-	if workers == 1 {
-		a.MulVecTo(dst, x)
-		return
-	}
-	if len(x) != a.Cols || len(dst) != a.Rows {
-		panic(fmt.Sprintf("sparse: ParMulVecTo dims: A %d×%d, x %d, dst %d", a.Rows, a.Cols, len(x), len(dst)))
-	}
-	vec.ParRange(a.Rows, workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			var s float64
-			for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-				s += a.Val[k] * x[a.ColIdx[k]]
-			}
-			dst[i] = s
-		}
-	})
 }
 
 // MulMatTo computes dst = A·X for a column-block multivector X: one pass

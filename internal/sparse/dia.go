@@ -79,47 +79,30 @@ func (a *DIA) NumDiags() int { return len(a.Offsets) }
 // contributes dst[i] += Diag[i] * x[i+d] over the valid range — on the
 // CYBER this is a single linked-triad vector instruction of length
 // N − |d|; the vectorsim package charges time accordingly.
-func (a *DIA) MulVecTo(dst, x []float64) {
+func (a *DIA) MulVecTo(dst, x []float64) { a.ParMulVecTo(dst, x, 1) }
+
+// ParMulVecTo computes dst = A·x with rows partitioned across up to
+// `workers` goroutines via vec.ParRange, each running the serial body on a
+// contiguous row block, so the result is bitwise identical to the serial
+// product; workers == 1 is MulVecTo and allocates nothing.
+func (a *DIA) ParMulVecTo(dst, x []float64, workers int) {
 	if len(x) != a.N || len(dst) != a.N {
 		panic(fmt.Sprintf("sparse: DIA.MulVecTo dims: N=%d, x %d, dst %d", a.N, len(x), len(dst)))
 	}
-	for i := range dst {
-		dst[i] = 0
-	}
-	for k, d := range a.Offsets {
-		diag := a.Diags[k]
-		lo, hi := diagRange(a.N, d)
-		for i := lo; i < hi; i++ {
-			dst[i] += diag[i] * x[i+d]
-		}
-	}
-}
-
-// ParMulVecTo computes dst = A·x with rows partitioned across up to
-// `workers` goroutines via vec.ParRange. Each goroutine owns a contiguous
-// row block for every diagonal, so the result is bitwise identical to the
-// serial product; workers == 1 takes the serial allocation-free path.
-func (a *DIA) ParMulVecTo(dst, x []float64, workers int) {
 	if workers == 1 {
-		a.MulVecTo(dst, x)
+		a.mulVecRange(dst, x, 0, a.N)
 		return
 	}
-	if len(x) != a.N || len(dst) != a.N {
-		panic(fmt.Sprintf("sparse: DIA.ParMulVecTo dims: N=%d, x %d, dst %d", a.N, len(x), len(dst)))
+	vec.ParRange(a.N, workers, func(lo, hi int) { a.mulVecRange(dst, x, lo, hi) })
+}
+
+// mulVecRange computes rows [lo, hi) of dst = A·x, the one body behind
+// MulVecTo and ParMulVecTo.
+func (a *DIA) mulVecRange(dst, x []float64, lo, hi int) {
+	clear(dst[lo:hi])
+	for k := range a.Offsets {
+		a.triad(dst, x, k, lo, hi)
 	}
-	vec.ParRange(a.N, workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dst[i] = 0
-		}
-		for k, d := range a.Offsets {
-			diag := a.Diags[k]
-			dlo, dhi := diagRange(a.N, d)
-			dlo, dhi = max(dlo, lo), min(dhi, hi)
-			for i := dlo; i < dhi; i++ {
-				dst[i] += diag[i] * x[i+d]
-			}
-		}
-	})
 }
 
 // MulMatTo computes dst = A·X for a column-block multivector X: every
@@ -138,21 +121,30 @@ func (a *DIA) MulMatTo(dst, x *vec.Multi) {
 // mulMatRange runs the block product over the row range [lo, hi).
 func (a *DIA) mulMatRange(dst, x *vec.Multi, lo, hi int) {
 	for j := 0; j < dst.S; j++ {
-		c := dst.Col(j)
-		for i := lo; i < hi; i++ {
-			c[i] = 0
+		clear(dst.Col(j)[lo:hi])
+	}
+	for k := range a.Offsets {
+		for j := 0; j < x.S; j++ {
+			a.triad(dst.Col(j), x.Col(j), k, lo, hi)
 		}
 	}
-	for k, d := range a.Offsets {
-		diag := a.Diags[k]
-		dlo, dhi := diagRange(a.N, d)
-		dlo, dhi = max(dlo, lo), min(dhi, hi)
-		for j := 0; j < x.S; j++ {
-			xc, dc := x.Col(j), dst.Col(j)
-			for i := dlo; i < dhi; i++ {
-				dc[i] += diag[i] * xc[i+d]
-			}
-		}
+}
+
+// triad adds diagonal k's share of rows [lo, hi) of A·x to dst, over the
+// rows the diagonal covers there; it skips a diagonal that covers none,
+// whose reslice would panic.
+func (a *DIA) triad(dst, x []float64, k, lo, hi int) {
+	d := a.Offsets[k]
+	l, h := diagRange(a.N, d)
+	l, h = max(l, lo), min(h, hi)
+	if l >= h {
+		return
+	}
+	dst = dst[l:h]
+	diag, x := a.Diags[k][l:h], x[l+d:h+d]
+	diag, x = diag[:len(dst)], x[:len(dst)]
+	for i, v := range diag {
+		dst[i] += v * x[i]
 	}
 }
 

@@ -27,8 +27,7 @@ type SixColorSSOR struct {
 	d     []float64
 	sd    []float64 // D^½, for MulSymmetrized
 	dinv  []float64 // D⁻¹, for MulSymmetrized
-	y     []float64 // Conrad–Wallach cache, one value per unknown
-	yb    []float64 // interleaved-sweep cache panel, one value per unknown per column
+	y     []float64 // Conrad–Wallach cache, one value per unknown per column swept
 	omega float64
 	ka    kernel.SweepArgs // matrix-side sweep arguments, built once; each application sets only Alphas
 }
@@ -217,6 +216,9 @@ func (s *SixColorSSOR) MulSymmetrized(dst, x, work []float64) {
 //     provably dead: the next forward color-1 solve overwrites it without
 //     reading it) and performed only on the final step — the paper's
 //     trailing step (3) with coefficient α₀.
+//
+// At ω = 1 this is the active kernels' SweepCSRI on one column (s = stride
+// = 1); Step stays as the strict reference.
 func (s *SixColorSSOR) ApplyMStep(rhat, r []float64, alphas []float64) {
 	m := len(alphas)
 	if m < 1 {
@@ -233,43 +235,8 @@ func (s *SixColorSSOR) ApplyMStep(rhat, r []float64, alphas []float64) {
 		}
 		return
 	}
-	ng := s.numGroups()
-	for i := range rhat {
-		rhat[i] = 0
-		s.y[i] = 0
-	}
-	for step := 1; step <= m; step++ {
-		alpha := alphas[m-step]
-		// Forward half-sweep: colors ascending. x = fresh lower sum,
-		// y[i] = cached upper sum from the previous backward half-sweep.
-		// The last color has an empty upper sum and no backward re-solve,
-		// so its cache must remain 0 rather than hold the lower sum.
-		for c := 0; c < ng; c++ {
-			lo, hi := s.Start[c], s.Start[c+1]
-			cache := c < ng-1
-			for i := lo; i < hi; i++ {
-				x := s.lowerSum(i, rhat)
-				rhat[i] = (x + s.y[i] + alpha*r[i]) / s.d[i]
-				if cache {
-					s.y[i] = x
-				}
-			}
-		}
-		// Backward half-sweep: colors descending, skipping the last color
-		// (identical re-solve). x = fresh upper sum, y[i] = cached lower
-		// sum from the forward half-sweep.
-		for c := ng - 2; c >= 0; c-- {
-			lo, hi := s.Start[c], s.Start[c+1]
-			solve := c > 0 || step == m
-			for i := lo; i < hi; i++ {
-				x := s.upperSum(i, rhat)
-				if solve {
-					rhat[i] = (x + s.y[i] + alpha*r[i]) / s.d[i]
-				}
-				s.y[i] = x
-			}
-		}
-	}
+	s.ka.Alphas = alphas
+	kernel.Active().SweepCSRI(&s.ka, rhat, r, s.y, 1, s.K.Rows, 1)
 }
 
 // CanApplyMStepInterleaved reports whether the fused interleaved sweep is
@@ -302,9 +269,9 @@ func (s *SixColorSSOR) ApplyMStepInterleaved(rhat, r *vec.IMulti, alphas []float
 		impl = kernel.Active()
 	}
 	st := rhat.Stride
-	if cap(s.yb) < n*st {
-		s.yb = make([]float64, n*st)
+	if cap(s.y) < n*st {
+		s.y = make([]float64, n*st)
 	}
 	s.ka.Alphas = alphas
-	impl.SweepCSRI(&s.ka, rhat.Data, r.Data, s.yb[:n*st], st, n, rhat.S)
+	impl.SweepCSRI(&s.ka, rhat.Data, r.Data, s.y[:n*st], st, n, rhat.S)
 }

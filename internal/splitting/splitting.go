@@ -116,8 +116,9 @@ func (j *Jacobi) Name() string { return "jacobi" }
 // Step performs r̂ ← r̂ + D⁻¹(α·r − K·r̂).
 func (j *Jacobi) Step(rhat, r []float64, alpha float64) {
 	j.K.MulVecTo(j.work, rhat)
+	dinv, work, r := j.dinv[:len(rhat)], j.work[:len(rhat)], r[:len(rhat)]
 	for i := range rhat {
-		rhat[i] += j.dinv[i] * (alpha*r[i] - j.work[i])
+		rhat[i] += dinv[i] * (alpha*r[i] - work[i])
 	}
 }
 
